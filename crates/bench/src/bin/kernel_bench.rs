@@ -37,7 +37,10 @@
 //! through [`SkylineService`] against a from-scratch rebuild + recompute of
 //! the same post-batch state, asserting every published skyline
 //! bit-identical to the oracle and reporting the Property-2 deferral rate.
-//! Written to `BENCH_dynamic.json`, gated at ≥5x batched speedup.
+//! Written to `BENCH_dynamic.json`, gated at ≥5x batched speedup. A second,
+//! ungated stream draws its inserts from an independent second-seed
+//! dataset, so groups drift and pairs flush through the fold; its flushed
+//! pairs and per-batch apply times are reported next to the gate.
 //!
 //! Usage: `kernel_bench [records] [repeats] [--hotpath-only] [--dynamic]
 //! [--gate]` (defaults 30000, 3). `--hotpath-only` runs just experiment 3;
@@ -59,7 +62,7 @@ use aggsky_core::{
     AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder, KernelConfig, Mbb,
     PreparedDataset, RunContext, SkylineResult, SkylineService, Stats, WriteBatch, MAX_LANE_BLOCK,
 };
-use aggsky_datagen::{Distribution, GroupSizes, SyntheticConfig};
+use aggsky_datagen::{Distribution, GroupSizes, Rng64, SyntheticConfig};
 use aggsky_spatial::{Aabb, RTree};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -379,6 +382,91 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
 /// recounting while absorbing noisy CI machines.
 const MIN_DYNAMIC_SPEEDUP: f64 = 5.0;
 
+/// Batches of the flush stream, and operations per batch.
+const FLUSH_BATCHES: usize = 8;
+const FLUSH_BATCH_OPS: usize = 32;
+
+/// What the flush stream of [`flush_stream`] measured.
+struct FlushStream {
+    groups: usize,
+    /// Wall time of each batch's `apply`, publish included.
+    apply_millis: Vec<f64>,
+    deferred_pairs: u64,
+    flushed_pairs: u64,
+}
+
+/// The ungated second stream of experiment 4: independent d=3 groups whose
+/// inserts come from the same group of an independent dataset drawn with a
+/// second seed (as in the end-to-end benchmark's `serve-mixed` workload),
+/// one delete per four operations. The groups drift, so Property-2 drift
+/// intervals cross γ and pairs flush through the fold that the first
+/// stream never reaches. Every published skyline is asserted identical to
+/// the from-scratch answer over the same live rows.
+fn flush_stream(records: usize) -> FlushStream {
+    let gamma = Gamma::DEFAULT;
+    let config = |seed| SyntheticConfig {
+        n_records: records,
+        n_groups: (records / 100).max(16),
+        dim: 3,
+        distribution: Distribution::Independent,
+        spread: 0.6,
+        group_sizes: GroupSizes::Uniform,
+        seed,
+    };
+    let ds = config(0x5EED_F1A5).generate();
+    let pool = config(0x5EED_F1A6).generate();
+    let svc = SkylineService::from_dataset(&ds, gamma).expect("seed the serving state");
+    let mut live: Vec<Vec<Vec<f64>>> =
+        ds.group_ids().map(|g| ds.records(g).map(<[f64]>::to_vec).collect()).collect();
+    let mut next = vec![0usize; ds.n_groups()];
+    let mut rng = Rng64::new(0xF1A5_0001);
+    let mut out = FlushStream {
+        groups: ds.n_groups(),
+        apply_millis: Vec::with_capacity(FLUSH_BATCHES),
+        deferred_pairs: 0,
+        flushed_pairs: 0,
+    };
+    for _ in 0..FLUSH_BATCHES {
+        let mut batch = WriteBatch::new();
+        for _ in 0..FLUSH_BATCH_OPS {
+            let g = rng.index(ds.n_groups());
+            if rng.index(4) == 0 && live[g].len() > 1 {
+                let at = rng.index(live[g].len());
+                let rec = live[g].swap_remove(at);
+                batch = batch.delete(ds.label(g), &rec);
+            } else {
+                let rec = pool.record(g, next[g] % pool.group_len(g)).to_vec();
+                next[g] += 1;
+                batch = batch.insert(ds.label(g), &rec);
+                live[g].push(rec);
+            }
+        }
+        let start = Instant::now();
+        let receipt = svc.apply(&batch).expect("flush-stream apply");
+        out.apply_millis.push(start.elapsed().as_secs_f64() * 1e3);
+        assert!(receipt.interrupted.is_none(), "unlimited apply must finish");
+        out.deferred_pairs += receipt.deferred_pairs;
+        out.flushed_pairs += receipt.flushed_pairs;
+
+        let mut b = GroupedDatasetBuilder::new(3);
+        for g in ds.group_ids() {
+            b.push_group(ds.label(g), &live[g]).expect("live rows are valid");
+        }
+        let scratch = b.build().expect("live dataset is valid");
+        let oracle = Algorithm::Indexed.run(&scratch, gamma);
+        let epoch = svc.current();
+        let mut served = epoch.skyline_labels();
+        served.sort_unstable();
+        assert_eq!(
+            served,
+            scratch.sorted_labels(&oracle.skyline),
+            "flush-stream epoch must be bit-identical to the from-scratch skyline"
+        );
+    }
+    assert!(out.flushed_pairs > 0, "the flush stream must flush pairs to time the fold");
+    out
+}
+
 /// Experiment 4 (`--dynamic`): epoch-based live serving vs from-scratch
 /// recomputation on a seeded anticorrelated write stream. Returns the
 /// batched-throughput speedup for the gate. Every published epoch's
@@ -516,6 +604,9 @@ fn dynamic_bench(records: usize, repeats: usize) -> f64 {
     let settled = (deferred + flushed).max(1);
     let deferral_rate = deferred as f64 / settled as f64;
     let epoch = svc.current();
+    let flush = flush_stream(records);
+    let flush_total: f64 = flush.apply_millis.iter().sum();
+    let flush_mean = flush_total / flush.apply_millis.len() as f64;
 
     println!(
         "\n## Live serving — incremental epochs vs from-scratch recompute, anticorrelated, \
@@ -539,6 +630,12 @@ fn dynamic_bench(records: usize, repeats: usize) -> f64 {
          (gate {MIN_DYNAMIC_SPEEDUP}x); deferral rate {deferral_rate:.2} \
          ({deferred} deferred / {flushed} flushed pair decisions); final epoch {}",
         epoch.id()
+    );
+    println!(
+        "flush stream (ungated; independent, {records} seed records / {} groups, inserts from \
+         a second-seed dataset): {FLUSH_BATCHES} batches x {FLUSH_BATCH_OPS} ops, mean apply \
+         {flush_mean:.2} ms, {} flushed / {} deferred pair decisions",
+        flush.groups, flush.flushed_pairs, flush.deferred_pairs
     );
 
     let mut json = String::new();
@@ -567,6 +664,18 @@ fn dynamic_bench(records: usize, repeats: usize) -> f64 {
     writeln!(json, "    \"deferred_pairs\": {deferred},").unwrap();
     writeln!(json, "    \"flushed_pairs\": {flushed},").unwrap();
     writeln!(json, "    \"rate\": {deferral_rate:.4}").unwrap();
+    writeln!(json, "  }},").unwrap();
+    let per_batch: Vec<String> = flush.apply_millis.iter().map(|ms| format!("{ms:.3}")).collect();
+    writeln!(json, "  \"flush_stream\": {{").unwrap();
+    writeln!(json, "    \"gated\": false,").unwrap();
+    writeln!(json, "    \"distribution\": \"independent\",").unwrap();
+    writeln!(json, "    \"groups\": {},", flush.groups).unwrap();
+    writeln!(json, "    \"batches\": {FLUSH_BATCHES},").unwrap();
+    writeln!(json, "    \"ops_per_batch\": {FLUSH_BATCH_OPS},").unwrap();
+    writeln!(json, "    \"apply_millis\": [{}],", per_batch.join(", ")).unwrap();
+    writeln!(json, "    \"mean_apply_millis\": {flush_mean:.3},").unwrap();
+    writeln!(json, "    \"deferred_pairs\": {},", flush.deferred_pairs).unwrap();
+    writeln!(json, "    \"flushed_pairs\": {}", flush.flushed_pairs).unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"skylines_bit_identical\": true,").unwrap();
     writeln!(json, "  \"final_epoch\": {}", epoch.id()).unwrap();

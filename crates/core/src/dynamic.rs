@@ -6,15 +6,27 @@
 //! # Structure
 //!
 //! [`DynamicAggregateSkyline`] separates each group into a **base** record
-//! set — whose exact pairwise tallies `|S ≻ R|` are memoized in a revisable
-//! [`PairCache`] — and a small **pending** delta buffer of inserts and
-//! deletes not yet folded into the base. Edits are O(1): they only grow the
-//! buffer. The kernel cost is paid when a group's deltas are *folded*:
-//! every touched pair is recounted through [`Kernel::compare_bounded`]
-//! against a per-group mini lane-block preparation of the delta records, so
-//! folding group `R` costs `O(|R_Δ| · Σ|S|)` kernel ticks — charged to
-//! [`Stats`], pollable through [`RunContext`], and mirrored to the
-//! observability counters.
+//! set — whose exact pairwise tallies `|S ≻ R|` are kept in a dense
+//! lower-triangular table of `(n12, n21)` counts, one slot per unordered
+//! group pair, grown by one row per added group — and a small **pending**
+//! delta buffer of inserts and deletes not yet folded into the base. Edits
+//! are O(1): they only grow the buffer. The cost is paid when a group's
+//! deltas are *folded*. The fold prepares its insert and its delete buffer
+//! once, then counts each against the kept single-group preparation of
+//! every other non-empty base set through [`count_pairs_across`]. A base
+//! set's preparation is built the first time a fold counts against it and
+//! dropped only when that group itself folds. Folding group `R` therefore
+//! costs `O(|R_Δ| · Σ|S|)` kernel ticks — charged to [`Stats`], pollable
+//! through [`RunContext`], and mirrored to the observability counters —
+//! plus one `O(|R| log |R|)` re-preparation of `R`, paid by the next fold
+//! that counts against it. No per-pair dataset or preparation is built,
+//! and the Property-2 pass below reads each tally with one index
+//! computation. On the end-to-end benchmark's traced `serve-mixed` run
+//! (12 000 records in 120 groups, a 2-vCPU x86-64 host with AVX2) this cut
+//! the median [`DynamicAggregateSkyline::skyline_ctx`] time per write
+//! batch from 22.6 ms, when every pair of a fold built and prepared its
+//! own two-group dataset, to 2.7 ms, with identical flushed and deferred
+//! pair counts; DESIGN.md §17 has the per-layer table.
 //!
 //! # The Property-2 defer-recompute rule
 //!
@@ -32,9 +44,15 @@
 //! endpoints fall on the same side of γ the pair's verdict is *provably*
 //! unchanged and no recounting happens ([`Counter::DynDeferred`]); only a
 //! pair whose interval straddles γ forces its groups to fold
-//! ([`Counter::DynFlushedPairs`], plus a `dyn_forced_flush` flight-recorder
-//! event). Queries stay exact: deferral skips work only when the skyline
-//! verdict cannot depend on it.
+//! ([`Counter::DynFlushedPairs`]). Queries stay exact: deferral skips work
+//! only when the skyline verdict cannot depend on it.
+//!
+//! # Tracing
+//!
+//! [`DynamicAggregateSkyline::skyline_ctx`] runs inside a tick-domain
+//! `dyn_certify` span, and every folded group inside it gets a `dyn_fold`
+//! span carrying the group, its inserts and deletes, and the pairs it
+//! revised.
 //!
 //! [`Counter::DynDeferred`]: aggsky_obs::Counter::DynDeferred
 //! [`Counter::DynFlushedPairs`]: aggsky_obs::Counter::DynFlushedPairs
@@ -42,18 +60,13 @@
 use crate::dataset::{GroupId, GroupedDataset, GroupedDatasetBuilder, MAX_GROUP_LEN};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
-use crate::kernel::{BoundedCompare, Kernel, KernelConfig};
-use crate::paircache::PairCache;
-use crate::paircount::PairOptions;
+use crate::kernel::{count_pairs_across, KernelConfig};
+use crate::paircache::{CachedTally, PairCache};
 use crate::prepared::{PreparedDataset, MAX_LANE_BLOCK};
 use crate::runctx::{InterruptReason, RunContext};
 use crate::stats::Stats;
 use aggsky_obs::{Counter as ObsCounter, Stamp};
-
-/// Full-count options for delta recounts: tallies must be complete, so the
-/// stopping rule and the γ̄ refinements are irrelevant.
-const COUNT_OPTS: PairOptions =
-    PairOptions { stop_rule: false, need_bar: false, corrected_bar: false };
+use std::cmp::Ordering;
 
 /// Outcome of one [`DynamicAggregateSkyline::skyline_ctx`] query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,6 +105,62 @@ enum Counted {
     Stopped(InterruptReason),
 }
 
+/// Exact base tallies in a dense lower-triangular table: the unordered
+/// pair `{a, b}` with `a < b` lives at slot `b·(b−1)/2 + a` as
+/// `(|a ≻ b|, |b ≻ a|)`. Adding group `b` appends its row of `b` zero
+/// slots, so every pair of existing groups has one. Invariant: every slot
+/// is exact over the current base sets, hence zero whenever either base
+/// set is empty.
+#[derive(Debug, Default)]
+struct TallyTable {
+    cells: Vec<(u64, u64)>,
+}
+
+impl TallyTable {
+    /// Appends the row of group `b`: one zero slot per group `a < b`.
+    fn push_row(&mut self, b: GroupId) {
+        self.cells.resize(self.cells.len() + b, (0, 0));
+    }
+
+    /// `(|a ≻ b|, |b ≻ a|)`; zero for `a == b`.
+    fn get(&self, a: GroupId, b: GroupId) -> (u64, u64) {
+        match a.cmp(&b) {
+            Ordering::Less => self.cells[Self::slot(a, b)],
+            Ordering::Greater => {
+                let (n_ba, n_ab) = self.cells[Self::slot(b, a)];
+                (n_ab, n_ba)
+            }
+            Ordering::Equal => (0, 0),
+        }
+    }
+
+    /// Stores `n_ab = |a ≻ b|` and `n_ba = |b ≻ a|` for `a != b`.
+    fn set(&mut self, a: GroupId, b: GroupId, n_ab: u64, n_ba: u64) {
+        match a.cmp(&b) {
+            Ordering::Less => self.cells[Self::slot(a, b)] = (n_ab, n_ba),
+            Ordering::Greater => self.cells[Self::slot(b, a)] = (n_ba, n_ab),
+            Ordering::Equal => {}
+        }
+    }
+
+    fn slot(lo: GroupId, hi: GroupId) -> usize {
+        hi * (hi - 1) / 2 + lo
+    }
+}
+
+/// Per-group sizes the Property-2 drift interval is computed from.
+#[derive(Debug, Clone, Copy)]
+struct Sizes {
+    /// Live records: `base − del + ins`.
+    cur: usize,
+    /// Folded records the tallies are exact over.
+    base: usize,
+    /// Pending inserts.
+    ins: usize,
+    /// Pending deletes.
+    del: usize,
+}
+
 /// A mutable collection of groups with incrementally-maintained pairwise
 /// domination tallies and Property-2 deferral of recomputation.
 ///
@@ -112,8 +181,8 @@ enum Counted {
 #[derive(Debug)]
 pub struct DynamicAggregateSkyline {
     dim: usize,
-    /// Kernel strategy for delta recounts (never `Exhaustive`; a prepared
-    /// kernel is what makes `compare_bounded` return complete tallies).
+    /// Kernel strategy for delta recounts (never `Exhaustive`: counting
+    /// across kept preparations needs a prepared kernel).
     kernel: KernelConfig,
     labels: Vec<String>,
     /// Folded per-group record storage (row-major); the sets the memoized
@@ -123,10 +192,12 @@ pub struct DynamicAggregateSkyline {
     pending_ins: Vec<Vec<f64>>,
     /// Base row indices pending deletion, ascending, not yet folded.
     pending_del: Vec<Vec<usize>>,
-    /// Exact complete tallies over base×base in canonical orientation.
-    /// Invariant: an entry exists for `{a, b}` iff both base sets are
-    /// non-empty, and it is complete (`checked == total`).
-    tallies: PairCache,
+    /// Exact complete tallies over base×base.
+    tallies: TallyTable,
+    /// Single-group preparation of each base set at the kernel's block
+    /// size: built the first time a fold counts against the group, dropped
+    /// when the group itself folds.
+    preps: Vec<Option<PreparedDataset>>,
     /// Cumulative kernel work across all maintenance counting.
     stats: Stats,
 }
@@ -144,7 +215,8 @@ impl DynamicAggregateSkyline {
             base: Vec::new(),
             pending_ins: Vec::new(),
             pending_del: Vec::new(),
-            tallies: PairCache::new(),
+            tallies: TallyTable::default(),
+            preps: Vec::new(),
             stats: Stats::default(),
         }
     }
@@ -155,8 +227,8 @@ impl DynamicAggregateSkyline {
     /// # Errors
     ///
     /// Returns [`Error::InvalidArgument`] for [`KernelConfig::Exhaustive`]
-    /// (delta recounts need a preparation to produce resumable tallies), a
-    /// zero block size, or a columnar block size above [`MAX_LANE_BLOCK`].
+    /// (delta recounts run across kept preparations), a zero block size, or
+    /// a columnar block size above [`MAX_LANE_BLOCK`].
     pub fn with_kernel(dim: usize, kernel: KernelConfig) -> Result<Self> {
         match kernel {
             KernelConfig::Exhaustive => {
@@ -214,23 +286,22 @@ impl DynamicAggregateSkyline {
     /// tally.
     pub fn from_dataset_with_tallies(
         ds: &GroupedDataset,
-        entries: &[((GroupId, GroupId), crate::paircache::CachedTally)],
+        entries: &[((GroupId, GroupId), CachedTally)],
     ) -> Result<Self> {
         let mut out = DynamicAggregateSkyline::new(ds.dim());
         for g in ds.group_ids() {
             out.add_group(ds.label(g));
-        }
-        for g in ds.group_ids() {
-            for rec in ds.records(g) {
-                out.base[g].extend_from_slice(rec);
-            }
+            out.base[g].extend_from_slice(ds.group_rows(g));
         }
         let prep = PreparedDataset::build(ds, PreparedDataset::DEFAULT_BLOCK_SIZE)?;
-        out.tallies.ingest(&prep, entries)?;
+        // Validated in a memo table first: it tells a missing pair apart
+        // from a zero tally, which the dense table cannot.
+        let mut ingested = PairCache::new();
+        ingested.ingest(&prep, entries)?;
         for a in 0..ds.n_groups() {
             for b in a + 1..ds.n_groups() {
-                match out.tallies.lookup(a, b) {
-                    Some(t) if t.complete() => {}
+                match ingested.lookup(a, b) {
+                    Some(t) if t.complete() => out.tallies.set(a, b, t.n12, t.n21),
                     _ => {
                         return Err(Error::CorruptCheckpoint(format!(
                             "warm restore requires a complete tally for every group pair; \
@@ -251,7 +322,7 @@ impl DynamicAggregateSkyline {
     /// Number of live records in group `g` (base minus pending deletes plus
     /// pending inserts).
     pub fn group_len(&self, g: GroupId) -> usize {
-        self.base_len(g) - self.pending_del[g].len() + self.pending_ins[g].len() / self.dim
+        self.sizes(g).cur
     }
 
     /// Total number of live records.
@@ -282,11 +353,14 @@ impl DynamicAggregateSkyline {
     /// Adds a new (empty) group and returns its id. Empty groups are
     /// excluded from skylines until they receive a record.
     pub fn add_group(&mut self, label: impl Into<String>) -> GroupId {
+        let g = self.labels.len();
         self.labels.push(label.into());
         self.base.push(Vec::new());
         self.pending_ins.push(Vec::new());
         self.pending_del.push(Vec::new());
-        self.labels.len() - 1
+        self.preps.push(None);
+        self.tallies.push_row(g);
+        g
     }
 
     /// Inserts one record into group `g`. O(1): the record lands in the
@@ -401,7 +475,7 @@ impl DynamicAggregateSkyline {
         if len_s == 0 || len_r == 0 {
             return Ok(0.0);
         }
-        let (n_sr, _) = self.base_counts(s, r);
+        let (n_sr, _) = self.tallies.get(s, r);
         Ok(n_sr as f64 / crate::num::pair_product(len_s, len_r) as f64)
     }
 
@@ -410,11 +484,11 @@ impl DynamicAggregateSkyline {
     /// inside `[lo, hi]`, with `lo == hi` exactly when neither group has
     /// pending deltas. Read-only — never counts.
     pub fn probability_bounds(&self, s: GroupId, r: GroupId) -> (f64, f64) {
-        let (len_s, len_r) = (self.group_len(s), self.group_len(r));
-        if len_s == 0 || len_r == 0 {
+        let (zs, zr) = (self.sizes(s), self.sizes(r));
+        if zs.cur == 0 || zr.cur == 0 {
             return (0.0, 0.0);
         }
-        let (n_lo, n_hi, total) = self.count_bounds(s, r);
+        let (n_lo, n_hi, total) = self.count_bounds(s, r, zs, zr);
         (n_lo as f64 / total as f64, n_hi as f64 / total as f64)
     }
 
@@ -426,14 +500,165 @@ impl DynamicAggregateSkyline {
     }
 
     /// [`DynamicAggregateSkyline::skyline`] under a [`RunContext`]: folding
-    /// is budgeted and cancellable, kernel work lands in the recorder, and
-    /// the outcome reports deferred vs flushed pair counts.
+    /// is budgeted and cancellable, kernel work lands in the recorder
+    /// inside a `dyn_certify` span, and the outcome reports deferred vs
+    /// flushed pair counts.
     pub fn skyline_ctx(&mut self, gamma: Gamma, ctx: &RunContext) -> Result<DynSkyline> {
+        let span = ctx.obs().map_or(0, |rec| {
+            rec.span_start("dyn_certify", 0, Stamp::tick(self.stats.record_pairs))
+        });
+        let out = self.certify(gamma, ctx);
+        if let Some(rec) = ctx.obs() {
+            let (skyline, deferred, flushed) = out.as_ref().map_or((0, 0, 0), |o| {
+                (crate::num::wide(o.groups.len()), o.deferred_pairs, o.flushed_pairs)
+            });
+            rec.span_end(
+                span,
+                Stamp::tick(self.stats.record_pairs),
+                &[("skyline", skyline), ("deferred", deferred), ("flushed", flushed)],
+            );
+        }
+        out
+    }
+
+    /// Folds every group's pending deltas, leaving all tallies exact.
+    pub fn flush_ctx(&mut self, ctx: &RunContext) -> Result<FlushReport> {
+        let mut total = FlushReport::default();
+        for g in 0..self.n_groups() {
+            let report = self.flush_group_ctx(g, ctx)?;
+            total.flushed_pairs += report.flushed_pairs;
+            if report.interrupted.is_some() {
+                total.interrupted = report.interrupted;
+                return Ok(total);
+            }
+        }
+        Ok(total)
+    }
+
+    /// Snapshots the current live state as an immutable [`GroupedDataset`]
+    /// (empty groups are skipped; the mapping from snapshot ids to dynamic
+    /// ids is returned alongside). Read-only — pending deltas are included
+    /// without folding them.
+    pub fn snapshot(&self) -> Result<(GroupedDataset, Vec<GroupId>)> {
+        let mut b = GroupedDatasetBuilder::new(self.dim).trusted_labels();
+        let mut mapping = Vec::new();
+        for g in 0..self.n_groups() {
+            if self.group_len(g) == 0 {
+                continue;
+            }
+            let rows: Vec<&[f64]> = self.live_rows(g).collect();
+            b.push_group(self.labels[g].clone(), &rows)?;
+            mapping.push(g);
+        }
+        Ok((b.build()?, mapping))
+    }
+
+    /// Exported base tallies for checkpointing: one complete entry per
+    /// pair of non-empty base sets, in canonical orientation, ascending by
+    /// key, with the resume cursor at 0 — the format [`PairCache::export`]
+    /// writes and [`PairCache::ingest`] validates. Meaningful when nothing
+    /// is pending (fold first), which the serving layer guarantees.
+    pub fn export_tallies(&self) -> Vec<((GroupId, GroupId), CachedTally)> {
+        let n = self.n_groups();
+        let mut entries = Vec::new();
+        for lo in 0..n {
+            for hi in lo + 1..n {
+                let (len_lo, len_hi) = (self.base_len(lo), self.base_len(hi));
+                if len_lo == 0 || len_hi == 0 {
+                    continue;
+                }
+                let total = crate::num::pair_product(len_lo, len_hi);
+                let (n12, n21) = self.tallies.get(lo, hi);
+                entries
+                    .push(((lo, hi), CachedTally { n12, n21, checked: total, total, cursor: 0 }));
+            }
+        }
+        entries
+    }
+
+    /// Validates and installs checkpointed tallies against a preparation of
+    /// the current (fully folded) state; see [`PairCache::ingest`]. Each
+    /// entry must also be complete and name two groups whose base sets it
+    /// covers exactly. All-or-nothing: on any violation nothing is
+    /// installed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::CorruptCheckpoint`] naming the offending entry.
+    pub fn ingest_tallies(
+        &mut self,
+        prep: &PreparedDataset,
+        entries: &[((GroupId, GroupId), CachedTally)],
+    ) -> Result<usize> {
+        PairCache::new().ingest(prep, entries)?;
+        for &((lo, hi), t) in entries {
+            let fits = hi < self.n_groups()
+                && t.complete()
+                && t.total == crate::num::pair_product(self.base_len(lo), self.base_len(hi));
+            if !fits {
+                return Err(Error::CorruptCheckpoint(format!(
+                    "pair tally ({lo}, {hi}) is partial or does not cover the base sets"
+                )));
+            }
+        }
+        for &((lo, hi), t) in entries {
+            self.tallies.set(lo, hi, t.n12, t.n21);
+        }
+        Ok(entries.len())
+    }
+
+    // ------------------------------------------------------------------
+    // Internals
+    // ------------------------------------------------------------------
+
+    fn base_len(&self, g: GroupId) -> usize {
+        self.base[g].len() / self.dim
+    }
+
+    fn sizes(&self, g: GroupId) -> Sizes {
+        let base = self.base_len(g);
+        let (ins, del) = self.pending_edits(g);
+        Sizes { cur: base - del + ins, base, ins, del }
+    }
+
+    /// Live rows of `g` in index order: base rows minus pending deletes,
+    /// then pending inserts.
+    fn live_rows(&self, g: GroupId) -> impl Iterator<Item = &[f64]> {
+        self.base[g]
+            .chunks_exact(self.dim)
+            .enumerate()
+            .filter(move |(r, _)| self.pending_del[g].binary_search(r).is_err())
+            .map(|(_, row)| row)
+            .chain(self.pending_ins[g].chunks_exact(self.dim))
+    }
+
+    /// Conservative bounds on the live dominating-pair count of the ordered
+    /// pair `(s, r)`: `(n_lo, n_hi, |s_cur|·|r_cur|)`, given both groups'
+    /// [`Sizes`]. Exact (`n_lo == n_hi`) when neither side has pending
+    /// deltas. Callers guarantee both groups are non-empty.
+    fn count_bounds(&self, s: GroupId, r: GroupId, zs: Sizes, zr: Sizes) -> (u64, u64, u64) {
+        let w = crate::num::wide;
+        let total = crate::num::pair_product(zs.cur, zr.cur);
+        let (n_base, _) = self.tallies.get(s, r);
+        let loss = w(zs.del)
+            .saturating_mul(w(zr.base))
+            .saturating_add(w(zr.del).saturating_mul(w(zs.base)));
+        let gain =
+            w(zs.ins).saturating_mul(w(zr.cur)).saturating_add(w(zr.ins).saturating_mul(w(zs.cur)));
+        let n_lo = n_base.saturating_sub(loss);
+        let n_hi = n_base.saturating_add(gain).min(total);
+        (n_lo, n_hi, total)
+    }
+
+    /// The certification loop behind [`DynamicAggregateSkyline::skyline_ctx`]:
+    /// serves every pair it can from its drift interval and folds the groups
+    /// of the pairs it cannot, until the skyline is certified.
+    fn certify(&mut self, gamma: Gamma, ctx: &RunContext) -> Result<DynSkyline> {
         let mut flushed_pairs = 0u64;
         let mut interrupted: Option<InterruptReason> = None;
         loop {
-            let live: Vec<GroupId> =
-                (0..self.n_groups()).filter(|&g| self.group_len(g) > 0).collect();
+            let sizes: Vec<Sizes> = (0..self.n_groups()).map(|g| self.sizes(g)).collect();
+            let live: Vec<GroupId> = (0..self.n_groups()).filter(|&g| sizes[g].cur > 0).collect();
             let mut out = Vec::new();
             let mut deferred = 0u64;
             // Groups participating in a γ-straddling drift interval; must
@@ -446,10 +671,12 @@ impl DynamicAggregateSkyline {
                     if s == r {
                         continue;
                     }
-                    let (n_lo, n_hi, total) = self.count_bounds(s, r);
+                    let (n_lo, n_hi, total) = self.count_bounds(s, r, sizes[s], sizes[r]);
                     let dom_lo = gamma.dominated(n_lo as f64 / total as f64);
-                    let dom_hi = gamma.dominated(n_hi as f64 / total as f64);
-                    if dom_lo == dom_hi {
+                    // Both endpoints on one side of γ: the verdict holds.
+                    let agree =
+                        n_lo == n_hi || gamma.dominated(n_hi as f64 / total as f64) == dom_lo;
+                    if agree {
                         if n_lo != n_hi {
                             deferred += 1;
                         }
@@ -493,140 +720,71 @@ impl DynamicAggregateSkyline {
         }
     }
 
-    /// Folds every group's pending deltas, leaving all tallies exact.
-    pub fn flush_ctx(&mut self, ctx: &RunContext) -> Result<FlushReport> {
-        let mut total = FlushReport::default();
-        for g in 0..self.n_groups() {
-            let report = self.flush_group_ctx(g, ctx)?;
-            total.flushed_pairs += report.flushed_pairs;
-            if report.interrupted.is_some() {
-                total.interrupted = report.interrupted;
-                return Ok(total);
-            }
-        }
-        Ok(total)
-    }
-
-    /// Snapshots the current live state as an immutable [`GroupedDataset`]
-    /// (empty groups are skipped; the mapping from snapshot ids to dynamic
-    /// ids is returned alongside). Read-only — pending deltas are included
-    /// without folding them.
-    pub fn snapshot(&self) -> Result<(GroupedDataset, Vec<GroupId>)> {
-        let mut b = GroupedDatasetBuilder::new(self.dim).trusted_labels();
-        let mut mapping = Vec::new();
-        for g in 0..self.n_groups() {
-            if self.group_len(g) == 0 {
-                continue;
-            }
-            let rows: Vec<&[f64]> = self.live_rows(g).collect();
-            b.push_group(self.labels[g].clone(), &rows)?;
-            mapping.push(g);
-        }
-        Ok((b.build()?, mapping))
-    }
-
-    /// Exported base tallies in canonical orientation (complete entries
-    /// only), for checkpointing; see [`PairCache::export`]. Meaningful when
-    /// nothing is pending (fold first), which the serving layer guarantees.
-    pub fn export_tallies(&self) -> Vec<((GroupId, GroupId), crate::paircache::CachedTally)> {
-        self.tallies.export()
-    }
-
-    /// Validates and installs checkpointed tallies against a preparation of
-    /// the current (fully folded) state; see [`PairCache::ingest`].
-    pub fn ingest_tallies(
-        &mut self,
-        prep: &PreparedDataset,
-        entries: &[((GroupId, GroupId), crate::paircache::CachedTally)],
-    ) -> Result<usize> {
-        self.tallies.ingest(prep, entries)
-    }
-
-    // ------------------------------------------------------------------
-    // Internals
-    // ------------------------------------------------------------------
-
-    fn base_len(&self, g: GroupId) -> usize {
-        self.base[g].len() / self.dim
-    }
-
-    /// Live rows of `g` in index order: base rows minus pending deletes,
-    /// then pending inserts.
-    fn live_rows(&self, g: GroupId) -> impl Iterator<Item = &[f64]> {
-        self.base[g]
-            .chunks_exact(self.dim)
-            .enumerate()
-            .filter(move |(r, _)| self.pending_del[g].binary_search(r).is_err())
-            .map(|(_, row)| row)
-            .chain(self.pending_ins[g].chunks_exact(self.dim))
-    }
-
-    /// Exact base tally of the ordered pair: `(|a ≻ b|, |b ≻ a|)` over the
-    /// base sets; zeros when either base set is empty (no entry memoized).
-    fn base_counts(&self, a: GroupId, b: GroupId) -> (u64, u64) {
-        match self.tallies.lookup(a, b) {
-            Some(t) if a <= b => (t.n12, t.n21),
-            Some(t) => (t.n21, t.n12),
-            None => (0, 0),
-        }
-    }
-
-    /// Conservative bounds on the live dominating-pair count of the ordered
-    /// pair `(s, r)`: `(n_lo, n_hi, |s_cur|·|r_cur|)`. Exact (`n_lo ==
-    /// n_hi`) when neither side has pending deltas. Callers guarantee both
-    /// groups are non-empty.
-    fn count_bounds(&self, s: GroupId, r: GroupId) -> (u64, u64, u64) {
-        let w = crate::num::wide;
-        let (cur_s, cur_r) = (self.group_len(s), self.group_len(r));
-        let total = crate::num::pair_product(cur_s, cur_r);
-        let (n_base, _) = self.base_counts(s, r);
-        let (ins_s, del_s) = self.pending_edits(s);
-        let (ins_r, del_r) = self.pending_edits(r);
-        let loss = w(del_s)
-            .saturating_mul(w(self.base_len(r)))
-            .saturating_add(w(del_r).saturating_mul(w(self.base_len(s))));
-        let gain =
-            w(ins_s).saturating_mul(w(cur_r)).saturating_add(w(ins_r).saturating_mul(w(cur_s)));
-        let n_lo = n_base.saturating_sub(loss);
-        let n_hi = n_base.saturating_add(gain).min(total);
-        (n_lo, n_hi, total)
-    }
-
-    /// Folds group `g`'s pending deltas into its base, revising every
-    /// touched pair tally through the kernel. All-or-nothing: an interrupt
-    /// (or a chaos panic inside the counting) leaves base, buffers and
-    /// tallies exactly as they were.
+    /// Folds group `g`'s pending deltas into its base inside a `dyn_fold`
+    /// span; see [`DynamicAggregateSkyline::fold_group`].
     fn flush_group_ctx(&mut self, g: GroupId, ctx: &RunContext) -> Result<FlushReport> {
         let (ins_cnt, del_cnt) = self.pending_edits(g);
         if ins_cnt == 0 && del_cnt == 0 {
             return Ok(FlushReport::default());
         }
-        ctx.recorder().event(
-            "dyn_forced_flush",
-            0,
-            Stamp::tick(self.stats.record_pairs),
-            &[
-                ("group", crate::num::wide(g)),
-                ("ins", crate::num::wide(ins_cnt)),
-                ("del", crate::num::wide(del_cnt)),
-            ],
-        );
-        let ins_rows: Vec<f64> = self.pending_ins[g].clone();
+        let span = ctx
+            .obs()
+            .map_or(0, |rec| rec.span_start("dyn_fold", 0, Stamp::tick(self.stats.record_pairs)));
+        let report = self.fold_group(g, ctx);
+        if let Some(rec) = ctx.obs() {
+            let w = crate::num::wide;
+            let revised = report.as_ref().map_or(0, |r| r.flushed_pairs);
+            rec.span_end(
+                span,
+                Stamp::tick(self.stats.record_pairs),
+                &[
+                    ("group", w(g)),
+                    ("inserts", w(ins_cnt)),
+                    ("deletes", w(del_cnt)),
+                    ("pairs", revised),
+                ],
+            );
+        }
+        report
+    }
+
+    /// Folds group `g`'s pending deltas into its base, revising every
+    /// touched pair tally through the kernel: the insert and delete
+    /// buffers are prepared once and counted against each other non-empty
+    /// base set's kept preparation. All-or-nothing: an interrupt (or a
+    /// chaos panic inside the counting) leaves base, buffers and tallies
+    /// exactly as they were; preparations built on the way stay, as their
+    /// base sets did not change.
+    fn fold_group(&mut self, g: GroupId, ctx: &RunContext) -> Result<FlushReport> {
+        let (ins_cnt, del_cnt) = self.pending_edits(g);
+        // A prepared kernel's block size; `Exhaustive` never gets here, as
+        // the constructors reject it.
+        let block_size = self.kernel.block_size().unwrap_or(PreparedDataset::DEFAULT_BLOCK_SIZE);
         let del_rows: Vec<f64> = self.pending_del[g]
             .iter()
             .flat_map(|&r| self.base[g][r * self.dim..(r + 1) * self.dim].iter().copied())
             .collect();
+        let ins_prep = (ins_cnt > 0)
+            .then(|| prepare_rows(self.dim, block_size, &self.pending_ins[g]))
+            .transpose()?;
+        let del_prep =
+            (del_cnt > 0).then(|| prepare_rows(self.dim, block_size, &del_rows)).transpose()?;
         let new_b = self.base_len(g) - del_cnt + ins_cnt;
         // Stage every revision before committing anything: a panic or an
         // interrupt mid-count must not leave half-revised tallies.
         let mut staged: Vec<(GroupId, u64, u64, u64)> = Vec::new();
         for s in 0..self.n_groups() {
-            if s == g || self.base_len(s) == 0 {
+            let len_s = self.base_len(s);
+            if s == g || len_s == 0 {
                 continue;
             }
-            let (mut n_gs, mut n_sg) = self.base_counts(g, s);
-            if ins_cnt > 0 {
-                match self.count_delta(&ins_rows, s, ctx)? {
+            let (mut n_gs, mut n_sg) = self.tallies.get(g, s);
+            let base: &PreparedDataset = match &mut self.preps[s] {
+                Some(prep) => prep,
+                slot => slot.insert(prepare_rows(self.dim, block_size, &self.base[s])?),
+            };
+            if let Some(ins) = &ins_prep {
+                match count_delta(self.kernel, ins, base, &mut self.stats, ctx)? {
                     Counted::Done(w, l) => {
                         n_gs = n_gs.saturating_add(w);
                         n_sg = n_sg.saturating_add(l);
@@ -636,8 +794,8 @@ impl DynamicAggregateSkyline {
                     }
                 }
             }
-            if del_cnt > 0 {
-                match self.count_delta(&del_rows, s, ctx)? {
+            if let Some(del) = &del_prep {
+                match count_delta(self.kernel, del, base, &mut self.stats, ctx)? {
                     Counted::Done(w, l) => {
                         // Deleted pairs were part of the base tally, so the
                         // subtraction cannot underflow.
@@ -649,7 +807,7 @@ impl DynamicAggregateSkyline {
                     }
                 }
             }
-            let total = crate::num::pair_count(new_b, self.base_len(s))?;
+            let total = crate::num::pair_count(new_b, len_s)?;
             staged.push((s, n_gs, n_sg, total));
         }
 
@@ -661,70 +819,56 @@ impl DynamicAggregateSkyline {
             }
         }
 
-        // Commit: rebuild the base row store, clear the buffers, install
-        // the staged tallies.
-        self.pending_ins[g].clear();
+        // Commit: rebuild the base row store, clear the buffers, drop the
+        // group's stale preparation, install the staged tallies (all zero
+        // when the base set emptied).
+        let ins_rows = std::mem::take(&mut self.pending_ins[g]);
         for &r in self.pending_del[g].iter().rev() {
             self.base[g].drain(r * self.dim..(r + 1) * self.dim);
         }
         self.pending_del[g].clear();
         self.base[g].extend_from_slice(&ins_rows);
         debug_assert_eq!(self.base_len(g), new_b);
-        if new_b == 0 {
-            self.tallies.invalidate_group(g);
-        } else {
-            for &(s, n_gs, n_sg, total) in &staged {
-                self.tallies.revise(g, s, n_gs, n_sg, total)?;
-            }
+        self.preps[g] = None;
+        for &(s, n_gs, n_sg, _) in &staged {
+            self.tallies.set(g, s, n_gs, n_sg);
         }
         let flushed = crate::num::wide(staged.len());
         ctx.recorder().add(ObsCounter::DynFlushedPairs, flushed);
         Ok(FlushReport { flushed_pairs: flushed, interrupted: None })
     }
+}
 
-    /// Counts `(|Δ ≻ S_base|, |S_base ≻ Δ|)` for a row-major delta buffer
-    /// through [`Kernel::compare_bounded`] over a two-group mini
-    /// preparation (the delta records become their own lane blocks). Work
-    /// is charged to [`Stats`], mirrored to the context's recorder, and
-    /// polled against the context's budget.
-    fn count_delta(&mut self, delta: &[f64], s: GroupId, ctx: &RunContext) -> Result<Counted> {
-        let delta_rows: Vec<&[f64]> = delta.chunks_exact(self.dim).collect();
-        let base_rows: Vec<&[f64]> = self.base[s].chunks_exact(self.dim).collect();
-        let mut b = GroupedDatasetBuilder::new(self.dim).trusted_labels();
-        b.push_group("delta", &delta_rows)?;
-        b.push_group("base", &base_rows)?;
-        let mini = b.build()?;
-        let kernel = Kernel::new(&mini, self.kernel)?;
-        let mut stats = Stats::default();
-        let bounded = kernel.compare_bounded(
-            0,
-            1,
-            Gamma::DEFAULT,
-            None,
-            COUNT_OPTS,
-            None,
-            u64::MAX,
-            None,
-            &mut stats,
-        );
-        let ticks = stats.record_pairs;
-        self.stats.merge(&stats);
-        if let Some(rec) = ctx.obs() {
-            stats.record_to(rec);
-        }
-        if let Some(reason) = ctx.poll(ticks) {
-            return Ok(Counted::Stopped(reason));
-        }
-        match bounded {
-            // Group 0 < group 1, so the canonical orientation is already
-            // (Δ, S) and the tally is complete (no stop rule, no limit).
-            BoundedCompare::Decided { tally: Some(t), .. } if t.complete() => {
-                Ok(Counted::Done(t.n12, t.n21))
-            }
-            _ => Err(Error::InvalidArgument(
-                "internal: unbounded full count did not produce a complete tally".into(),
-            )),
-        }
+/// One-group preparation of the row-major `rows` at `block_size`: the same
+/// sorted blocks and key lanes the group gets inside any joint
+/// preparation, so counting against it is bit-identical.
+fn prepare_rows(dim: usize, block_size: usize, rows: &[f64]) -> Result<PreparedDataset> {
+    let records: Vec<&[f64]> = rows.chunks_exact(dim).collect();
+    let mut b = GroupedDatasetBuilder::new(dim).trusted_labels();
+    b.push_group("rows", &records)?;
+    PreparedDataset::build(&b.build()?, block_size)
+}
+
+/// Counts `(|Δ ≻ S_base|, |S_base ≻ Δ|)` for a prepared delta buffer
+/// against the kept preparation of a base set through
+/// [`count_pairs_across`]. Work is charged to `stats`, mirrored to the
+/// context's recorder, and polled against the context's budget.
+fn count_delta(
+    kernel: KernelConfig,
+    delta: &PreparedDataset,
+    base: &PreparedDataset,
+    stats: &mut Stats,
+    ctx: &RunContext,
+) -> Result<Counted> {
+    let mut work = Stats::default();
+    let (n12, n21) = count_pairs_across(kernel, delta, 0, base, 0, &mut work)?;
+    stats.merge(&work);
+    if let Some(rec) = ctx.obs() {
+        work.record_to(rec);
+    }
+    match ctx.poll(work.record_pairs) {
+        Some(reason) => Ok(Counted::Stopped(reason)),
+        None => Ok(Counted::Done(n12, n21)),
     }
 }
 
@@ -920,6 +1064,104 @@ mod tests {
             naive_skyline(&snap, Gamma::DEFAULT).skyline.into_iter().map(|g| mapping[g]).collect();
         assert_eq!(d.skyline(Gamma::DEFAULT).unwrap(), oracle);
         assert!(!d.has_pending());
+    }
+
+    /// The dense table keeps one orientation-free slot per unordered pair
+    /// and grows by one row per added group without moving earlier slots.
+    #[test]
+    fn tally_table_slots_are_orientation_free() {
+        let mut t = TallyTable::default();
+        for g in 0..4 {
+            t.push_row(g);
+        }
+        assert_eq!(t.cells.len(), 6);
+        t.set(3, 1, 7, 2);
+        t.set(0, 2, 5, 0);
+        assert_eq!(t.get(3, 1), (7, 2));
+        assert_eq!(t.get(1, 3), (2, 7));
+        assert_eq!(t.get(2, 0), (0, 5));
+        assert_eq!(t.get(2, 2), (0, 0), "a group never dominates itself");
+        t.push_row(4);
+        assert_eq!(t.get(1, 3), (2, 7), "a new row leaves earlier slots in place");
+        assert_eq!(t.get(4, 0), (0, 0));
+    }
+
+    /// A fold interrupted after it prepared a group keeps that preparation
+    /// (its base set did not change) and nothing else; the unlimited retry
+    /// commits exact tallies and drops the folded group's own preparation.
+    #[test]
+    fn interrupted_fold_keeps_built_preparations() {
+        let mut d = DynamicAggregateSkyline::new(2);
+        let rows: [&[[f64; 2]]; 4] = [
+            &[[5.0, 5.0]],
+            &[[0.0, 0.0], [1.0, 0.0]],
+            &[[100.0, 100.0]],
+            &[[6.0, 4.5], [4.0, 6.0]],
+        ];
+        for (g, recs) in rows.iter().enumerate() {
+            d.add_group(format!("g{g}"));
+            for rec in recs.iter() {
+                d.insert(g, rec).unwrap();
+            }
+        }
+        d.flush_ctx(&RunContext::unlimited()).unwrap();
+        // Each fold prepared the groups folded before it; the last one folded
+        // has no preparation yet.
+        assert_eq!(
+            d.preps.iter().map(Option::is_some).collect::<Vec<_>>(),
+            [true, true, true, false]
+        );
+        let before = d.export_tallies();
+        // Group 0's insert counts against groups 1 and 2 in full blocks (no
+        // ticks), then against group 3 with one record test: a one-tick
+        // budget stops the fold right after it prepared group 3.
+        d.insert(0, &[5.0, 5.0]).unwrap();
+        let report = d.flush_ctx(&RunContext::with_budget(1)).unwrap();
+        assert_eq!(report.interrupted, Some(InterruptReason::BudgetExhausted));
+        assert!(d.preps[3].is_some(), "the preparation built before the interrupt stays");
+        assert_eq!(d.pending_edits(0), (1, 0), "an interrupted fold commits nothing");
+        assert_eq!(d.export_tallies(), before);
+        let report = d.flush_ctx(&RunContext::unlimited()).unwrap();
+        assert_eq!((report.flushed_pairs, report.interrupted), (3, None));
+        assert!(d.preps[0].is_none(), "the folded group's preparation is stale");
+        let (snap, mapping) = d.snapshot().unwrap();
+        assert_eq!(mapping, [0, 1, 2, 3], "every group is live");
+        for ((lo, hi), t) in d.export_tallies() {
+            assert_eq!(t.n12, crate::gamma::domination_count(&snap, lo, hi), "({lo}, {hi})");
+            assert_eq!(t.n21, crate::gamma::domination_count(&snap, hi, lo), "({lo}, {hi})");
+        }
+    }
+
+    /// Certification runs inside one balanced `dyn_certify` span holding
+    /// one `dyn_fold` span per folded group, with the fold's sizes and
+    /// revised pairs as arguments.
+    #[test]
+    fn folds_are_traced_inside_the_certify_span() {
+        let rec = std::sync::Arc::new(aggsky_obs::TraceRecorder::new());
+        let ctx = RunContext::unlimited().with_recorder(rec.clone());
+        let mut d = DynamicAggregateSkyline::new(2);
+        let a = d.add_group("a");
+        let b = d.add_group("b");
+        d.insert_ctx(a, &[5.0, 5.0], &ctx).unwrap();
+        d.insert_ctx(a, &[6.0, 1.0], &ctx).unwrap();
+        d.insert_ctx(b, &[1.0, 1.0], &ctx).unwrap();
+        let out = d.skyline_ctx(Gamma::DEFAULT, &ctx).unwrap();
+        assert_eq!((out.groups, out.flushed_pairs), (vec![a], 1));
+        let spans = rec.snapshot().spans;
+        assert!(spans.iter().all(|s| s.end.is_some()), "every span is closed: {spans:?}");
+        let certify: Vec<_> = spans.iter().filter(|s| s.name == "dyn_certify").collect();
+        assert_eq!(certify.len(), 1, "{spans:?}");
+        assert_eq!(certify[0].args, [("skyline", 1), ("deferred", 0), ("flushed", 1)]);
+        let folds: Vec<_> = spans.iter().filter(|s| s.name == "dyn_fold").collect();
+        assert!(folds.iter().all(|s| s.parent == certify[0].id), "{spans:?}");
+        let args: Vec<_> = folds.iter().map(|s| s.args.clone()).collect();
+        assert_eq!(
+            args,
+            [
+                vec![("group", 0), ("inserts", 2), ("deletes", 0), ("pairs", 0)],
+                vec![("group", 1), ("inserts", 1), ("deletes", 0), ("pairs", 1)],
+            ]
+        );
     }
 
     /// Tallies are kernel-config independent: blocked, columnar-scalar and

@@ -89,6 +89,17 @@ impl KernelConfig {
     pub fn columnar_scalar() -> KernelConfig {
         KernelConfig::ColumnarScalar { block_size: PreparedDataset::DEFAULT_BLOCK_SIZE }
     }
+
+    /// Records per block of a prepared kernel; `None` for
+    /// [`KernelConfig::Exhaustive`], which prepares nothing.
+    pub fn block_size(self) -> Option<usize> {
+        match self {
+            KernelConfig::Exhaustive => None,
+            KernelConfig::Blocked { block_size }
+            | KernelConfig::Columnar { block_size }
+            | KernelConfig::ColumnarScalar { block_size } => Some(block_size),
+        }
+    }
 }
 
 /// Which straddle loop a prepared kernel runs. All three tally identically;
@@ -403,6 +414,7 @@ impl<'a> Kernel<'a> {
         let (early, cursor) = run_blocks_from(
             prep,
             lo,
+            prep,
             hi,
             &mut counter,
             opts,
@@ -542,7 +554,7 @@ fn compare_groups_prepared(
     if let Some(v) = bbox_shortcut(boxes, stats) {
         return v;
     }
-    match run_blocks_from(prep, g1, g2, &mut counter, opts, stats, mode, 0, u64::MAX).0 {
+    match run_blocks_from(prep, g1, prep, g2, &mut counter, opts, stats, mode, 0, u64::MAX).0 {
         Some(v) => v,
         None => counter.final_verdict(),
     }
@@ -604,6 +616,7 @@ fn compare_groups_cached(
             let (early, cursor) = run_blocks_from(
                 prep,
                 lo,
+                prep,
                 hi,
                 &mut counter,
                 opts,
@@ -647,18 +660,77 @@ pub fn count_pairs(
     g2: GroupId,
     stats: &mut Stats,
 ) -> (u64, u64) {
-    let total = crate::num::pair_product(prep.group_len(g1), prep.group_len(g2));
-    let opts = PairOptions { stop_rule: false, need_bar: false, corrected_bar: false };
-    let mut counter = Counter::new(total, Gamma::DEFAULT, opts);
     let mode =
         if prep.lanes_enabled() { StraddleMode::columnar_auto() } else { StraddleMode::RowWise };
-    let (early, _) = run_blocks_from(prep, g1, g2, &mut counter, opts, stats, mode, 0, u64::MAX);
+    full_count(prep, g1, prep, g2, mode, stats)
+}
+
+/// Exact pair counts `(n12, n21)` of group `g1` of `p1` against group `g2`
+/// of `p2`, two groups that need not share a preparation, with the
+/// straddle loop `config` selects and no early termination.
+///
+/// Charges `stats` exactly as a fresh unbounded [`Kernel::compare_bounded`]
+/// full count of the same two groups inside one preparation does, with
+/// `g1` as the lower group id: one `group_pairs`, then the block and record
+/// counters of the walk. Callers that keep one preparation per group (the
+/// incremental engine of [`crate::dynamic`]) therefore account exactly
+/// like callers that build a joint one.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidArgument`] for [`KernelConfig::Exhaustive`]
+/// (there is no block walk to run), or when either preparation's block
+/// size or dimensionality differs from `config`'s and the other's.
+pub fn count_pairs_across(
+    config: KernelConfig,
+    p1: &PreparedDataset,
+    g1: GroupId,
+    p2: &PreparedDataset,
+    g2: GroupId,
+    stats: &mut Stats,
+) -> Result<(u64, u64)> {
+    let mode = match config {
+        KernelConfig::Exhaustive => {
+            return Err(Error::InvalidArgument(
+                "cross-preparation counting needs a prepared kernel, not Exhaustive".into(),
+            ));
+        }
+        KernelConfig::Blocked { .. } => StraddleMode::RowWise,
+        KernelConfig::Columnar { .. } => StraddleMode::columnar_auto(),
+        KernelConfig::ColumnarScalar { .. } => StraddleMode::ColumnarScalar,
+    };
+    let block_size = config.block_size();
+    if block_size != Some(p1.block_size())
+        || block_size != Some(p2.block_size())
+        || p1.dim() != p2.dim()
+    {
+        return Err(Error::InvalidArgument(format!(
+            "preparations of block sizes {}/{} and dims {}/{} do not match {config:?}",
+            p1.block_size(),
+            p2.block_size(),
+            p1.dim(),
+            p2.dim()
+        )));
+    }
+    stats.group_pairs += 1;
+    Ok(full_count(p1, g1, p2, g2, mode, stats))
+}
+
+/// The full block walk behind [`count_pairs`] and [`count_pairs_across`].
+fn full_count(
+    p1: &PreparedDataset,
+    g1: GroupId,
+    p2: &PreparedDataset,
+    g2: GroupId,
+    mode: StraddleMode,
+    stats: &mut Stats,
+) -> (u64, u64) {
+    let total = crate::num::pair_product(p1.group_len(g1), p2.group_len(g2));
+    let opts = PairOptions { stop_rule: false, need_bar: false, corrected_bar: false };
+    let mut counter = Counter::new(total, Gamma::DEFAULT, opts);
+    let (early, _) = run_blocks_from(p1, g1, p2, g2, &mut counter, opts, stats, mode, 0, u64::MAX);
     debug_assert!(early.is_none(), "stop rule is disabled");
-    crate::invariants::check_pair_conservation(
-        counter.checked,
-        prep.group_len(g1),
-        prep.group_len(g2),
-    );
+    crate::invariants::check_pair_conservation(counter.checked, p1.group_len(g1), p2.group_len(g2));
     debug_assert_eq!(counter.checked, counter.total);
     (counter.n12, counter.n21)
 }
@@ -676,10 +748,17 @@ pub fn count_pairs(
 /// pair — which is one past the end exactly when every block pair has been
 /// accounted for (`counter.checked == counter.total`), and a resume point
 /// for the next batch otherwise.
+///
+/// Group `g1` is read from `p1` and `g2` from `p2`. Every comparison path
+/// passes one preparation twice; [`count_pairs_across`] passes two. The
+/// walk depends only on each group's own blocks, so counting two groups
+/// from separate preparations built at the same block size is
+/// bit-identical to counting them inside one.
 #[allow(clippy::too_many_arguments)]
 fn run_blocks_from(
-    prep: &PreparedDataset,
+    p1: &PreparedDataset,
     g1: GroupId,
+    p2: &PreparedDataset,
     g2: GroupId,
     counter: &mut Counter,
     opts: PairOptions,
@@ -688,9 +767,11 @@ fn run_blocks_from(
     start: u64,
     limit: u64,
 ) -> (Option<PairVerdict>, u64) {
-    let dim = prep.dim();
-    let nb1 = prep.n_blocks(g1);
-    let nb2 = prep.n_blocks(g2);
+    let dim = p1.dim();
+    debug_assert_eq!(dim, p2.dim(), "preparations of different dimensionality");
+    let lanes = p1.lanes_enabled() && p2.lanes_enabled();
+    let nb1 = p1.n_blocks(g1);
+    let nb2 = p2.n_blocks(g2);
     let total_pairs = crate::num::wide(nb1).saturating_mul(crate::num::wide(nb2));
     let mut cursor = start.min(total_pairs);
     let stop_at = cursor.saturating_add(limit);
@@ -700,12 +781,12 @@ fn run_blocks_from(
     let a0 = crate::num::narrow(cursor / crate::num::wide(nb2)).unwrap_or(nb1);
     let mut b_next = crate::num::narrow(cursor % crate::num::wide(nb2)).unwrap_or(nb2);
     for a in a0..nb1 {
-        let ba = prep.block(g1, a);
+        let ba = p1.block(g1, a);
         let b_start = b_next;
         b_next = 0;
         for b in b_start..nb2 {
             cursor += 1;
-            let bb = prep.block(g2, b);
+            let bb = p2.block(g2, b);
             let pairs = crate::num::pair_product(ba.len(), bb.len());
             if dominates(ba.min, bb.max) {
                 // Every record of `ba` is ≥ its block minimum, which already
@@ -728,11 +809,9 @@ fn run_blocks_from(
                     stats.blocks_skipped += 1;
                 } else {
                     match mode {
-                        StraddleMode::ColumnarScalar | StraddleMode::ColumnarSimd
-                            if prep.lanes_enabled() =>
-                        {
-                            let la = prep.lane_block(g1, a);
-                            let lb = prep.lane_block(g2, b);
+                        StraddleMode::ColumnarScalar | StraddleMode::ColumnarSimd if lanes => {
+                            let la = p1.lane_block(g1, a);
+                            let lb = p2.lane_block(g2, b);
                             if mode == StraddleMode::ColumnarSimd {
                                 crate::simd::straddle_lanes_simd(
                                     dim, &la, &lb, fwd, bwd, counter, stats,

@@ -65,8 +65,9 @@
 //! * [`persist`] — durable crash-consistent checkpoints: CRC-64 frame
 //!   codec, atomic temp+fsync+rename store with graceful degradation, and
 //!   the fingerprint-bound durable anytime drivers.
-//! * [`service`] — epoch-based live serving: lock-free snapshot readers, a
-//!   single incremental writer with atomic publication, durable epochs.
+//! * [`service`] — epoch-based live serving: snapshot readers that wait
+//!   only for a pointer swap, a single incremental writer with atomic
+//!   publication, durable epochs.
 
 #![warn(missing_docs)]
 
@@ -126,7 +127,7 @@ pub use explain::{
 pub use gamma::{domination_count, domination_probability, gamma_dominates, Gamma};
 pub use kernel::{
     compare_groups_blocked, compare_groups_columnar, compare_groups_columnar_scalar, count_pairs,
-    BoundedCompare, Kernel, KernelConfig,
+    count_pairs_across, BoundedCompare, Kernel, KernelConfig,
 };
 pub use matrix::DominationMatrix;
 pub use mbb::Mbb;

@@ -114,54 +114,6 @@ impl PairCache {
         self.map.clear();
     }
 
-    /// Drops every tally touching group `g` — the coarse revision primitive
-    /// for a group whose membership changed: any memoized count involving
-    /// `g` now has a stale denominator and must be recounted. Entries
-    /// between two *other* groups are untouched (their record sets did not
-    /// change). Returns how many entries were dropped.
-    pub fn invalidate_group(&mut self, g: GroupId) -> usize {
-        let before = self.map.len();
-        self.map.retain(|&(lo, hi), _| lo != g && hi != g);
-        before - self.map.len()
-    }
-
-    /// Replaces the tally of the unordered pair `{g1, g2}` with a *complete*
-    /// delta-adjusted count — the fine revision primitive: after an
-    /// insert/delete batch the maintenance layer recounts only the affected
-    /// cross pairs (through the kernel, against a mini delta preparation)
-    /// and folds the adjustment into the memoized tally here. `n12` counts
-    /// records of `g1` dominating `g2`; orientation is canonicalized
-    /// internally, so callers may pass either order. The stored entry is
-    /// complete (`checked == total`, cursor rewound to 0), which
-    /// [`crate::Kernel::compare_bounded`] serves without ever resuming, and
-    /// which [`PairCache::ingest`] accepts against a preparation of the
-    /// revised dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidArgument`] when `n12 + n21 > total` — a
-    /// delta adjustment that produced an impossible tally must never be
-    /// memoized.
-    pub fn revise(
-        &mut self,
-        g1: GroupId,
-        g2: GroupId,
-        n12: u64,
-        n21: u64,
-        total: u64,
-    ) -> Result<()> {
-        if n12.saturating_add(n21) > total {
-            return Err(Error::InvalidArgument(format!(
-                "revised tally for pair ({g1}, {g2}) is impossible: n12 {n12} + n21 {n21} \
-                 exceeds the {total} record pairs"
-            )));
-        }
-        let (n12, n21) = if g1 <= g2 { (n12, n21) } else { (n21, n12) };
-        self.map
-            .insert(Self::key(g1, g2), CachedTally { n12, n21, checked: total, total, cursor: 0 });
-        Ok(())
-    }
-
     /// Every memoized entry in canonical orientation, sorted ascending by
     /// key — a deterministic order, so two exports of equal caches are
     /// byte-identical once serialized (the persist layer relies on this).
@@ -279,36 +231,6 @@ mod tests {
         let mut restored = PairCache::new();
         assert_eq!(restored.ingest(&prep, &exported).unwrap(), 3);
         assert_eq!(restored.export(), exported);
-    }
-
-    #[test]
-    fn invalidate_group_drops_exactly_the_touching_entries() {
-        let mut cache = PairCache::new();
-        for (lo, hi) in [(0, 1), (0, 2), (1, 2), (2, 3)] {
-            cache.store(lo, hi, CachedTally::fresh(6));
-        }
-        assert_eq!(cache.invalidate_group(2), 3);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(0, 1).is_some());
-        assert!(cache.lookup(0, 2).is_none());
-        assert_eq!(cache.invalidate_group(7), 0, "absent group drops nothing");
-    }
-
-    #[test]
-    fn revise_canonicalizes_orientation_and_stores_complete() {
-        let mut cache = PairCache::new();
-        cache.revise(5, 2, 4, 1, 12).unwrap();
-        let t = cache.lookup(2, 5).expect("revised entry present");
-        assert_eq!((t.n12, t.n21), (1, 4), "n12 must count the smaller id dominating");
-        assert!(t.complete());
-        assert_eq!(t.cursor, 0);
-        // Same-orientation overwrite.
-        cache.revise(2, 5, 7, 0, 12).unwrap();
-        assert_eq!(cache.lookup(5, 2).map(|t| t.n12), Some(7));
-        // Impossible tallies are refused without mutating.
-        let err = cache.revise(2, 5, 10, 3, 12).unwrap_err();
-        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
-        assert_eq!(cache.lookup(2, 5).map(|t| t.n12), Some(7));
     }
 
     #[test]

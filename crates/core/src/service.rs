@@ -7,7 +7,9 @@
 //!   published bundle of the live dataset, its [`PreparedDataset`], the
 //!   service-γ skyline, and a [`PairCache`] pre-seeded with the writer's
 //!   exact tallies — and answer γ-queries or γ-sweeps against it with no
-//!   locks held and no coordination with the writer.
+//!   locks held and no coordination with the writer. Grabbing the epoch
+//!   takes the epoch `RwLock` just long enough to clone the `Arc`, so a
+//!   reader waits only for a publish's pointer swap, never for a fold.
 //! * **A single writer** absorbs a [`WriteBatch`], maintains the tallies
 //!   incrementally (Property-2 deferral included, see [`crate::dynamic`]),
 //!   rebuilds only the *dirty* groups' lane blocks through
@@ -247,8 +249,9 @@ impl WriterState {
     }
 }
 
-/// Concurrent aggregate-skyline serving: lock-free epoch reads, a single
-/// incremental writer, atomic publication, durable checkpoints.
+/// Concurrent aggregate-skyline serving: epoch reads that wait only for the
+/// pointer swap of a publish, a single incremental writer, atomic
+/// publication, durable checkpoints.
 ///
 /// ```
 /// use aggsky_core::service::{SkylineService, WriteBatch};
@@ -343,7 +346,9 @@ impl SkylineService {
     }
 
     /// The epoch currently serving reads. The returned handle stays valid
-    /// (and immutable) however many epochs are published after it.
+    /// (and immutable) however many epochs are published after it. Takes
+    /// the epoch lock only to clone the `Arc`: a reader waits for a
+    /// publish's pointer swap, never for the writer's fold.
     pub fn current(&self) -> Arc<Epoch> {
         self.current.read().unwrap_or_else(|p| p.into_inner()).clone()
     }

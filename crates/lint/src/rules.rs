@@ -153,6 +153,7 @@ const COMPARE_FREE: &[&str] = &[
     "compare_groups_columnar_scalar",
     "compare_groups_exhaustive",
     "count_pairs",
+    "count_pairs_across",
 ];
 
 /// Compare primitives that may also appear as method calls (`Kernel::…`,

@@ -8,11 +8,12 @@
 //! sentinel padding.
 
 use aggsky::core::kernel::{
-    compare_groups_blocked, compare_groups_columnar, count_pairs, Kernel, KernelConfig,
+    compare_groups_blocked, compare_groups_columnar, count_pairs, count_pairs_across, Kernel,
+    KernelConfig,
 };
 use aggsky::core::paircount::{compare_groups, PairOptions};
 use aggsky::core::prepared::{PreparedDataset, MAX_LANE_BLOCK};
-use aggsky::core::{DominationMatrix, Mbb, Stats};
+use aggsky::core::{DominationMatrix, GroupId, Mbb, Stats};
 use aggsky::datagen::Rng64;
 use aggsky::{AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder};
 
@@ -33,6 +34,34 @@ fn dataset(dim: usize, seed: u64) -> GroupedDataset {
         b.push_group(format!("g{g}"), &rows).unwrap();
     }
     b.build().unwrap()
+}
+
+/// [`dataset`] plus groups whose lengths sit at block edges: 1,
+/// `block_size − 1` (when positive) and `block_size + 1` rows.
+fn dataset_with_edge_groups(dim: usize, seed: u64, block_size: usize) -> GroupedDataset {
+    let base = dataset(dim, seed);
+    let mut rng = Rng64::new(seed ^ 0xED6E_0000 ^ block_size as u64);
+    let mut b = GroupedDatasetBuilder::new(dim).trusted_labels();
+    for g in base.group_ids() {
+        let rows: Vec<&[f64]> = base.records(g).collect();
+        b.push_group(base.label(g), &rows).unwrap();
+    }
+    for len in [1, block_size - 1, block_size + 1] {
+        if len > 0 {
+            let rows: Vec<Vec<f64>> =
+                (0..len).map(|_| (0..dim).map(|_| rng.index(4) as f64).collect()).collect();
+            b.push_group(format!("edge{len}"), &rows).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Group `g` of `ds` alone, prepared at `block_size`.
+fn own_preparation(ds: &GroupedDataset, g: GroupId, block_size: usize) -> PreparedDataset {
+    let rows: Vec<&[f64]> = ds.records(g).collect();
+    let mut b = GroupedDatasetBuilder::new(ds.dim()).trusted_labels();
+    b.push_group(ds.label(g), &rows).unwrap();
+    PreparedDataset::build(&b.build().unwrap(), block_size).unwrap()
 }
 
 fn all_pair_options() -> Vec<PairOptions> {
@@ -104,36 +133,70 @@ fn columnar_is_bit_identical_to_row_wise_and_agrees_with_exhaustive() {
 }
 
 /// Exact tallies: the columnar `count_pairs` equals the domination-matrix
-/// ones-count in both directions, at every dimension and block size.
+/// ones-count in both directions, at every dimension and block size. And
+/// `count_pairs_across`, fed each group from its own single-group
+/// preparation, gives the same tallies and every `Stats` field of
+/// `count_pairs` inside one preparation (plus the one group pair a fresh
+/// `compare_bounded` charges) in row-wise, scalar-columnar and auto (AVX2
+/// when available) modes, including left groups of 1, block−1 and block+1
+/// rows.
 #[test]
 fn columnar_counts_match_domination_matrix() {
     for dim in DIMS {
         for seed in 0..3u64 {
-            let ds = dataset(dim, seed);
             for block_size in BLOCK_SIZES {
+                let ds = dataset_with_edge_groups(dim, seed, block_size);
                 let prep = PreparedDataset::build(&ds, block_size).unwrap();
+                let own: Vec<PreparedDataset> =
+                    ds.group_ids().map(|g| own_preparation(&ds, g, block_size)).collect();
                 for g1 in ds.group_ids() {
                     for g2 in ds.group_ids() {
                         if g1 == g2 {
                             continue;
                         }
-                        let mut stats = Stats::default();
-                        let (n12, n21) = count_pairs(&prep, g1, g2, &mut stats);
-                        assert_eq!(
-                            n12,
-                            ones(&DominationMatrix::build(&ds, g1, g2)),
-                            "d={dim} seed={seed} bs={block_size} {g1} over {g2}"
-                        );
-                        assert_eq!(
-                            n21,
-                            ones(&DominationMatrix::build(&ds, g2, g1)),
-                            "d={dim} seed={seed} bs={block_size} {g2} over {g1}"
-                        );
+                        let tag = format!("d={dim} seed={seed} bs={block_size} {g1} vs {g2}");
+                        let mut joint = Stats { group_pairs: 1, ..Stats::default() };
+                        let (n12, n21) = count_pairs(&prep, g1, g2, &mut joint);
+                        assert_eq!(n12, ones(&DominationMatrix::build(&ds, g1, g2)), "{tag}");
+                        assert_eq!(n21, ones(&DominationMatrix::build(&ds, g2, g1)), "{tag}");
+                        for config in [
+                            KernelConfig::Blocked { block_size },
+                            KernelConfig::ColumnarScalar { block_size },
+                            KernelConfig::Columnar { block_size },
+                        ] {
+                            let mut across = Stats::default();
+                            let counts =
+                                count_pairs_across(config, &own[g1], 0, &own[g2], 0, &mut across)
+                                    .unwrap();
+                            assert_eq!(counts, (n12, n21), "{config:?} tallies: {tag}");
+                            assert_eq!(across, joint, "{config:?} stats: {tag}");
+                        }
                     }
                 }
             }
         }
     }
+}
+
+/// Cross-preparation counting refuses what it cannot count faithfully:
+/// the exhaustive kernel, and preparations whose block size or
+/// dimensionality differs from the config's or each other's.
+#[test]
+fn cross_preparation_counting_rejects_mismatched_inputs() {
+    let ds = dataset(2, 1);
+    let p4 = own_preparation(&ds, 0, 4);
+    let p5 = own_preparation(&ds, 1, 5);
+    let other_dim = own_preparation(&dataset(3, 1), 1, 4);
+    let mut stats = Stats::default();
+    for (config, p2) in [
+        (KernelConfig::Exhaustive, &p4),
+        (KernelConfig::Columnar { block_size: 5 }, &p4),
+        (KernelConfig::Blocked { block_size: 4 }, &p5),
+        (KernelConfig::Columnar { block_size: 4 }, &other_dim),
+    ] {
+        assert!(count_pairs_across(config, &p4, 0, p2, 0, &mut stats).is_err(), "{config:?}");
+    }
+    assert_eq!(stats, Stats::default(), "a refused count charges nothing");
 }
 
 /// Sentinel padding: a group one record longer than the maximum lane block

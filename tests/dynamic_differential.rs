@@ -14,9 +14,11 @@
 
 use aggsky::core::dynamic::DynamicAggregateSkyline;
 use aggsky::core::gamma::domination_count;
-use aggsky::core::KernelConfig;
+use aggsky::core::{CachedTally, KernelConfig};
 use aggsky::datagen::Rng64;
-use aggsky::{naive_skyline, AlgoOptions, Algorithm, Gamma, RunContext};
+use aggsky::{
+    naive_skyline, AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder, RunContext,
+};
 
 const DIMS: [usize; 4] = [1, 2, 4, 8];
 const SEEDS: [u64; 2] = [0xD1FF, 0xBEEF];
@@ -39,14 +41,15 @@ fn apply_random_op(engine: &mut DynamicAggregateSkyline, dim: usize, rng: &mut R
 }
 
 /// Runs the full seeded stream, collecting the incremental skyline's
-/// sorted labels after every step.
+/// sorted labels after every step. Adds the stream's groups the engine
+/// does not have yet.
 fn drive_stream(
     engine: &mut DynamicAggregateSkyline,
     dim: usize,
     rng: &mut Rng64,
     gamma: Gamma,
 ) -> Vec<Vec<String>> {
-    for g in 0..N_GROUPS {
+    for g in engine.n_groups()..N_GROUPS {
         let id = engine.add_group(format!("g{g}"));
         assert_eq!(id, g);
     }
@@ -116,41 +119,109 @@ fn mixed_streams_match_from_scratch_recomputation_at_every_step() {
     }
 }
 
+/// The stream's groups as a dataset of `1..=4` seeded rows each — the
+/// records a checkpoint would be restored over.
+fn restored_dataset(dim: usize, rng: &mut Rng64) -> GroupedDataset {
+    let mut b = GroupedDatasetBuilder::new(dim);
+    for g in 0..N_GROUPS {
+        let rows: Vec<Vec<f64>> = (0..1 + rng.index(4))
+            .map(|_| (0..dim).map(|_| rng.index(4) as f64).collect())
+            .collect();
+        b.push_group(format!("g{g}"), &rows).expect("finite rows");
+    }
+    b.build().expect("non-empty groups")
+}
+
+/// A warm restore of `ds` from its exact tallies, as a checkpoint holds
+/// them — counted here by the exhaustive `domination_count`, not by the
+/// engine.
+fn warm_restored(ds: &GroupedDataset) -> DynamicAggregateSkyline {
+    let mut entries = Vec::new();
+    for lo in ds.group_ids() {
+        for hi in lo + 1..ds.n_groups() {
+            let total = (ds.group_len(lo) * ds.group_len(hi)) as u64;
+            let tally = CachedTally {
+                n12: domination_count(ds, lo, hi),
+                n21: domination_count(ds, hi, lo),
+                checked: total,
+                total,
+                cursor: 0,
+            };
+            entries.push(((lo, hi), tally));
+        }
+    }
+    DynamicAggregateSkyline::from_dataset_with_tallies(ds, &entries).expect("valid tallies")
+}
+
+/// Asserts every exported tally of a fully folded engine equals the
+/// exhaustive counts over its live rows; returns how many pairs it checked.
+fn assert_tallies_exact(engine: &DynamicAggregateSkyline, tag: &str) -> usize {
+    assert!(!engine.has_pending(), "{tag}: fold before checking tallies");
+    let (snap, mapping) = engine.snapshot().expect("snapshot");
+    // Reverse map engine id -> snapshot id for live groups.
+    let mut rev = vec![usize::MAX; engine.n_groups()];
+    for (si, &g) in mapping.iter().enumerate() {
+        rev[g] = si;
+    }
+    let mut checked = 0usize;
+    for ((lo, hi), t) in engine.export_tallies() {
+        let (slo, shi) = (rev[lo], rev[hi]);
+        if slo == usize::MAX || shi == usize::MAX {
+            continue;
+        }
+        assert!(t.complete(), "{tag}: flushed tally must be complete");
+        assert_eq!(t.n12, domination_count(&snap, slo, shi), "{tag} pair ({lo},{hi}): n12 drifted");
+        assert_eq!(t.n21, domination_count(&snap, shi, slo), "{tag} pair ({lo},{hi}): n21 drifted");
+        checked += 1;
+    }
+    let live = mapping.len();
+    assert_eq!(checked, live * live.saturating_sub(1) / 2, "{tag}: a live pair has no tally");
+    checked
+}
+
+/// Exact tallies from two starting states — an empty engine, and a warm
+/// restore from checkpointed tallies (checked before any edit too, so a
+/// tally the restore failed to install cannot pass as zero) — after a
+/// seeded stream, then after budget-interrupted folds retried without a
+/// budget. The interrupts land mid-fold, once the fold has prepared the
+/// groups it counted against so far; the unit test
+/// `interrupted_fold_keeps_built_preparations` in `dynamic.rs` pins that
+/// those preparations survive the interrupt.
 #[test]
 fn flushed_tallies_are_bit_identical_to_exhaustive_counts() {
     let gamma = Gamma::DEFAULT;
     for dim in DIMS {
         for seed in SEEDS {
-            let mut rng = Rng64::new(seed.wrapping_add(dim as u64));
-            let mut engine = DynamicAggregateSkyline::new(dim);
-            drive_stream(&mut engine, dim, &mut rng, gamma);
-            engine.flush_ctx(&RunContext::unlimited()).expect("unlimited flush");
-            let (snap, mapping) = engine.snapshot().expect("snapshot");
-            // Reverse map engine id -> snapshot id for live groups.
-            let mut rev = vec![usize::MAX; engine.n_groups()];
-            for (si, &g) in mapping.iter().enumerate() {
-                rev[g] = si;
-            }
-            let mut checked = 0usize;
-            for ((lo, hi), t) in engine.export_tallies() {
-                let (slo, shi) = (rev[lo], rev[hi]);
-                if slo == usize::MAX || shi == usize::MAX {
-                    continue;
+            for warm in [false, true] {
+                let tag = format!("d={dim} seed={seed} warm={warm}");
+                let mut rng = Rng64::new(seed.wrapping_add(dim as u64));
+                let mut engine = if warm {
+                    let restored = warm_restored(&restored_dataset(dim, &mut rng));
+                    assert!(assert_tallies_exact(&restored, &tag) > 0, "{tag}: restored nothing");
+                    restored
+                } else {
+                    DynamicAggregateSkyline::new(dim)
+                };
+                drive_stream(&mut engine, dim, &mut rng, gamma);
+                engine.flush_ctx(&RunContext::unlimited()).expect("unlimited flush");
+                assert!(assert_tallies_exact(&engine, &tag) > 0, "{tag}: no live pair tallies");
+
+                let mut interrupted = 0;
+                for budget in [1u64, 3, 9] {
+                    for _ in 0..OPS_PER_STEP * 2 {
+                        apply_random_op(&mut engine, dim, &mut rng);
+                    }
+                    let partial =
+                        engine.flush_ctx(&RunContext::with_budget(budget)).expect("flush");
+                    if partial.interrupted.is_some() {
+                        interrupted += 1;
+                        assert!(engine.has_pending(), "{tag}: an interrupted fold committed");
+                    }
+                    engine.flush_ctx(&RunContext::unlimited()).expect("unlimited retry");
+                    assert_tallies_exact(&engine, &format!("{tag} budget={budget}"));
                 }
-                assert!(t.complete(), "d={dim} seed={seed}: flushed tally must be complete");
-                assert_eq!(
-                    t.n12,
-                    domination_count(&snap, slo, shi),
-                    "d={dim} seed={seed} pair ({lo},{hi}): n12 drifted"
-                );
-                assert_eq!(
-                    t.n21,
-                    domination_count(&snap, shi, slo),
-                    "d={dim} seed={seed} pair ({lo},{hi}): n21 drifted"
-                );
-                checked += 1;
+                assert!(interrupted > 0, "{tag}: no budget interrupted a fold");
             }
-            assert!(checked > 0, "d={dim} seed={seed}: no live pair tallies to check");
         }
     }
 }

@@ -14,11 +14,12 @@
 
 use aggsky::core::cpu;
 use aggsky::core::kernel::{
-    compare_groups_columnar, compare_groups_columnar_scalar, count_pairs, Kernel, KernelConfig,
+    compare_groups_columnar, compare_groups_columnar_scalar, count_pairs, count_pairs_across,
+    Kernel, KernelConfig,
 };
 use aggsky::core::paircount::PairOptions;
 use aggsky::core::prepared::{PreparedDataset, MAX_LANE_BLOCK};
-use aggsky::core::{DominationMatrix, Mbb, Stats};
+use aggsky::core::{DominationMatrix, GroupId, Mbb, Stats};
 use aggsky::datagen::Rng64;
 use aggsky::{AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder};
 
@@ -49,6 +50,34 @@ fn dataset(dim: usize, seed: u64) -> GroupedDataset {
         b.push_group(format!("g{g}"), &rows).unwrap();
     }
     b.build().unwrap()
+}
+
+/// [`dataset`] plus groups whose lengths sit at block edges: 1,
+/// `block_size − 1` (when positive) and `block_size + 1` rows.
+fn dataset_with_edge_groups(dim: usize, seed: u64, block_size: usize) -> GroupedDataset {
+    let base = dataset(dim, seed);
+    let mut rng = Rng64::new(seed ^ 0x51AD_0000 ^ block_size as u64);
+    let mut b = GroupedDatasetBuilder::new(dim).trusted_labels();
+    for g in base.group_ids() {
+        let rows: Vec<&[f64]> = base.records(g).collect();
+        b.push_group(base.label(g), &rows).unwrap();
+    }
+    for len in [1, block_size - 1, block_size + 1] {
+        if len > 0 {
+            let rows: Vec<Vec<f64>> =
+                (0..len).map(|_| (0..dim).map(|_| rng.index(4) as f64).collect()).collect();
+            b.push_group(format!("edge{len}"), &rows).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Group `g` of `ds` alone, prepared at `block_size`.
+fn own_preparation(ds: &GroupedDataset, g: GroupId, block_size: usize) -> PreparedDataset {
+    let rows: Vec<&[f64]> = ds.records(g).collect();
+    let mut b = GroupedDatasetBuilder::new(ds.dim()).trusted_labels();
+    b.push_group(ds.label(g), &rows).unwrap();
+    PreparedDataset::build(&b.build().unwrap(), block_size).unwrap()
 }
 
 fn all_pair_options() -> Vec<PairOptions> {
@@ -124,6 +153,40 @@ fn avx2_is_bit_identical_to_scalar_columnar() {
                         }
                     }
                 }
+                assert_cross_preparation_counts_bit_identical(dim, seed, block_size);
+            }
+        }
+    }
+}
+
+/// Each group counted from its own single-group preparation by
+/// `count_pairs_across` gives the tallies and every `Stats` field of the
+/// AVX2 `count_pairs` inside one preparation (plus the one group pair a
+/// fresh `compare_bounded` charges), in row-wise, scalar-columnar and AVX2
+/// modes, including left groups of 1, block−1 and block+1 rows.
+fn assert_cross_preparation_counts_bit_identical(dim: usize, seed: u64, block_size: usize) {
+    let ds = dataset_with_edge_groups(dim, seed, block_size);
+    let prep = PreparedDataset::build(&ds, block_size).unwrap();
+    let own: Vec<PreparedDataset> =
+        ds.group_ids().map(|g| own_preparation(&ds, g, block_size)).collect();
+    for g1 in ds.group_ids() {
+        for g2 in ds.group_ids() {
+            if g1 == g2 {
+                continue;
+            }
+            let mut joint = Stats { group_pairs: 1, ..Stats::default() };
+            let counts = count_pairs(&prep, g1, g2, &mut joint);
+            for config in [
+                KernelConfig::Blocked { block_size },
+                KernelConfig::ColumnarScalar { block_size },
+                KernelConfig::Columnar { block_size },
+            ] {
+                let tag = format!("d={dim} seed={seed} bs={block_size} {g1} vs {g2} {config:?}");
+                let mut across = Stats::default();
+                let got =
+                    count_pairs_across(config, &own[g1], 0, &own[g2], 0, &mut across).unwrap();
+                assert_eq!(got, counts, "cross-preparation tallies: {tag}");
+                assert_eq!(across, joint, "cross-preparation stats: {tag}");
             }
         }
     }
