@@ -36,7 +36,7 @@ fn main() {
     println!("\nExpected: the skyline only grows with gamma (domination needs p > gamma),");
     println!("matching the paper's 'gamma controls the size of the result' narrative.\n");
 
-    println!("## Anytime operator — decided groups vs record-pair budget (gamma = 0.5)\n");
+    println!("## Anytime operator — decided groups vs tick budget (gamma = 0.5)\n");
     let full = anytime_skyline(&ds, Gamma::DEFAULT, u64::MAX);
     let full_cost = full.stats.record_pairs.max(1);
     let mut table = MarkdownTable::new(vec![

@@ -167,9 +167,17 @@ impl AlgoOptions {
         }
     }
 
-    /// Exact-pruning configuration (always oracle-equivalent).
+    /// Exact-pruning configuration (always oracle-equivalent), counting
+    /// with the columnar kernel ([`KernelConfig::columnar`]; AVX2 when the
+    /// CPU has it). Its verdicts are bit-identical to the paper's
+    /// exhaustive kernel; only the cost and the tick count differ, a tick
+    /// being one record comparison inside a straddling block pair.
     pub fn exact(gamma: Gamma) -> Self {
-        AlgoOptions { pruning: Pruning::Exact, ..AlgoOptions::paper(gamma) }
+        AlgoOptions {
+            pruning: Pruning::Exact,
+            kernel: KernelConfig::columnar(),
+            ..AlgoOptions::paper(gamma)
+        }
     }
 
     /// The paper configuration with the blocked counting kernel at the
@@ -375,7 +383,7 @@ impl Algorithm {
 /// arguments. Preparation happens before any record pair is charged, so
 /// both endpoints sit at tick 0 — the span exists for its arguments and for
 /// the tree shape, not for duration.
-fn end_prepare_span(span: aggsky_obs::SpanId, kernel: &Kernel<'_>, ctx: &RunContext) {
+pub(crate) fn end_prepare_span(span: aggsky_obs::SpanId, kernel: &Kernel<'_>, ctx: &RunContext) {
     let Some(rec) = ctx.obs() else { return };
     let ds = kernel.dataset();
     let mut args = vec![

@@ -2,8 +2,8 @@
 //! computation — an extension beyond the paper in the spirit of the
 //! authors' companion work on anytime record skylines.
 //!
-//! [`anytime_skyline`] spends at most a caller-supplied budget of
-//! record-pair comparisons and returns a three-way partition of the groups:
+//! [`anytime_skyline`] spends at most a caller-supplied budget of ticks and
+//! returns a three-way partition of the groups:
 //! *confirmed in*, *confirmed out* (a γ-dominator was found), and
 //! *undecided*. With an unlimited budget the result equals the exact
 //! skyline; with a tiny budget the confirmed sets are small but never
@@ -11,17 +11,25 @@
 //! and processed cheapest-pair-first (the Section 3.4 global optimization),
 //! which front-loads decisions per unit of work.
 //!
+//! Every group pair is counted by one [`Kernel`] built per call over a
+//! columnar preparation ([`KernelConfig::columnar`], AVX2 when the CPU has
+//! it), the kernel `AlgoOptions::exact` uses. A tick is therefore one
+//! record comparison inside a straddling block pair; block pairs decided by
+//! their corners are free. Verdicts are bit-identical to the paper's
+//! exhaustive loop, so the partition, and with it the checkpoint, does not
+//! depend on the kernel.
+//!
 //! An incomplete result carries an [`AnytimeCheckpoint`] — the open groups'
 //! not-yet-compared candidate lists — so [`anytime_resume`] continues where
 //! the budget ran out instead of restarting: repeated resumption with any
 //! per-step budget converges to the same partition as one unlimited run.
 
-use crate::algorithms::PairDeltas;
+use crate::algorithms::{end_prepare_span, kernel_boxes, PairDeltas};
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
-use crate::mbb::Mbb;
-use crate::paircount::{compare_groups, PairOptions};
+use crate::kernel::{Kernel, KernelConfig};
+use crate::paircount::PairOptions;
 use crate::runctx::RunContext;
 use crate::stats::Stats;
 use aggsky_obs::Stamp;
@@ -38,8 +46,8 @@ pub struct AnytimeResult {
     /// Groups whose status was still open when the budget ran out,
     /// ascending.
     pub undecided: Vec<GroupId>,
-    /// Work counters (`record_pairs` is the budget actually spent by this
-    /// call; resumed runs count from zero again).
+    /// Work counters (`record_pairs` is the budget, in ticks, actually
+    /// spent by this call; resumed runs count from zero again).
     pub stats: Stats,
     /// Resume state: present iff the run left groups undecided *and* the
     /// producer supports resumption (the anytime engine does; interrupted
@@ -66,9 +74,9 @@ pub struct AnytimeCheckpoint {
 }
 
 /// Runs the aggregate skyline until done or until roughly
-/// `budget_record_pairs` record comparisons have been spent (the budget is
-/// checked between pairwise group comparisons, so it can overshoot by at
-/// most one group-pair resolution).
+/// `budget_record_pairs` ticks have been spent (the budget is checked
+/// between pairwise group comparisons, so it can overshoot by at most one
+/// group-pair resolution).
 pub fn anytime_skyline(
     ds: &GroupedDataset,
     gamma: Gamma,
@@ -84,7 +92,7 @@ pub fn anytime_skyline_ctx(ds: &GroupedDataset, gamma: Gamma, ctx: &RunContext) 
 }
 
 /// Continues an earlier run from its checkpoint, spending at most `budget`
-/// further record comparisons. A complete `prev` is returned unchanged; a
+/// further ticks. A complete `prev` is returned unchanged; a
 /// `prev` *without* a checkpoint (produced by an interrupted one-shot
 /// algorithm) falls back to a fresh run. A `prev` whose checkpoint
 /// mentions ids outside `ds` — the signature of resuming against the
@@ -159,7 +167,14 @@ fn engine(
 ) -> AnytimeResult {
     let n = ds.n_groups();
     let engine_span = ctx.obs().map_or(0, |rec| rec.span_start("anytime", 0, Stamp::ZERO));
-    let boxes = Mbb::of_all_groups(ds);
+    let prep_span = ctx.obs().map_or(0, |rec| rec.span_start("prepare", 0, Stamp::ZERO));
+    // The default block size fits every dataset and a lane, so the
+    // exhaustive fallback never runs; it keeps this entry point infallible.
+    let kernel =
+        Kernel::new(ds, KernelConfig::columnar()).unwrap_or_else(|_| Kernel::exhaustive(ds));
+    end_prepare_span(prep_span, &kernel, ctx);
+    let mut owned_boxes = None;
+    let boxes = kernel_boxes(&kernel, &mut owned_boxes);
     let mut stats = Stats::default();
 
     #[derive(Clone, Copy, PartialEq)]
@@ -229,7 +244,7 @@ fn engine(
         remaining[g].swap_remove(pos);
         let before = PairDeltas::before(&stats);
         let mut verdict =
-            compare_groups(ds, s, g, gamma, Some((&boxes[s], &boxes[g])), pair_opts, &mut stats);
+            kernel.compare(s, g, gamma, Some((&boxes[s], &boxes[g])), pair_opts, &mut stats);
         ctx.corrupt_verdict(&mut verdict, stats.record_pairs);
         before.observe(ctx, &stats);
         if verdict.forward.dominates() {

@@ -209,7 +209,9 @@ impl Epoch {
     }
 
     fn query_with(&self, gamma: Gamma, cache: &mut PairCache) -> Vec<GroupId> {
-        let opts = AlgoOptions::paper(gamma);
+        // Exact pruning: the paper's heuristic can keep a group the naive
+        // oracle excludes, and a read must return the writer's skyline.
+        let opts = AlgoOptions::exact(gamma);
         let result = Algorithm::Indexed
             .run_cached_ctx(&self.snapshot, &self.prep, opts, cache, &RunContext::unlimited())
             .unwrap_or_partial();

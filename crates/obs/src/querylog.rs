@@ -60,7 +60,8 @@ pub struct QueryRecord {
     /// Skyline γ threshold in per-mille (`1000` = classic skyline); `None`
     /// for statements without a skyline clause.
     pub gamma_permille: Option<u64>,
-    /// Kernel configuration label the skyline step ran under.
+    /// The record loop the aggregate skyline counted with (e.g.
+    /// `columnar-avx2`); `default` for statements whose skyline did not run.
     pub kernel: String,
     /// Record-pair ticks charged (the pair budget actually spent).
     pub ticks: u64,

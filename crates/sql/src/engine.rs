@@ -478,7 +478,8 @@ impl Database {
                 let mut removed = Vec::new();
                 let mut positions = Vec::new();
                 let mut kept = Vec::with_capacity(t.rows.len());
-                for (pos, (row, hit)) in std::mem::take(&mut t.rows).into_iter().zip(hit).enumerate()
+                for (pos, (row, hit)) in
+                    std::mem::take(&mut t.rows).into_iter().zip(hit).enumerate()
                 {
                     if hit {
                         removed.push(row);
@@ -735,8 +736,8 @@ fn gamma_permille(stmt: &SelectStmt) -> Option<u64> {
     Some(u64::try_from(aggsky_core::num::floor_usize(g * 1000.0 + 0.5)).unwrap_or(u64::MAX))
 }
 
-/// Copies the counters a query record self-describes with out of the
-/// statement's trace snapshot.
+/// Copies the counters a query record self-describes with, and the kernel
+/// when the aggregate skyline ran, out of the statement's trace snapshot.
 fn harvest_counters(record: &mut QueryRecord, snap: &aggsky_obs::TraceSnapshot) {
     let c = |counter| snap.metrics.counter(counter);
     record.ticks = c(Counter::RecordPairs);
@@ -746,6 +747,10 @@ fn harvest_counters(record: &mut QueryRecord, snap: &aggsky_obs::TraceSnapshot) 
     record.blocks_skipped = c(Counter::BlocksSkipped);
     record.rows_scanned = c(Counter::SqlRowsScanned);
     record.groups_built = c(Counter::SqlGroupsBuilt);
+    // Only a statement whose aggregate skyline ran counted with a kernel.
+    if snap.spans.iter().any(|s| s.name == "skyline") {
+        record.kernel = crate::exec::skyline_kernel_name().to_string();
+    }
 }
 
 #[cfg(test)]
@@ -819,6 +824,32 @@ mod journal_tests {
         assert_eq!(a.lines().count(), 5);
         assert!(a.contains("\"kind\":\"explain_analyze\""), "{a}");
         assert!(!a.contains("wall_micros"), "default export carries no wall time");
+    }
+
+    #[test]
+    fn journal_and_explain_name_the_kernel_the_skyline_counted_with() {
+        let kernel =
+            if aggsky_core::cpu::simd_active() { "columnar-avx2" } else { "columnar-scalar" };
+        let dir =
+            std::env::temp_dir().join(format!("aggsky-journal-kernel-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = movie_db();
+        db.execute(SKYLINE).unwrap();
+        db.execute(&format!("EXPLAIN ANALYZE {SKYLINE}")).unwrap();
+        db.execute("SELECT director FROM movie WHERE pop > 100").unwrap();
+        db.execute(&format!("SET CHECKPOINT '{}'", dir.display())).unwrap();
+        db.execute(SKYLINE).unwrap();
+        let records = db.journal().records();
+        let kernels: Vec<&str> = records.iter().map(|r| r.kernel.as_str()).collect();
+        assert_eq!(
+            kernels,
+            ["default", "default", kernel, kernel, "default", "default", kernel],
+            "plain, analyzed and durable skylines name the kernel; nothing else does"
+        );
+        assert!(db.journal().export_jsonl().contains(&format!("\"kernel\":\"{kernel}\"")));
+        let plan = db.explain(SKYLINE).unwrap();
+        assert!(plan.contains(&format!("(indexed, exact pruning, {kernel} kernel)")), "{plan}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

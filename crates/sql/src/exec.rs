@@ -300,6 +300,17 @@ pub fn execute_select_durable(
     Ok(QueryResult { columns, rows: out.into_iter().map(|(r, _)| r).collect(), interrupted })
 }
 
+/// The record loop every aggregate-skyline step counts with, plain or
+/// durable: the columnar kernel of `AlgoOptions::exact`, which the anytime
+/// engine shares, on AVX2 when the CPU has it.
+pub(crate) fn skyline_kernel_name() -> &'static str {
+    if aggsky_core::cpu::simd_active() {
+        "columnar-avx2"
+    } else {
+        "columnar-scalar"
+    }
+}
+
 /// Widens a length to a counter delta (sanctioned lossless conversion).
 fn wide(n: usize) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
@@ -394,9 +405,11 @@ pub fn explain_select(cat: &Catalog, stmt: &SelectStmt) -> Result<String> {
             out.push_str(&format!("RECORD SKYLINE: {} attribute(s) (BNL)\n", sky.items.len()));
         } else {
             out.push_str(&format!(
-                "AGGREGATE SKYLINE: {} attribute(s), gamma = {} (indexed, exact pruning)\n",
+                "AGGREGATE SKYLINE: {} attribute(s), gamma = {} (indexed, exact pruning, {} \
+                 kernel)\n",
                 sky.items.len(),
-                sky.gamma.unwrap_or(0.5)
+                sky.gamma.unwrap_or(0.5),
+                skyline_kernel_name()
             ));
         }
     }

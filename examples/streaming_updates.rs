@@ -48,11 +48,11 @@ fn main() {
         "Large snapshot: 20 000 records in 200 groups, exact skyline = {} groups.",
         exact.skyline.len()
     );
-    println!("Budgeted answers (record-pair budget -> decided groups):");
+    println!("Budgeted answers (tick budget -> decided groups):");
     for budget in [10_000u64, 100_000, 1_000_000, u64::MAX] {
         let r = anytime_skyline(&ds, Gamma::DEFAULT, budget);
         println!(
-            "  {:>9} pairs -> {:>3} in, {:>3} out, {:>3} undecided",
+            "  {:>9} ticks -> {:>3} in, {:>3} out, {:>3} undecided",
             if budget == u64::MAX { "unlimited".to_string() } else { budget.to_string() },
             r.confirmed_in.len(),
             r.confirmed_out.len(),

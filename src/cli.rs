@@ -54,11 +54,14 @@ skyline options:
   --gamma G          dominance threshold in [0.5, 1] (default 0.5)
   --algorithm A      NL0 | NL | TR | SI | IN | LO (default IN)
   --min COL          treat COL as minimize (repeatable; default: maximize all)
-  --exact            use provably-exact pruning (default: paper pruning)
-  --threads N        run the parallel extension with N workers (0 = all cores);
-                     overrides --algorithm
-  --budget TICKS     stop after roughly TICKS record-pair comparisons and
-                     print the confirmed partial skyline (0 = unlimited)
+  --exact            use provably-exact pruning and the columnar kernel
+                     (default: paper pruning and the exhaustive kernel)
+  --threads N        run the parallel extension with N workers (0 = all cores)
+                     on the columnar kernel; overrides --algorithm
+  --budget TICKS     stop after roughly TICKS record comparisons and print
+                     the confirmed partial skyline (0 = unlimited); under
+                     --exact, --threads and --checkpoint-dir only comparisons
+                     inside straddling record blocks are ticks
   --checkpoint-dir D persist the run as durable crash-consistent frames under
                      directory D (uses the resumable anytime engine; combine
                      with --budget to checkpoint a bounded chunk per run)
@@ -266,7 +269,7 @@ fn skyline_command(args: &[String]) -> Result<String, CliError> {
     } else {
         match threads {
             Some(t) => (
-                parallel_skyline_ctx(&ds, gamma, t, KernelConfig::blocked(), &ctx)
+                parallel_skyline_ctx(&ds, gamma, t, KernelConfig::columnar(), &ctx)
                     .map_err(|e| e.to_string())?,
                 format!("PAR({} threads)", resolve_threads(t)),
             ),
@@ -940,10 +943,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let script = dir.join("script.sql");
+        // The blocks of `a` and `b` straddle in both directions: neither
+        // corner test decides them, so the skyline compares records and
+        // spends ticks (corner-decided block pairs are free).
         std::fs::write(
             &script,
             "CREATE TABLE m (d TEXT, p FLOAT, q FLOAT);\n\
-             INSERT INTO m VALUES ('a', 1, 9), ('a', 2, 8), ('b', 5, 5), ('c', 0, 0);\n\
+             INSERT INTO m VALUES ('a', 1, 9), ('a', 6, 2), ('b', 5, 5), ('b', 2, 6), ('c', 0, 0);\n\
              SET SLOW_QUERY 1;\n\
              SELECT d FROM m GROUP BY d SKYLINE OF p MAX, q MAX;",
         )

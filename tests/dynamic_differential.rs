@@ -14,7 +14,7 @@
 
 use aggsky::core::dynamic::DynamicAggregateSkyline;
 use aggsky::core::gamma::domination_count;
-use aggsky::core::{CachedTally, KernelConfig};
+use aggsky::core::{CachedTally, GroupId, KernelConfig, SkylineService, WriteBatch};
 use aggsky::datagen::Rng64;
 use aggsky::{
     naive_skyline, AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder, RunContext,
@@ -256,6 +256,55 @@ fn scalar_and_auto_kernels_are_bit_identical_on_the_same_stream() {
                 auto.stats(),
                 "d={dim} seed={seed}: Stats diverged between scalar and auto kernels"
             );
+        }
+    }
+}
+
+/// Every published epoch's `query` and `sweep`, at the thresholds below,
+/// against the naive oracle over that epoch's own rows: 40 seeded service
+/// streams (d 1–4, 3–10 groups, a small integer grid, 30 batches of 1–8
+/// inserts and deletes). Reads prune exactly; under the paper's pruning a
+/// read can keep a group the oracle excludes (e.g. d = 1, 9 groups,
+/// service γ 0.55, read at 0.6).
+#[test]
+fn served_reads_match_the_oracle_at_every_epoch_and_gamma() {
+    let gammas: Vec<Gamma> =
+        [0.5, 0.55, 0.6, 0.75, 0.9, 1.0].iter().map(|&g| Gamma::new(g).unwrap()).collect();
+    for stream in 0..40u64 {
+        let mut rng = Rng64::new(0x5EED_0000 + stream);
+        let dim = 1 + rng.index(4);
+        let n_groups = 3 + rng.index(8);
+        let service_gamma = gammas[rng.index(gammas.len())];
+        let svc = SkylineService::new(dim, service_gamma).expect("service");
+        // The live rows per group, so deletes name a record that exists.
+        let mut live: Vec<Vec<Vec<f64>>> = vec![Vec::new(); n_groups];
+        for batch_no in 0..30 {
+            let mut batch = WriteBatch::new();
+            for _ in 0..1 + rng.index(8) {
+                let g = rng.index(n_groups);
+                if rng.index(4) == 0 && !live[g].is_empty() {
+                    let idx = rng.index(live[g].len());
+                    let rec = live[g].swap_remove(idx);
+                    batch = batch.delete(format!("g{g}"), &rec);
+                } else {
+                    let rec: Vec<f64> = (0..dim).map(|_| rng.index(4) as f64).collect();
+                    batch = batch.insert(format!("g{g}"), &rec);
+                    live[g].push(rec);
+                }
+            }
+            svc.apply(&batch).expect("apply");
+            let epoch = svc.current();
+            let oracle = |gamma| -> Vec<GroupId> {
+                let sky = naive_skyline(epoch.dataset(), gamma).skyline;
+                sky.iter().map(|&si| epoch.service_id(si)).collect()
+            };
+            let at = format!("stream {stream} (d={dim}, {n_groups} groups, service γ {service_gamma}) batch {batch_no}");
+            for &gamma in &gammas {
+                assert_eq!(epoch.query(gamma), oracle(gamma), "query at γ {gamma}: {at}");
+            }
+            for (gamma, sky) in epoch.sweep(&gammas) {
+                assert_eq!(sky, oracle(gamma), "sweep at γ {gamma}: {at}");
+            }
         }
     }
 }

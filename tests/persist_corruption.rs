@@ -116,8 +116,11 @@ fn mutated_newest_frame_degrades_to_the_older_one() {
     let ds = dataset(8);
     let dir = tmpdir("degrade");
     let store = CheckpointStore::open(&dir).unwrap();
-    // Two chunks => two retained frames.
-    let out = run_durable(&ds, Gamma::DEFAULT, 200, &store).unwrap();
+    // A quarter of the run's own ticks per chunk splits the run into
+    // several chunks, each committing a frame.
+    let total = anytime_skyline(&ds, Gamma::DEFAULT, u64::MAX).stats.record_pairs;
+    assert!(total >= 4, "the dataset must need record comparisons, got {total} ticks");
+    let out = run_durable(&ds, Gamma::DEFAULT, total / 4, &store).unwrap();
     assert!(out.is_complete());
     let seqs = store.frames().unwrap();
     assert!(seqs.len() >= 2, "need at least two frames, got {seqs:?}");

@@ -154,6 +154,105 @@ fn record_skyline_clause_matches_bnl() {
     }
 }
 
+/// Group sizes around the kernel's block of 8 records: a lone record, a
+/// short block, one full block, and a full block plus one.
+const BLOCK_EDGE_SIZES: [usize; 4] = [1, 7, 8, 9];
+
+/// Eight groups, each size of [`BLOCK_EDGE_SIZES`] twice, on a small
+/// integer grid (ties included) shifted per group, so that some groups
+/// dominate others and many block pairs straddle.
+fn block_edge_dataset(seed: u64, dim: usize) -> GroupedDataset {
+    let mut rng = Rng64::new(seed);
+    let mut b = GroupedDatasetBuilder::new(dim).trusted_labels();
+    for g in 0..8 {
+        let shift = rng.index(4) as f64;
+        let rows: Vec<Vec<f64>> = (0..BLOCK_EDGE_SIZES[g % 4])
+            .map(|_| (0..dim).map(|_| shift + rng.index(3) as f64).collect())
+            .collect();
+        b.push_group(format!("g{g}"), &rows).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Loads a grouped dataset of any dimensionality into `t(g, d0, …)`.
+fn load_wide(ds: &GroupedDataset) -> Database {
+    let mut db = Database::new();
+    let names: Vec<String> = (0..ds.dim()).map(|d| format!("d{d}")).collect();
+    let mut columns = vec![("g", ColumnType::Text)];
+    columns.extend(names.iter().map(|n| (n.as_str(), ColumnType::Float)));
+    db.create_table("t", &columns).unwrap();
+    let mut rows = Vec::new();
+    for g in ds.group_ids() {
+        for rec in ds.records(g) {
+            let mut row = vec![Value::Str(ds.label(g).to_string())];
+            row.extend(rec.iter().map(|&v| Value::Float(v)));
+            rows.push(row);
+        }
+    }
+    db.insert_rows("t", rows).unwrap();
+    db
+}
+
+fn skyline_sql(dim: usize, gamma: f64) -> String {
+    let dims: Vec<String> = (0..dim).map(|d| format!("d{d} MAX")).collect();
+    format!("SELECT g FROM t GROUP BY g SKYLINE OF {} GAMMA {gamma}", dims.join(", "))
+}
+
+/// Every SQL skyline path against the independent naive oracle, on groups
+/// around the block size: the plain `SKYLINE OF` statement, and the
+/// durable one (`SET CHECKPOINT` with a `SET TIMEOUT` of about a third of
+/// the statement's ticks) run again until it completes. Both count with
+/// the columnar kernel, which the oracle does not share.
+#[test]
+fn plain_and_durable_skylines_match_the_oracle_around_the_block_size() {
+    let dir = std::env::temp_dir().join(format!("aggsky-sql-oracle-{}", std::process::id()));
+    let mut chunked = 0;
+    for dim in [1, 2, 4, 8] {
+        for seed in 0..6 {
+            let ds = block_edge_dataset(500 + 10 * dim as u64 + seed, dim);
+            let mut db = load_wide(&ds);
+            for gamma in [0.5, 0.6, 0.75, 0.9, 1.0] {
+                let oracle: Vec<String> = ds
+                    .sorted_labels(&naive_skyline(&ds, Gamma::new(gamma).unwrap()).skyline)
+                    .into_iter()
+                    .map(str::to_string)
+                    .collect();
+                let sql = skyline_sql(dim, gamma);
+                let at = format!("d={dim} seed={seed} gamma={gamma}");
+                db.execute("SET CHECKPOINT OFF").unwrap();
+                db.execute("SET TIMEOUT 0").unwrap();
+                assert_eq!(names(&mut db, &sql), oracle, "plain: {at}");
+
+                // The durable statement's own ticks, from one unbudgeted run.
+                let _ = std::fs::remove_dir_all(&dir);
+                db.execute(&format!("SET CHECKPOINT '{}'", dir.display())).unwrap();
+                assert_eq!(names(&mut db, &sql), oracle, "durable, one chunk: {at}");
+                let ticks = db.journal().records().last().unwrap().ticks;
+
+                let _ = std::fs::remove_dir_all(&dir);
+                db.execute(&format!("SET TIMEOUT {}", (ticks / 3).max(1))).unwrap();
+                let mut chunks = 0;
+                let rows = loop {
+                    chunks += 1;
+                    assert!(chunks <= 100, "durable statement did not converge: {at}");
+                    let r = db.execute(&sql).unwrap();
+                    if r.interrupted.is_none() {
+                        break r.rows;
+                    }
+                };
+                let mut got: Vec<String> = rows.into_iter().map(|r| r[0].to_string()).collect();
+                got.sort();
+                assert_eq!(got, oracle, "durable, {chunks} chunk(s) of {ticks} ticks: {at}");
+                if chunks > 1 {
+                    chunked += 1;
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(chunked > 0, "no durable statement was ever split into chunks");
+}
+
 /// Extracts `name = value` counter lines from an `EXPLAIN ANALYZE` report.
 fn counter_of(report: &str, name: &str) -> u64 {
     report
