@@ -28,7 +28,7 @@ pub mod nba;
 pub mod rng;
 pub mod zipf;
 
-pub use csv::{csv_value_columns, parse_grouped_csv, to_grouped_csv, CsvError};
+pub use csv::{csv_value_columns, parse_grouped_csv, to_grouped_csv, CsvError, GroupedCsv};
 pub use distributions::Distribution;
 pub use groups::{ungrouped_records, GroupSizes, SyntheticConfig};
 pub use hospitals::{generate_hospitals, hospital_directions, HOSPITAL_METRICS};

@@ -5,10 +5,21 @@ use crate::error::{Result, SqlError};
 use crate::lexer::{tokenize, Token};
 use crate::value::Value;
 
+/// How deep a statement may nest. Every expression opens a level (so every
+/// parenthesis does), as do `NOT`s, unary minuses and subqueries, and every
+/// operator of an `OR`, `AND`, `+`/`-` or `*`/`/` chain, which puts its left
+/// operand one node deeper in the tree. The parser, planner, executor and
+/// EXPLAIN all recurse over that tree, so a deeper statement is rejected with
+/// [`SqlError::Parse`] before it can overflow the stack. A statement at the
+/// limit parses, plans, executes and EXPLAINs on a 2 MB thread stack, with
+/// half of it to spare in a debug build, where a parenthesis costs the
+/// parser about 15 KB of stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one statement (a trailing `;` is allowed).
 pub fn parse(sql: &str) -> Result<Statement> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let stmt = p.statement()?;
     p.eat_symbol(";");
     p.expect_eof()?;
@@ -30,6 +41,8 @@ fn is_reserved(word: &str) -> bool {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at `pos`; see [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -89,6 +102,24 @@ impl Parser {
         } else {
             Err(SqlError::Parse(format!("trailing input at {:?}", self.peek())))
         }
+    }
+
+    /// Opens one nesting level, failing past [`MAX_DEPTH`]. A failed parse
+    /// is abandoned, so a level opened before an error is never closed.
+    fn descend(&mut self) -> Result<()> {
+        if self.depth >= MAX_DEPTH {
+            return Err(SqlError::Parse(format!("statement nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level down.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.descend()?;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn ident(&mut self) -> Result<String> {
@@ -405,30 +436,36 @@ impl Parser {
     // ----- expressions, by precedence -----
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut left = self.and_expr()?;
         while self.eat_kw("or") {
+            self.descend()?;
             let right = self.and_expr()?;
             left = Expr::Binary { op: BinOp::Or, left: Box::new(left), right: Box::new(right) };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut left = self.not_expr()?;
         while self.eat_kw("and") {
+            self.descend()?;
             let right = self.not_expr()?;
             left = Expr::Binary { op: BinOp::And, left: Box::new(left), right: Box::new(right) };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_kw("not") {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            Ok(Expr::Not(Box::new(self.nested(Self::not_expr)?)))
         } else {
             self.comparison()
         }
@@ -466,7 +503,7 @@ impl Parser {
         if self.eat_kw("in") {
             self.expect_symbol("(")?;
             if self.peek().is_kw("select") {
-                let sub = self.select()?;
+                let sub = self.nested(Self::select)?;
                 self.expect_symbol(")")?;
                 return Ok(Expr::InSubquery {
                     expr: Box::new(left),
@@ -499,6 +536,7 @@ impl Parser {
     }
 
     fn additive(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut left = self.multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -507,13 +545,16 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.multiplicative()?;
             left = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn multiplicative(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut left = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -522,15 +563,17 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.unary()?;
             left = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat_symbol("-") {
-            Ok(Expr::Neg(Box::new(self.unary()?)))
+            Ok(Expr::Neg(Box::new(self.nested(Self::unary)?)))
         } else {
             self.primary()
         }

@@ -17,9 +17,7 @@ use crate::core::{
     ProfileSnapshot,
 };
 use crate::{AlgoOptions, Algorithm, Direction, Gamma, Outcome, Pruning, RunContext};
-use aggsky_datagen::{
-    parse_grouped_csv, to_grouped_csv, Distribution, GroupSizes, SyntheticConfig,
-};
+use aggsky_datagen::{to_grouped_csv, Distribution, GroupSizes, GroupedCsv, SyntheticConfig};
 use aggsky_obs::{export_chrome, export_prometheus, Counter, FlightRecorder, Hist, TraceRecorder};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -167,8 +165,8 @@ fn skyline_command(args: &[String]) -> Result<String, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
 
     // Map --min column names onto dimensions via the CSV header.
-    let value_cols =
-        aggsky_datagen::csv_value_columns(&text, group_col).map_err(|e| format!("{path}: {e}"))?;
+    let csv = GroupedCsv::new(&text, group_col).map_err(|e| format!("{path}: {e}"))?;
+    let value_cols = csv.value_columns();
     let mins = flags.get_all("min");
     for m in &mins {
         if !value_cols.iter().any(|c| c.eq_ignore_ascii_case(m)) {
@@ -186,8 +184,7 @@ fn skyline_command(args: &[String]) -> Result<String, CliError> {
         })
         .collect();
 
-    let ds = parse_grouped_csv(&text, group_col, Some(&directions))
-        .map_err(|e| format!("{path}: {e}"))?;
+    let ds = csv.parse(Some(&directions)).map_err(|e| format!("{path}: {e}"))?;
     let opts = if flags.has("exact") {
         AlgoOptions::exact(gamma)
     } else {
