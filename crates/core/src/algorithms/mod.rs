@@ -273,8 +273,11 @@ impl Algorithm {
 
     /// Runs this algorithm over an existing preparation, skipping the
     /// per-run [`crate::PreparedDataset::build`] cost (`opts.kernel` is
-    /// ignored; the blocked kernel is always active). The preparation must
-    /// have been built from `ds`.
+    /// ignored). Straddling block pairs use the columnar kernel when the
+    /// preparation carries key lanes, as [`Algorithm::run_cached`] does, so
+    /// the run's `Stats` equal those of [`Algorithm::run_ctx`] with a
+    /// columnar kernel at the preparation's block size. The preparation
+    /// must have been built from `ds`.
     pub fn run_prepared(
         self,
         ds: &GroupedDataset,
@@ -284,7 +287,9 @@ impl Algorithm {
         self.run_prepared_ctx(ds, prep, opts, &RunContext::unlimited()).unwrap_or_partial()
     }
 
-    /// [`Algorithm::run_prepared`] under an execution-control context.
+    /// [`Algorithm::run_prepared`] under an execution-control context. Its
+    /// trace has the shape of [`Algorithm::run_ctx`]'s: a `prepare` span,
+    /// then the algorithm's.
     pub fn run_prepared_ctx(
         self,
         ds: &GroupedDataset,
@@ -292,7 +297,9 @@ impl Algorithm {
         opts: AlgoOptions,
         ctx: &RunContext,
     ) -> Outcome {
-        let kernel = Kernel::with_prepared(ds, prep);
+        let kernel = prepared_kernel(ds, prep);
+        let prep_span = ctx.obs().map_or(0, |rec| rec.span_start("prepare", 0, Stamp::ZERO));
+        end_prepare_span(prep_span, &kernel, ctx);
         self.run_on(&kernel, opts, ctx, None)
     }
 
@@ -330,13 +337,7 @@ impl Algorithm {
         cache: &mut PairCache,
         ctx: &RunContext,
     ) -> Outcome {
-        let kernel = match Kernel::with_prepared_columnar(ds, prep) {
-            Ok(k) => k,
-            // No key lanes (over-large blocks): row-wise counting, same
-            // tallies, same cache protocol.
-            Err(_) => Kernel::with_prepared(ds, prep),
-        };
-        self.run_on(&kernel, opts, ctx, Some(cache))
+        self.run_on(&prepared_kernel(ds, prep), opts, ctx, Some(cache))
     }
 
     fn run_on(
@@ -377,6 +378,16 @@ impl Algorithm {
         }
         outcome
     }
+}
+
+/// A kernel over an existing preparation: columnar when it carries key
+/// lanes, row-wise otherwise (over-large blocks). Both give the same
+/// tallies, `Stats` and cache protocol.
+fn prepared_kernel<'a>(
+    ds: &'a GroupedDataset,
+    prep: &'a crate::prepared::PreparedDataset,
+) -> Kernel<'a> {
+    Kernel::with_prepared_columnar(ds, prep).unwrap_or_else(|_| Kernel::with_prepared(ds, prep))
 }
 
 /// Closes the `"prepare"` span with the dataset/blocking shape as

@@ -11,13 +11,16 @@
 //! and processed cheapest-pair-first (the Section 3.4 global optimization),
 //! which front-loads decisions per unit of work.
 //!
-//! Every group pair is counted by one [`Kernel`] built per call over a
-//! columnar preparation ([`KernelConfig::columnar`], AVX2 when the CPU has
-//! it), the kernel `AlgoOptions::exact` uses. A tick is therefore one
-//! record comparison inside a straddling block pair; block pairs decided by
-//! their corners are free. Verdicts are bit-identical to the paper's
-//! exhaustive loop, so the partition, and with it the checkpoint, does not
-//! depend on the kernel.
+//! Every group pair is counted by one [`Kernel`] over a columnar
+//! preparation ([`KernelConfig::columnar`], AVX2 when the CPU has it), the
+//! kernel `AlgoOptions::exact` uses. A tick is therefore one record
+//! comparison inside a straddling block pair; block pairs decided by their
+//! corners are free. Verdicts are bit-identical to the paper's exhaustive
+//! loop, so the partition, and with it the checkpoint, does not depend on
+//! the kernel. The public entry points build the kernel per call; the
+//! durable driver ([`crate::checkpoint_step_with`]) takes one from its
+//! caller, so a statement re-issued over unchanged data prepares its input
+//! once.
 //!
 //! An incomplete result carries an [`AnytimeCheckpoint`] — the open groups'
 //! not-yet-compared candidate lists — so [`anytime_resume`] continues where
@@ -82,13 +85,20 @@ pub fn anytime_skyline(
     gamma: Gamma,
     budget_record_pairs: u64,
 ) -> AnytimeResult {
-    engine(ds, gamma, &RunContext::with_budget(budget_record_pairs), None)
+    anytime_skyline_ctx(ds, gamma, &RunContext::with_budget(budget_record_pairs))
 }
 
 /// [`anytime_skyline`] under an execution-control context (honours both
 /// the context's tick budget and its cancellation token).
 pub fn anytime_skyline_ctx(ds: &GroupedDataset, gamma: Gamma, ctx: &RunContext) -> AnytimeResult {
-    engine(ds, gamma, ctx, None)
+    engine(&anytime_kernel(ds), gamma, ctx, None)
+}
+
+/// The kernel every anytime run counts with: columnar at the default block
+/// size. That block size fits every dataset and a lane, so the exhaustive
+/// fallback never runs; it keeps the entry points infallible.
+pub(crate) fn anytime_kernel(ds: &GroupedDataset) -> Kernel<'_> {
+    Kernel::new(ds, KernelConfig::columnar()).unwrap_or_else(|_| Kernel::exhaustive(ds))
 }
 
 /// Continues an earlier run from its checkpoint, spending at most `budget`
@@ -119,12 +129,34 @@ pub fn anytime_resume_ctx(
     if prev.is_complete() {
         return Ok(prev.clone());
     }
+    anytime_resume_on(&anytime_kernel(ds), gamma, ctx, prev)
+}
+
+/// [`anytime_skyline_ctx`] over a caller-built kernel.
+pub(crate) fn anytime_skyline_on(
+    kernel: &Kernel<'_>,
+    gamma: Gamma,
+    ctx: &RunContext,
+) -> AnytimeResult {
+    engine(kernel, gamma, ctx, None)
+}
+
+/// [`anytime_resume_ctx`] over a caller-built kernel.
+pub(crate) fn anytime_resume_on(
+    kernel: &Kernel<'_>,
+    gamma: Gamma,
+    ctx: &RunContext,
+    prev: &AnytimeResult,
+) -> Result<AnytimeResult> {
+    if prev.is_complete() {
+        return Ok(prev.clone());
+    }
     match &prev.checkpoint {
         Some(cp) => {
-            validate_checkpoint(prev, cp, ds.n_groups())?;
-            Ok(engine(ds, gamma, ctx, Some((prev, cp))))
+            validate_checkpoint(prev, cp, kernel.dataset().n_groups())?;
+            Ok(engine(kernel, gamma, ctx, Some((prev, cp))))
         }
-        None => Ok(engine(ds, gamma, ctx, None)),
+        None => Ok(engine(kernel, gamma, ctx, None)),
     }
 }
 
@@ -160,21 +192,18 @@ fn validate_checkpoint(prev: &AnytimeResult, cp: &AnytimeCheckpoint, n: usize) -
 /// confirmed in when its list drains, confirmed out when a comparison
 /// finds a dominator.
 fn engine(
-    ds: &GroupedDataset,
+    kernel: &Kernel<'_>,
     gamma: Gamma,
     ctx: &RunContext,
     resume: Option<(&AnytimeResult, &AnytimeCheckpoint)>,
 ) -> AnytimeResult {
+    let ds = kernel.dataset();
     let n = ds.n_groups();
     let engine_span = ctx.obs().map_or(0, |rec| rec.span_start("anytime", 0, Stamp::ZERO));
     let prep_span = ctx.obs().map_or(0, |rec| rec.span_start("prepare", 0, Stamp::ZERO));
-    // The default block size fits every dataset and a lane, so the
-    // exhaustive fallback never runs; it keeps this entry point infallible.
-    let kernel =
-        Kernel::new(ds, KernelConfig::columnar()).unwrap_or_else(|_| Kernel::exhaustive(ds));
-    end_prepare_span(prep_span, &kernel, ctx);
+    end_prepare_span(prep_span, kernel, ctx);
     let mut owned_boxes = None;
-    let boxes = kernel_boxes(&kernel, &mut owned_boxes);
+    let boxes = kernel_boxes(kernel, &mut owned_boxes);
     let mut stats = Stats::default();
 
     #[derive(Clone, Copy, PartialEq)]

@@ -4,13 +4,14 @@
 //! misorders (as `partial_cmp` and the raw operators do on NaN) corrupts a
 //! pair count — and therefore a skyline verdict — without crashing. All
 //! float ordering in the workspace's library crates goes through this
-//! module, which is built on [`f64::total_cmp`] and therefore total:
+//! module, which is total: IEEE order wherever IEEE defines one, and
+//! [`f64::total_cmp`] where a NaN leaves IEEE unordered:
 //!
 //! * NaNs order deterministically (negative NaN below `-∞`, positive NaN
 //!   above `+∞`) instead of poisoning every comparison they touch;
-//! * `-0.0` and `+0.0` are normalized before comparing, so the boolean
-//!   comparators agree exactly with IEEE `<`/`>` on every non-NaN input —
-//!   including datasets whose MIN-direction normalization negates a zero.
+//! * `-0.0` and `+0.0` compare equal, so the boolean comparators agree
+//!   exactly with IEEE `<`/`>` on every non-NaN input — including datasets
+//!   whose MIN-direction normalization negates a zero.
 //!
 //! [`crate::GroupedDatasetBuilder`] rejects non-finite coordinates at
 //! ingestion, so on the dominance hot path these helpers behave identically
@@ -20,20 +21,30 @@
 
 use std::cmp::Ordering;
 
-/// Maps `-0.0` to `+0.0` (the IEEE sum `-0.0 + 0.0` is `+0.0`) so the total
-/// order agrees with `==` on zeros; all other values, including NaN and the
-/// infinities, are unchanged. Public within the crate so
-/// [`crate::dominance::sort_key`] can apply the same normalization before
-/// transposing bits into the columnar kernel's integer key space.
+/// Maps `-0.0` to `+0.0` so that [`f64::total_cmp`] on the result agrees
+/// with [`cmp`]; all other values, including NaN (with its sign) and the
+/// infinities, are unchanged. [`crate::dominance::sort_key`] applies it
+/// before transposing bits into the columnar kernel's integer key space.
+///
+/// The mapping works on the bit pattern: the float sum `x + 0.0` would also
+/// map `-0.0` to `+0.0`, but optimised builds may fold `NaN + 0.0` to a
+/// positive NaN, which would put negative NaN above `+∞`.
 #[inline(always)]
 pub(crate) fn canon(x: f64) -> f64 {
-    x + 0.0
+    let b = x.to_bits();
+    f64::from_bits(if b == 1 << 63 { 0 } else { b })
 }
 
-/// Total ordering: `total_cmp` over zero-normalized values.
+/// Total ordering: IEEE order when both values are ordered (so `-0.0 ==
+/// +0.0`), else [`f64::total_cmp`], which places a NaN by its sign. That
+/// equals `total_cmp` over [`canon`]-ized values, but the record loop of
+/// the exhaustive kernel pays only the IEEE compare.
 #[inline(always)]
 pub fn cmp(a: f64, b: f64) -> Ordering {
-    canon(a).total_cmp(&canon(b))
+    match a.partial_cmp(&b) {
+        Some(o) => o,
+        None => a.total_cmp(&b),
+    }
 }
 
 /// Reversed total ordering, for descending sorts.
@@ -143,6 +154,21 @@ mod tests {
         // Unlike raw operators, comparisons never become vacuously false in
         // both directions.
         assert!(gt(f64::NAN, 1.0) || lt(f64::NAN, 1.0) || eq(f64::NAN, 1.0));
+    }
+
+    #[test]
+    fn cmp_is_total_cmp_over_canonical_zeros() {
+        let vals = [f64::NAN, -f64::NAN, f64::NEG_INFINITY, -1.5, -0.0, 0.0, 2.0, f64::INFINITY];
+        for &a in &vals {
+            for &b in &vals {
+                assert_eq!(cmp(a, b), canon(a).total_cmp(&canon(b)), "cmp({a}, {b})");
+            }
+        }
+        assert_eq!(canon(-0.0).to_bits(), 0);
+        assert!(canon(-f64::NAN).is_sign_negative(), "canon keeps the sign of NaN");
+        let key = crate::dominance::sort_key;
+        assert!(key(-f64::NAN) < key(f64::NEG_INFINITY), "negative NaN keys below -inf");
+        assert!(key(f64::NAN) > key(f64::INFINITY));
     }
 
     #[test]

@@ -33,11 +33,11 @@ pub use store::{CheckpointStore, Recovery, SaveReceipt, SkippedFrame};
 #[cfg(feature = "chaos")]
 pub use store::{IoFaultKind, IoFaultPlan};
 
-use crate::anytime::{anytime_resume_ctx, anytime_skyline_ctx, AnytimeResult};
+use crate::anytime::{anytime_kernel, anytime_resume_on, anytime_skyline_on, AnytimeResult};
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
-use crate::kernel::KernelConfig;
+use crate::kernel::{Kernel, KernelConfig};
 use crate::paircache::CachedTally;
 use crate::runctx::{InterruptReason, RunContext};
 use crate::stats::Stats;
@@ -214,13 +214,17 @@ pub fn checkpoint_step(
     store: &CheckpointStore,
 ) -> Result<DurableOutcome> {
     let fp = Fingerprint::of(ds, gamma);
-    checkpoint_step_with(ds, gamma, ctx, store, &fp)
+    checkpoint_step_with(&anytime_kernel(ds), gamma, ctx, store, &fp)
 }
 
-/// [`checkpoint_step`] with a caller-built [`Fingerprint`] (e.g. bound to
-/// a kernel configuration or seed via [`Fingerprint::with_kernel`]).
+/// [`checkpoint_step`] over a caller-built kernel and [`Fingerprint`], so a
+/// caller that re-issues one step over unchanged data prepares its input
+/// and hashes it once. `fp` must describe the kernel's dataset (e.g.
+/// [`Fingerprint::of`], optionally bound to a kernel configuration or seed
+/// via [`Fingerprint::with_kernel`]); the kernel should be the columnar one
+/// every anytime run counts with, or the persisted tick totals differ.
 pub fn checkpoint_step_with(
-    ds: &GroupedDataset,
+    kernel: &Kernel<'_>,
     gamma: Gamma,
     ctx: &RunContext,
     store: &CheckpointStore,
@@ -269,8 +273,8 @@ pub fn checkpoint_step_with(
 
     let recovered_stats = prev.as_ref().map_or_else(Stats::default, |p| p.stats);
     let chunk = match &prev {
-        None => anytime_skyline_ctx(ds, gamma, ctx),
-        Some(p) => anytime_resume_ctx(ds, gamma, ctx, p)?,
+        None => anytime_skyline_on(kernel, gamma, ctx),
+        Some(p) => anytime_resume_on(kernel, gamma, ctx, p)?,
     };
 
     // Cumulative accounting: recovered (already persisted, never redone)
@@ -315,10 +319,11 @@ pub fn checkpoint_step_with(
 }
 
 /// Loops [`checkpoint_step`] with a fresh `chunk_budget`-tick context per
-/// chunk until the partition is complete. Every chunk re-recovers from
-/// disk before advancing, so the loop *is* the crash-at-every-boundary
-/// discipline the differential suite exercises: killing the process
-/// between any two chunks and re-invoking `run_durable` changes nothing.
+/// chunk until the partition is complete, preparing and fingerprinting
+/// `ds` once for all chunks. Every chunk re-recovers from disk before
+/// advancing, so the loop *is* the crash-at-every-boundary discipline the
+/// differential suite exercises: killing the process between any two
+/// chunks and re-invoking `run_durable` changes nothing.
 pub fn run_durable(
     ds: &GroupedDataset,
     gamma: Gamma,
@@ -330,12 +335,14 @@ pub fn run_durable(
             "durable chunk budget must be positive (a zero-tick chunk can never progress)".into(),
         ));
     }
+    let fp = Fingerprint::of(ds, gamma);
+    let kernel = anytime_kernel(ds);
     let mut first_resume = None;
     let mut total_skipped = 0usize;
     let mut first = true;
     loop {
         let ctx = RunContext::with_budget(chunk_budget);
-        let step = checkpoint_step(ds, gamma, &ctx, store)?;
+        let step = checkpoint_step_with(&kernel, gamma, &ctx, store, &fp)?;
         if first {
             first_resume = step.resumed_seq;
             first = false;

@@ -74,11 +74,14 @@ pub enum Counter {
     /// Group pairs whose tallies were recomputed through the kernel because
     /// their drift interval crossed the γ bound (or a flush was forced).
     DynFlushedPairs,
+    /// SQL aggregate skylines that reused the input their database kept
+    /// from an earlier statement instead of scanning and grouping again.
+    SqlInputReused,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 24] = [
         Counter::GroupPairs,
         Counter::RecordPairs,
         Counter::BboxResolved,
@@ -102,6 +105,7 @@ impl Counter {
         Counter::DynInserts,
         Counter::DynDeferred,
         Counter::DynFlushedPairs,
+        Counter::SqlInputReused,
     ];
 
     /// Prometheus metric name (`_total` suffix per convention).
@@ -130,6 +134,7 @@ impl Counter {
             Counter::DynInserts => "aggsky_dyn_inserts_total",
             Counter::DynDeferred => "aggsky_dyn_deferred_total",
             Counter::DynFlushedPairs => "aggsky_dyn_flushed_pairs_total",
+            Counter::SqlInputReused => "aggsky_sql_input_reused_total",
         }
     }
 
@@ -158,6 +163,7 @@ impl Counter {
             Counter::DynInserts => 20,
             Counter::DynDeferred => 21,
             Counter::DynFlushedPairs => 22,
+            Counter::SqlInputReused => 23,
         }
     }
 }

@@ -79,6 +79,10 @@ pub struct QueryRecord {
     pub rows_scanned: u64,
     /// Groups materialized by the aggregation pipeline.
     pub groups_built: u64,
+    /// True when an aggregate skyline reused the input its database kept
+    /// from an earlier statement; `rows_scanned` and `groups_built` are
+    /// then 0.
+    pub input_reused: bool,
     /// Rows returned to the client.
     pub rows_out: u64,
     /// True when the statement hit its budget/cancellation edge.
@@ -134,8 +138,8 @@ impl QueryRecord {
         );
         let _ = write!(
             out,
-            ",\"rows_out\":{},\"interrupted\":{},\"slow\":{}",
-            self.rows_out, self.interrupted, self.slow
+            ",\"input_reused\":{},\"rows_out\":{},\"interrupted\":{},\"slow\":{}",
+            self.input_reused, self.rows_out, self.interrupted, self.slow
         );
         if let Some(e) = self.epoch {
             let _ = write!(

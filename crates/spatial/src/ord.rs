@@ -3,23 +3,21 @@
 //! The workspace layering rule (lint rule L4) keeps this crate free of
 //! internal dependencies (`aggsky-core` depends on *us*), so the sanctioned
 //! comparators cannot be imported and are mirrored here with identical
-//! semantics: `total_cmp` over zero-normalized values, so `-0.0 == +0.0`
-//! and every comparison agrees with IEEE `<`/`>` on non-NaN inputs while
-//! staying deterministic on NaN.
+//! semantics: IEEE order where IEEE defines one, so `-0.0 == +0.0` and
+//! every comparison agrees with IEEE `<`/`>` on non-NaN inputs, and
+//! `total_cmp` where a NaN leaves IEEE unordered, so NaN stays
+//! deterministic.
 
 use std::cmp::Ordering;
 
-/// Maps `-0.0` to `+0.0` (the IEEE sum `-0.0 + 0.0` is `+0.0`); all other
-/// values, including NaN and the infinities, are unchanged.
-#[inline(always)]
-fn canon(x: f64) -> f64 {
-    x + 0.0
-}
-
-/// Total ordering: `total_cmp` over zero-normalized values.
+/// Total ordering: IEEE order when both values are ordered (so `-0.0 ==
+/// +0.0`), else `total_cmp`, which places a NaN by its sign.
 #[inline(always)]
 pub(crate) fn cmp(a: f64, b: f64) -> Ordering {
-    canon(a).total_cmp(&canon(b))
+    match a.partial_cmp(&b) {
+        Some(o) => o,
+        None => a.total_cmp(&b),
+    }
 }
 
 /// Total `a < b`.
@@ -63,5 +61,7 @@ mod tests {
             }
         }
         assert!(eq(f64::NAN, f64::NAN));
+        assert!(lt(-f64::NAN, f64::NEG_INFINITY), "negative NaN keeps its sign");
+        assert!(gt(f64::NAN, f64::INFINITY));
     }
 }

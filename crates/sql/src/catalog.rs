@@ -58,11 +58,22 @@ impl Table {
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: HashMap<String, Table>,
+    /// Bumped by every call that can change a table: [`Catalog::create`],
+    /// [`Catalog::get_mut`] and [`Catalog::drop`], whether or not it
+    /// succeeds. Two reads at one version see the same tables and rows.
+    version: u64,
 }
 
 impl Catalog {
+    /// The catalog version: equal versions mean no table was created,
+    /// dropped or handed out for writing in between.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// Creates a table; errors if the name is taken.
     pub fn create(&mut self, name: &str, columns: Vec<Column>) -> Result<()> {
+        self.version += 1;
         let key = name.to_ascii_lowercase();
         if self.tables.contains_key(&key) {
             return Err(SqlError::TableExists(name.to_string()));
@@ -80,6 +91,7 @@ impl Catalog {
 
     /// Mutable lookup.
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Table> {
+        self.version += 1;
         self.tables
             .get_mut(&name.to_ascii_lowercase())
             .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
@@ -87,6 +99,7 @@ impl Catalog {
 
     /// Drops a table.
     pub fn drop(&mut self, name: &str) -> Result<()> {
+        self.version += 1;
         self.tables
             .remove(&name.to_ascii_lowercase())
             .map(|_| ())
@@ -113,6 +126,26 @@ mod tests {
         assert!(matches!(c.create("t", vec![]), Err(SqlError::TableExists(_))));
         c.drop("T").unwrap();
         assert!(c.get("t").is_err());
+    }
+
+    #[test]
+    fn every_write_access_bumps_the_version() {
+        let mut c = Catalog::default();
+        let v0 = c.version();
+        c.create("t", vec![Column { name: "a".into(), ty: ColumnType::Int }]).unwrap();
+        let v1 = c.version();
+        assert!(v1 > v0, "create bumps");
+        c.get("t").unwrap();
+        c.table_names();
+        assert_eq!(c.version(), v1, "reads leave the version alone");
+        c.get_mut("t").unwrap();
+        let v2 = c.version();
+        assert!(v2 > v1, "get_mut bumps");
+        assert!(c.get_mut("nope").is_err());
+        let v3 = c.version();
+        assert!(v3 > v2, "a failed get_mut bumps too");
+        c.drop("t").unwrap();
+        assert!(c.version() > v3, "drop bumps");
     }
 
     #[test]

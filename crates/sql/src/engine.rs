@@ -3,7 +3,7 @@
 use crate::ast::{ColumnType, SelectStmt, Statement};
 use crate::catalog::{Catalog, Column};
 use crate::error::{Result, SqlError};
-use crate::exec::{execute_select, QueryResult};
+use crate::exec::{execute_select, KeptInput, QueryResult};
 use crate::parser::parse;
 use crate::plan::{eval, RExpr};
 use crate::value::Value;
@@ -89,6 +89,10 @@ pub struct Database {
     /// Live serving bindings keyed by lowercase table name: DML against a
     /// bound table is mirrored into its epoch-published skyline service.
     services: HashMap<String, ServiceBinding>,
+    /// The last aggregate-skyline input a SELECT gathered, reused by the
+    /// next SELECT that asks for the same input over the same catalog
+    /// version (DESIGN.md §19).
+    kept: KeptInput,
 }
 
 impl Clone for Database {
@@ -98,6 +102,7 @@ impl Clone for Database {
     /// every table, so sharing a bound [`SkylineService`] would let DML on
     /// one copy silently diverge the epochs the other serves. Re-bind with
     /// [`Database::serve_skyline`] on the clone if it needs live serving.
+    /// The clone starts with no kept aggregate-skyline input.
     fn clone(&self) -> Database {
         Database {
             catalog: self.catalog.clone(),
@@ -107,6 +112,7 @@ impl Clone for Database {
             executed: self.executed,
             record_wall_time: self.record_wall_time,
             services: HashMap::new(),
+            kept: KeptInput::default(),
         }
     }
 }
@@ -280,11 +286,12 @@ impl Database {
                 record.gamma_permille = gamma_permille(&stmt);
                 let rec = Arc::new(TraceRecorder::new());
                 let ctx = self.run_context().with_recorder(rec.clone());
-                let result = crate::exec::execute_select_durable(
+                let result = crate::exec::execute_select_with(
                     &self.catalog,
                     &stmt,
                     &ctx,
                     self.checkpoint_dir.as_deref(),
+                    Some(&mut self.kept),
                 )?;
                 harvest_counters(record, &rec.snapshot());
                 Ok(result)
@@ -359,8 +366,8 @@ impl Database {
                 };
                 let receipt = if self.services.contains_key(&table.to_ascii_lowercase()) {
                     let t = self.catalog.get(&table)?;
-                    let start = t.rows.len() - n;
-                    let inserted: Vec<Vec<Value>> = t.rows[start..].to_vec();
+                    let start = t.rows.len().saturating_sub(n);
+                    let inserted = t.rows.get(start..).map(<[_]>::to_vec).unwrap_or_default();
                     match self.route_serving(&table, &inserted, false, record) {
                         Ok(receipt) => receipt,
                         Err(e) => {
@@ -522,7 +529,7 @@ impl Database {
             let mut new_values = Vec::with_capacity(compiled_sets.len());
             for (idx, rhs) in &compiled_sets {
                 let mut v = eval(rhs, row, &[])?;
-                if float_cols[*idx] {
+                if float_cols.get(*idx) == Some(&true) {
                     if let Value::Int(i) = v {
                         v = Value::Float(i as f64);
                     }
@@ -530,7 +537,9 @@ impl Database {
                 new_values.push((*idx, v));
             }
             for (idx, v) in new_values {
-                row[idx] = v;
+                if let Some(slot) = row.get_mut(idx) {
+                    *slot = v;
+                }
             }
             updated += 1;
         }
@@ -548,9 +557,6 @@ impl Database {
             |_: &crate::ast::SelectStmt| Err(SqlError::Unsupported("subquery in INSERT".into()));
         let empty_schema = crate::plan::Schema { columns: Vec::new() };
         let mut compiler = crate::plan::Compiler::new(&empty_schema, &no_sub);
-        let t = self.catalog.get(table)?;
-        let reorder = Self::column_reorder(t, columns)?;
-        let width = t.columns.len();
         let mut evaluated: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
         for row in rows {
             let vals: Vec<Value> = row
@@ -560,27 +566,14 @@ impl Database {
                     eval(&r, &[], &[])
                 })
                 .collect::<Result<_>>()?;
-            let vals = match &reorder {
-                None => vals,
-                Some(map) => {
-                    let mut shuffled = vec![Value::Null; width];
-                    for (i, v) in map.iter().zip(vals) {
-                        shuffled[*i] = v;
-                    }
-                    shuffled
-                }
-            };
             evaluated.push(vals);
         }
-        let n = evaluated.len();
-        let t = self.catalog.get_mut(table)?;
-        for vals in evaluated {
-            t.push_row(vals)?;
-        }
-        Ok(n)
+        self.insert_value_rows(table, columns, evaluated)
     }
 
     /// Inserts already-evaluated rows, honoring an optional column list.
+    /// All or nothing: every row's arity is checked against the column
+    /// list (or the table, without one) before any row is stored.
     fn insert_value_rows(
         &mut self,
         table: &str,
@@ -590,27 +583,34 @@ impl Database {
         let t = self.catalog.get(table)?;
         let reorder = Self::column_reorder(t, columns)?;
         let width = t.columns.len();
-        let n = rows.len();
-        let t = self.catalog.get_mut(table)?;
-        for vals in rows {
-            let vals = match &reorder {
-                None => vals,
-                Some(map) => {
-                    if vals.len() != map.len() {
-                        return Err(SqlError::Eval(format!(
-                            "INSERT SELECT produced {} columns, expected {}",
-                            vals.len(),
-                            map.len()
-                        )));
-                    }
-                    let mut shuffled = vec![Value::Null; width];
-                    for (i, v) in map.iter().zip(vals) {
-                        shuffled[*i] = v;
-                    }
-                    shuffled
+        let expected = reorder.as_ref().map_or(width, Vec::len);
+        let shaped = rows
+            .into_iter()
+            .map(|vals| {
+                if vals.len() != expected {
+                    return Err(SqlError::Eval(format!(
+                        "INSERT row has {} values, expected {expected}",
+                        vals.len()
+                    )));
                 }
-            };
-            t.push_row(vals)?;
+                let Some(map) = &reorder else { return Ok(vals) };
+                let mut shuffled = vec![Value::Null; width];
+                for (&i, v) in map.iter().zip(vals) {
+                    if let Some(slot) = shuffled.get_mut(i) {
+                        *slot = v;
+                    }
+                }
+                Ok(shuffled)
+            })
+            .collect::<Result<Vec<Vec<Value>>>>()?;
+        let n = shaped.len();
+        let t = self.catalog.get_mut(table)?;
+        let start = t.rows.len();
+        for vals in shaped {
+            if let Err(e) = t.push_row(vals) {
+                t.rows.truncate(start);
+                return Err(e);
+            }
         }
         Ok(n)
     }
@@ -628,11 +628,10 @@ impl Database {
                         "partial-column INSERT is not supported".into(),
                     ));
                 }
-                let mut map = vec![0usize; cols.len()];
-                for (i, c) in cols.iter().enumerate() {
-                    map[i] = t.column_index(c).ok_or_else(|| SqlError::UnknownColumn(c.clone()))?;
-                }
-                Ok(Some(map))
+                cols.iter()
+                    .map(|c| t.column_index(c).ok_or_else(|| SqlError::UnknownColumn(c.clone())))
+                    .collect::<Result<Vec<usize>>>()
+                    .map(Some)
             }
         }
     }
@@ -747,6 +746,7 @@ fn harvest_counters(record: &mut QueryRecord, snap: &aggsky_obs::TraceSnapshot) 
     record.blocks_skipped = c(Counter::BlocksSkipped);
     record.rows_scanned = c(Counter::SqlRowsScanned);
     record.groups_built = c(Counter::SqlGroupsBuilt);
+    record.input_reused = c(Counter::SqlInputReused) > 0;
     // Only a statement whose aggregate skyline ran counted with a kernel.
     if snap.spans.iter().any(|s| s.name == "skyline") {
         record.kernel = crate::exec::skyline_kernel_name().to_string();
@@ -791,6 +791,31 @@ mod journal_tests {
         assert_eq!(sel.rows_out, 2);
         assert!(!sel.interrupted);
         assert!(sel.wall_micros.is_none(), "wall time off by default");
+    }
+
+    #[test]
+    fn insert_rows_must_match_the_column_list() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (g TEXT, a FLOAT, b FLOAT)").unwrap();
+        db.execute("CREATE TABLE src (g TEXT, a FLOAT)").unwrap();
+        db.execute("INSERT INTO src VALUES ('s', 1)").unwrap();
+        for bad in [
+            "INSERT INTO t (g, a, b) VALUES ('x', 1)",
+            "INSERT INTO t (g, a, b) VALUES ('y', 2, 3, 4)",
+            "INSERT INTO t (g, a, b) VALUES ('ok', 1, 2), ('x', 1)",
+            "INSERT INTO t VALUES ('ok', 1, 2), ('y', 2, 3, 4)",
+            "INSERT INTO t (g, a, b) SELECT g, a FROM src",
+            "INSERT INTO t SELECT g, a FROM src",
+        ] {
+            let err = db.execute(bad).unwrap_err();
+            assert!(matches!(err, SqlError::Eval(_)), "{bad}: {err}");
+            assert_eq!(db.table_len("t").unwrap(), 0, "{bad} inserted a row");
+        }
+        db.execute("INSERT INTO t (b, g, a) VALUES (3, 'z', 2)").unwrap();
+        assert_eq!(
+            db.table("t").unwrap().rows,
+            vec![vec![Value::Str("z".into()), Value::Float(2.0), Value::Float(3.0)]]
+        );
     }
 
     #[test]
@@ -850,6 +875,54 @@ mod journal_tests {
         let plan = db.explain(SKYLINE).unwrap();
         assert!(plan.contains(&format!("(indexed, exact pruning, {kernel} kernel)")), "{plan}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// 96 rows in 12 groups whose durable skyline takes several chunks
+    /// under a budget of a quarter of its ticks.
+    fn chunky_db() -> Database {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE r (g TEXT, a FLOAT, b FLOAT)").unwrap();
+        let mut x = 7u64;
+        let mut rows = Vec::new();
+        for i in 0..96 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            rows.push(format!("('g{}', {}, {})", i % 12, (x >> 33) % 100, (x >> 13) % 100));
+        }
+        db.execute(&format!("INSERT INTO r VALUES {}", rows.join(", "))).unwrap();
+        db
+    }
+
+    #[test]
+    fn durable_reissues_reuse_the_kept_input_and_the_log_says_so() {
+        const SKY: &str = "SELECT g FROM r GROUP BY g SKYLINE OF a MAX, b MAX GAMMA 0.6";
+        let dir = std::env::temp_dir().join(format!("aggsky-journal-reuse-{}", std::process::id()));
+        let set_dir = format!("SET CHECKPOINT '{}'", dir.display());
+        // The statement's ticks in one unbudgeted durable chunk.
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut probe = chunky_db();
+        probe.execute(&set_dir).unwrap();
+        probe.execute(SKY).unwrap();
+        let ticks = probe.journal().records().last().unwrap().ticks;
+        let run = || {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut db = chunky_db();
+            db.execute(&set_dir).unwrap();
+            db.execute(&format!("SET TIMEOUT {}", ticks / 4 + 1)).unwrap();
+            while db.execute(SKY).unwrap().interrupted.is_some() {}
+            db.journal().export_jsonl()
+        };
+        let jsonl = run();
+        assert_eq!(jsonl, run(), "same script, same bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+        let sky: Vec<&str> = jsonl.lines().filter(|l| l.contains("\"plan\":\"scan(r)")).collect();
+        assert_eq!(sky.len(), 4, "a quarter of the ticks per chunk takes 4 chunks:\n{jsonl}");
+        assert!(sky[0].contains("\"rows_scanned\":96,\"groups_built\":12,\"input_reused\":false"));
+        for line in &sky[1..] {
+            assert!(
+                line.contains("\"rows_scanned\":0,\"groups_built\":0,\"input_reused\":true"),
+                "a re-issue reuses the kept input: {line}"
+            );
+        }
     }
 
     #[test]
@@ -995,6 +1068,22 @@ mod serving_tests {
             before,
             "removed rows restored at their original positions"
         );
+    }
+
+    #[test]
+    fn wrong_arity_inserts_store_and_publish_nothing() {
+        let mut db = bound_db();
+        let before = db.table("movie").unwrap().rows.clone();
+        for bad in [
+            "INSERT INTO movie (director, pop, qual) VALUES ('X', 1)",
+            "INSERT INTO movie (director, pop, qual) VALUES ('X', 1, 2, 3)",
+            "INSERT INTO movie VALUES ('X', 1, 2), ('Y', 1)",
+        ] {
+            let err = db.execute(bad).unwrap_err();
+            assert!(matches!(err, SqlError::Eval(_)), "{bad}: {err}");
+            assert_eq!(db.table("movie").unwrap().rows, before, "{bad} stored a row");
+            assert_eq!(db.serving_epoch("movie").unwrap().id(), 1, "{bad} published");
+        }
     }
 
     #[test]

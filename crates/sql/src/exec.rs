@@ -7,14 +7,24 @@
 //! for GROUP BY / aggregate queries. `SKYLINE OF` is executed natively: the
 //! record form through the BNL skyline of `aggsky-core`, the aggregate form
 //! (with GROUP BY) through the exact indexed aggregate-skyline algorithm.
+//!
+//! An aggregate skyline runs in two steps: [`gather`] builds its input (the
+//! surviving groups, their dataset and its columnar preparation), and
+//! [`skyline_rows`] counts the skyline over it. A [`crate::Database`] keeps
+//! the last input in a [`KeptInput`] slot, so a statement re-issued over
+//! unchanged data (a durable chain, or another γ) skips straight to the
+//! count.
 
 use crate::ast::{AggFunc, Expr, SelectItem, SelectStmt, SkyDir, SortDir};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Table};
 use crate::error::{Result, SqlError};
 use crate::plan::{eval, AggCall, Compiler, RExpr, Schema};
 use crate::pushdown::ScanPlan;
 use crate::value::Value;
-use aggsky_core::{InterruptReason, RunContext};
+use aggsky_core::{
+    checkpoint_step_with, AlgoOptions, Algorithm, CheckpointStore, Fingerprint, Gamma,
+    GroupedDataset, InterruptReason, Kernel, Outcome, PreparedDataset, RunContext,
+};
 use aggsky_obs::{render_summary, Counter, Stamp, TraceRecorder};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -111,6 +121,22 @@ pub fn execute_select_durable(
     ctx: &RunContext,
     checkpoint: Option<&str>,
 ) -> Result<QueryResult> {
+    execute_select_with(cat, stmt, ctx, checkpoint, None)
+}
+
+/// The executor behind every SELECT. With a `slot`, a statement that has
+/// both GROUP BY and SKYLINE OF reuses the aggregate-skyline input the slot
+/// keeps when it was gathered at the catalog's current version for the
+/// same statement, γ aside; otherwise it gathers the input and keeps it in
+/// the slot's place. Either way it counts the skyline itself, so the result
+/// does not depend on the slot.
+pub(crate) fn execute_select_with(
+    cat: &Catalog,
+    stmt: &SelectStmt,
+    ctx: &RunContext,
+    checkpoint: Option<&str>,
+    slot: Option<&mut KeptInput>,
+) -> Result<QueryResult> {
     let select_span = ctx.obs().map_or(0, |rec| rec.span_start("select", 0, Stamp::ZERO));
     // ---- resolve FROM ----
     let mut tables = Vec::with_capacity(stmt.from.len());
@@ -180,15 +206,20 @@ pub fn execute_select_durable(
         None => Vec::new(),
     };
     let gamma = match &stmt.skyline {
-        Some(clause) => aggsky_core::Gamma::new(clause.gamma.unwrap_or(0.5))
-            .map_err(|e| SqlError::Eval(e.to_string()))?,
-        None => aggsky_core::Gamma::DEFAULT,
+        Some(clause) => Gamma::new(clause.gamma.unwrap_or(0.5)).map_err(eval_error)?,
+        None => Gamma::DEFAULT,
     };
     let aggs = std::mem::take(&mut compiler.aggs);
     let grouped = !stmt.group_by.is_empty() || !aggs.is_empty();
     if grouped && stmt.skyline.is_some() && stmt.group_by.is_empty() {
         return Err(SqlError::Unsupported("SKYLINE OF with aggregates requires GROUP BY".into()));
     }
+    let grouping = Grouping {
+        exprs: &group_exprs,
+        aggs: &aggs,
+        having: having_expr.as_ref(),
+        sky: &sky_exprs,
+    };
 
     // ---- pushdown planning ----
     let widths: Vec<usize> = tables.iter().map(|t| t.columns.len()).collect();
@@ -201,71 +232,44 @@ pub fn execute_select_durable(
         })
         .collect();
     let plan = ScanPlan::new(where_expr.as_ref(), &offsets, &widths)?;
-    let parts: Vec<Part<'_>> = tables
-        .iter()
-        .zip(plan.per_table.iter())
-        .map(|(table, pred)| {
-            let rows = match pred {
-                None => PartRows::Borrowed(&table.rows),
-                Some(p) => {
-                    let mut kept = Vec::new();
-                    for row in &table.rows {
-                        if eval(p, row, &[])?.is_truthy() {
-                            kept.push(row.clone());
-                        }
-                    }
-                    PartRows::Owned(kept)
-                }
-            };
-            Ok(Part { rows, width: table.columns.len() })
-        })
-        .collect::<Result<_>>()?;
+    let residual = plan.residual.as_ref();
 
     // ---- scan ----
-    let mut interrupted: Option<Interruption> = None;
-    let mut out = if plan.always_empty {
+    let (mut out, interrupted) = if plan.always_empty {
         if grouped && stmt.group_by.is_empty() {
             // Aggregates over an empty input still produce one group; keep
             // the parts' widths so the implicit group's NULL row has the
             // right shape, but drop every row.
-            let empty_parts: Vec<Part<'_>> = parts
+            let empty_parts: Vec<Part<'_>> = widths
                 .iter()
-                .map(|p| Part { rows: PartRows::Owned(Vec::new()), width: p.width })
+                .map(|&width| Part { rows: PartRows::Owned(Vec::new()), width })
                 .collect();
-            scan_grouped(
-                &empty_parts,
-                None,
-                &group_exprs,
-                &aggs,
-                having_expr.as_ref(),
-                &sky_exprs,
-                gamma,
-                &proj_exprs,
-                &order_exprs,
-                ctx,
-                checkpoint,
-                &mut interrupted,
-            )?
+            let input = gather(&empty_parts, None, &grouping, ctx)?;
+            (project(input.survivors.iter(), &proj_exprs, &order_exprs)?, None)
         } else {
-            Vec::new()
+            (Vec::new(), None)
         }
+    } else if grouped && !sky_exprs.is_empty() {
+        // The aggregate skyline (SKYLINE OF has GROUP BY here, see above).
+        let gather_now = || gather(&push_down(&tables, &plan)?, residual, &grouping, ctx);
+        let mut fresh = None;
+        let input = match slot {
+            Some(slot) => {
+                let (input, reused) = slot.get_or_gather(cat.version(), stmt, gather_now)?;
+                if let (true, Some(rec)) = (reused, ctx.obs()) {
+                    rec.add(Counter::SqlInputReused, 1);
+                }
+                input
+            }
+            None => fresh.insert(gather_now()?),
+        };
+        skyline_rows(input, gamma, &proj_exprs, &order_exprs, ctx, checkpoint)?
     } else if grouped {
-        scan_grouped(
-            &parts,
-            plan.residual.as_ref(),
-            &group_exprs,
-            &aggs,
-            having_expr.as_ref(),
-            &sky_exprs,
-            gamma,
-            &proj_exprs,
-            &order_exprs,
-            ctx,
-            checkpoint,
-            &mut interrupted,
-        )?
+        let input = gather(&push_down(&tables, &plan)?, residual, &grouping, ctx)?;
+        (project(input.survivors.iter(), &proj_exprs, &order_exprs)?, None)
     } else {
-        scan_plain(&parts, plan.residual.as_ref(), &sky_exprs, &proj_exprs, &order_exprs, ctx)?
+        let parts = push_down(&tables, &plan)?;
+        (scan_plain(&parts, residual, &sky_exprs, &proj_exprs, &order_exprs, ctx)?, None)
     };
 
     // ---- distinct / order / limit ----
@@ -278,8 +282,8 @@ pub fn execute_select_durable(
     }
     if !order_exprs.is_empty() {
         out.sort_by(|(_, ka), (_, kb)| {
-            for (i, (_, dir)) in order_exprs.iter().enumerate() {
-                let ord = compare_for_sort(&ka[i], &kb[i]);
+            for ((_, dir), (a, b)) in order_exprs.iter().zip(ka.iter().zip(kb)) {
+                let ord = compare_for_sort(a, b);
                 let ord = match dir {
                     SortDir::Asc => ord,
                     SortDir::Desc => ord.reverse(),
@@ -486,6 +490,30 @@ impl Part<'_> {
     }
 }
 
+/// Each FROM entry's rows, filtered by the predicate the plan pushed down
+/// to it, if any.
+fn push_down<'a>(tables: &[&'a Table], plan: &ScanPlan) -> Result<Vec<Part<'a>>> {
+    tables
+        .iter()
+        .zip(plan.per_table.iter())
+        .map(|(table, pred)| {
+            let rows = match pred {
+                None => PartRows::Borrowed(&table.rows),
+                Some(p) => {
+                    let mut kept = Vec::new();
+                    for row in &table.rows {
+                        if eval(p, row, &[])?.is_truthy() {
+                            kept.push(row.clone());
+                        }
+                    }
+                    PartRows::Owned(kept)
+                }
+            };
+            Ok(Part { rows, width: table.columns.len() })
+        })
+        .collect()
+}
+
 /// Streams the cross product of the prepared parts, invoking `on_row` for
 /// each combined row that passes the residual predicate.
 fn stream_product(
@@ -493,25 +521,25 @@ fn stream_product(
     residual: Option<&RExpr>,
     mut on_row: impl FnMut(&[Value]) -> Result<()>,
 ) -> Result<()> {
-    let n = parts.len();
-    let sizes: Vec<usize> = parts.iter().map(|p| p.rows().len()).collect();
-    if n == 0 || sizes.contains(&0) {
+    let rows: Vec<&[Vec<Value>]> = parts.iter().map(Part::rows).collect();
+    if rows.is_empty() || rows.iter().any(|r| r.is_empty()) {
         return Ok(());
     }
-    let offsets: Vec<usize> = parts
-        .iter()
-        .scan(0usize, |acc, p| {
-            let o = *acc;
-            *acc += p.width;
-            Some(o)
-        })
-        .collect();
     let total_width: usize = parts.iter().map(|p| p.width).sum();
     let mut row_buf: Vec<Value> = vec![Value::Null; total_width];
-    let mut idx = vec![0usize; n];
+    // Each part's `[start, end)` segment of the joined row.
+    let segments: Vec<(usize, usize)> = parts
+        .iter()
+        .scan(0usize, |acc, p| {
+            let start = *acc;
+            *acc += p.width;
+            Some((start, *acc))
+        })
+        .collect();
+    let mut idx = vec![0usize; rows.len()];
     // Prime every segment.
-    for k in 0..n {
-        refresh_segment(&mut row_buf, &parts[k], 0, offsets[k]);
+    for (part_rows, &segment) in rows.iter().zip(&segments) {
+        refresh_segment(&mut row_buf, segment, part_rows.first());
     }
     loop {
         let passes = match residual {
@@ -521,28 +549,34 @@ fn stream_product(
         if passes {
             on_row(&row_buf)?;
         }
-        // Odometer advance (last table spins fastest).
-        let mut k = n;
-        loop {
-            if k == 0 {
-                return Ok(());
+        // Odometer advance (last table spins fastest): a part that runs
+        // out wraps to its first row and carries into the part before it.
+        let mut carried = true;
+        for ((i, part_rows), &segment) in idx.iter_mut().zip(&rows).zip(&segments).rev() {
+            *i += 1;
+            let next = part_rows.get(*i);
+            carried = next.is_none();
+            if carried {
+                *i = 0;
             }
-            k -= 1;
-            idx[k] += 1;
-            if idx[k] < sizes[k] {
-                refresh_segment(&mut row_buf, &parts[k], idx[k], offsets[k]);
+            refresh_segment(&mut row_buf, segment, next.or_else(|| part_rows.first()));
+            if !carried {
                 break;
             }
-            idx[k] = 0;
-            refresh_segment(&mut row_buf, &parts[k], 0, offsets[k]);
+        }
+        if carried {
+            return Ok(());
         }
     }
 }
 
+/// Copies `row` into the `[start, end)` segment of the joined row.
 #[inline]
-fn refresh_segment(buf: &mut [Value], part: &Part<'_>, row: usize, offset: usize) {
-    for (slot, v) in buf[offset..offset + part.width].iter_mut().zip(&part.rows()[row]) {
-        slot.clone_from(v);
+fn refresh_segment(buf: &mut [Value], (start, end): (usize, usize), row: Option<&Vec<Value>>) {
+    if let (Some(slots), Some(row)) = (buf.get_mut(start..end), row) {
+        for (slot, v) in slots.iter_mut().zip(row) {
+            slot.clone_from(v);
+        }
     }
 }
 
@@ -566,13 +600,7 @@ fn scan_plain(
         let keys: Vec<Value> =
             order_exprs.iter().map(|(e, _)| eval(e, row, &[])).collect::<Result<_>>()?;
         for (e, dir) in sky_exprs {
-            let v = eval(e, row, &[])?
-                .as_f64()
-                .ok_or_else(|| SqlError::Eval("SKYLINE OF attribute must be numeric".into()))?;
-            sky_flat.push(match dir {
-                SkyDir::Max => v,
-                SkyDir::Min => -v,
-            });
+            sky_flat.push(sky_value(e, *dir, row)?);
         }
         out.push((proj, keys));
         Ok(())
@@ -601,6 +629,17 @@ fn scan_plain(
         }
     }
     Ok(out)
+}
+
+/// One SKYLINE OF attribute of a row, negated for MIN so larger is better.
+fn sky_value(e: &RExpr, dir: SkyDir, row: &[Value]) -> Result<f64> {
+    let v = eval(e, row, &[])?
+        .as_f64()
+        .ok_or_else(|| SqlError::Eval("SKYLINE OF attribute must be numeric".into()))?;
+    Ok(match dir {
+        SkyDir::Max => v,
+        SkyDir::Min => -v,
+    })
 }
 
 /// One aggregate accumulator.
@@ -706,7 +745,10 @@ impl Acc {
     }
 }
 
+/// A group being folded by the grouped scan.
 struct GroupState {
+    /// Position in order of first appearance; the group's dataset label.
+    order: usize,
     /// First row of the group (resolves bare column references, SQLite
     /// style).
     repr: Vec<Value>,
@@ -715,65 +757,77 @@ struct GroupState {
     sky: Vec<f64>,
 }
 
-/// Grouped scan: fold rows into group states, apply HAVING, then the
-/// aggregate skyline, then project per surviving group.
-#[allow(clippy::too_many_arguments)]
-fn scan_grouped(
+/// What a grouped statement folds its rows by: the compiled GROUP BY keys,
+/// aggregate calls, HAVING predicate and SKYLINE OF attributes.
+struct Grouping<'a> {
+    exprs: &'a [RExpr],
+    aggs: &'a [AggCall],
+    having: Option<&'a RExpr>,
+    sky: &'a [(RExpr, SkyDir)],
+}
+
+/// A group that passed HAVING: its representative row and its aggregate
+/// values, all a projection reads.
+type Survivor = (Vec<Value>, Vec<Value>);
+
+/// The input of a grouped statement: everything before the aggregate
+/// skyline is counted, and nothing that depends on γ.
+#[derive(Debug)]
+struct SkylineInput {
+    /// Groups that passed HAVING, in order of first appearance.
+    survivors: Vec<Survivor>,
+    /// The survivors' SKYLINE OF attributes as a dataset, labelled with
+    /// each group's position among all groups, and its columnar
+    /// preparation. `None` without SKYLINE OF, or when fewer than two
+    /// groups survived, since no skyline is counted then.
+    data: Option<(GroupedDataset, PreparedDataset)>,
+    /// The dataset's fingerprint, computed by the first durable statement
+    /// over this input and reused with each later statement's γ.
+    fingerprint: Option<Fingerprint>,
+}
+
+/// Gathers a grouped statement's input: streams the product, folds rows
+/// into groups, finishes the aggregates, applies HAVING and, for an
+/// aggregate skyline over two or more surviving groups, builds their
+/// dataset and its columnar preparation.
+fn gather(
     parts: &[Part<'_>],
     residual: Option<&RExpr>,
-    group_exprs: &[RExpr],
-    aggs: &[AggCall],
-    having_expr: Option<&RExpr>,
-    sky_exprs: &[(RExpr, SkyDir)],
-    gamma: aggsky_core::Gamma,
-    proj_exprs: &[RExpr],
-    order_exprs: &[(RExpr, SortDir)],
+    grouping: &Grouping<'_>,
     ctx: &RunContext,
-    checkpoint: Option<&str>,
-    interrupted: &mut Option<Interruption>,
-) -> Result<Vec<RowWithKeys>> {
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut groups: Vec<GroupState> = Vec::new();
+) -> Result<SkylineInput> {
+    let new_accs = || grouping.aggs.iter().map(|a| Acc::new(a.func)).collect::<Vec<Acc>>();
+    let mut by_key: HashMap<String, GroupState> = HashMap::new();
     let scan_span = ctx.obs().map_or(0, |rec| rec.span_start("scan", 0, Stamp::ZERO));
     let mut scanned = 0u64;
     stream_product(parts, residual, |row| {
         scanned = scanned.saturating_add(1);
         let mut key = String::new();
-        for e in group_exprs {
+        for e in grouping.exprs {
             key.push_str(&eval(e, row, &[])?.group_key());
             key.push('\u{1}');
         }
-        let gi = match index.get(&key) {
-            Some(&gi) => gi,
-            None => {
-                groups.push(GroupState {
-                    repr: row.to_vec(),
-                    accs: aggs.iter().map(|a| Acc::new(a.func)).collect(),
-                    sky: Vec::new(),
-                });
-                index.insert(key, groups.len() - 1);
-                groups.len() - 1
-            }
-        };
-        let state = &mut groups[gi];
-        for (acc, call) in state.accs.iter_mut().zip(aggs.iter()) {
+        let order = by_key.len();
+        let state = by_key.entry(key).or_insert_with(|| GroupState {
+            order,
+            repr: row.to_vec(),
+            accs: new_accs(),
+            sky: Vec::new(),
+        });
+        for (acc, call) in state.accs.iter_mut().zip(grouping.aggs) {
             let v = match &call.arg {
                 Some(a) => Some(eval(a, row, &[])?),
                 None => None,
             };
             acc.update(v)?;
         }
-        for (e, dir) in sky_exprs {
-            let v = eval(e, row, &[])?
-                .as_f64()
-                .ok_or_else(|| SqlError::Eval("SKYLINE OF attribute must be numeric".into()))?;
-            state.sky.push(match dir {
-                SkyDir::Max => v,
-                SkyDir::Min => -v,
-            });
+        for (e, dir) in grouping.sky {
+            state.sky.push(sky_value(e, *dir, row)?);
         }
         Ok(())
     })?;
+    let mut groups: Vec<GroupState> = by_key.into_values().collect();
+    groups.sort_unstable_by_key(|g| g.order);
     if let Some(rec) = ctx.obs() {
         rec.add(Counter::SqlRowsScanned, scanned);
         rec.add(Counter::SqlGroupsBuilt, wide(groups.len()));
@@ -782,99 +836,173 @@ fn scan_grouped(
 
     // Aggregate-less GROUP BY-less aggregate query (e.g. SELECT count(*)):
     // one implicit group even over an empty input.
-    if groups.is_empty() && group_exprs.is_empty() {
+    if groups.is_empty() && grouping.exprs.is_empty() {
         let width: usize = parts.iter().map(|p| p.width).sum();
         groups.push(GroupState {
+            order: 0,
             repr: vec![Value::Null; width],
-            accs: aggs.iter().map(|a| Acc::new(a.func)).collect(),
+            accs: new_accs(),
             sky: Vec::new(),
         });
     }
 
     // Finalize aggregates and apply HAVING.
-    let mut survivors: Vec<(usize, Vec<Value>)> = Vec::new();
-    for (gi, g) in groups.iter().enumerate() {
+    let mut survivors: Vec<Survivor> = Vec::new();
+    let mut skies: Vec<(usize, Vec<f64>)> = Vec::new();
+    for g in groups {
         let agg_values: Vec<Value> = g.accs.iter().map(Acc::finish).collect();
-        let keep = match having_expr {
+        let keep = match grouping.having {
             Some(h) => eval(h, &g.repr, &agg_values)?.is_truthy(),
             None => true,
         };
         if keep {
-            survivors.push((gi, agg_values));
+            survivors.push((g.repr, agg_values));
+            skies.push((g.order, g.sky));
         }
     }
 
-    // Aggregate skyline over the surviving groups (Example 3 semantics:
-    // the skyline acts as a HAVING-like filter on groups).
-    if !sky_exprs.is_empty() && survivors.len() > 1 {
-        let sky_span = ctx.obs().map_or(0, |rec| rec.span_start("skyline", 0, Stamp::ZERO));
-        let candidate_groups = survivors.len();
-        let dim = sky_exprs.len();
+    let dim = grouping.sky.len();
+    let data = if dim > 0 && survivors.len() > 1 {
         let mut b = aggsky_core::GroupedDatasetBuilder::new(dim).trusted_labels();
-        for (gi, _) in &survivors {
-            let rows: Vec<&[f64]> = groups[*gi].sky.chunks_exact(dim).collect();
-            b.push_group(gi.to_string(), &rows).map_err(|e| SqlError::Eval(e.to_string()))?;
+        for (order, sky) in &skies {
+            let rows: Vec<&[f64]> = sky.chunks_exact(dim).collect();
+            b.push_group(order.to_string(), &rows).map_err(eval_error)?;
         }
-        let ds = b.build().map_err(|e| SqlError::Eval(e.to_string()))?;
-        // A budget-exhausted (or cancelled) run degrades gracefully: keep
-        // only the groups proven to belong to the skyline and record the
-        // interruption instead of failing the query.
-        let keep: HashSet<usize> = if let Some(dir) = checkpoint {
-            // Durable path (`SET CHECKPOINT`): persist the partition as a
-            // crash-consistent frame and resume from the newest valid one.
-            // A mismatched fingerprint (different data/γ in the same
-            // directory) is a hard error, not silent degradation.
-            let store = aggsky_core::CheckpointStore::open(std::path::Path::new(dir))
-                .map_err(|e| SqlError::Eval(e.to_string()))?;
-            let out = aggsky_core::checkpoint_step(&ds, gamma, ctx, &store)
-                .map_err(|e| SqlError::Eval(e.to_string()))?;
-            if let Some(reason) = out.interrupt {
-                *interrupted =
-                    Some(Interruption { reason, undecided_groups: out.result.undecided.len() });
-            }
-            out.result.confirmed_in.into_iter().collect()
-        } else {
-            let opts = aggsky_core::AlgoOptions::exact(gamma);
-            let outcome = aggsky_core::Algorithm::Indexed
-                .run_ctx(&ds, opts, ctx)
-                .map_err(|e| SqlError::Eval(e.to_string()))?;
-            match outcome {
-                aggsky_core::Outcome::Complete(result) => result.skyline.into_iter().collect(),
-                aggsky_core::Outcome::Interrupted { reason, partial } => {
-                    *interrupted =
-                        Some(Interruption { reason, undecided_groups: partial.undecided.len() });
-                    partial.confirmed_in.into_iter().collect()
-                }
-            }
-        };
-        let mut i = 0;
-        survivors.retain(|_| {
-            let k = keep.contains(&i);
-            i += 1;
-            k
-        });
-        if let Some(rec) = ctx.obs() {
-            rec.span_end(
-                sky_span,
-                Stamp::ZERO,
-                &[("groups", wide(candidate_groups)), ("kept", wide(survivors.len()))],
-            );
-        }
-    }
+        let ds = b.build().map_err(eval_error)?;
+        let prep =
+            PreparedDataset::build(&ds, PreparedDataset::DEFAULT_BLOCK_SIZE).map_err(eval_error)?;
+        Some((ds, prep))
+    } else {
+        None
+    };
+    Ok(SkylineInput { survivors, data, fingerprint: None })
+}
 
-    // Project per group.
-    let mut out = Vec::with_capacity(survivors.len());
-    for (gi, agg_values) in survivors {
-        let g = &groups[gi];
-        let proj: Vec<Value> =
-            proj_exprs.iter().map(|e| eval(e, &g.repr, &agg_values)).collect::<Result<_>>()?;
-        let keys: Vec<Value> = order_exprs
-            .iter()
-            .map(|(e, _)| eval(e, &g.repr, &agg_values))
-            .collect::<Result<_>>()?;
-        out.push((proj, keys));
+/// Counts the aggregate skyline over a gathered input (Example 3
+/// semantics: the skyline acts as a HAVING-like filter on groups) and
+/// projects the groups it keeps, with the interruption when a budget or
+/// cancellation cut the count short. A kept input and a freshly gathered
+/// one run this same code, so ticks, `Stats`, spans and checkpoint frames
+/// do not depend on where the input came from.
+fn skyline_rows(
+    input: &mut SkylineInput,
+    gamma: Gamma,
+    proj_exprs: &[RExpr],
+    order_exprs: &[(RExpr, SortDir)],
+    ctx: &RunContext,
+    checkpoint: Option<&str>,
+) -> Result<(Vec<RowWithKeys>, Option<Interruption>)> {
+    let SkylineInput { survivors, data, fingerprint } = input;
+    let Some((ds, prep)) = data else {
+        // Fewer than two groups survived: none can dominate another.
+        return Ok((project(survivors.iter(), proj_exprs, order_exprs)?, None));
+    };
+    let sky_span = ctx.obs().map_or(0, |rec| rec.span_start("skyline", 0, Stamp::ZERO));
+    let kernel = Kernel::with_prepared_columnar(ds, prep).map_err(eval_error)?;
+    // A budget-exhausted (or cancelled) run degrades gracefully: keep only
+    // the groups proven to belong to the skyline and record the
+    // interruption instead of failing the query.
+    let (members, interrupted) = if let Some(dir) = checkpoint {
+        // Durable path (`SET CHECKPOINT`): persist the partition as a
+        // crash-consistent frame and resume from the newest valid one. A
+        // mismatched fingerprint (different data/γ in the same directory)
+        // is a hard error, not silent degradation. The data hash does not
+        // depend on γ, so a kept fingerprint only takes this γ's bits.
+        let fp = *fingerprint.get_or_insert_with(|| Fingerprint::of(ds, gamma));
+        let fp = Fingerprint { gamma_bits: gamma.value().to_bits(), ..fp };
+        let store = CheckpointStore::open(std::path::Path::new(dir)).map_err(eval_error)?;
+        let out = checkpoint_step_with(&kernel, gamma, ctx, &store, &fp).map_err(eval_error)?;
+        let undecided_groups = out.result.undecided.len();
+        (
+            out.result.confirmed_in,
+            out.interrupt.map(|reason| Interruption { reason, undecided_groups }),
+        )
+    } else {
+        match Algorithm::Indexed.run_prepared_ctx(ds, prep, AlgoOptions::exact(gamma), ctx) {
+            Outcome::Complete(result) => (result.skyline, None),
+            Outcome::Interrupted { reason, partial } => (
+                partial.confirmed_in,
+                Some(Interruption { reason, undecided_groups: partial.undecided.len() }),
+            ),
+        }
+    };
+    let mut keep = vec![false; survivors.len()];
+    for g in members {
+        if let Some(k) = keep.get_mut(g) {
+            *k = true;
+        }
     }
-    Ok(out)
+    if let Some(rec) = ctx.obs() {
+        let kept = keep.iter().filter(|&&k| k).count();
+        rec.span_end(
+            sky_span,
+            Stamp::ZERO,
+            &[("groups", wide(survivors.len())), ("kept", wide(kept))],
+        );
+    }
+    let members = survivors.iter().zip(&keep).filter(|(_, &k)| k).map(|(s, _)| s);
+    Ok((project(members, proj_exprs, order_exprs)?, interrupted))
+}
+
+/// Projects groups to output rows, each with its ORDER BY keys.
+fn project<'a>(
+    groups: impl Iterator<Item = &'a Survivor>,
+    proj_exprs: &[RExpr],
+    order_exprs: &[(RExpr, SortDir)],
+) -> Result<Vec<RowWithKeys>> {
+    groups
+        .map(|(repr, aggs)| {
+            let proj: Vec<Value> =
+                proj_exprs.iter().map(|e| eval(e, repr, aggs)).collect::<Result<_>>()?;
+            let keys: Vec<Value> =
+                order_exprs.iter().map(|(e, _)| eval(e, repr, aggs)).collect::<Result<_>>()?;
+            Ok((proj, keys))
+        })
+        .collect()
+}
+
+fn eval_error(e: impl std::fmt::Display) -> SqlError {
+    SqlError::Eval(e.to_string())
+}
+
+/// The one aggregate-skyline input a [`crate::Database`] keeps: the last
+/// one it gathered, with the catalog version and the statement (its
+/// `GAMMA` removed) it was gathered for. One slot, not one per table, so it
+/// holds at most the input the last statement had to build anyway. It is
+/// not a result cache: every statement still counts its skyline.
+#[derive(Debug, Default)]
+pub(crate) struct KeptInput {
+    kept: Option<(u64, SelectStmt, SkylineInput)>,
+}
+
+impl KeptInput {
+    /// The kept input when it was gathered at `version` for `stmt`, γ
+    /// aside; otherwise the one `gather` returns, kept in its place. A
+    /// failed `gather` leaves the slot as it was. The flag says whether the
+    /// input was reused.
+    fn get_or_gather(
+        &mut self,
+        version: u64,
+        stmt: &SelectStmt,
+        gather: impl FnOnce() -> Result<SkylineInput>,
+    ) -> Result<(&mut SkylineInput, bool)> {
+        let mut key = stmt.clone();
+        if let Some(sky) = &mut key.skyline {
+            sky.gamma = None;
+        }
+        let (entry, reused) = match self.kept.take() {
+            Some(kept) if kept.0 == version && kept.1 == key => (kept, true),
+            old => match gather() {
+                Ok(input) => ((version, key, input), false),
+                Err(e) => {
+                    self.kept = old;
+                    return Err(e);
+                }
+            },
+        };
+        let (_, _, input) = self.kept.insert(entry);
+        Ok((input, reused))
+    }
 }
 
 #[cfg(test)]
@@ -974,6 +1102,41 @@ mod checkpoint_tests {
         db.execute("SET CHECKPOINT OFF").unwrap();
         assert_eq!(db.checkpoint_dir(), None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fingerprint a durable statement writes over a kept input is
+    /// `Fingerprint::of` on a freshly built dataset at the statement's γ,
+    /// also when the input was kept from a statement at another γ, so
+    /// frames written before the input was kept still resume.
+    #[test]
+    fn kept_fingerprint_is_the_fresh_one_at_the_statements_gamma() {
+        use aggsky_core::{CheckpointStore, Fingerprint, Gamma, GroupedDatasetBuilder};
+        let mut db = movie_db();
+        let sky = |gamma: f64| {
+            format!("SELECT director FROM movie GROUP BY director SKYLINE OF pop MAX, qual MAX GAMMA {gamma}")
+        };
+        // Labels are each group's position in order of first appearance.
+        let mut b = GroupedDatasetBuilder::new(2);
+        b.push_group("0", &[[313.0, 8.2], [557.0, 9.0]]).unwrap();
+        b.push_group("1", &[[362.0, 8.8]]).unwrap();
+        b.push_group("2", &[[10.0, 3.2]]).unwrap();
+        let fresh = b.build().unwrap();
+        let mut dirs = Vec::new();
+        for (i, gamma) in [0.6, 0.8, 0.6].into_iter().enumerate() {
+            let dir = tmpdir(&format!("fp{i}"));
+            db.execute(&format!("SET CHECKPOINT '{}'", dir.display())).unwrap();
+            db.execute(&sky(gamma)).unwrap();
+            let last = db.journal().records().pop().unwrap();
+            assert_eq!(last.input_reused, i > 0, "statement {i}");
+            let want = Fingerprint::of(&fresh, Gamma::new(gamma).unwrap());
+            let recovery = CheckpointStore::open(&dir).unwrap().load_for(&want).unwrap();
+            let (_, snap) = recovery.snapshot.expect("the statement wrote a frame");
+            assert_eq!(snap.fingerprint, want, "statement {i} at gamma {gamma}");
+            dirs.push(dir);
+        }
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
