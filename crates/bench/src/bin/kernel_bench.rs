@@ -22,7 +22,9 @@
 //!    `Stats`, asserted; the AVX2 row is skipped visibly when the CPU lacks
 //!    the feature), plus a 5-point γ sweep through the shared
 //!    [`aggsky_core::PairCache`] reporting hit/miss/resume counts and the
-//!    sweep's wall clock against independent uncached runs. Written to
+//!    sweep's wall clock against independent uncached runs. The gated
+//!    loops run at 64-record blocks; the same three loops at the user
+//!    paths' default block size are reported as an ungated row. Written to
 //!    `BENCH_hotpath.json`.
 //!
 //! Prints markdown tables and writes the raw numbers to
@@ -166,26 +168,30 @@ const MIN_MULTICORE_SPEEDUP: f64 = 1.3;
 /// memoizing or a sweep that stops sharing it.
 const MIN_SWEEP_HIT_RATE: f64 = 0.5;
 
-/// Experiment 3: the columnar straddle hot path and the cross-γ cache.
-/// Returns `(columnar_speedup, avx2_speedup, hit_rate)` for the gates;
-/// `avx2_speedup` is `None` when the AVX2 path is unavailable (or forced
-/// off), in which case the gate is skipped.
-fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
-    // Straddle-heavy workload: anticorrelated classes spread over most of
-    // the data space, so block corners rarely classify a pair as full/skip
-    // and nearly all counting lands in the straddle loop under test.
-    let ds = SyntheticConfig {
-        n_records: records,
-        n_groups: (records / 500).max(8),
-        dim: 4,
-        spread: 0.6,
-        ..SyntheticConfig::paper_default(Distribution::AntiCorrelated)
+/// Best-of-`repeats` wall clock and `Stats` of the three straddle loops
+/// (row-wise, scalar columnar, auto columnar) over every group pair of
+/// one preparation.
+struct StraddleTimes {
+    block_size: usize,
+    t_row: f64,
+    t_scl: f64,
+    t_col: f64,
+    /// Record pairs tested, identical across the three loops (asserted).
+    tested: u64,
+}
+
+impl StraddleTimes {
+    fn ns(&self, millis: f64) -> f64 {
+        millis * 1e6 / self.tested.max(1) as f64
     }
-    .generate();
-    let prep = PreparedDataset::build(&ds, MAX_LANE_BLOCK).expect("lane-sized blocks are valid");
-    assert!(prep.lanes_enabled(), "MAX_LANE_BLOCK blocks must carry key lanes");
-    // No stopping rule: both loops must count every straddling pair, which
-    // makes the per-pair cost comparable and the Stats assert exact.
+}
+
+/// Times the three straddle loops on `ds` prepared at `block_size`. No
+/// stopping rule: every loop must count every straddling pair, which makes
+/// the per-pair cost comparable and the `Stats` assert exact.
+fn time_straddle_loops(ds: &GroupedDataset, block_size: usize, repeats: usize) -> StraddleTimes {
+    let prep = PreparedDataset::build(ds, block_size).expect("lane-sized blocks are valid");
+    assert!(prep.lanes_enabled(), "block {block_size} must carry key lanes");
     let opts = PairOptions { stop_rule: false, need_bar: false, corrected_bar: false };
 
     type StraddleLoop = fn(
@@ -217,33 +223,82 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
     let (t_row, s_row) = run(compare_groups_blocked);
     let (t_scl, s_scl) = run(compare_groups_columnar_scalar);
     // The auto path dispatches to the AVX2 kernel when the CPU has it.
-    let simd = cpu::simd_active();
     let (t_col, s_col) = run(compare_groups_columnar);
     assert_eq!(s_row, s_scl, "straddle kernels must charge identical stats");
     assert_eq!(s_scl, s_col, "AVX2 and scalar columnar must charge identical stats");
-    let tested = s_row.records_compared.max(1);
-    let ns = |t: f64| t * 1e6 / tested as f64;
-    let speedup = t_row / t_scl;
-    let avx2_speedup = simd.then(|| t_scl / t_col);
+    StraddleTimes { block_size, t_row, t_scl, t_col, tested: s_row.records_compared }
+}
 
+/// Prints the three straddle loops of `t` as a markdown table.
+fn print_straddle_table(ds: &GroupedDataset, t: &StraddleTimes, simd: bool, note: &str) {
     println!(
-        "\n## Straddle hot path — row-wise vs columnar (scalar / AVX2), anticorrelated, {} records / {} groups, d={}, block {}\n",
+        "\n## Straddle hot path — row-wise vs columnar (scalar / AVX2), anticorrelated, {} records / {} groups, d={}, block {}{note}\n",
         ds.n_records(),
         ds.n_groups(),
         ds.dim(),
-        MAX_LANE_BLOCK
+        t.block_size
     );
     let mut table = MarkdownTable::new(vec!["straddle loop", "ms", "ns / tested pair"]);
-    table.push_row(vec!["row-wise".to_string(), fmt_ms(t_row), format!("{:.2}", ns(t_row))]);
+    table.push_row(vec!["row-wise".to_string(), fmt_ms(t.t_row), format!("{:.2}", t.ns(t.t_row))]);
     table.push_row(vec![
         "columnar (scalar)".to_string(),
-        fmt_ms(t_scl),
-        format!("{:.2}", ns(t_scl)),
+        fmt_ms(t.t_scl),
+        format!("{:.2}", t.ns(t.t_scl)),
     ]);
     let avx2_label =
         if simd { "columnar (AVX2)" } else { "columnar (auto = scalar; no AVX2)" }.to_string();
-    table.push_row(vec![avx2_label, fmt_ms(t_col), format!("{:.2}", ns(t_col))]);
+    table.push_row(vec![avx2_label, fmt_ms(t.t_col), format!("{:.2}", t.ns(t.t_col))]);
     table.print();
+}
+
+/// Writes the `row_wise`, `columnar_scalar` and opening `avx2` members of
+/// one straddle-loop JSON object; the caller closes the `avx2` object.
+fn write_straddle_loops(json: &mut String, t: &StraddleTimes, simd: bool) {
+    let (row, scl, col) = (t.t_row, t.t_scl, t.t_col);
+    writeln!(
+        json,
+        "    \"row_wise\": {{ \"millis\": {row:.3}, \"ns_per_tested_pair\": {:.3} }},",
+        t.ns(row)
+    )
+    .unwrap();
+    writeln!(
+        json,
+        "    \"columnar_scalar\": {{ \"millis\": {scl:.3}, \"ns_per_tested_pair\": {:.3} }},",
+        t.ns(scl)
+    )
+    .unwrap();
+    writeln!(json, "    \"avx2\": {{").unwrap();
+    writeln!(json, "      \"active\": {simd},").unwrap();
+    writeln!(json, "      \"millis\": {col:.3}, \"ns_per_tested_pair\": {:.3},", t.ns(col))
+        .unwrap();
+}
+
+/// Experiment 3: the columnar straddle hot path and the cross-γ cache.
+/// Returns `(columnar_speedup, avx2_speedup, hit_rate)` for the gates;
+/// `avx2_speedup` is `None` when the AVX2 path is unavailable (or forced
+/// off), in which case the gate is skipped. The gated loops run at
+/// [`MAX_LANE_BLOCK`]; the same loops at the user paths' block size
+/// ([`PreparedDataset::DEFAULT_BLOCK_SIZE`]) are reported ungated.
+fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
+    // Straddle-heavy workload: anticorrelated classes spread over most of
+    // the data space, so block corners rarely classify a pair as full/skip
+    // and nearly all counting lands in the straddle loop under test.
+    let ds = SyntheticConfig {
+        n_records: records,
+        n_groups: (records / 500).max(8),
+        dim: 4,
+        spread: 0.6,
+        ..SyntheticConfig::paper_default(Distribution::AntiCorrelated)
+    }
+    .generate();
+    let simd = cpu::simd_active();
+    let gated = time_straddle_loops(&ds, MAX_LANE_BLOCK, repeats);
+    let user = time_straddle_loops(&ds, PreparedDataset::DEFAULT_BLOCK_SIZE, repeats);
+    let tested = gated.tested;
+    let speedup = gated.t_row / gated.t_scl;
+    let avx2_speedup = simd.then(|| gated.t_scl / gated.t_col);
+
+    print_straddle_table(&ds, &gated, simd, "");
     println!(
         "\n{tested} record pairs tested, identical stats, scalar-columnar speedup {speedup:.2}x \
          over row-wise (gate {MIN_COLUMNAR_SPEEDUP}x)"
@@ -257,6 +312,14 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
              the auto columnar path ran the scalar kernel"
         ),
     }
+    print_straddle_table(&ds, &user, simd, " (the user paths' default; ungated)");
+    println!(
+        "\n{} record pairs tested, identical stats, scalar-columnar {:.2}x over row-wise, \
+         auto columnar {:.2}x over scalar columnar",
+        user.tested,
+        user.t_row / user.t_scl,
+        user.t_scl / user.t_col
+    );
 
     // ---- Cross-γ pair cache on a 5-point sweep ----
     let gammas: Vec<Gamma> =
@@ -328,22 +391,7 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
     writeln!(json, "    \"block_size\": {MAX_LANE_BLOCK}").unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"straddle_kernel\": {{").unwrap();
-    writeln!(
-        json,
-        "    \"row_wise\": {{ \"millis\": {t_row:.3}, \"ns_per_tested_pair\": {:.3} }},",
-        ns(t_row)
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"columnar_scalar\": {{ \"millis\": {t_scl:.3}, \"ns_per_tested_pair\": {:.3} }},",
-        ns(t_scl)
-    )
-    .unwrap();
-    writeln!(json, "    \"avx2\": {{").unwrap();
-    writeln!(json, "      \"active\": {simd},").unwrap();
-    writeln!(json, "      \"millis\": {t_col:.3}, \"ns_per_tested_pair\": {:.3},", ns(t_col))
-        .unwrap();
+    write_straddle_loops(&mut json, &gated, simd);
     match avx2_speedup {
         Some(s) => writeln!(json, "      \"speedup_vs_scalar\": {s:.3},").unwrap(),
         None => writeln!(json, "      \"speedup_vs_scalar\": null,").unwrap(),
@@ -353,6 +401,15 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
     writeln!(json, "    \"record_pairs_tested\": {tested},").unwrap();
     writeln!(json, "    \"speedup\": {speedup:.3},").unwrap();
     writeln!(json, "    \"speedup_gate\": {MIN_COLUMNAR_SPEEDUP}").unwrap();
+    writeln!(json, "  }},").unwrap();
+    writeln!(json, "  \"straddle_kernel_default_block\": {{").unwrap();
+    writeln!(json, "    \"block_size\": {},", user.block_size).unwrap();
+    writeln!(json, "    \"gated\": false,").unwrap();
+    write_straddle_loops(&mut json, &user, simd);
+    writeln!(json, "      \"speedup_vs_scalar\": {:.3}", user.t_scl / user.t_col).unwrap();
+    writeln!(json, "    }},").unwrap();
+    writeln!(json, "    \"record_pairs_tested\": {},", user.tested).unwrap();
+    writeln!(json, "    \"speedup\": {:.3}", user.t_row / user.t_scl).unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"gamma_sweep\": {{").unwrap();
     writeln!(json, "    \"algorithm\": \"NL\",").unwrap();

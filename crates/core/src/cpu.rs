@@ -1,9 +1,10 @@
 //! Runtime CPU-feature policy for the SIMD straddle kernel.
 //!
 //! The AVX2 kernel in [`crate::simd`] is selected at runtime, never at
-//! compile time: [`avx2_available`] wraps `is_x86_feature_detected!` (and is
-//! simply `false` off x86-64), and [`force_scalar`] lets the environment pin
-//! the scalar columnar path even on AVX2 hardware — the fallback must stay
+//! compile time: [`simd_supported`] wraps `is_x86_feature_detected!` of the
+//! two features that kernel is compiled for, AVX2 and POPCNT (and is simply
+//! `false` off x86-64), and [`force_scalar`] lets the environment pin the
+//! scalar columnar path even on AVX2 hardware — the fallback must stay
 //! testable and benchable where the fast path exists (`AGGSKY_FORCE_SCALAR`,
 //! DESIGN.md §13). [`simd_active`] combines the two into the one predicate
 //! the kernel dispatcher consults.
@@ -24,6 +25,20 @@ pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether the running CPU has every feature the [`crate::simd`] kernel is
+/// compiled for: AVX2 and POPCNT (always `false` off x86-64).
+#[inline]
+pub fn simd_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx2_available() && std::arch::is_x86_feature_detected!("popcnt")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -58,13 +73,13 @@ pub fn force_scalar() -> bool {
     })
 }
 
-/// The dispatch predicate: AVX2 detected and not overridden. When `true`,
+/// The dispatch predicate: AVX2 and POPCNT detected and not overridden. When `true`,
 /// [`crate::KernelConfig::Columnar`] routes straddling block pairs through
 /// the [`crate::simd`] kernel; when `false`, through the scalar columnar
 /// kernel. Either way the results are bit-identical.
 #[inline]
 pub fn simd_active() -> bool {
-    avx2_available() && !force_scalar()
+    simd_supported() && !force_scalar()
 }
 
 #[cfg(test)]
@@ -84,6 +99,7 @@ mod tests {
     #[test]
     fn simd_active_implies_avx2() {
         if simd_active() {
+            assert!(simd_supported());
             assert!(avx2_available());
         }
     }
@@ -92,6 +108,7 @@ mod tests {
     #[test]
     fn no_avx2_off_x86() {
         assert!(!avx2_available());
+        assert!(!simd_supported());
         assert!(!simd_active());
     }
 }

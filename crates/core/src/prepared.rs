@@ -148,13 +148,16 @@ impl<'a> LaneBlock<'a> {
 }
 
 impl PreparedDataset {
-    /// Default number of records per block. Small blocks win because their
-    /// corners are tight: on an independent 5-d workload, size 8 lets the
-    /// O(1) full / skip classification absorb ~4× more record pairs than
-    /// size 64 (whose per-block boxes approach the whole group's MBB), and
-    /// the two corner tests per block pair stay negligible next to the up
-    /// to 64 record pairs they summarize.
-    pub const DEFAULT_BLOCK_SIZE: usize = 8;
+    /// Default number of records per block. The size trades two costs:
+    /// smaller blocks have tighter corners, so the O(1) full / skip
+    /// classification absorbs more record pairs, while every block pair
+    /// pays a fixed cost (two block views, up to four corner tests, one
+    /// straddle call). Once the AVX2 straddle kernel tests a record pair in
+    /// about 1.2–1.5 ns, that fixed cost dominates at 8 records. On the
+    /// benchmark's three kernel-bound workloads 16 beats 8 on all of them,
+    /// and 24 only ties 16 on `sql-anti-overlap` (DESIGN.md §8 has the
+    /// sweep).
+    pub const DEFAULT_BLOCK_SIZE: usize = 16;
 
     /// Preprocesses `ds`: sorts each group by descending coordinate sum,
     /// materializes per-block bounding corners, and (for block sizes up to

@@ -733,6 +733,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Service frames carry complete tallies with cursor 0, so they do not
+    /// depend on the block size that counted them: tallies counted on
+    /// 8-record blocks restore warm under the default block size and serve
+    /// the oracle's skyline.
+    #[test]
+    fn frames_counted_at_another_block_size_restore_warm() {
+        const COUNTED_AT: usize = 8;
+        assert_ne!(PreparedDataset::DEFAULT_BLOCK_SIZE, COUNTED_AT);
+        let dir = tempdir("svc_persist_block_size");
+        let store = CheckpointStore::open(&dir).unwrap();
+        let ds = crate::testdata::random_dataset(6, 40, 3, 0xB10C);
+        let kernel = crate::kernel::KernelConfig::Columnar { block_size: COUNTED_AT };
+        let mut engine = DynamicAggregateSkyline::with_kernel(ds.dim(), kernel).unwrap();
+        for g in ds.group_ids() {
+            let id = engine.add_group(ds.label(g));
+            for rec in ds.records(g) {
+                engine.insert(id, rec).unwrap();
+            }
+        }
+        engine.flush_ctx(&RunContext::unlimited()).unwrap();
+        let pairs: Vec<PairEntry> = engine
+            .export_tallies()
+            .into_iter()
+            .map(|((lo, hi), tally)| PairEntry { lo, hi, tally })
+            .collect();
+        let n_pairs = pairs.len();
+        assert_eq!(n_pairs, ds.n_groups() * (ds.n_groups() - 1) / 2);
+        let fingerprint = Fingerprint::of(&ds, Gamma::DEFAULT).with_seed(7);
+        store.save(&Snapshot { fingerprint, partition: None, pairs }).unwrap();
+
+        let (restored, how) = SkylineService::restore(&ds, Gamma::DEFAULT, &store).unwrap();
+        assert_eq!(how, ServeRecovery::Warm { epoch: 7, pairs: n_pairs });
+        let epoch = restored.current();
+        assert_eq!(epoch.skyline(), oracle(&epoch, Gamma::DEFAULT));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn restore_persisted_frames_degrades_to_cold_on_foreign_data() {
         let dir = tempdir("svc_persist_cold");

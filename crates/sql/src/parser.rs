@@ -47,7 +47,7 @@ struct Parser {
 
 impl Parser {
     fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+        self.tokens.get(self.pos).unwrap_or(&Token::Eof)
     }
 
     fn peek2(&self) -> &Token {
@@ -55,7 +55,7 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+        let t = self.peek().clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }

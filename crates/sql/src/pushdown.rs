@@ -56,11 +56,18 @@ impl ScanPlan {
                     }
                 }
                 Some(&t) if tables.len() == 1 => {
-                    let shifted = shift_columns(conjunct, offsets[t]);
-                    plan.per_table[t] = Some(match plan.per_table[t].take() {
-                        None => shifted,
-                        Some(prev) => and(prev, shifted),
-                    });
+                    match (offsets.get(t), plan.per_table.get_mut(t)) {
+                        (Some(&offset), Some(slot)) => {
+                            let shifted = shift_columns(conjunct, offset);
+                            *slot = Some(match slot.take() {
+                                None => shifted,
+                                Some(prev) => and(prev, shifted),
+                            });
+                        }
+                        // `table_of` only returns segments of `offsets`, which
+                        // `per_table` mirrors; anything else stays on the join.
+                        _ => residual_parts.push(conjunct),
+                    }
                 }
                 Some(_) => residual_parts.push(conjunct),
             }
@@ -73,9 +80,9 @@ impl ScanPlan {
     pub fn describe(&self, table_names: &[String]) -> String {
         let mut out = String::new();
         for (i, name) in table_names.iter().enumerate() {
-            let filter = match &self.per_table[i] {
-                Some(_) => "filtered scan (pushed-down predicate)",
-                None => "full scan",
+            let filter = match self.per_table.get(i) {
+                Some(Some(_)) => "filtered scan (pushed-down predicate)",
+                _ => "full scan",
             };
             let op = if i == 0 { "SCAN" } else { "CROSS JOIN" };
             out.push_str(&format!("{op} {name}: {filter}\n"));

@@ -18,7 +18,7 @@ use aggsky::datagen::Rng64;
 use aggsky::{AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder};
 
 const DIMS: [usize; 5] = [1, 2, 5, 8, 9];
-const BLOCK_SIZES: [usize; 3] = [1, 5, 64];
+const BLOCK_SIZES: [usize; 5] = [1, 5, 13, PreparedDataset::DEFAULT_BLOCK_SIZE, 64];
 
 /// Random integer-grid dataset with ragged group sizes: small coordinate
 /// range maximizes ties and exact-dominance edges, and lengths straddling

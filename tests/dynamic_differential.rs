@@ -6,7 +6,9 @@
 //! paper and exact options), same exact pair tallies (against the
 //! exhaustive `domination_count`), and same `Stats` between the
 //! scalar-pinned and the auto (AVX2 when available) columnar counting
-//! kernels — across d ∈ {1, 2, 4, 8}.
+//! kernels — across d ∈ {1, 2, 4, 8}. A drifting stream whose inserts come
+//! from a second-seed dataset flushes over a thousand pairs through the
+//! fold's `count_pairs_across`, checked the same way at every step.
 //!
 //! The chaos half (build with `--features chaos`) injects a panic into the
 //! writer's forced recount mid-epoch and asserts the previously published
@@ -15,7 +17,7 @@
 use aggsky::core::dynamic::DynamicAggregateSkyline;
 use aggsky::core::gamma::domination_count;
 use aggsky::core::{CachedTally, GroupId, KernelConfig, SkylineService, WriteBatch};
-use aggsky::datagen::Rng64;
+use aggsky::datagen::{Distribution, GroupSizes, Rng64, SyntheticConfig};
 use aggsky::{
     naive_skyline, AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder, RunContext,
 };
@@ -258,6 +260,92 @@ fn scalar_and_auto_kernels_are_bit_identical_on_the_same_stream() {
             );
         }
     }
+}
+
+/// Groups, steps and operations per step of the drifting stream.
+const DRIFT_GROUPS: usize = 16;
+const DRIFT_STEPS: usize = 24;
+const DRIFT_OPS: usize = 12;
+
+/// A flush-heavy drifting stream: independent d=3 groups whose inserts come
+/// from the same group of a second dataset drawn with another seed (as in
+/// the `serve-mixed` benchmark workload), one delete per four operations.
+/// The groups drift, so drift intervals cross γ and pairs flush through the
+/// fold's `count_pairs_across`. After every step the scalar-pinned and the
+/// auto engine must return the oracle's skyline, then fold to tallies equal
+/// to the exhaustive counts, with identical `Stats`.
+#[test]
+fn drifting_stream_flushes_pairs_bit_identical_to_recomputation() {
+    let gamma = Gamma::DEFAULT;
+    let config = |seed| SyntheticConfig {
+        n_records: DRIFT_GROUPS * 30,
+        n_groups: DRIFT_GROUPS,
+        dim: 3,
+        distribution: Distribution::Independent,
+        spread: 0.6,
+        group_sizes: GroupSizes::Uniform,
+        seed,
+    };
+    let ds = config(0xD21F_0001).generate();
+    let pool = config(0xD21F_0002).generate();
+    let mut scalar = DynamicAggregateSkyline::with_kernel(3, KernelConfig::columnar_scalar())
+        .expect("valid block size");
+    let mut auto = DynamicAggregateSkyline::with_kernel(3, KernelConfig::columnar())
+        .expect("valid block size");
+    for engine in [&mut scalar, &mut auto] {
+        for g in ds.group_ids() {
+            let id = engine.add_group(ds.label(g));
+            for rec in ds.records(g) {
+                engine.insert(id, rec).expect("finite record");
+            }
+        }
+        engine.flush_ctx(&RunContext::unlimited()).expect("initial fold");
+    }
+    let mut rng = Rng64::new(0xD21F_0003);
+    let mut next = vec![0usize; ds.n_groups()];
+    let (mut drift_flushed, mut fold_flushed) = (0u64, 0u64);
+    for step in 0..DRIFT_STEPS {
+        for _ in 0..DRIFT_OPS {
+            let g = rng.index(ds.n_groups());
+            if rng.index(4) == 0 && scalar.group_len(g) > 1 {
+                let idx = rng.index(scalar.group_len(g));
+                let removed = scalar.remove(g, idx).expect("live index");
+                assert_eq!(auto.remove(g, idx).expect("live index"), removed);
+            } else {
+                let rec = pool.record(g, next[g] % pool.group_len(g));
+                next[g] += 1;
+                scalar.insert(g, rec).expect("finite record");
+                auto.insert(g, rec).expect("finite record");
+            }
+        }
+        let tag = format!("drift step {step}");
+        let oracle = oracle_labels(&scalar, gamma);
+        let certified = scalar.skyline_ctx(gamma, &RunContext::unlimited()).expect("skyline");
+        assert_eq!(
+            auto.skyline_ctx(gamma, &RunContext::unlimited()).expect("skyline"),
+            certified,
+            "{tag}: scalar and auto certification diverged"
+        );
+        assert!(certified.interrupted.is_none(), "{tag}: unlimited skyline interrupted");
+        let mut labels: Vec<String> =
+            certified.groups.iter().map(|&g| scalar.label(g).to_string()).collect();
+        labels.sort_unstable();
+        assert_eq!(labels, oracle, "{tag}: incremental skyline deviates from scratch");
+
+        let folded = scalar.flush_ctx(&RunContext::unlimited()).expect("fold");
+        assert_eq!(auto.flush_ctx(&RunContext::unlimited()).expect("fold"), folded, "{tag}");
+        assert_tallies_exact(&scalar, &tag);
+        assert_eq!(scalar.export_tallies(), auto.export_tallies(), "{tag}: tallies diverged");
+        assert_eq!(scalar.stats(), auto.stats(), "{tag}: Stats diverged");
+        drift_flushed += certified.flushed_pairs;
+        fold_flushed += folded.flushed_pairs;
+    }
+    assert!(drift_flushed > 0, "no drift interval crossed γ");
+    assert!(
+        drift_flushed + fold_flushed >= 1_000,
+        "the stream flushed only {drift_flushed} + {fold_flushed} pairs"
+    );
+    eprintln!("drifting stream: {drift_flushed} pairs flushed by drift, {fold_flushed} by folds");
 }
 
 /// Every published epoch's `query` and `sweep`, at the thresholds below,

@@ -11,7 +11,7 @@ use aggsky::core::{DominationMatrix, Mbb, Stats};
 use aggsky::datagen::{Distribution, GroupSizes, Rng64, SyntheticConfig};
 use aggsky::{Gamma, GroupedDataset, GroupedDatasetBuilder};
 
-const BLOCK_SIZES: [usize; 3] = [1, 7, 64];
+const BLOCK_SIZES: [usize; 5] = [1, 7, 13, PreparedDataset::DEFAULT_BLOCK_SIZE, 64];
 
 /// Small integer-grid dataset (maximizes ties and exact-dominance edges).
 fn grid_dataset(seed: u64) -> GroupedDataset {

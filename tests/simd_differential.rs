@@ -2,13 +2,15 @@
 //! (selected automatically by `KernelConfig::Columnar` when the CPU
 //! supports it) must be *bit-identical* to the scalar columnar kernel —
 //! same verdicts, same `n12`/`n21` tallies, same `Stats` — for every
-//! `PairOptions` combination, across dimensionalities on both sides of the
-//! monomorphized range (d ∈ {1, 2, 4, 5, 8, 9}), at block sizes whose lane
-//! stride is already vector-aligned (64), needs padding (7 → 8), or is
-//! almost all padding (1 → 4), with ragged group sizes so sentinel-padded
-//! edge blocks run through the packed compares.
+//! `PairOptions` combination, for every dimension the kernel is
+//! instantiated for (d ∈ 1..=8, one `const D` function each) plus the
+//! runtime-dimension fallback (d = 9), at block sizes whose lane stride is
+//! already vector-aligned (64 and the default), needs padding (7 → 8,
+//! 13 → 16 with three pad slots), or is almost all padding (1 → 4), with
+//! ragged group sizes so sentinel-padded edge blocks run through the packed
+//! compares.
 //!
-//! On hardware without AVX2 the suite prints a visible SKIP line and
+//! On hardware without AVX2 and POPCNT the suite prints a visible SKIP line and
 //! passes vacuously (the auto path degrades to the scalar kernel, so there
 //! is nothing to differentiate).
 
@@ -23,8 +25,8 @@ use aggsky::core::{DominationMatrix, GroupId, Mbb, Stats};
 use aggsky::datagen::Rng64;
 use aggsky::{AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder};
 
-const DIMS: [usize; 6] = [1, 2, 4, 5, 8, 9];
-const BLOCK_SIZES: [usize; 3] = [1, 7, 64];
+const DIMS: [usize; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 9];
+const BLOCK_SIZES: [usize; 5] = [1, 7, 13, PreparedDataset::DEFAULT_BLOCK_SIZE, 64];
 
 /// `true` when the AVX2 path is actually exercised; otherwise prints the
 /// skip visibly so a CI log never silently loses the coverage.
@@ -32,7 +34,9 @@ fn simd_or_skip(test: &str) -> bool {
     if cpu::simd_active() {
         return true;
     }
-    eprintln!("SKIP {test}: AVX2 unavailable (or AGGSKY_FORCE_SCALAR set); scalar-only host");
+    eprintln!(
+        "SKIP {test}: AVX2/POPCNT unavailable (or AGGSKY_FORCE_SCALAR set); scalar-only host"
+    );
     false
 }
 
