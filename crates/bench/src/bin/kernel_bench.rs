@@ -1,31 +1,28 @@
-//! Benchmark of the blocked counting kernel, the work-stealing parallel
-//! scheduler, and the columnar straddle hot path with the cross-γ pair
-//! cache — the performance layers that sit below every algorithm.
+//! Benchmark of the counting kernel, the work-stealing parallel scheduler,
+//! and the columnar straddle hot path with the cross-γ pair cache — the
+//! performance layers that sit below every algorithm.
 //!
 //! Three experiments:
 //!
 //! 1. **Kernel** — NL over a 1000-group independent workload with the
-//!    exhaustive record-loop kernel vs. the blocked kernel (sorted groups,
-//!    block corners, O(1) full/skip classification). The figure of merit is
-//!    hardware-independent: record pairs actually tested.
+//!    exhaustive record-loop kernel vs. the columnar kernel (sorted groups,
+//!    block corners, O(1) full/skip classification, bitmask straddles). The
+//!    figure of merit is hardware-independent: record pairs actually
+//!    tested.
 //! 2. **Scheduler** — the pair-granular work-stealing scheduler, measured
 //!    end to end: 1 worker vs. N workers (N capped at 4) on a Zipf-sized
-//!    anticorrelated workload, plus the static strided partition as the
-//!    seed baseline. The headline is the *measured* multicore speedup and
-//!    the honest `hardware_threads` count of the machine that produced it;
-//!    the greedy-list makespan model from the per-group scan costs is still
-//!    reported, but demoted to a `"modeled": true` sub-object — it predicts
-//!    what a 4-core machine would do, it is not a measurement.
-//! 3. **Hot path** — ns per tested record pair of the row-wise straddle
-//!    loop vs. the scalar columnar bitmask kernel vs. the AVX2 columnar
-//!    kernel on a straddle-heavy anticorrelated workload (identical
-//!    `Stats`, asserted; the AVX2 row is skipped visibly when the CPU lacks
-//!    the feature), plus a 5-point γ sweep through the shared
-//!    [`aggsky_core::PairCache`] reporting hit/miss/resume counts and the
-//!    sweep's wall clock against independent uncached runs. The gated
-//!    loops run at 64-record blocks; the same three loops at the user
-//!    paths' default block size are reported as an ungated row. Written to
-//!    `BENCH_hotpath.json`.
+//!    anticorrelated workload. The headline is the *measured* multicore
+//!    speedup and the honest `hardware_threads` count of the machine that
+//!    produced it.
+//! 3. **Hot path** — ns per tested record pair of the scalar columnar
+//!    bitmask kernel vs. the AVX2 columnar kernel on a straddle-heavy
+//!    anticorrelated workload (identical `Stats`, asserted; the AVX2 row is
+//!    skipped visibly when the CPU lacks the feature), plus a 5-point γ
+//!    sweep through the shared [`aggsky_core::PairCache`] reporting
+//!    hit/miss/resume counts and the sweep's wall clock against independent
+//!    uncached runs. The gated loops run at 64-record blocks; the same two
+//!    loops at the user paths' default block size are reported as an
+//!    ungated row. Written to `BENCH_hotpath.json`.
 //!
 //! Prints markdown tables and writes the raw numbers to
 //! `BENCH_kernel.json` / `BENCH_hotpath.json` in the current directory
@@ -57,15 +54,13 @@
 use aggsky_bench::report::fmt_ms;
 use aggsky_bench::MarkdownTable;
 use aggsky_core::obs::{export_chrome, render_summary, TraceRecorder};
-use aggsky_core::paircount::{compare_groups, PairOptions};
+use aggsky_core::paircount::PairOptions;
 use aggsky_core::{
-    compare_groups_blocked, compare_groups_columnar, compare_groups_columnar_scalar, cpu,
-    gamma_sweep_ctx, parallel_skyline_ctx, parallel_skyline_strided, parallel_skyline_with,
-    AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder, KernelConfig, Mbb,
-    PreparedDataset, RunContext, SkylineResult, SkylineService, Stats, WriteBatch, MAX_LANE_BLOCK,
+    cpu, gamma_sweep_ctx, parallel_skyline_ctx, parallel_skyline_with, AlgoOptions, Algorithm,
+    Gamma, GroupedDataset, GroupedDatasetBuilder, Kernel, KernelConfig, PreparedDataset,
+    RunContext, SkylineResult, SkylineService, Stats, WriteBatch, MAX_LANE_BLOCK,
 };
 use aggsky_datagen::{Distribution, GroupSizes, Rng64, SyntheticConfig};
-use aggsky_spatial::{Aabb, RTree};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,72 +77,6 @@ fn time<F: Fn() -> SkylineResult>(repeats: usize, f: F) -> (f64, SkylineResult) 
     }
     (best, result.unwrap())
 }
-
-/// Best-of-`repeats` sequential wall time in ms of each group's dominator
-/// scan — the unit of work both schedulers distribute (mirrors the worker
-/// loop in `parallel_skyline`).
-fn per_group_costs(ds: &GroupedDataset, gamma: Gamma, repeats: usize) -> Vec<f64> {
-    let boxes = Mbb::of_all_groups(ds);
-    let tree = RTree::bulk_load(
-        ds.dim(),
-        boxes.iter().enumerate().map(|(g, b)| (Aabb::point(&b.max), g)).collect(),
-    );
-    let opts = PairOptions { stop_rule: true, need_bar: false, corrected_bar: false };
-    let mut costs = vec![f64::INFINITY; ds.n_groups()];
-    let mut candidates = Vec::new();
-    for _ in 0..repeats.max(1) {
-        for g1 in ds.group_ids() {
-            let start = Instant::now();
-            tree.window_query_into(&Aabb::at_least(&boxes[g1].min), &mut candidates);
-            let mut stats = Stats::default();
-            for &g2 in candidates.iter() {
-                if g2 == g1 {
-                    continue;
-                }
-                let v = compare_groups(
-                    ds,
-                    g2,
-                    g1,
-                    gamma,
-                    Some((&boxes[g2], &boxes[g1])),
-                    opts,
-                    &mut stats,
-                );
-                if v.forward.dominates() {
-                    break;
-                }
-            }
-            costs[g1] = costs[g1].min(start.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-    costs
-}
-
-/// Wall clock of the static strided partition: worker `t` processes groups
-/// `t, t+T, …` back to back, so the makespan is the slowest worker's sum.
-fn strided_makespan(costs: &[f64], threads: usize) -> f64 {
-    (0..threads).map(|t| costs.iter().skip(t).step_by(threads).sum()).fold(0.0f64, f64::max)
-}
-
-/// Wall clock of the atomic-counter chunk scheduler: workers grab the next
-/// chunk whenever they finish one, i.e. greedy list scheduling over chunks.
-fn work_stealing_makespan(costs: &[f64], threads: usize) -> f64 {
-    let chunk = (costs.len() / (threads * 8)).max(1);
-    let mut workers = vec![0.0f64; threads];
-    for c in costs.chunks(chunk) {
-        let next: f64 = c.iter().sum();
-        let idlest =
-            workers.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap();
-        workers[idlest] += next;
-    }
-    workers.iter().fold(0.0f64, |a, &b| a.max(b))
-}
-
-/// Gate: the columnar straddle kernel must beat the row-wise loop by at
-/// least this factor on the straddle-heavy workload. The measured ratio
-/// sits well above 2 on commodity hardware; 1.5 absorbs noisy CI machines
-/// while still catching a de-vectorized kernel.
-const MIN_COLUMNAR_SPEEDUP: f64 = 1.5;
 
 /// Gate: the AVX2 columnar kernel must beat the *scalar* columnar kernel
 /// by at least this factor at d=4 (4 key lanes + the sum lane, i.e. five
@@ -168,15 +97,14 @@ const MIN_MULTICORE_SPEEDUP: f64 = 1.3;
 /// memoizing or a sweep that stops sharing it.
 const MIN_SWEEP_HIT_RATE: f64 = 0.5;
 
-/// Best-of-`repeats` wall clock and `Stats` of the three straddle loops
-/// (row-wise, scalar columnar, auto columnar) over every group pair of
-/// one preparation.
+/// Best-of-`repeats` wall clock and `Stats` of the two straddle loops
+/// (scalar columnar, auto columnar) over every group pair of one
+/// preparation.
 struct StraddleTimes {
     block_size: usize,
-    t_row: f64,
     t_scl: f64,
     t_col: f64,
-    /// Record pairs tested, identical across the three loops (asserted).
+    /// Record pairs tested, identical across the two loops (asserted).
     tested: u64,
 }
 
@@ -186,24 +114,13 @@ impl StraddleTimes {
     }
 }
 
-/// Times the three straddle loops on `ds` prepared at `block_size`. No
+/// Times the two straddle loops on `ds` prepared at `block_size`. No
 /// stopping rule: every loop must count every straddling pair, which makes
 /// the per-pair cost comparable and the `Stats` assert exact.
 fn time_straddle_loops(ds: &GroupedDataset, block_size: usize, repeats: usize) -> StraddleTimes {
-    let prep = PreparedDataset::build(ds, block_size).expect("lane-sized blocks are valid");
-    assert!(prep.lanes_enabled(), "block {block_size} must carry key lanes");
-    let opts = PairOptions { stop_rule: false, need_bar: false, corrected_bar: false };
-
-    type StraddleLoop = fn(
-        &PreparedDataset,
-        usize,
-        usize,
-        Gamma,
-        Option<(&Mbb, &Mbb)>,
-        PairOptions,
-        &mut Stats,
-    ) -> aggsky_core::paircount::PairVerdict;
-    let run = |straddle: StraddleLoop| -> (f64, Stats) {
+    let opts = PairOptions { stop_rule: false, need_bar: false };
+    let run = |config: KernelConfig| -> (f64, Stats) {
+        let kernel = Kernel::new(ds, config).expect("lane-sized blocks are valid");
         let mut best = f64::INFINITY;
         let mut out = Stats::default();
         for _ in 0..repeats.max(1) {
@@ -211,7 +128,7 @@ fn time_straddle_loops(ds: &GroupedDataset, block_size: usize, repeats: usize) -
             let start = Instant::now();
             for g1 in ds.group_ids() {
                 for g2 in (g1 + 1)..ds.n_groups() {
-                    let v = straddle(&prep, g1, g2, Gamma::DEFAULT, None, opts, &mut stats);
+                    let v = kernel.compare(g1, g2, Gamma::DEFAULT, None, opts, &mut stats);
                     std::hint::black_box(v);
                 }
             }
@@ -220,26 +137,23 @@ fn time_straddle_loops(ds: &GroupedDataset, block_size: usize, repeats: usize) -
         }
         (best, out)
     };
-    let (t_row, s_row) = run(compare_groups_blocked);
-    let (t_scl, s_scl) = run(compare_groups_columnar_scalar);
+    let (t_scl, s_scl) = run(KernelConfig::ColumnarScalar { block_size });
     // The auto path dispatches to the AVX2 kernel when the CPU has it.
-    let (t_col, s_col) = run(compare_groups_columnar);
-    assert_eq!(s_row, s_scl, "straddle kernels must charge identical stats");
+    let (t_col, s_col) = run(KernelConfig::Columnar { block_size });
     assert_eq!(s_scl, s_col, "AVX2 and scalar columnar must charge identical stats");
-    StraddleTimes { block_size, t_row, t_scl, t_col, tested: s_row.records_compared }
+    StraddleTimes { block_size, t_scl, t_col, tested: s_scl.records_compared }
 }
 
-/// Prints the three straddle loops of `t` as a markdown table.
+/// Prints the two straddle loops of `t` as a markdown table.
 fn print_straddle_table(ds: &GroupedDataset, t: &StraddleTimes, simd: bool, note: &str) {
     println!(
-        "\n## Straddle hot path — row-wise vs columnar (scalar / AVX2), anticorrelated, {} records / {} groups, d={}, block {}{note}\n",
+        "\n## Straddle hot path — columnar (scalar / AVX2), anticorrelated, {} records / {} groups, d={}, block {}{note}\n",
         ds.n_records(),
         ds.n_groups(),
         ds.dim(),
         t.block_size
     );
     let mut table = MarkdownTable::new(vec!["straddle loop", "ms", "ns / tested pair"]);
-    table.push_row(vec!["row-wise".to_string(), fmt_ms(t.t_row), format!("{:.2}", t.ns(t.t_row))]);
     table.push_row(vec![
         "columnar (scalar)".to_string(),
         fmt_ms(t.t_scl),
@@ -251,16 +165,10 @@ fn print_straddle_table(ds: &GroupedDataset, t: &StraddleTimes, simd: bool, note
     table.print();
 }
 
-/// Writes the `row_wise`, `columnar_scalar` and opening `avx2` members of
-/// one straddle-loop JSON object; the caller closes the `avx2` object.
+/// Writes the `columnar_scalar` and opening `avx2` members of one
+/// straddle-loop JSON object; the caller closes the `avx2` object.
 fn write_straddle_loops(json: &mut String, t: &StraddleTimes, simd: bool) {
-    let (row, scl, col) = (t.t_row, t.t_scl, t.t_col);
-    writeln!(
-        json,
-        "    \"row_wise\": {{ \"millis\": {row:.3}, \"ns_per_tested_pair\": {:.3} }},",
-        t.ns(row)
-    )
-    .unwrap();
+    let (scl, col) = (t.t_scl, t.t_col);
     writeln!(
         json,
         "    \"columnar_scalar\": {{ \"millis\": {scl:.3}, \"ns_per_tested_pair\": {:.3} }},",
@@ -274,12 +182,12 @@ fn write_straddle_loops(json: &mut String, t: &StraddleTimes, simd: bool) {
 }
 
 /// Experiment 3: the columnar straddle hot path and the cross-γ cache.
-/// Returns `(columnar_speedup, avx2_speedup, hit_rate)` for the gates;
-/// `avx2_speedup` is `None` when the AVX2 path is unavailable (or forced
-/// off), in which case the gate is skipped. The gated loops run at
+/// Returns `(avx2_speedup, hit_rate)` for the gates; `avx2_speedup` is
+/// `None` when the AVX2 path is unavailable (or forced off), in which case
+/// the gate is skipped. The gated loops run at
 /// [`MAX_LANE_BLOCK`]; the same loops at the user paths' block size
 /// ([`PreparedDataset::DEFAULT_BLOCK_SIZE`]) are reported ungated.
-fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
+fn hotpath(records: usize, repeats: usize) -> (Option<f64>, f64) {
     // Straddle-heavy workload: anticorrelated classes spread over most of
     // the data space, so block corners rarely classify a pair as full/skip
     // and nearly all counting lands in the straddle loop under test.
@@ -295,14 +203,10 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
     let gated = time_straddle_loops(&ds, MAX_LANE_BLOCK, repeats);
     let user = time_straddle_loops(&ds, PreparedDataset::DEFAULT_BLOCK_SIZE, repeats);
     let tested = gated.tested;
-    let speedup = gated.t_row / gated.t_scl;
     let avx2_speedup = simd.then(|| gated.t_scl / gated.t_col);
 
     print_straddle_table(&ds, &gated, simd, "");
-    println!(
-        "\n{tested} record pairs tested, identical stats, scalar-columnar speedup {speedup:.2}x \
-         over row-wise (gate {MIN_COLUMNAR_SPEEDUP}x)"
-    );
+    println!("\n{tested} record pairs tested, identical stats");
     match avx2_speedup {
         Some(s) => println!(
             "AVX2 speedup {s:.2}x over scalar columnar (gate {MIN_AVX2_SPEEDUP}x when AVX2 is present)"
@@ -314,10 +218,8 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
     }
     print_straddle_table(&ds, &user, simd, " (the user paths' default; ungated)");
     println!(
-        "\n{} record pairs tested, identical stats, scalar-columnar {:.2}x over row-wise, \
-         auto columnar {:.2}x over scalar columnar",
+        "\n{} record pairs tested, identical stats, auto columnar {:.2}x over scalar columnar",
         user.tested,
-        user.t_row / user.t_scl,
         user.t_scl / user.t_col
     );
 
@@ -398,9 +300,7 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
     }
     writeln!(json, "      \"speedup_gate\": {MIN_AVX2_SPEEDUP}").unwrap();
     writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"record_pairs_tested\": {tested},").unwrap();
-    writeln!(json, "    \"speedup\": {speedup:.3},").unwrap();
-    writeln!(json, "    \"speedup_gate\": {MIN_COLUMNAR_SPEEDUP}").unwrap();
+    writeln!(json, "    \"record_pairs_tested\": {tested}").unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"straddle_kernel_default_block\": {{").unwrap();
     writeln!(json, "    \"block_size\": {},", user.block_size).unwrap();
@@ -408,8 +308,7 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
     write_straddle_loops(&mut json, &user, simd);
     writeln!(json, "      \"speedup_vs_scalar\": {:.3}", user.t_scl / user.t_col).unwrap();
     writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"record_pairs_tested\": {},", user.tested).unwrap();
-    writeln!(json, "    \"speedup\": {:.3}", user.t_row / user.t_scl).unwrap();
+    writeln!(json, "    \"record_pairs_tested\": {}", user.tested).unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"gamma_sweep\": {{").unwrap();
     writeln!(json, "    \"algorithm\": \"NL\",").unwrap();
@@ -428,7 +327,7 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
     std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
     println!("wrote BENCH_hotpath.json");
 
-    (speedup, avx2_speedup, hit_rate)
+    (avx2_speedup, hit_rate)
 }
 
 /// Gate: batched incremental maintenance through the serving layer must
@@ -758,12 +657,8 @@ fn gate_dynamic(speedup: f64) -> bool {
 
 /// Returns `true` when every applicable hot-path gate holds; prints a
 /// FAIL line per violated gate and a SKIP line per inapplicable one.
-fn gate_hotpath(speedup: f64, avx2_speedup: Option<f64>, hit_rate: f64) -> bool {
+fn gate_hotpath(avx2_speedup: Option<f64>, hit_rate: f64) -> bool {
     let mut ok = true;
-    if speedup < MIN_COLUMNAR_SPEEDUP {
-        eprintln!("FAIL: columnar straddle kernel is only {speedup:.2}x the row-wise loop (gate {MIN_COLUMNAR_SPEEDUP}x)");
-        ok = false;
-    }
     match avx2_speedup {
         Some(s) if s < MIN_AVX2_SPEEDUP => {
             eprintln!("FAIL: AVX2 kernel is only {s:.2}x the scalar columnar kernel (gate {MIN_AVX2_SPEEDUP}x)");
@@ -801,8 +696,8 @@ fn main() {
     }
 
     if hotpath_only {
-        let (speedup, avx2_speedup, hit_rate) = hotpath(records, repeats);
-        if gate && !gate_hotpath(speedup, avx2_speedup, hit_rate) {
+        let (avx2_speedup, hit_rate) = hotpath(records, repeats);
+        if gate && !gate_hotpath(avx2_speedup, hit_rate) {
             std::process::exit(1);
         }
         return;
@@ -817,15 +712,15 @@ fn main() {
     .generate();
 
     let exhaustive = AlgoOptions::paper(gamma);
-    let blocked = AlgoOptions { kernel: KernelConfig::blocked(), ..exhaustive };
+    let columnar = AlgoOptions { kernel: KernelConfig::columnar(), ..exhaustive };
     let (t_ex, r_ex) = time(repeats, || {
         Algorithm::NestedLoop.run_with(&kernel_ds, exhaustive).expect("valid kernel config")
     });
-    let (t_bl, r_bl) = time(repeats, || {
-        Algorithm::NestedLoop.run_with(&kernel_ds, blocked).expect("valid kernel config")
+    let (t_col, r_col) = time(repeats, || {
+        Algorithm::NestedLoop.run_with(&kernel_ds, columnar).expect("valid kernel config")
     });
-    assert_eq!(r_ex.skyline, r_bl.skyline, "kernels must agree");
-    let ratio = r_ex.stats.record_pairs as f64 / r_bl.stats.record_pairs.max(1) as f64;
+    assert_eq!(r_ex.skyline, r_col.skyline, "kernels must agree");
+    let ratio = r_ex.stats.record_pairs as f64 / r_col.stats.record_pairs.max(1) as f64;
 
     println!(
         "## Counting kernel — NL, independent, {} records / {} groups, d={}\n",
@@ -848,11 +743,11 @@ fn main() {
         "-".to_string(),
     ]);
     table.push_row(vec![
-        "blocked".to_string(),
-        fmt_ms(t_bl),
-        r_bl.stats.record_pairs.to_string(),
-        r_bl.stats.blocks_full.to_string(),
-        r_bl.stats.blocks_skipped.to_string(),
+        "columnar".to_string(),
+        fmt_ms(t_col),
+        r_col.stats.record_pairs.to_string(),
+        r_col.stats.blocks_full.to_string(),
+        r_col.stats.blocks_skipped.to_string(),
     ]);
     table.print();
     println!("\nrecord-comparison reduction: {ratio:.1}x\n");
@@ -878,11 +773,7 @@ fn main() {
     let (t_many, r_many) = time(repeats, || {
         parallel_skyline_with(&skew_ds, gamma, workers, par_kernel).expect("parallel run failed")
     });
-    let (t_str, r_str) = time(repeats, || {
-        parallel_skyline_strided(&skew_ds, gamma, workers).expect("strided run failed")
-    });
     assert_eq!(r_one.skyline, r_many.skyline, "worker count must not change the skyline");
-    assert_eq!(r_str.skyline, r_many.skyline, "schedulers must agree");
     let multicore_speedup = t_one / t_many;
 
     println!(
@@ -903,12 +794,6 @@ fn main() {
         fmt_ms(t_many),
         format!("{multicore_speedup:.2}x"),
     ]);
-    table.push_row(vec![
-        "strided (seed)".to_string(),
-        workers.to_string(),
-        fmt_ms(t_str),
-        format!("{:.2}x", t_one / t_str),
-    ]);
     table.print();
     println!(
         "\nmeasured end-to-end multicore speedup {multicore_speedup:.2}x with {workers} workers \
@@ -920,23 +805,6 @@ fn main() {
              workers serialize and the ratio measures scheduling overhead, not parallelism"
         );
     }
-
-    // Demoted model (reported under `"modeled": true`): greedy
-    // list-scheduling makespans over the measured sequential per-group scan
-    // costs — a prediction of a 4-core machine, not a measurement.
-    let model_threads = 4usize;
-    let group_costs = per_group_costs(&skew_ds, gamma, repeats);
-    let total: f64 = group_costs.iter().sum();
-    let strided_model = strided_makespan(&group_costs, model_threads);
-    let stealing_model = work_stealing_makespan(&group_costs, model_threads);
-    println!(
-        "modeled {model_threads}-worker makespans from the measured per-group costs \
-         ({} ms total work): strided {} ms, work-stealing {} ms ({:.2}x)",
-        fmt_ms(total),
-        fmt_ms(strided_model),
-        fmt_ms(stealing_model),
-        strided_model / stealing_model
-    );
 
     // One instrumented work-stealing run: per-worker spans, stolen-batch
     // histograms and the counter totals, exported next to the raw numbers.
@@ -973,11 +841,11 @@ fn main() {
     .unwrap();
     writeln!(
         json,
-        "    \"blocked\": {{ \"millis\": {t_bl:.3}, \"record_pairs\": {}, \"blocks_full\": {}, \"blocks_skipped\": {}, \"records_compared\": {} }},",
-        r_bl.stats.record_pairs,
-        r_bl.stats.blocks_full,
-        r_bl.stats.blocks_skipped,
-        r_bl.stats.records_compared
+        "    \"columnar\": {{ \"millis\": {t_col:.3}, \"record_pairs\": {}, \"blocks_full\": {}, \"blocks_skipped\": {}, \"records_compared\": {} }},",
+        r_col.stats.record_pairs,
+        r_col.stats.blocks_full,
+        r_col.stats.blocks_skipped,
+        r_col.stats.records_compared
     )
     .unwrap();
     writeln!(json, "    \"record_comparison_ratio\": {ratio:.2}").unwrap();
@@ -992,23 +860,9 @@ fn main() {
     writeln!(json, "    \"measured\": {{").unwrap();
     writeln!(json, "      \"single_worker_millis\": {t_one:.3},").unwrap();
     writeln!(json, "      \"multi_worker_millis\": {t_many:.3},").unwrap();
-    writeln!(json, "      \"strided_millis\": {t_str:.3},").unwrap();
     writeln!(json, "      \"multicore_speedup\": {multicore_speedup:.3},").unwrap();
     writeln!(json, "      \"speedup_gate\": {MIN_MULTICORE_SPEEDUP},").unwrap();
     writeln!(json, "      \"gate_applies\": {}", cores >= 2).unwrap();
-    writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"model\": {{").unwrap();
-    writeln!(json, "      \"modeled\": true,").unwrap();
-    writeln!(
-        json,
-        "      \"basis\": \"greedy list scheduling over measured sequential per-group scan costs\","
-    )
-    .unwrap();
-    writeln!(json, "      \"threads\": {model_threads},").unwrap();
-    writeln!(json, "      \"total_work_millis\": {total:.3},").unwrap();
-    writeln!(json, "      \"strided_millis\": {strided_model:.3},").unwrap();
-    writeln!(json, "      \"work_stealing_millis\": {stealing_model:.3},").unwrap();
-    writeln!(json, "      \"speedup\": {:.3}", strided_model / stealing_model).unwrap();
     writeln!(json, "    }},").unwrap();
     writeln!(
         json,
@@ -1025,9 +879,9 @@ fn main() {
     println!("\nwrote BENCH_kernel.json");
 
     // ---- Experiment 3: columnar hot path + cross-γ cache ----
-    let (speedup, avx2_speedup, hit_rate) = hotpath(records, repeats);
+    let (avx2_speedup, hit_rate) = hotpath(records, repeats);
     if gate {
-        let mut ok = gate_hotpath(speedup, avx2_speedup, hit_rate);
+        let mut ok = gate_hotpath(avx2_speedup, hit_rate);
         if cores >= 2 {
             if multicore_speedup < MIN_MULTICORE_SPEEDUP {
                 eprintln!(

@@ -2,17 +2,18 @@
 //! enforcing benchmark: exits nonzero when the contract is broken, so CI
 //! can run it directly.
 //!
-//! Two checks:
+//! Three checks:
 //!
 //! 1. **Disabled dispatch** — with no recorder attached, the per-query
 //!    cost of `RunContext::obs()` (the check every instrumentation site
 //!    performs) must stay a handful of nanoseconds: it is one enum
 //!    discriminant load. A generous bound catches anyone making the
 //!    disabled path allocate, lock or format.
-//! 2. **Enabled recording** — an NL run over the blocked kernel with a
-//!    `TraceRecorder` attached must finish within `MAX_ENABLED_RATIO` of
-//!    the same run without one. Recording happens per *group* pair while
-//!    the work is per *record* pair, so the real ratio sits near 1.
+//! 2. **Enabled recording** — an NL run over the columnar kernel (the one
+//!    every exact path counts with) with a `TraceRecorder` attached must
+//!    finish within `MAX_ENABLED_RATIO` of the same run without one.
+//!    Recording happens per *group* pair while the work is per *record*
+//!    pair, so the real ratio sits near 1.
 //! 3. **Flight recorder** — the always-on bounded ring must cost at most
 //!    `MAX_FLIGHT_RATIO` of the untraced run: each entry is one fixed-size
 //!    copy into a preallocated ring (no allocation, no growth), so the
@@ -69,7 +70,7 @@ fn main() {
     }
     .generate();
     let opts =
-        AlgoOptions { kernel: KernelConfig::blocked(), ..AlgoOptions::paper(Gamma::DEFAULT) };
+        AlgoOptions { kernel: KernelConfig::columnar(), ..AlgoOptions::paper(Gamma::DEFAULT) };
 
     let mut t_off = f64::INFINITY;
     let mut t_on = f64::INFINITY;
@@ -99,7 +100,7 @@ fn main() {
     let flight_ratio = t_flight / t_off;
     let throughput = pairs as f64 / (t_off / 1e3);
     println!(
-        "NL/blocked, {} records / {} groups: untraced {t_off:.1} ms ({throughput:.0} record pairs/s), \
+        "NL/columnar, {} records / {} groups: untraced {t_off:.1} ms ({throughput:.0} record pairs/s), \
          traced {t_on:.1} ms, ratio {ratio:.2}x (bound {MAX_ENABLED_RATIO}x)",
         ds.n_records(),
         ds.n_groups()

@@ -35,8 +35,7 @@ pub use indexed::indexed;
 pub use naive::naive_skyline;
 pub use nested_loop::nested_loop;
 pub use parallel::{
-    parallel_skyline, parallel_skyline_ctx, parallel_skyline_strided, parallel_skyline_with,
-    resolve_threads,
+    parallel_skyline, parallel_skyline_ctx, parallel_skyline_with, resolve_threads,
 };
 pub use transitive::{sorted, transitive};
 
@@ -91,12 +90,6 @@ pub enum Pruning {
     /// paper's γ̄ threshold, clamped to ≥ γ) are skipped both as targets
     /// and as dominator candidates.
     Paper,
-    /// Algorithm 3 with the *corrected* weak-transitivity threshold
-    /// `γ̄ = (1+γ)/2` (see [`crate::Gamma::bar_corrected`]). Still heuristic —
-    /// a pruned group's plain γ-level dominations are not covered by
-    /// weak transitivity at any threshold — but the threshold itself is
-    /// sound, unlike the printed formula.
-    PaperCorrected,
     /// Conservative variant: a comparison is skipped only when both sides
     /// are already excluded from the result. Always matches the naive
     /// oracle.
@@ -112,11 +105,7 @@ impl Pruning {
 
     /// Pair-counting options implied by this discipline.
     pub(crate) fn pair_options(self, stop_rule: bool) -> crate::paircount::PairOptions {
-        crate::paircount::PairOptions {
-            stop_rule,
-            need_bar: self.uses_strong_marks(),
-            corrected_bar: matches!(self, Pruning::PaperCorrected),
-        }
+        crate::paircount::PairOptions { stop_rule, need_bar: self.uses_strong_marks() }
     }
 }
 
@@ -149,8 +138,8 @@ pub struct AlgoOptions {
     /// Outer-loop visiting order for [`sorted`] and [`indexed`].
     pub sort: SortStrategy,
     /// Record-counting kernel used inside every pair comparison (see
-    /// [`KernelConfig`]); `Blocked` preprocesses each group once and counts
-    /// block-at-a-time.
+    /// [`KernelConfig`]); `Columnar` preprocesses each group once and
+    /// counts block-at-a-time.
     pub kernel: KernelConfig,
 }
 
@@ -178,12 +167,6 @@ impl AlgoOptions {
             kernel: KernelConfig::columnar(),
             ..AlgoOptions::paper(gamma)
         }
-    }
-
-    /// The paper configuration with the blocked counting kernel at the
-    /// default block size.
-    pub fn blocked(gamma: Gamma) -> Self {
-        AlgoOptions { kernel: KernelConfig::blocked(), ..AlgoOptions::paper(gamma) }
     }
 }
 
@@ -273,8 +256,8 @@ impl Algorithm {
 
     /// Runs this algorithm over an existing preparation, skipping the
     /// per-run [`crate::PreparedDataset::build`] cost (`opts.kernel` is
-    /// ignored). Straddling block pairs use the columnar kernel when the
-    /// preparation carries key lanes, as [`Algorithm::run_cached`] does, so
+    /// ignored). Straddling block pairs use the columnar kernel
+    /// ([`Kernel::with_prepared`]), as [`Algorithm::run_cached`] does, so
     /// the run's `Stats` equal those of [`Algorithm::run_ctx`] with a
     /// columnar kernel at the preparation's block size. The preparation
     /// must have been built from `ds`.
@@ -297,7 +280,7 @@ impl Algorithm {
         opts: AlgoOptions,
         ctx: &RunContext,
     ) -> Outcome {
-        let kernel = prepared_kernel(ds, prep);
+        let kernel = Kernel::with_prepared(ds, prep);
         let prep_span = ctx.obs().map_or(0, |rec| rec.span_start("prepare", 0, Stamp::ZERO));
         end_prepare_span(prep_span, &kernel, ctx);
         self.run_on(&kernel, opts, ctx, None)
@@ -313,9 +296,9 @@ impl Algorithm {
     /// The skyline is identical to an uncached run; the `Stats` work
     /// counters reflect only freshly performed counting, with reuse
     /// reported in `cache_hits` / `cache_misses` / `cache_resumes`.
-    /// Straddling block pairs use the columnar kernel when the preparation
-    /// carries key lanes. [`Algorithm::Naive`] never consults the kernel
-    /// and therefore ignores the cache.
+    /// Straddling block pairs use the columnar kernel.
+    /// [`Algorithm::Naive`] never consults the kernel and therefore ignores
+    /// the cache.
     pub fn run_cached(
         self,
         ds: &GroupedDataset,
@@ -337,7 +320,7 @@ impl Algorithm {
         cache: &mut PairCache,
         ctx: &RunContext,
     ) -> Outcome {
-        self.run_on(&prepared_kernel(ds, prep), opts, ctx, Some(cache))
+        self.run_on(&Kernel::with_prepared(ds, prep), opts, ctx, Some(cache))
     }
 
     fn run_on(
@@ -380,16 +363,6 @@ impl Algorithm {
     }
 }
 
-/// A kernel over an existing preparation: columnar when it carries key
-/// lanes, row-wise otherwise (over-large blocks). Both give the same
-/// tallies, `Stats` and cache protocol.
-fn prepared_kernel<'a>(
-    ds: &'a GroupedDataset,
-    prep: &'a crate::prepared::PreparedDataset,
-) -> Kernel<'a> {
-    Kernel::with_prepared_columnar(ds, prep).unwrap_or_else(|_| Kernel::with_prepared(ds, prep))
-}
-
 /// Closes the `"prepare"` span with the dataset/blocking shape as
 /// arguments. Preparation happens before any record pair is charged, so
 /// both endpoints sit at tick 0 — the span exists for its arguments and for
@@ -424,7 +397,7 @@ impl PairDeltas {
     }
 
     /// Records the pair's work into the histograms. Straddle fanout is only
-    /// observed when the blocked kernel actually compared records inside
+    /// observed when the prepared kernel actually compared records inside
     /// straddling blocks (the delta is zero under the exhaustive kernel and
     /// for block pairs fully classified by corner tests).
     #[inline]

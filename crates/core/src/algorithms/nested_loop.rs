@@ -37,8 +37,7 @@ pub(super) fn nested_loop_on(
     let boxes = opts.bbox_prune.then(|| kernel_boxes(kernel, &mut owned_boxes));
     // NL never acts on strong (γ̄) marks, so the cheaper γ-only counting
     // mode is used: the stop rule fires as soon as the γ question settles.
-    let pair_opts =
-        PairOptions { stop_rule: opts.stop_rule, need_bar: false, corrected_bar: false };
+    let pair_opts = PairOptions { stop_rule: opts.stop_rule, need_bar: false };
     for g1 in 0..n {
         for g2 in (g1 + 1)..n {
             if let Some(reason) = ctx.poll(stats.record_pairs) {

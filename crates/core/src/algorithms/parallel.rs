@@ -19,9 +19,7 @@
 //! *any* worker can resume a continuation — one giant group pair can no
 //! longer strand a worker the way group-granular chunks could. Groups
 //! whose dominator is already known are finished without counting (the
-//! per-group dominated flag), preserving the sequential early-exit. The
-//! previous static strided partition is kept as
-//! [`parallel_skyline_strided`] for ablation benchmarks.
+//! per-group dominated flag), preserving the sequential early-exit.
 //!
 //! ## Fault containment
 //!
@@ -46,7 +44,6 @@ use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
 use crate::kernel::{BoundedCompare, Kernel, KernelConfig};
-use crate::mbb::Mbb;
 use crate::paircache::{CachedTally, PairCache};
 use crate::paircount::PairOptions;
 use crate::runctx::{InterruptReason, Outcome, RunContext};
@@ -83,12 +80,13 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Computes the aggregate skyline with `threads` worker threads
-/// (`threads = 0` uses [`resolve_threads`]) and dynamic chunk scheduling.
+/// (`threads = 0` uses [`resolve_threads`]) that steal bounded block-pair
+/// batches of single candidate→group comparisons (see the module docs).
 ///
 /// Always returns the exact skyline (it is a parallelization of the naive
 /// definition with index-based candidate pruning, not of the heuristic
 /// Algorithm 3). `threads = 1` degenerates to a sequential scan and is
-/// useful for ablation. Fails only when a chunk exhausts its panic retries
+/// useful for ablation. Fails only when a pair exhausts its panic retries
 /// (see the module docs).
 pub fn parallel_skyline(
     ds: &GroupedDataset,
@@ -99,7 +97,7 @@ pub fn parallel_skyline(
 }
 
 /// [`parallel_skyline`] with an explicit counting kernel; the preparation
-/// (when blocked) is built once and shared by all workers.
+/// (when the kernel is prepared) is built once and shared by all workers.
 pub fn parallel_skyline_with(
     ds: &GroupedDataset,
     gamma: Gamma,
@@ -128,20 +126,6 @@ pub fn parallel_skyline_ctx(
     run_stealing(&kernel, gamma, resolve_threads(threads), ctx)
 }
 
-/// The pre-work-stealing scheduler: a static strided partition (worker `t`
-/// of `T` processes groups `t, t+T, t+2T, …`). Retained solely so the
-/// benchmarks can measure what dynamic chunk scheduling buys; new callers
-/// should use [`parallel_skyline`]. No retry/quarantine: a worker panic
-/// surfaces immediately as [`Error::WorkerPanicked`].
-pub fn parallel_skyline_strided(
-    ds: &GroupedDataset,
-    gamma: Gamma,
-    threads: usize,
-) -> Result<SkylineResult> {
-    let kernel = Kernel::exhaustive(ds);
-    run_strided(&kernel, gamma, resolve_threads(threads))
-}
-
 /// Locks a mutex, recovering from poisoning (a worker panicking while
 /// holding the lock leaves the data intact for our usage: every critical
 /// section is a single push/pop/assignment).
@@ -152,47 +136,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Trace track for worker `wid` (track 0 is the orchestrating thread).
 fn track_of(wid: usize) -> u32 {
     u32::try_from(wid.saturating_add(1)).unwrap_or(u32::MAX)
-}
-
-/// One-directional dominator scan for `g1` (the strided baseline's unit of
-/// parallel work): window-query the spatial index for candidate dominators
-/// and compare until one γ-dominates `g1` or the candidates run out.
-#[allow(clippy::too_many_arguments)]
-fn scan_group(
-    kernel: &Kernel<'_>,
-    tree: &RTree<GroupId>,
-    boxes: &[Mbb],
-    gamma: Gamma,
-    pair_opts: PairOptions,
-    ctx: &RunContext,
-    g1: GroupId,
-    candidates: &mut Vec<GroupId>,
-    cache: &mut Option<PairCache>,
-    stats: &mut Stats,
-) -> Status {
-    tree.window_query_into(&Aabb::at_least(&boxes[g1].min), candidates);
-    stats.index_candidates += crate::num::wide(candidates.len().saturating_sub(1));
-    for &g2 in candidates.iter() {
-        if g2 == g1 {
-            continue;
-        }
-        let before = PairDeltas::before(stats);
-        let mut verdict = kernel.compare_cached(
-            g2,
-            g1,
-            gamma,
-            Some((&boxes[g2], &boxes[g1])),
-            pair_opts,
-            cache.as_mut(),
-            stats,
-        );
-        ctx.corrupt_verdict(&mut verdict, stats.record_pairs);
-        before.observe(ctx, stats);
-        if verdict.forward.dominates() {
-            return Status::Dominated;
-        }
-    }
-    Status::Live
 }
 
 /// One stealable unit of parallel work: one bounded batch of block pairs
@@ -353,7 +296,7 @@ fn run_stealing(
     if let Some(rec) = ctx.obs() {
         rec.span_end(index_span, Stamp::ZERO, &[("entries", crate::num::wide(n))]);
     }
-    let pair_opts = PairOptions { stop_rule: true, need_bar: false, corrected_bar: false };
+    let pair_opts = PairOptions { stop_rule: true, need_bar: false };
 
     // Flatten every group's candidate dominators into one group-major pair
     // array up front. The window queries are cheap relative to the counting
@@ -390,7 +333,7 @@ fn run_stealing(
         // Shard-local pair-count memo: workers never share cache state, so
         // they never serialize on it (duplicate counting across workers is
         // the accepted cost). Only useful when a preparation exists — the
-        // cache resumes at the blocked kernel's cursor.
+        // cache resumes at the prepared kernel's block cursor.
         let mut pair_cache = kernel.prepared().map(|_| PairCache::new());
         let mut part: Vec<(GroupId, Status)> = Vec::new();
         let mut batches = 0u64;
@@ -632,96 +575,6 @@ fn run_stealing(
     })
 }
 
-/// The static strided scheduler (ablation baseline): no retry, no
-/// quarantine, no context.
-fn run_strided(kernel: &Kernel<'_>, gamma: Gamma, threads: usize) -> Result<SkylineResult> {
-    let ds = kernel.dataset();
-    let threads = threads.max(1);
-    let n = ds.n_groups();
-    let mut owned_boxes = None;
-    let boxes = super::kernel_boxes(kernel, &mut owned_boxes);
-    let tree = RTree::bulk_load(
-        ds.dim(),
-        boxes.iter().enumerate().map(|(g, b)| (Aabb::point(&b.max), g)).collect(),
-    );
-    let pair_opts = PairOptions { stop_rule: true, need_bar: false, corrected_bar: false };
-    let ctx = RunContext::unlimited();
-
-    if threads == 1 {
-        let mut stats = Stats::default();
-        let mut candidates = Vec::new();
-        let mut no_cache = None;
-        let statuses: Vec<Status> = (0..n)
-            .map(|g| {
-                scan_group(
-                    kernel,
-                    &tree,
-                    boxes,
-                    gamma,
-                    pair_opts,
-                    &ctx,
-                    g,
-                    &mut candidates,
-                    &mut no_cache,
-                    &mut stats,
-                )
-            })
-            .collect();
-        return Ok(super::collect_result(&statuses, stats));
-    }
-
-    let mut all: Vec<(Vec<(GroupId, Status)>, Stats)> = Vec::with_capacity(threads);
-    let mut first_panic: Option<usize> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads.min(n) {
-            let ctx = &ctx;
-            let tree = &tree;
-            handles.push(scope.spawn(move || {
-                let mut stats = Stats::default();
-                let mut candidates = Vec::new();
-                let mut no_cache = None;
-                let mut part: Vec<(GroupId, Status)> = Vec::new();
-                for g in (t..n).step_by(threads) {
-                    let status = scan_group(
-                        kernel,
-                        tree,
-                        boxes,
-                        gamma,
-                        pair_opts,
-                        ctx,
-                        g,
-                        &mut candidates,
-                        &mut no_cache,
-                        &mut stats,
-                    );
-                    part.push((g, status));
-                }
-                (part, stats)
-            }));
-        }
-        for (t, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(part) => all.push(part),
-                Err(_panic) => first_panic = first_panic.or(Some(t)),
-            }
-        }
-    });
-    if let Some(worker) = first_panic {
-        return Err(Error::WorkerPanicked { worker, chunk: worker });
-    }
-
-    let mut statuses = vec![Status::Live; n];
-    let mut stats = Stats::default();
-    for (part, part_stats) in all {
-        stats.merge(&part_stats);
-        for (g, st) in part {
-            statuses[g] = st;
-        }
-    }
-    Ok(super::collect_result(&statuses, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::naive::naive_skyline;
@@ -752,21 +605,11 @@ mod tests {
     }
 
     #[test]
-    fn strided_and_chunked_schedulers_agree() {
-        for seed in 0..5 {
-            let ds = random_dataset(30, 5, 3, 8000 + seed);
-            let chunked = parallel_skyline(&ds, Gamma::DEFAULT, 3).unwrap();
-            let strided = parallel_skyline_strided(&ds, Gamma::DEFAULT, 3).unwrap();
-            assert_eq!(chunked.skyline, strided.skyline, "seed={seed}");
-        }
-    }
-
-    #[test]
-    fn blocked_kernel_matches_oracle_in_parallel() {
+    fn columnar_kernel_matches_oracle_in_parallel() {
         for seed in 0..5 {
             let ds = random_dataset(20, 10, 3, 8100 + seed);
             let result =
-                parallel_skyline_with(&ds, Gamma::DEFAULT, 4, KernelConfig::blocked()).unwrap();
+                parallel_skyline_with(&ds, Gamma::DEFAULT, 4, KernelConfig::columnar()).unwrap();
             let oracle = naive_skyline(&ds, Gamma::DEFAULT);
             assert_eq!(result.skyline, oracle.skyline, "seed={seed}");
         }
@@ -832,7 +675,7 @@ mod tests {
             &ds,
             Gamma::DEFAULT,
             4,
-            KernelConfig::blocked(),
+            KernelConfig::columnar(),
             &RunContext::unlimited(),
         )
         .unwrap();

@@ -257,7 +257,7 @@ fn engine(
     }
     work.sort_unstable();
 
-    let pair_opts = PairOptions { stop_rule: true, need_bar: false, corrected_bar: false };
+    let pair_opts = PairOptions { stop_rule: true, need_bar: false };
     for &(_, g, s) in &work {
         if ctx.poll(stats.record_pairs).is_some() {
             break;

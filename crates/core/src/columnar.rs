@@ -1,10 +1,11 @@
 //! Columnar bitmask kernel for straddling block pairs.
 //!
-//! The row-wise straddle loop in [`crate::kernel`] tests one record pair at
-//! a time with an early-exit `dominates` call — a branchy loop whose trip
-//! count depends on the data. This module replaces it, when the
-//! [`crate::prepared::PreparedDataset`] carries key lanes, with a
-//! branch-reduced lane kernel over the structure-of-arrays layout:
+//! A straddling block pair cannot be classified from its block corners, so
+//! [`crate::kernel`] compares its records. Testing one record pair at a
+//! time with an early-exit `dominates` call would be a branchy loop whose
+//! trip count depends on the data; this module instead runs a
+//! branch-reduced lane kernel over the structure-of-arrays key lanes of the
+//! [`crate::prepared::PreparedDataset`]:
 //!
 //! For one probe record `r₁` against a block `B` of up to 64 records, the
 //! kernel computes per-lane comparison bitmasks (bit `j` describes record
@@ -18,10 +19,12 @@
 //! The sum term replaces the "∃ strict" clause of Definition 1: a record
 //! that is coordinate-wise `≥` another with a strictly larger sum must be
 //! strictly larger somewhere, and dominance always implies a strictly
-//! larger sum. It is also exactly the prefix/suffix partition the row-wise
-//! loop derives by binary search on the descending sums, so the popcounts
-//! of the sum masks reproduce the row-wise path's `records_compared` /
-//! `record_pairs` charges bit-for-bit, and the dominance popcounts its
+//! larger sum. The sum masks also decide which pairs are tested at all: a
+//! probe can only be dominated by records of strictly larger sum and only
+//! dominate records of strictly smaller sum, so each probe is charged the
+//! popcounts of its sum masks in `records_compared` / `record_pairs` (a
+//! charge `tests/columnar_differential.rs` pins against a count taken from
+//! the block views alone), and the dominance popcounts add to
 //! `n12`/`n21`.
 //!
 //! All comparisons run in the integer key space of
@@ -36,8 +39,8 @@ use crate::prepared::LaneBlock;
 use crate::stats::Stats;
 
 /// Counts the dominating pairs of one straddling block pair, probe block
-/// `a` against lane block `b`, in the directions flagged possible. Exact
-/// drop-in for the row-wise `straddle`: identical `Counter` and [`Stats`]
+/// `a` against lane block `b`, in the directions flagged possible. The AVX2
+/// twin in [`crate::simd`] makes identical `Counter` and [`Stats`]
 /// updates.
 pub(crate) fn straddle_lanes(
     dim: usize,
@@ -119,10 +122,10 @@ fn straddle_impl(
     // sits at the tail), so the "sum strictly greater" candidates form a
     // prefix of `b` that only grows as the probe sum shrinks, and the
     // "strictly smaller" candidates a suffix that only grows. Two monotone
-    // cursors deliver both masks in amortized O(1) per probe — the same
-    // sublinearity the row-wise loop gets from its binary search.
-    let mut p = 0usize; // b-records with sum >  s1 (row-wise prefix `p`)
-    let mut q = 0usize; // b-records with sum >= s1 (row-wise cut `q`)
+    // cursors deliver both masks in amortized O(1) per probe, where a
+    // binary search per probe would pay O(log k).
+    let mut p = 0usize; // b-records with sum >  s1
+    let mut q = 0usize; // b-records with sum >= s1
     for i in 0..a.len {
         let s1 = a_sum[i];
         debug_assert!(i == 0 || a_sum[i - 1] >= s1, "probe sums must be descending");

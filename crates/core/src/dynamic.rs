@@ -227,31 +227,20 @@ impl DynamicAggregateSkyline {
     /// # Errors
     ///
     /// Returns [`Error::InvalidArgument`] for [`KernelConfig::Exhaustive`]
-    /// (delta recounts run across kept preparations), a zero block size, or
-    /// a columnar block size above [`MAX_LANE_BLOCK`].
+    /// (delta recounts run across kept preparations), or a block size of
+    /// zero or above [`MAX_LANE_BLOCK`].
     pub fn with_kernel(dim: usize, kernel: KernelConfig) -> Result<Self> {
-        match kernel {
-            KernelConfig::Exhaustive => {
-                return Err(Error::InvalidArgument(
-                    "dynamic maintenance requires a prepared kernel (blocked or columnar); \
-                     Exhaustive produces no memoizable tally"
-                        .into(),
-                ));
-            }
-            KernelConfig::Blocked { block_size } => {
-                if block_size == 0 {
-                    return Err(Error::InvalidArgument(
-                        "kernel block size must be positive".into(),
-                    ));
-                }
-            }
-            KernelConfig::Columnar { block_size } | KernelConfig::ColumnarScalar { block_size } => {
-                if block_size == 0 || block_size > MAX_LANE_BLOCK {
-                    return Err(Error::InvalidArgument(format!(
-                        "columnar block size {block_size} outside 1..={MAX_LANE_BLOCK}"
-                    )));
-                }
-            }
+        let Some(block_size) = kernel.block_size() else {
+            return Err(Error::InvalidArgument(
+                "dynamic maintenance requires a prepared (columnar) kernel; Exhaustive produces \
+                 no memoizable tally"
+                    .into(),
+            ));
+        };
+        if block_size == 0 || block_size > MAX_LANE_BLOCK {
+            return Err(Error::InvalidArgument(format!(
+                "columnar block size {block_size} outside 1..={MAX_LANE_BLOCK}"
+            )));
         }
         let mut out = DynamicAggregateSkyline::new(dim);
         out.kernel = kernel;
@@ -1164,13 +1153,12 @@ mod tests {
         );
     }
 
-    /// Tallies are kernel-config independent: blocked, columnar-scalar and
+    /// Tallies are kernel-config independent: columnar-scalar and
     /// columnar-auto maintenance produce bit-identical skylines, tallies
     /// and Stats on the same edit stream.
     #[test]
     fn kernel_configs_agree_bit_for_bit() {
         let configs = [
-            KernelConfig::Blocked { block_size: 4 },
             KernelConfig::ColumnarScalar { block_size: 4 },
             KernelConfig::Columnar { block_size: 4 },
         ];
@@ -1194,8 +1182,7 @@ mod tests {
             }
             outcomes.push((skylines, d.export_tallies(), *d.stats()));
         }
-        assert_eq!(outcomes[0], outcomes[1], "blocked vs columnar-scalar");
-        assert_eq!(outcomes[1], outcomes[2], "columnar-scalar vs columnar-auto");
+        assert_eq!(outcomes[0], outcomes[1], "columnar-scalar vs columnar-auto");
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub enum Error {
     },
     /// A record contained a non-finite value (NaN or ±∞). Dominance is
     /// undefined on NaN, and infinities break the coordinate-sum ordering
-    /// the blocked kernel relies on, so both are rejected at ingestion.
+    /// the prepared kernel relies on, so both are rejected at ingestion.
     NonFiniteValue {
         /// Index of the dimension holding the non-finite value.
         dimension: usize,
@@ -59,14 +59,14 @@ pub enum Error {
     /// kernel block size of zero). The message names the argument and the
     /// accepted domain.
     InvalidArgument(String),
-    /// A parallel worker panicked and the scheduler exhausted its per-chunk
-    /// retry budget (or, for the static strided scheduler, retries are not
-    /// attempted at all). Transient panics are retried and quarantined
-    /// instead — see `Stats::worker_retries` / `workers_quarantined`.
+    /// A parallel worker panicked and the scheduler exhausted its per-pair
+    /// retry budget. Transient panics are retried and quarantined instead —
+    /// see `Stats::worker_retries` / `workers_quarantined`.
     WorkerPanicked {
         /// Index of the worker that observed the final panic.
         worker: usize,
-        /// First group id of the chunk whose retries were exhausted.
+        /// Index of the candidate pair whose retries were exhausted (the
+        /// group count when a worker panicked outside the per-pair guard).
         chunk: usize,
     },
     /// A checkpoint I/O operation failed (the message names the path and

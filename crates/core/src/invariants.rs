@@ -75,35 +75,33 @@ pub fn check_prepared(ds: &GroupedDataset, prep: &PreparedDataset) {
                     }
                     check_mbb_contains(mbb, row);
                 }
-                if prep.lanes_enabled() {
-                    // Lane keys are the sort keys of the block's records in
-                    // column-major order, sentinel-padded to the block size.
-                    let lanes = prep.lane_block(g, b);
-                    debug_assert_eq!(lanes.len, view.len(), "group {g} block {b}: lane length");
-                    for (j, row) in view.rows.chunks_exact(dim).enumerate() {
-                        for (d, &v) in row.iter().enumerate() {
-                            debug_assert_eq!(
-                                lanes.lane(d)[j],
-                                crate::dominance::sort_key(v),
-                                "group {g} block {b} record {j}: lane {d} key mismatch"
-                            );
-                        }
+                // Lane keys are the sort keys of the block's records in
+                // column-major order, sentinel-padded to the block size.
+                let lanes = prep.lane_block(g, b);
+                debug_assert_eq!(lanes.len, view.len(), "group {g} block {b}: lane length");
+                for (j, row) in view.rows.chunks_exact(dim).enumerate() {
+                    for (d, &v) in row.iter().enumerate() {
                         debug_assert_eq!(
-                            lanes.lane(dim)[j],
-                            crate::dominance::sort_key(view.sums[j]),
-                            "group {g} block {b} record {j}: sum-lane key mismatch"
+                            lanes.lane(d)[j],
+                            crate::dominance::sort_key(v),
+                            "group {g} block {b} record {j}: lane {d} key mismatch"
                         );
                     }
                     debug_assert_eq!(
-                        lanes.width % crate::prepared::LANE_VECTOR,
-                        0,
-                        "lane stride not padded to the vector width"
+                        lanes.lane(dim)[j],
+                        crate::dominance::sort_key(view.sums[j]),
+                        "group {g} block {b} record {j}: sum-lane key mismatch"
                     );
-                    for j in view.len()..lanes.width {
-                        debug_assert_eq!(lanes.lane(0)[j], i64::MAX, "pad lane 0 sentinel");
-                        for d in 1..=dim {
-                            debug_assert_eq!(lanes.lane(d)[j], i64::MIN, "pad lane {d} sentinel");
-                        }
+                }
+                debug_assert_eq!(
+                    lanes.width % crate::prepared::LANE_VECTOR,
+                    0,
+                    "lane stride not padded to the vector width"
+                );
+                for j in view.len()..lanes.width {
+                    debug_assert_eq!(lanes.lane(0)[j], i64::MAX, "pad lane 0 sentinel");
+                    for d in 1..=dim {
+                        debug_assert_eq!(lanes.lane(d)[j], i64::MIN, "pad lane {d} sentinel");
                     }
                 }
             }

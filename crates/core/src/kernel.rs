@@ -1,10 +1,9 @@
-//! The blocked counting kernel: block-at-a-time pair counting over a
+//! The counting kernel: block-at-a-time pair counting over a
 //! [`PreparedDataset`].
 //!
 //! [`crate::compare_groups`] resolves a group pair one record comparison at
-//! a time. The blocked kernel instead walks the fixed-size record blocks
-//! prepared by [`PreparedDataset::build`] and classifies each *block pair*
-//! first:
+//! a time. The kernel instead walks the fixed-size record blocks prepared
+//! by [`PreparedDataset::build`] and classifies each *block pair* first:
 //!
 //! * **full** — the first block's minimum corner dominates the second's
 //!   maximum corner: every record of the first dominates every record of
@@ -13,11 +12,11 @@
 //! * **skipped** — neither block's maximum corner dominates the other's
 //!   minimum corner (or the coordinate-sum ranges rule a direction out):
 //!   no pair in either direction can dominate, contributing 0 in O(1);
-//! * **straddling** — anything else falls back to a record loop: either the
-//!   row-wise binary-search loop ([`KernelConfig::Blocked`]) or the
+//! * **straddling** — anything else is counted record by record by the
 //!   branch-reduced columnar bitmask kernel over the preparation's key
-//!   lanes ([`KernelConfig::Columnar`], see [`crate::columnar`]). Both
-//!   produce bit-identical tallies and [`Stats`] charges.
+//!   lanes (see [`crate::columnar`]), or by its AVX2 twin in
+//!   [`crate::simd`] when the CPU has it. Both produce bit-identical
+//!   tallies and [`Stats`] charges.
 //!
 //! Every classification updates the same [`Counter`] the record-at-a-time
 //! path uses, so the Section 3.3 stopping rule (evaluated after each block
@@ -35,32 +34,26 @@ use crate::gamma::Gamma;
 use crate::mbb::Mbb;
 use crate::paircache::{CachedTally, PairCache};
 use crate::paircount::{compare_groups, Counter, DomLevel, PairOptions, PairVerdict};
-use crate::prepared::{BlockView, PreparedDataset, MAX_LANE_BLOCK};
+use crate::prepared::PreparedDataset;
 use crate::stats::Stats;
 
 /// Selects the record-counting strategy used inside every group-vs-group
 /// comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelConfig {
     /// Compare records pairwise with [`crate::compare_groups`] (no
     /// preprocessing; the paper's configuration).
-    #[default]
     Exhaustive,
     /// Preprocess each group once ([`PreparedDataset::build`]) and count
-    /// block-at-a-time with the row-wise straddle loop.
-    Blocked {
-        /// Records per block; see [`PreparedDataset::DEFAULT_BLOCK_SIZE`].
-        block_size: usize,
-    },
-    /// Like [`KernelConfig::Blocked`], but straddling block pairs are
-    /// counted by the columnar bitmask kernel over the preparation's
-    /// structure-of-arrays key lanes (see [`crate::columnar`]). Requires
-    /// `block_size <= `[`MAX_LANE_BLOCK`] so one lane fits a `u64` mask.
-    /// When the CPU supports AVX2 (and `AGGSKY_FORCE_SCALAR` is not set,
-    /// see [`crate::cpu`]), straddles run the hand-vectorized twin in
-    /// [`crate::simd`] — bit-identical tallies and [`Stats`], just faster.
+    /// block-at-a-time; straddling block pairs are counted by the columnar
+    /// bitmask kernel over the preparation's structure-of-arrays key lanes
+    /// (see [`crate::columnar`]). When the CPU supports AVX2 (and
+    /// `AGGSKY_FORCE_SCALAR` is not set, see [`crate::cpu`]), straddles run
+    /// the hand-vectorized twin in [`crate::simd`] — bit-identical tallies
+    /// and [`Stats`], just faster.
     Columnar {
-        /// Records per block (at most [`MAX_LANE_BLOCK`]).
+        /// Records per block, at most [`crate::MAX_LANE_BLOCK`] so one
+        /// lane fits a `u64` mask.
         block_size: usize,
     },
     /// [`KernelConfig::Columnar`] with SIMD dispatch pinned off: always the
@@ -69,17 +62,12 @@ pub enum KernelConfig {
     /// differential oracle of `tests/simd_differential.rs` and the
     /// `columnar-scalar` row of the perf table).
     ColumnarScalar {
-        /// Records per block (at most [`MAX_LANE_BLOCK`]).
+        /// Records per block, at most [`crate::MAX_LANE_BLOCK`].
         block_size: usize,
     },
 }
 
 impl KernelConfig {
-    /// The blocked kernel at the default block size.
-    pub fn blocked() -> KernelConfig {
-        KernelConfig::Blocked { block_size: PreparedDataset::DEFAULT_BLOCK_SIZE }
-    }
-
     /// The columnar kernel at the default block size (SIMD when available).
     pub fn columnar() -> KernelConfig {
         KernelConfig::Columnar { block_size: PreparedDataset::DEFAULT_BLOCK_SIZE }
@@ -95,32 +83,30 @@ impl KernelConfig {
     pub fn block_size(self) -> Option<usize> {
         match self {
             KernelConfig::Exhaustive => None,
-            KernelConfig::Blocked { block_size }
-            | KernelConfig::Columnar { block_size }
-            | KernelConfig::ColumnarScalar { block_size } => Some(block_size),
+            KernelConfig::Columnar { block_size } | KernelConfig::ColumnarScalar { block_size } => {
+                Some(block_size)
+            }
         }
     }
 }
 
-/// Which straddle loop a prepared kernel runs. All three tally identically;
-/// the columnar loops are the faster ones when lanes are available, and the
-/// SIMD one the fastest when the CPU has AVX2.
+/// Which straddle loop a prepared kernel runs. Both tally identically; the
+/// SIMD one is the faster when the CPU has AVX2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StraddleMode {
-    RowWise,
-    ColumnarScalar,
-    ColumnarSimd,
+    Scalar,
+    Simd,
 }
 
 impl StraddleMode {
-    /// The columnar mode the runtime environment selects: AVX2 when
-    /// detected and not overridden, scalar otherwise.
+    /// The mode the runtime environment selects: AVX2 when detected and
+    /// not overridden, scalar otherwise.
     #[inline]
-    fn columnar_auto() -> StraddleMode {
+    fn auto() -> StraddleMode {
         if crate::cpu::simd_active() {
-            StraddleMode::ColumnarSimd
+            StraddleMode::Simd
         } else {
-            StraddleMode::ColumnarScalar
+            StraddleMode::Scalar
         }
     }
 }
@@ -150,76 +136,34 @@ impl<'a> Kernel<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidArgument`] for a zero block size, or for a
-    /// columnar block size above [`MAX_LANE_BLOCK`] (one lane must fit a
-    /// `u64` dominance bitmask).
+    /// Returns [`Error::InvalidArgument`] for a prepared kernel whose block
+    /// size is zero or above [`crate::MAX_LANE_BLOCK`] (see
+    /// [`PreparedDataset::build`]).
     pub fn new(ds: &'a GroupedDataset, config: KernelConfig) -> Result<Kernel<'a>> {
-        match config {
-            KernelConfig::Exhaustive => Ok(Kernel::exhaustive(ds)),
-            KernelConfig::Blocked { block_size } => {
-                let prep = PreparedDataset::build(ds, block_size)?;
-                Ok(Kernel {
-                    ds,
-                    prep: Prep::Owned(Box::new(prep)),
-                    straddle: StraddleMode::RowWise,
-                })
-            }
-            KernelConfig::Columnar { block_size } | KernelConfig::ColumnarScalar { block_size } => {
-                if block_size > MAX_LANE_BLOCK {
-                    return Err(Error::InvalidArgument(format!(
-                        "columnar block_size {block_size} exceeds MAX_LANE_BLOCK \
-                         ({MAX_LANE_BLOCK}); one lane must fit a u64 bitmask"
-                    )));
-                }
-                let prep = PreparedDataset::build(ds, block_size)?;
-                debug_assert!(prep.lanes_enabled());
-                let straddle = match config {
-                    KernelConfig::ColumnarScalar { .. } => StraddleMode::ColumnarScalar,
-                    _ => StraddleMode::columnar_auto(),
-                };
-                Ok(Kernel { ds, prep: Prep::Owned(Box::new(prep)), straddle })
-            }
-        }
+        let (block_size, straddle) = match config {
+            KernelConfig::Exhaustive => return Ok(Kernel::exhaustive(ds)),
+            KernelConfig::Columnar { block_size } => (block_size, StraddleMode::auto()),
+            KernelConfig::ColumnarScalar { block_size } => (block_size, StraddleMode::Scalar),
+        };
+        let prep = PreparedDataset::build(ds, block_size)?;
+        Ok(Kernel { ds, prep: Prep::Owned(Box::new(prep)), straddle })
     }
 
     /// Binds `ds` to the exhaustive (no preprocessing) strategy. Infallible
     /// — this is what [`crate::Algorithm::run`] uses, keeping the paper
     /// configuration free of error plumbing.
     pub fn exhaustive(ds: &'a GroupedDataset) -> Kernel<'a> {
-        Kernel { ds, prep: Prep::None, straddle: StraddleMode::RowWise }
-    }
-
-    /// Binds `ds` to an existing preparation, using the row-wise straddle
-    /// loop (the historical behavior; see
-    /// [`Kernel::with_prepared_columnar`]).
-    ///
-    /// The preparation must have been built from `ds`.
-    pub fn with_prepared(ds: &'a GroupedDataset, prep: &'a PreparedDataset) -> Kernel<'a> {
-        debug_assert_eq!(ds.n_records(), prep.n_records());
-        Kernel { ds, prep: Prep::Borrowed(prep), straddle: StraddleMode::RowWise }
+        Kernel { ds, prep: Prep::None, straddle: StraddleMode::Scalar }
     }
 
     /// Binds `ds` to an existing preparation, counting straddles with the
     /// columnar bitmask kernel (SIMD when the CPU and environment allow,
     /// see [`crate::cpu::simd_active`]).
     ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidArgument`] if the preparation was built
-    /// without key lanes (block size above [`MAX_LANE_BLOCK`]).
-    pub fn with_prepared_columnar(
-        ds: &'a GroupedDataset,
-        prep: &'a PreparedDataset,
-    ) -> Result<Kernel<'a>> {
+    /// The preparation must have been built from `ds`.
+    pub fn with_prepared(ds: &'a GroupedDataset, prep: &'a PreparedDataset) -> Kernel<'a> {
         debug_assert_eq!(ds.n_records(), prep.n_records());
-        if !prep.lanes_enabled() {
-            return Err(Error::InvalidArgument(format!(
-                "preparation has no key lanes (block_size {} > MAX_LANE_BLOCK \
-                 {MAX_LANE_BLOCK}); rebuild with a smaller block size",
-                prep.block_size()
-            )));
-        }
-        Ok(Kernel { ds, prep: Prep::Borrowed(prep), straddle: StraddleMode::columnar_auto() })
+        Kernel { ds, prep: Prep::Borrowed(prep), straddle: StraddleMode::auto() }
     }
 
     /// The underlying dataset.
@@ -228,8 +172,7 @@ impl<'a> Kernel<'a> {
         self.ds
     }
 
-    /// The preparation, when a prepared (blocked or columnar) kernel is
-    /// active.
+    /// The preparation, when a prepared kernel is active.
     #[inline]
     pub fn prepared(&self) -> Option<&PreparedDataset> {
         match &self.prep {
@@ -239,22 +182,10 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Whether straddling block pairs run a columnar bitmask kernel (scalar
-    /// or SIMD).
-    #[inline]
-    pub fn is_columnar(&self) -> bool {
-        self.straddle != StraddleMode::RowWise
-    }
-
     /// Whether straddling block pairs run the AVX2 SIMD kernel.
     #[inline]
     pub fn is_simd(&self) -> bool {
-        self.straddle == StraddleMode::ColumnarSimd
-    }
-
-    #[inline]
-    fn straddle_mode(&self) -> StraddleMode {
-        self.straddle
+        self.straddle == StraddleMode::Simd
     }
 
     /// Group bounding boxes precomputed during preparation (`None` in
@@ -276,18 +207,36 @@ impl<'a> Kernel<'a> {
         opts: PairOptions,
         stats: &mut Stats,
     ) -> PairVerdict {
-        match self.prepared() {
-            Some(p) => {
-                compare_groups_prepared(p, g1, g2, gamma, boxes, opts, stats, self.straddle_mode())
-            }
-            None => compare_groups(self.ds, g1, g2, gamma, boxes, opts, stats),
+        let Some(prep) = self.prepared() else {
+            return compare_groups(self.ds, g1, g2, gamma, boxes, opts, stats);
+        };
+        stats.group_pairs += 1;
+        let total = crate::num::pair_product(prep.group_len(g1), prep.group_len(g2));
+        let mut counter = Counter::new(total, gamma, opts);
+        if let Some(v) = bbox_shortcut(boxes, stats) {
+            return v;
         }
+        let (early, _) = run_blocks_from(
+            prep,
+            g1,
+            prep,
+            g2,
+            &mut counter,
+            opts,
+            stats,
+            self.straddle,
+            0,
+            u64::MAX,
+        );
+        early.unwrap_or_else(|| counter.final_verdict())
     }
 
     /// Like [`Kernel::compare`], memoizing (and reusing) pair tallies
-    /// through `cache`. Falls back to the uncached path when no cache is
-    /// given or the kernel is exhaustive (the cache's resume cursor is
-    /// defined over block pairs).
+    /// through `cache`: one unbounded [`Kernel::compare_bounded`], which
+    /// counts in canonical orientation. Without a cache this is
+    /// [`Kernel::compare`], in the caller's orientation; an exhaustive
+    /// kernel memoizes nothing (the cache's resume cursor is defined over
+    /// block pairs).
     ///
     /// The verdict is always the one an uncached run would produce —
     /// stop-rule verdicts are certain, so serving or resuming a memoized
@@ -305,19 +254,27 @@ impl<'a> Kernel<'a> {
         cache: Option<&mut PairCache>,
         stats: &mut Stats,
     ) -> PairVerdict {
-        match (self.prepared(), cache) {
-            (Some(p), Some(cache)) => compare_groups_cached(
-                p,
+        let Some(cache) = cache else {
+            return self.compare(g1, g2, gamma, boxes, opts, stats);
+        };
+        let mut resume = None;
+        loop {
+            // An unbounded batch always decides; a `Pending` continuation
+            // is resumed rather than trusted to be impossible.
+            match self.compare_bounded(
                 g1,
                 g2,
                 gamma,
                 boxes,
                 opts,
-                cache,
+                resume,
+                u64::MAX,
+                Some(&mut *cache),
                 stats,
-                self.straddle_mode(),
-            ),
-            _ => self.compare(g1, g2, gamma, boxes, opts, stats),
+            ) {
+                BoundedCompare::Decided { verdict, .. } => return verdict,
+                BoundedCompare::Pending(tally) => resume = Some(tally),
+            }
         }
     }
 
@@ -328,7 +285,7 @@ impl<'a> Kernel<'a> {
     /// can pick up a [`BoundedCompare::Pending`] continuation, because the
     /// tally plus the cursor fully determine the remaining work.
     ///
-    /// Semantics match [`Kernel::compare_cached`] exactly: counting runs in
+    /// [`Kernel::compare_cached`] is one unbounded batch. Counting runs in
     /// canonical `(min, max)` orientation (the returned verdict is flipped
     /// back to the caller's), a fresh start (`resume: None`) charges
     /// `group_pairs`, applies the bounding-box shortcut, and consults
@@ -419,7 +376,7 @@ impl<'a> Kernel<'a> {
             &mut counter,
             opts,
             stats,
-            self.straddle_mode(),
+            self.straddle,
             tally.cursor,
             max_block_pairs,
         );
@@ -464,9 +421,9 @@ pub enum BoundedCompare {
     Pending(CachedTally),
 }
 
-/// The Figure 9(b) group-level bounding-box shortcuts, shared by every
-/// prepared comparison path. `Some` when the boxes resolve the pair with
-/// zero record comparisons.
+/// The Figure 9(b) group-level bounding-box shortcuts, shared by
+/// [`Kernel::compare`] and [`Kernel::compare_bounded`]. `Some` when the
+/// boxes resolve the pair with zero record comparisons.
 fn bbox_shortcut(boxes: Option<(&Mbb, &Mbb)>, stats: &mut Stats) -> Option<PairVerdict> {
     let (b1, b2) = boxes?;
     if b1.strictly_dominates(b2) {
@@ -484,173 +441,8 @@ fn bbox_shortcut(boxes: Option<(&Mbb, &Mbb)>, stats: &mut Stats) -> Option<PairV
     None
 }
 
-/// Compares groups `g1` and `g2` block-at-a-time over a prepared dataset
-/// with the row-wise straddle loop.
-///
-/// Semantically identical to [`crate::compare_groups`] on the source
-/// dataset: the same γ/γ̄ verdicts, the same Figure 9(b) group-level
-/// shortcuts when `boxes` is given, and the same Section 3.3 stopping rule
-/// (here evaluated after each block pair). The Figure 9(c) per-record region
-/// decomposition is subsumed by the block classification.
-pub fn compare_groups_blocked(
-    prep: &PreparedDataset,
-    g1: GroupId,
-    g2: GroupId,
-    gamma: Gamma,
-    boxes: Option<(&Mbb, &Mbb)>,
-    opts: PairOptions,
-    stats: &mut Stats,
-) -> PairVerdict {
-    compare_groups_prepared(prep, g1, g2, gamma, boxes, opts, stats, StraddleMode::RowWise)
-}
-
-/// [`compare_groups_blocked`] with the columnar bitmask straddle kernel:
-/// bit-identical verdicts, tallies and [`Stats`] (the straddle loops charge
-/// the same `records_compared` / `record_pairs`). Uses the AVX2 SIMD kernel
-/// when the CPU and environment allow ([`crate::cpu::simd_active`]), the
-/// scalar columnar loop otherwise; falls back to the row-wise loop if the
-/// preparation carries no key lanes.
-pub fn compare_groups_columnar(
-    prep: &PreparedDataset,
-    g1: GroupId,
-    g2: GroupId,
-    gamma: Gamma,
-    boxes: Option<(&Mbb, &Mbb)>,
-    opts: PairOptions,
-    stats: &mut Stats,
-) -> PairVerdict {
-    compare_groups_prepared(prep, g1, g2, gamma, boxes, opts, stats, StraddleMode::columnar_auto())
-}
-
-/// [`compare_groups_columnar`] with SIMD dispatch pinned off: always the
-/// scalar columnar kernel. This is the differential oracle the SIMD suite
-/// and the perf table compare against on AVX2 hardware.
-pub fn compare_groups_columnar_scalar(
-    prep: &PreparedDataset,
-    g1: GroupId,
-    g2: GroupId,
-    gamma: Gamma,
-    boxes: Option<(&Mbb, &Mbb)>,
-    opts: PairOptions,
-    stats: &mut Stats,
-) -> PairVerdict {
-    compare_groups_prepared(prep, g1, g2, gamma, boxes, opts, stats, StraddleMode::ColumnarScalar)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn compare_groups_prepared(
-    prep: &PreparedDataset,
-    g1: GroupId,
-    g2: GroupId,
-    gamma: Gamma,
-    boxes: Option<(&Mbb, &Mbb)>,
-    opts: PairOptions,
-    stats: &mut Stats,
-    mode: StraddleMode,
-) -> PairVerdict {
-    stats.group_pairs += 1;
-    let total = crate::num::pair_product(prep.group_len(g1), prep.group_len(g2));
-    let mut counter = Counter::new(total, gamma, opts);
-    if let Some(v) = bbox_shortcut(boxes, stats) {
-        return v;
-    }
-    match run_blocks_from(prep, g1, prep, g2, &mut counter, opts, stats, mode, 0, u64::MAX).0 {
-        Some(v) => v,
-        None => counter.final_verdict(),
-    }
-}
-
-/// The memoizing comparison path behind [`Kernel::compare_cached`]: counts
-/// in canonical `(min, max)` group orientation so one cache entry serves
-/// both orientations, serves memoized verdicts when they are already
-/// certain under the caller's γ, and otherwise resumes the block cursor
-/// from where the memoized tally stopped.
-#[allow(clippy::too_many_arguments)]
-fn compare_groups_cached(
-    prep: &PreparedDataset,
-    g1: GroupId,
-    g2: GroupId,
-    gamma: Gamma,
-    boxes: Option<(&Mbb, &Mbb)>,
-    opts: PairOptions,
-    cache: &mut PairCache,
-    stats: &mut Stats,
-    mode: StraddleMode,
-) -> PairVerdict {
-    stats.group_pairs += 1;
-    if let Some(v) = bbox_shortcut(boxes, stats) {
-        return v;
-    }
-    let (lo, hi) = if g1 <= g2 { (g1, g2) } else { (g2, g1) };
-    let total = crate::num::pair_product(prep.group_len(lo), prep.group_len(hi));
-    let (tally, was_cached) = match cache.lookup(lo, hi) {
-        Some(t) => {
-            debug_assert_eq!(t.total, total, "cache entry from a different dataset");
-            (t, true)
-        }
-        None => {
-            stats.cache_misses += 1;
-            (CachedTally::fresh(total), false)
-        }
-    };
-    let mut counter = Counter::resume(total, gamma, opts, tally.n12, tally.n21, tally.checked);
-    // Can the memoized evidence already decide the pair under this γ?
-    let served = if tally.complete() {
-        Some(counter.final_verdict())
-    } else if opts.stop_rule {
-        counter.verdict()
-    } else {
-        None
-    };
-    let verdict = match served {
-        Some(v) => {
-            if was_cached {
-                stats.cache_hits += 1;
-            }
-            v
-        }
-        None => {
-            if was_cached {
-                stats.cache_resumes += 1;
-            }
-            let (early, cursor) = run_blocks_from(
-                prep,
-                lo,
-                prep,
-                hi,
-                &mut counter,
-                opts,
-                stats,
-                mode,
-                tally.cursor,
-                u64::MAX,
-            );
-            cache.store(
-                lo,
-                hi,
-                CachedTally {
-                    n12: counter.n12,
-                    n21: counter.n21,
-                    checked: counter.checked,
-                    total,
-                    cursor,
-                },
-            );
-            match early {
-                Some(v) => v,
-                None => counter.final_verdict(),
-            }
-        }
-    };
-    if g1 <= g2 {
-        verdict
-    } else {
-        verdict.flipped()
-    }
-}
-
 /// Exact pair counts `(n12, n21)` for one group pair, computed with the
-/// blocked kernel and no early termination.
+/// kernel the runtime selects and no early termination.
 ///
 /// This is the kernel-side ground truth the equivalence tests compare
 /// against [`crate::DominationMatrix::build`].
@@ -660,9 +452,7 @@ pub fn count_pairs(
     g2: GroupId,
     stats: &mut Stats,
 ) -> (u64, u64) {
-    let mode =
-        if prep.lanes_enabled() { StraddleMode::columnar_auto() } else { StraddleMode::RowWise };
-    full_count(prep, g1, prep, g2, mode, stats)
+    full_count(prep, g1, prep, g2, StraddleMode::auto(), stats)
 }
 
 /// Exact pair counts `(n12, n21)` of group `g1` of `p1` against group `g2`
@@ -695,9 +485,8 @@ pub fn count_pairs_across(
                 "cross-preparation counting needs a prepared kernel, not Exhaustive".into(),
             ));
         }
-        KernelConfig::Blocked { .. } => StraddleMode::RowWise,
-        KernelConfig::Columnar { .. } => StraddleMode::columnar_auto(),
-        KernelConfig::ColumnarScalar { .. } => StraddleMode::ColumnarScalar,
+        KernelConfig::Columnar { .. } => StraddleMode::auto(),
+        KernelConfig::ColumnarScalar { .. } => StraddleMode::Scalar,
     };
     let block_size = config.block_size();
     if block_size != Some(p1.block_size())
@@ -726,7 +515,7 @@ fn full_count(
     stats: &mut Stats,
 ) -> (u64, u64) {
     let total = crate::num::pair_product(p1.group_len(g1), p2.group_len(g2));
-    let opts = PairOptions { stop_rule: false, need_bar: false, corrected_bar: false };
+    let opts = PairOptions { stop_rule: false, need_bar: false };
     let mut counter = Counter::new(total, Gamma::DEFAULT, opts);
     let (early, _) = run_blocks_from(p1, g1, p2, g2, &mut counter, opts, stats, mode, 0, u64::MAX);
     debug_assert!(early.is_none(), "stop rule is disabled");
@@ -769,7 +558,6 @@ fn run_blocks_from(
 ) -> (Option<PairVerdict>, u64) {
     let dim = p1.dim();
     debug_assert_eq!(dim, p2.dim(), "preparations of different dimensionality");
-    let lanes = p1.lanes_enabled() && p2.lanes_enabled();
     let nb1 = p1.n_blocks(g1);
     let nb2 = p2.n_blocks(g2);
     let total_pairs = crate::num::wide(nb1).saturating_mul(crate::num::wide(nb2));
@@ -808,21 +596,15 @@ fn run_blocks_from(
                     counter.checked += pairs;
                     stats.blocks_skipped += 1;
                 } else {
+                    let la = p1.lane_block(g1, a);
+                    let lb = p2.lane_block(g2, b);
                     match mode {
-                        StraddleMode::ColumnarScalar | StraddleMode::ColumnarSimd if lanes => {
-                            let la = p1.lane_block(g1, a);
-                            let lb = p2.lane_block(g2, b);
-                            if mode == StraddleMode::ColumnarSimd {
-                                crate::simd::straddle_lanes_simd(
-                                    dim, &la, &lb, fwd, bwd, counter, stats,
-                                );
-                            } else {
-                                crate::columnar::straddle_lanes(
-                                    dim, &la, &lb, fwd, bwd, counter, stats,
-                                );
-                            }
+                        StraddleMode::Simd => crate::simd::straddle_lanes_simd(
+                            dim, &la, &lb, fwd, bwd, counter, stats,
+                        ),
+                        StraddleMode::Scalar => {
+                            crate::columnar::straddle_lanes(dim, &la, &lb, fwd, bwd, counter, stats)
                         }
-                        _ => straddle(dim, &ba, &bb, fwd, bwd, counter, stats),
                     }
                     counter.checked += pairs;
                 }
@@ -841,60 +623,18 @@ fn run_blocks_from(
     (None, cursor)
 }
 
-/// Row-wise record loop for a straddling block pair. Only the directions
-/// flagged possible are tested, and within a direction only the records
-/// whose sums permit it: `bb.sums` is descending, so for each probe record
-/// the strictly-greater prefix can only dominate it and the strictly-smaller
-/// suffix can only be dominated by it.
-fn straddle(
-    dim: usize,
-    ba: &BlockView<'_>,
-    bb: &BlockView<'_>,
-    fwd: bool,
-    bwd: bool,
-    counter: &mut Counter,
-    stats: &mut Stats,
-) {
-    let k2 = bb.len();
-    let mut tests = 0u64;
-    for (i, r1) in ba.rows.chunks_exact(dim).enumerate() {
-        let s1 = ba.sums[i];
-        let p = bb.sums.partition_point(|&s| crate::ord::gt(s, s1));
-        if bwd {
-            for r2 in bb.rows[..p * dim].chunks_exact(dim) {
-                if dominates(r2, r1) {
-                    counter.n21 += 1;
-                }
-            }
-            tests += crate::num::wide(p);
-        }
-        if fwd {
-            let q = p + bb.sums[p..].partition_point(|&s| crate::ord::ge(s, s1));
-            for r2 in bb.rows[q * dim..].chunks_exact(dim) {
-                if dominates(r1, r2) {
-                    counter.n12 += 1;
-                }
-            }
-            tests += crate::num::wide(k2 - q);
-        }
-    }
-    stats.records_compared += tests;
-    stats.record_pairs += tests;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::DominationMatrix;
+    use crate::prepared::MAX_LANE_BLOCK;
     use crate::testdata::{movie_directors, random_dataset};
 
     fn all_pair_options() -> Vec<PairOptions> {
         let mut out = Vec::new();
         for stop_rule in [false, true] {
             for need_bar in [false, true] {
-                for corrected_bar in [false, true] {
-                    out.push(PairOptions { stop_rule, need_bar, corrected_bar });
-                }
+                out.push(PairOptions { stop_rule, need_bar });
             }
         }
         out
@@ -905,7 +645,7 @@ mod tests {
         for seed in 0..10 {
             let ds = random_dataset(10, 9, 3, 600 + seed);
             for block_size in [1, 3, 64] {
-                let prep = PreparedDataset::build(&ds, block_size).unwrap();
+                let kernel = Kernel::new(&ds, KernelConfig::Columnar { block_size }).unwrap();
                 let boxes = Mbb::of_all_groups(&ds);
                 for g1 in 0..ds.n_groups() {
                     for g2 in (g1 + 1)..ds.n_groups() {
@@ -919,8 +659,7 @@ mod tests {
                             for use_boxes in [false, true] {
                                 let pair_boxes = use_boxes.then(|| (&boxes[g1], &boxes[g2]));
                                 let mut stats = Stats::default();
-                                let v = compare_groups_blocked(
-                                    &prep,
+                                let v = kernel.compare(
                                     g1,
                                     g2,
                                     Gamma::DEFAULT,
@@ -936,64 +675,9 @@ mod tests {
                                     "seed={seed} bs={block_size} {g1}v{g2} {opts:?}"
                                 );
                                 assert_eq!(v.backward.dominates(), oracle.backward.dominates());
-                                if opts.need_bar && !opts.corrected_bar {
+                                if opts.need_bar {
                                     assert_eq!(v, oracle);
                                 }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The columnar straddle kernel is bit-identical to the row-wise one:
-    /// same verdicts *and* same `Stats`, for every option set, with and
-    /// without boxes (kernel-level differential; the workspace-level suite
-    /// in `tests/columnar_differential.rs` extends this across dimensions
-    /// and algorithms).
-    #[test]
-    fn columnar_is_bit_identical_to_row_wise() {
-        for seed in 0..6 {
-            let ds = random_dataset(8, 9, 3, 900 + seed);
-            for block_size in [1, 3, 8, 64] {
-                let prep = PreparedDataset::build(&ds, block_size).unwrap();
-                assert!(prep.lanes_enabled());
-                let boxes = Mbb::of_all_groups(&ds);
-                for g1 in 0..ds.n_groups() {
-                    for g2 in (g1 + 1)..ds.n_groups() {
-                        for opts in all_pair_options() {
-                            for use_boxes in [false, true] {
-                                let pair_boxes = use_boxes.then(|| (&boxes[g1], &boxes[g2]));
-                                let mut s_row = Stats::default();
-                                let mut s_col = Stats::default();
-                                let row = compare_groups_blocked(
-                                    &prep,
-                                    g1,
-                                    g2,
-                                    Gamma::DEFAULT,
-                                    pair_boxes,
-                                    opts,
-                                    &mut s_row,
-                                );
-                                let col = compare_groups_columnar(
-                                    &prep,
-                                    g1,
-                                    g2,
-                                    Gamma::DEFAULT,
-                                    pair_boxes,
-                                    opts,
-                                    &mut s_col,
-                                );
-                                assert_eq!(
-                                    row, col,
-                                    "seed={seed} bs={block_size} {g1}v{g2} {opts:?}"
-                                );
-                                assert_eq!(
-                                    s_row, s_col,
-                                    "stats diverged: seed={seed} bs={block_size} {g1}v{g2} \
-                                     {opts:?} boxes={use_boxes}"
-                                );
                             }
                         }
                     }
@@ -1049,11 +733,12 @@ mod tests {
     fn kernel_dispatch_matches_compare_groups() {
         let ds = movie_directors();
         let exhaustive = Kernel::new(&ds, KernelConfig::Exhaustive).unwrap();
-        let blocked = Kernel::new(&ds, KernelConfig::blocked()).unwrap();
+        let scalar = Kernel::new(&ds, KernelConfig::columnar_scalar()).unwrap();
         let columnar = Kernel::new(&ds, KernelConfig::columnar()).unwrap();
-        assert!(exhaustive.prepared().is_none());
-        assert!(blocked.prepared().is_some());
-        assert!(columnar.prepared().is_some() && columnar.is_columnar());
+        assert!(exhaustive.prepared().is_none() && !exhaustive.is_simd());
+        assert!(scalar.prepared().is_some() && !scalar.is_simd());
+        assert!(columnar.prepared().is_some());
+        assert_eq!(columnar.is_simd(), crate::cpu::simd_active());
         let opts = PairOptions::default();
         for g1 in ds.group_ids() {
             for g2 in (g1 + 1)..ds.n_groups() {
@@ -1061,7 +746,7 @@ mod tests {
                 let mut s2 = Stats::default();
                 let mut s3 = Stats::default();
                 let v = exhaustive.compare(g1, g2, Gamma::DEFAULT, None, opts, &mut s1);
-                assert_eq!(v, blocked.compare(g1, g2, Gamma::DEFAULT, None, opts, &mut s2));
+                assert_eq!(v, scalar.compare(g1, g2, Gamma::DEFAULT, None, opts, &mut s2));
                 assert_eq!(v, columnar.compare(g1, g2, Gamma::DEFAULT, None, opts, &mut s3));
             }
         }
@@ -1070,24 +755,16 @@ mod tests {
     #[test]
     fn invalid_kernel_configs_are_rejected() {
         let ds = movie_directors();
-        assert!(matches!(
-            Kernel::new(&ds, KernelConfig::Blocked { block_size: 0 }),
-            Err(Error::InvalidArgument(_))
-        ));
-        assert!(matches!(
-            Kernel::new(&ds, KernelConfig::Columnar { block_size: 0 }),
-            Err(Error::InvalidArgument(_))
-        ));
-        assert!(matches!(
-            Kernel::new(&ds, KernelConfig::Columnar { block_size: MAX_LANE_BLOCK + 1 }),
-            Err(Error::InvalidArgument(_))
-        ));
-        let big = PreparedDataset::build(&ds, MAX_LANE_BLOCK + 1).unwrap();
-        assert!(!big.lanes_enabled());
-        assert!(matches!(
-            Kernel::with_prepared_columnar(&ds, &big),
-            Err(Error::InvalidArgument(_))
-        ));
+        for block_size in [0, MAX_LANE_BLOCK + 1] {
+            for config in
+                [KernelConfig::Columnar { block_size }, KernelConfig::ColumnarScalar { block_size }]
+            {
+                assert!(
+                    matches!(Kernel::new(&ds, config), Err(Error::InvalidArgument(_))),
+                    "{config:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1097,8 +774,7 @@ mod tests {
         let kernel = Kernel::with_prepared(&ds, &prep);
         assert!(std::ptr::eq(kernel.prepared().unwrap(), &prep));
         assert_eq!(kernel.group_mbbs().unwrap(), &Mbb::of_all_groups(&ds)[..]);
-        let columnar = Kernel::with_prepared_columnar(&ds, &prep).unwrap();
-        assert!(columnar.is_columnar());
+        assert_eq!(kernel.is_simd(), crate::cpu::simd_active());
     }
 
     /// Cached comparisons serve and resume without flipping any verdict,

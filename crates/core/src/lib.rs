@@ -34,7 +34,7 @@
 //! * [`matrix`] — domination matrices (the Proposition 5 proof machinery).
 //! * [`mbb`] — group bounding boxes and corner pruning (Figure 9).
 //! * [`paircount`] — pairwise counting with the Section 3.3 stopping rule.
-//! * [`prepared`] — one-time sort/block preprocessing for the blocked kernel.
+//! * [`prepared`] — one-time sort/block/lane preprocessing for the kernel.
 //! * [`kernel`] — block-at-a-time pair counting over a prepared dataset.
 //! * [`algorithms`] — NL, TR, SI, IN, LO, the naive oracle and a parallel
 //!   extension.
@@ -110,8 +110,8 @@ pub(crate) mod testdata;
 
 pub use algorithms::{
     indexed, naive_skyline, nested_loop, parallel_skyline, parallel_skyline_ctx,
-    parallel_skyline_strided, parallel_skyline_with, resolve_threads, sorted, transitive,
-    AlgoOptions, Algorithm, Pruning, SkylineResult, SortStrategy,
+    parallel_skyline_with, resolve_threads, sorted, transitive, AlgoOptions, Algorithm, Pruning,
+    SkylineResult, SortStrategy,
 };
 pub use anytime::{
     anytime_resume, anytime_resume_ctx, anytime_skyline, anytime_skyline_ctx, AnytimeCheckpoint,
@@ -125,10 +125,7 @@ pub use explain::{
     explain_membership, pair_contribution, stars_of, Membership, PairContribution, Threat,
 };
 pub use gamma::{domination_count, domination_probability, gamma_dominates, Gamma};
-pub use kernel::{
-    compare_groups_blocked, compare_groups_columnar, compare_groups_columnar_scalar, count_pairs,
-    count_pairs_across, BoundedCompare, Kernel, KernelConfig,
-};
+pub use kernel::{count_pairs, count_pairs_across, BoundedCompare, Kernel, KernelConfig};
 pub use matrix::DominationMatrix;
 pub use mbb::Mbb;
 pub use paircache::{CachedTally, PairCache};

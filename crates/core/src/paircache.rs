@@ -11,11 +11,11 @@
 //!
 //! Resumption is sound because of two properties (DESIGN.md §12):
 //!
-//! 1. the blocked kernel counts block pairs in a fixed deterministic order
+//! 1. the prepared kernel counts block pairs in a fixed deterministic order
 //!    (a single linear cursor over `(block of g_lo) × (block of g_hi)` in
 //!    canonical `g_lo < g_hi` orientation), so a cached `cursor` uniquely
 //!    identifies *which* pairs the tallies cover, regardless of which
-//!    algorithm, straddle kernel (row-wise or columnar — they tally
+//!    algorithm, straddle kernel (scalar or AVX2 — they tally
 //!    identically), or γ produced them;
 //! 2. every verdict the stopping rule accepts is *certain* — equal to the
 //!    full-count verdict — so serving a cached partial under a new γ (when

@@ -69,21 +69,17 @@ pub struct PairOptions {
     /// domination. Algorithms that never prune via weak transitivity (plain
     /// NL) set this to `false`, which lets the stopping rule fire earlier.
     pub need_bar: bool,
-    /// Use the corrected weak-transitivity threshold `(1+γ)/2` instead of the
-    /// paper's `max(γ, 1 − √(1−γ)/2)` for the strong level (see
-    /// [`Gamma::bar_corrected`]).
-    pub corrected_bar: bool,
 }
 
 impl Default for PairOptions {
     fn default() -> Self {
-        PairOptions { stop_rule: true, need_bar: true, corrected_bar: false }
+        PairOptions { stop_rule: true, need_bar: true }
     }
 }
 
 /// Running state of an incremental pair count.
 ///
-/// Shared between the record-at-a-time loop below and the blocked kernel in
+/// Shared between the record-at-a-time loop below and the prepared kernel in
 /// [`crate::kernel`], which advances `n12`/`n21`/`checked` a whole block pair
 /// at a time.
 pub(crate) struct Counter {
@@ -104,11 +100,7 @@ impl Counter {
             checked: 0,
             total,
             gamma: gamma.value(),
-            gamma_bar: if opts.corrected_bar {
-                gamma.bar_corrected()
-            } else {
-                gamma.strong_threshold()
-            },
+            gamma_bar: gamma.strong_threshold(),
             need_bar: opts.need_bar,
         }
     }
@@ -431,7 +423,7 @@ mod tests {
     use crate::dataset::GroupedDatasetBuilder;
 
     fn opts(stop: bool, bar: bool) -> PairOptions {
-        PairOptions { stop_rule: stop, need_bar: bar, corrected_bar: false }
+        PairOptions { stop_rule: stop, need_bar: bar }
     }
 
     fn ds_tarantino_wiseau() -> GroupedDataset {

@@ -37,7 +37,7 @@ use crate::anytime::{anytime_kernel, anytime_resume_on, anytime_skyline_on, Anyt
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
-use crate::kernel::{Kernel, KernelConfig};
+use crate::kernel::Kernel;
 use crate::paircache::CachedTally;
 use crate::runctx::{InterruptReason, RunContext};
 use crate::stats::Stats;
@@ -57,9 +57,13 @@ pub struct Fingerprint {
     pub dim: u64,
     /// IEEE-754 bit pattern of the γ threshold (bit-exact, no epsilon).
     pub gamma_bits: u64,
-    /// Kernel block size the persisted cursors are meaningful for.
+    /// Kernel block size the persisted cursors are meaningful for. Every
+    /// driver fingerprints with [`Fingerprint::of`], which writes 0; the
+    /// field stays in the frame so existing frames decode and match as
+    /// before.
     pub block_size: u64,
-    /// Kernel family tag (see [`Fingerprint::with_kernel`]).
+    /// Kernel family tag: 0 from [`Fingerprint::of`], kept in the frame
+    /// like `block_size`.
     pub kernel_tag: u8,
     /// Caller-chosen seed / run identifier (0 when unused).
     pub seed: u64,
@@ -69,9 +73,8 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// Fingerprints `ds` under `gamma` with the default kernel
-    /// configuration (no blocking, seed 0). Refine with
-    /// [`Fingerprint::with_kernel`] / [`Fingerprint::with_seed`].
+    /// Fingerprints `ds` under `gamma` (block size and kernel tag 0, seed
+    /// 0). Refine with [`Fingerprint::with_seed`].
     pub fn of(ds: &GroupedDataset, gamma: Gamma) -> Fingerprint {
         let mut h = crc64::Crc64::new();
         h.update_u64(crate::num::wide(ds.dim()));
@@ -101,21 +104,6 @@ impl Fingerprint {
             seed: 0,
             data_hash: h.finish(),
         }
-    }
-
-    /// Binds the fingerprint to a kernel configuration (tag + block size),
-    /// so cursors persisted under one blocking are never replayed under
-    /// another.
-    pub fn with_kernel(mut self, cfg: KernelConfig) -> Fingerprint {
-        let (tag, block_size) = match cfg {
-            KernelConfig::Exhaustive => (1u8, 0usize),
-            KernelConfig::Blocked { block_size } => (2, block_size),
-            KernelConfig::Columnar { block_size } => (3, block_size),
-            KernelConfig::ColumnarScalar { block_size } => (4, block_size),
-        };
-        self.kernel_tag = tag;
-        self.block_size = crate::num::wide(block_size);
-        self
     }
 
     /// Binds the fingerprint to a caller-chosen seed / run identifier.
@@ -220,8 +208,8 @@ pub fn checkpoint_step(
 /// [`checkpoint_step`] over a caller-built kernel and [`Fingerprint`], so a
 /// caller that re-issues one step over unchanged data prepares its input
 /// and hashes it once. `fp` must describe the kernel's dataset (e.g.
-/// [`Fingerprint::of`], optionally bound to a kernel configuration or seed
-/// via [`Fingerprint::with_kernel`]); the kernel should be the columnar one
+/// [`Fingerprint::of`], optionally bound to a seed via
+/// [`Fingerprint::with_seed`]); the kernel should be the columnar one
 /// every anytime run counts with, or the persisted tick totals differ.
 pub fn checkpoint_step_with(
     kernel: &Kernel<'_>,
@@ -381,11 +369,6 @@ mod tests {
         let other_data = Fingerprint::of(&random_dataset(10, 5, 3, 43), Gamma::DEFAULT);
         assert_ne!(base.data_hash, other_data.data_hash);
         assert_ne!(base, base.with_seed(1));
-        assert_ne!(base, base.with_kernel(KernelConfig::Blocked { block_size: 8 }));
-        assert_ne!(
-            base.with_kernel(KernelConfig::Blocked { block_size: 8 }),
-            base.with_kernel(KernelConfig::Columnar { block_size: 8 }),
-        );
     }
 
     #[test]

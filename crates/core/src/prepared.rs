@@ -1,4 +1,5 @@
-//! One-time preprocessing of a dataset for the blocked counting kernel.
+//! One-time preprocessing of a dataset for the block-at-a-time counting
+//! kernel.
 //!
 //! [`PreparedDataset`] rewrites every group into *coordinate-sum descending*
 //! order and cuts it into fixed-size blocks with precomputed bounding
@@ -21,9 +22,9 @@ use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
 use crate::mbb::Mbb;
 
-/// Largest block size for which the columnar key lanes are materialized:
-/// one lane fits in a `u64` bitmask, so the lane kernel can express "which
-/// records of this block does the probe dominate" as a single word.
+/// Largest block size a preparation accepts: one columnar key lane fits in
+/// a `u64` bitmask, so the lane kernel can express "which records of this
+/// block does the probe dominate" as a single word.
 pub const MAX_LANE_BLOCK: usize = 64;
 
 /// Number of `i64` elements per SIMD vector (`__m256i`). Key lanes are
@@ -33,7 +34,7 @@ pub const MAX_LANE_BLOCK: usize = 64;
 /// masked off by [`LaneBlock::valid_mask`] either way.
 pub const LANE_VECTOR: usize = 4;
 
-/// A [`GroupedDataset`] preprocessed for blocked pair counting: per-group
+/// A [`GroupedDataset`] preprocessed for block-at-a-time pair counting: per-group
 /// records sorted by descending coordinate sum and partitioned into blocks
 /// of at most [`block_size`](PreparedDataset::block_size) records, each with
 /// its bounding corners.
@@ -65,11 +66,8 @@ pub struct PreparedDataset {
     /// space of [`crate::dominance::sort_key`]: per block, `dim + 1`
     /// contiguous lanes of `block_size` keys each (`dim` coordinate lanes
     /// followed by one coordinate-sum lane), padded to the block size with
-    /// sentinels that can neither dominate nor be dominated. Empty when
-    /// `block_size > MAX_LANE_BLOCK` (see `lanes`).
+    /// sentinels that can neither dominate nor be dominated.
     keys: Vec<i64>,
-    /// Whether `keys` was materialized (`block_size <= MAX_LANE_BLOCK`).
-    lanes: bool,
     /// Lane stride of `keys`: `block_size` rounded up to a multiple of
     /// [`LANE_VECTOR`] so the SIMD kernel loads whole vectors only.
     lane_width: usize,
@@ -160,15 +158,22 @@ impl PreparedDataset {
     pub const DEFAULT_BLOCK_SIZE: usize = 16;
 
     /// Preprocesses `ds`: sorts each group by descending coordinate sum,
-    /// materializes per-block bounding corners, and (for block sizes up to
-    /// [`MAX_LANE_BLOCK`]) the columnar key lanes the bitmask kernel reads.
+    /// materializes per-block bounding corners and the columnar key lanes
+    /// the bitmask kernel reads.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidArgument`] if `block_size` is zero.
+    /// Returns [`Error::InvalidArgument`] if `block_size` is zero or above
+    /// [`MAX_LANE_BLOCK`] (one lane must fit a `u64` bitmask).
     pub fn build(ds: &GroupedDataset, block_size: usize) -> Result<PreparedDataset> {
         if block_size == 0 {
             return Err(Error::InvalidArgument("block_size must be positive (got 0)".to_string()));
+        }
+        if block_size > MAX_LANE_BLOCK {
+            return Err(Error::InvalidArgument(format!(
+                "block_size {block_size} exceeds MAX_LANE_BLOCK ({MAX_LANE_BLOCK}); one lane \
+                 must fit a u64 bitmask"
+            )));
         }
         let dim = ds.dim();
         let n_groups = ds.n_groups();
@@ -198,15 +203,11 @@ impl PreparedDataset {
             block_offsets.push(block_min.len() / dim);
             mbbs.push(mbb);
         }
-        let lanes = block_size <= MAX_LANE_BLOCK;
         // Rounding the lane stride (not the block size) up to the vector
         // width keeps MAX_LANE_BLOCK intact: 64 is already a multiple of 4.
         let lane_width = block_size.next_multiple_of(LANE_VECTOR);
-        let keys = if lanes {
-            build_lane_keys(dim, block_size, lane_width, &values, &sums, &offsets, &block_offsets)
-        } else {
-            Vec::new()
-        };
+        let keys =
+            build_lane_keys(dim, block_size, lane_width, &values, &sums, &offsets, &block_offsets);
         let prep = PreparedDataset {
             dim,
             block_size,
@@ -218,7 +219,6 @@ impl PreparedDataset {
             block_max,
             mbbs,
             keys,
-            lanes,
             lane_width,
         };
         crate::invariants::check_prepared(ds, &prep);
@@ -298,32 +298,27 @@ impl PreparedDataset {
             offsets.push(values.len() / dim);
             block_offsets.push(block_min.len() / dim);
         }
-        let keys = if self.lanes {
-            let stride = (dim + 1) * self.lane_width;
-            let total_blocks = block_offsets[block_offsets.len() - 1];
-            let mut keys = vec![0i64; total_blocks * stride];
-            for g in ds.group_ids() {
-                let dst = block_offsets[g] * stride..block_offsets[g + 1] * stride;
-                if rebuilt[g] {
-                    fill_group_lanes(
-                        &mut keys[dst],
-                        dim,
-                        block_size,
-                        self.lane_width,
-                        &values,
-                        &sums,
-                        offsets[g],
-                        offsets[g + 1],
-                    );
-                } else {
-                    let src = self.block_offsets[g] * stride..self.block_offsets[g + 1] * stride;
-                    keys[dst].copy_from_slice(&self.keys[src]);
-                }
+        let stride = (dim + 1) * self.lane_width;
+        let total_blocks = block_offsets[block_offsets.len() - 1];
+        let mut keys = vec![0i64; total_blocks * stride];
+        for g in ds.group_ids() {
+            let dst = block_offsets[g] * stride..block_offsets[g + 1] * stride;
+            if rebuilt[g] {
+                fill_group_lanes(
+                    &mut keys[dst],
+                    dim,
+                    block_size,
+                    self.lane_width,
+                    &values,
+                    &sums,
+                    offsets[g],
+                    offsets[g + 1],
+                );
+            } else {
+                let src = self.block_offsets[g] * stride..self.block_offsets[g + 1] * stride;
+                keys[dst].copy_from_slice(&self.keys[src]);
             }
-            keys
-        } else {
-            Vec::new()
-        };
+        }
         let prep = PreparedDataset {
             dim,
             block_size,
@@ -335,7 +330,6 @@ impl PreparedDataset {
             block_max,
             mbbs,
             keys,
-            lanes: self.lanes,
             lane_width: self.lane_width,
         };
         crate::invariants::check_prepared(ds, &prep);
@@ -406,19 +400,10 @@ impl PreparedDataset {
         &self.sums[self.offsets[g]..self.offsets[g + 1]]
     }
 
-    /// Whether the columnar key lanes were materialized (block size at most
-    /// [`MAX_LANE_BLOCK`]). When `false`, [`Self::lane_block`] must not be
-    /// called and the kernel falls back to the row-wise straddle loop.
-    #[inline]
-    pub fn lanes_enabled(&self) -> bool {
-        self.lanes
-    }
-
     /// Columnar key lanes of block `b` (0-based within the group) of group
-    /// `g`. Requires [`Self::lanes_enabled`].
+    /// `g`.
     #[inline]
     pub fn lane_block(&self, g: GroupId, b: usize) -> LaneBlock<'_> {
-        debug_assert!(self.lanes, "lane_block on a preparation without lanes");
         let gb = self.block_offsets[g] + b;
         debug_assert!(gb < self.block_offsets[g + 1]);
         let start = self.offsets[g] + b * self.block_size;
@@ -651,7 +636,6 @@ mod tests {
         let ds = crate::testdata::random_dataset(5, 9, 3, 42);
         for block_size in [1, 4, 64] {
             let prep = PreparedDataset::build(&ds, block_size).unwrap();
-            assert!(prep.lanes_enabled());
             let dim = prep.dim();
             for g in 0..prep.n_groups() {
                 for b in 0..prep.n_blocks(g) {
@@ -693,7 +677,6 @@ mod tests {
         assert_eq!(a.block_max, b.block_max);
         assert_eq!(a.mbbs, b.mbbs);
         assert_eq!(a.keys, b.keys);
-        assert_eq!(a.lanes, b.lanes);
         assert_eq!(a.lane_width, b.lane_width);
     }
 
@@ -717,7 +700,7 @@ mod tests {
         let mut dirty = vec![false; before.n_groups()];
         dirty[2] = true;
         dirty[6] = true;
-        for block_size in [1, 4, MAX_LANE_BLOCK + 1] {
+        for block_size in [1, 4, MAX_LANE_BLOCK] {
             let prep = PreparedDataset::build(&before, block_size).unwrap();
             let rebuilt = prep.rebuild_dirty(&after, &dirty).unwrap();
             assert_same_prep(&rebuilt, &PreparedDataset::build(&after, block_size).unwrap());
@@ -772,11 +755,14 @@ mod tests {
     }
 
     #[test]
-    fn oversized_blocks_disable_lanes() {
+    fn oversized_blocks_are_rejected() {
         let ds = movie_directors();
-        let prep = PreparedDataset::build(&ds, MAX_LANE_BLOCK + 1).unwrap();
-        assert!(!prep.lanes_enabled());
-        let prep = PreparedDataset::build(&ds, MAX_LANE_BLOCK).unwrap();
-        assert!(prep.lanes_enabled());
+        match PreparedDataset::build(&ds, MAX_LANE_BLOCK + 1) {
+            Err(crate::error::Error::InvalidArgument(msg)) => {
+                assert!(msg.contains("exceeds MAX_LANE_BLOCK"), "unhelpful message: {msg}");
+            }
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+        assert!(PreparedDataset::build(&ds, MAX_LANE_BLOCK).is_ok());
     }
 }

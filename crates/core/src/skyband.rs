@@ -27,7 +27,7 @@ pub fn k_skyband(ds: &GroupedDataset, gamma: Gamma, k: usize) -> (Vec<GroupId>, 
         ds.dim(),
         boxes.iter().enumerate().map(|(g, b)| (Aabb::point(&b.max), g)).collect(),
     );
-    let pair_opts = PairOptions { stop_rule: true, need_bar: false, corrected_bar: false };
+    let pair_opts = PairOptions { stop_rule: true, need_bar: false };
     let mut out = Vec::new();
     let mut candidates = Vec::new();
     for g in 0..n {

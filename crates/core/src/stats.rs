@@ -28,14 +28,14 @@ pub struct Stats {
     /// Candidate groups returned by spatial-index window queries
     /// (Algorithm 5); group pairs never returned were pruned for free.
     pub index_candidates: u64,
-    /// Block pairs the blocked kernel resolved as *fully dominating* in
+    /// Block pairs the prepared kernel resolved as *fully dominating* in
     /// O(1) (one block's MBB min corner dominates the other's max corner:
     /// Figure 9(b) at record-block granularity).
     pub blocks_full: u64,
-    /// Block pairs the blocked kernel skipped in O(1) because neither
+    /// Block pairs the prepared kernel skipped in O(1) because neither
     /// block's MBB allows a dominating record pair in either direction.
     pub blocks_skipped: u64,
-    /// Record-vs-record dominance tests performed inside the blocked
+    /// Record-vs-record dominance tests performed inside the prepared
     /// kernel's straddling-block loops (compare against `record_pairs` of
     /// an exhaustive run to measure what block pruning saved).
     pub records_compared: u64,

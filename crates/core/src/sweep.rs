@@ -19,7 +19,6 @@ use crate::algorithms::{AlgoOptions, Algorithm, SkylineResult};
 use crate::dataset::GroupedDataset;
 use crate::error::Result;
 use crate::gamma::Gamma;
-use crate::kernel::KernelConfig;
 use crate::paircache::PairCache;
 use crate::prepared::PreparedDataset;
 use crate::runctx::{Outcome, RunContext};
@@ -47,11 +46,13 @@ pub struct SweepOutcome {
 /// Runs `algorithm` at every threshold in `gammas`, sharing one preparation
 /// and one pair-count cache across the whole sweep. `opts.gamma` is
 /// overridden per run; `opts.kernel` only selects the block size (the sweep
-/// always runs prepared, columnar when the block size permits lanes).
+/// always runs prepared, on the columnar kernel; [`crate::KernelConfig::Exhaustive`]
+/// selects [`PreparedDataset::DEFAULT_BLOCK_SIZE`]).
 ///
 /// # Errors
 ///
-/// Returns [`crate::Error::InvalidArgument`] for a zero block size.
+/// Returns [`crate::Error::InvalidArgument`] for a block size of zero or
+/// above [`crate::MAX_LANE_BLOCK`].
 pub fn gamma_sweep(
     ds: &GroupedDataset,
     algorithm: Algorithm,
@@ -72,7 +73,8 @@ pub fn gamma_sweep(
 ///
 /// # Errors
 ///
-/// Returns [`crate::Error::InvalidArgument`] for a zero block size.
+/// Returns [`crate::Error::InvalidArgument`] for a block size of zero or
+/// above [`crate::MAX_LANE_BLOCK`].
 pub fn gamma_sweep_ctx(
     ds: &GroupedDataset,
     algorithm: Algorithm,
@@ -80,12 +82,7 @@ pub fn gamma_sweep_ctx(
     opts: AlgoOptions,
     ctx: &RunContext,
 ) -> Result<SweepOutcome> {
-    let block_size = match opts.kernel {
-        KernelConfig::Exhaustive => PreparedDataset::DEFAULT_BLOCK_SIZE,
-        KernelConfig::Blocked { block_size }
-        | KernelConfig::Columnar { block_size }
-        | KernelConfig::ColumnarScalar { block_size } => block_size,
-    };
+    let block_size = opts.kernel.block_size().unwrap_or(PreparedDataset::DEFAULT_BLOCK_SIZE);
     let prep = PreparedDataset::build(ds, block_size)?;
     let mut cache = PairCache::new();
     let mut runs = Vec::with_capacity(gammas.len());

@@ -148,9 +148,6 @@ const COMPARE_FREE: &[&str] = &[
     "dominates",
     "dominates_keys",
     "compare_groups",
-    "compare_groups_blocked",
-    "compare_groups_columnar",
-    "compare_groups_columnar_scalar",
     "compare_groups_exhaustive",
     "count_pairs",
     "count_pairs_across",

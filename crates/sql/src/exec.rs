@@ -898,7 +898,7 @@ fn skyline_rows(
         return Ok((project(survivors.iter(), proj_exprs, order_exprs)?, None));
     };
     let sky_span = ctx.obs().map_or(0, |rec| rec.span_start("skyline", 0, Stamp::ZERO));
-    let kernel = Kernel::with_prepared_columnar(ds, prep).map_err(eval_error)?;
+    let kernel = Kernel::with_prepared(ds, prep);
     // A budget-exhausted (or cancelled) run degrades gracefully: keep only
     // the groups proven to belong to the skyline and record the
     // interruption instead of failing the query.

@@ -31,19 +31,16 @@ impl Token {
 /// Splits `input` into tokens, appending [`Token::Eof`].
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     let mut tokens = Vec::new();
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '-' if i + 1 < bytes.len() && bytes[i + 1] == b'-' => {
-                // Line comment.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '(' | ')' | ',' | ';' | '+' | '*' | '/' | '-' => {
+    let mut rest = input;
+    while let Some(c) = rest.chars().next() {
+        let next = rest.get(c.len_utf8()..).and_then(|r| r.chars().next());
+        // Bytes of `rest` this token (or skipped run) consumes; always a
+        // char boundary.
+        let len = match c {
+            ' ' | '\t' | '\n' | '\r' => 1,
+            // Line comment: skip up to the newline, which is whitespace.
+            '-' if next == Some('-') => rest.find('\n').unwrap_or(rest.len()),
+            '(' | ')' | ',' | ';' | '+' | '*' | '/' | '-' | '=' => {
                 tokens.push(Token::Symbol(match c {
                     '(' => "(",
                     ')' => ")",
@@ -52,133 +49,98 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     '+' => "+",
                     '*' => "*",
                     '/' => "/",
+                    '=' => "=",
                     _ => "-",
                 }));
-                i += 1;
+                1
             }
-            '=' => {
-                tokens.push(Token::Symbol("="));
-                i += 1;
-            }
-            '<' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token::Symbol("<="));
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    tokens.push(Token::Symbol("<>"));
-                    i += 2;
-                } else {
-                    tokens.push(Token::Symbol("<"));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token::Symbol(">="));
-                    i += 2;
-                } else {
-                    tokens.push(Token::Symbol(">"));
-                    i += 1;
-                }
-            }
-            '!' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token::Symbol("!="));
-                    i += 2;
-                } else {
-                    return Err(SqlError::Lex("stray '!'".into()));
-                }
+            '<' | '>' | '!' => {
+                let (symbol, len) = match (c, next) {
+                    ('<', Some('=')) => ("<=", 2),
+                    ('<', Some('>')) => ("<>", 2),
+                    ('<', _) => ("<", 1),
+                    ('>', Some('=')) => (">=", 2),
+                    ('>', _) => (">", 1),
+                    (_, Some('=')) => ("!=", 2),
+                    _ => return Err(SqlError::Lex("stray '!'".into())),
+                };
+                tokens.push(Token::Symbol(symbol));
+                len
             }
             '\'' => {
-                // Collect raw bytes and convert once: the input is valid
-                // UTF-8 and we only split at ASCII quotes, so multi-byte
-                // characters survive intact (`bytes[i] as char` would not).
-                let mut raw: Vec<u8> = Vec::new();
-                i += 1;
-                loop {
-                    if i >= bytes.len() {
-                        return Err(SqlError::Lex("unterminated string literal".into()));
-                    }
-                    if bytes[i] == b'\'' {
-                        if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            raw.push(b'\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        raw.push(bytes[i]);
-                        i += 1;
-                    }
-                }
-                let s = String::from_utf8(raw)
-                    .map_err(|_| SqlError::Lex("invalid UTF-8 in string literal".into()))?;
+                let (s, len) = lex_string(rest)?;
                 tokens.push(Token::Str(s));
+                len
             }
-            '.' if i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit() => {
-                let (tok, len) = lex_number(&input[i..])?;
-                tokens.push(tok);
-                i += len;
-            }
-            '.' => {
+            '.' if !next.is_some_and(|n| n.is_ascii_digit()) => {
                 tokens.push(Token::Symbol("."));
-                i += 1;
+                1
             }
-            c if c.is_ascii_digit() => {
-                let (tok, len) = lex_number(&input[i..])?;
+            c if c == '.' || c.is_ascii_digit() => {
+                let (tok, len) = lex_number(rest)?;
                 tokens.push(tok);
-                i += len;
+                len
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
-                    i += 1;
-                }
-                tokens.push(Token::Ident(input[start..i].to_string()));
+                let len = rest
+                    .find(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '_'))
+                    .unwrap_or(rest.len());
+                tokens.push(Token::Ident(rest.get(..len).unwrap_or(rest).to_string()));
+                len
             }
             other => return Err(SqlError::Lex(format!("unexpected character {other:?}"))),
-        }
+        };
+        rest = rest.get(len..).unwrap_or("");
     }
     tokens.push(Token::Eof);
     Ok(tokens)
 }
 
+/// Lexes the single-quoted string literal at the start of `s` (`''`
+/// escapes a quote); returns its value and the consumed byte length.
+fn lex_string(s: &str) -> Result<(String, usize)> {
+    let mut value = String::new();
+    let mut chars = s.char_indices().skip(1).peekable();
+    while let Some((at, c)) = chars.next() {
+        if c != '\'' {
+            value.push(c);
+        } else if chars.next_if(|&(_, n)| n == '\'').is_some() {
+            value.push('\'');
+        } else {
+            return Ok((value, at + 1));
+        }
+    }
+    Err(SqlError::Lex("unterminated string literal".into()))
+}
+
 /// Lexes a number starting at the beginning of `s`; returns the token and
 /// consumed byte length.
 fn lex_number(s: &str) -> Result<(Token, usize)> {
-    let bytes = s.as_bytes();
-    let mut i = 0;
+    let byte = |at: usize| s.as_bytes().get(at).copied();
+    // The end of the run of ASCII digits starting at `from`.
+    let digits_from = |from: usize| {
+        from + s.get(from..).map_or(0, |r| r.bytes().take_while(u8::is_ascii_digit).count())
+    };
+    let mut i = digits_from(0);
     let mut is_float = false;
-    while i < bytes.len() && bytes[i].is_ascii_digit() {
-        i += 1;
-    }
-    if i < bytes.len() && bytes[i] == b'.' {
+    if byte(i) == Some(b'.') {
         // Not a float if this is a qualified name like `x.col` — digits
         // cannot start identifiers, so `1.x` is invalid anyway; treat a dot
         // followed by a digit or end as part of the number.
         is_float = true;
-        i += 1;
-        while i < bytes.len() && bytes[i].is_ascii_digit() {
-            i += 1;
-        }
+        i = digits_from(i + 1);
     }
-    if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
+    if matches!(byte(i), Some(b'e' | b'E')) {
         let mut j = i + 1;
-        if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
+        if matches!(byte(j), Some(b'+' | b'-')) {
             j += 1;
         }
-        if j < bytes.len() && bytes[j].is_ascii_digit() {
+        if byte(j).is_some_and(|b| b.is_ascii_digit()) {
             is_float = true;
-            i = j;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
-            }
+            i = digits_from(j);
         }
     }
-    let text = &s[..i];
+    let text = s.get(..i).unwrap_or(s);
     if is_float {
         text.parse::<f64>()
             .map(|f| (Token::Float(f), i))
@@ -226,6 +188,39 @@ mod tests {
     #[test]
     fn errors_on_unterminated_string() {
         assert!(matches!(tokenize("'oops"), Err(SqlError::Lex(_))));
+    }
+
+    /// A character the grammar has no use for is reported whole, not as
+    /// the first byte of its UTF-8 encoding read as Latin-1; inside a
+    /// string literal the same characters survive intact.
+    #[test]
+    fn unexpected_multibyte_characters_are_named_whole() {
+        for (sql, ch) in [("SELECT é FROM t;", 'é'), ("SELECT 語 FROM t", '語'), ("a 🦀", '🦀')]
+        {
+            match tokenize(sql) {
+                Err(SqlError::Lex(msg)) => {
+                    assert_eq!(msg, format!("unexpected character {ch:?}"), "{sql}");
+                }
+                other => panic!("{sql}: expected a lex error, got {other:?}"),
+            }
+        }
+        let toks = tokenize("'é 語 🦀 o''k'").unwrap();
+        assert_eq!(toks, vec![Token::Str("é 語 🦀 o'k".into()), Token::Eof]);
+    }
+
+    #[test]
+    fn operators_and_stray_bang() {
+        let toks = tokenize("< <= <> > >= != = .").unwrap();
+        let symbols: Vec<_> = toks
+            .iter()
+            .filter_map(|t| match t {
+                Token::Symbol(s) => Some(*s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(symbols, ["<", "<=", "<>", ">", ">=", "!=", "=", "."]);
+        assert!(matches!(tokenize("a ! b"), Err(SqlError::Lex(_))));
+        assert!(matches!(tokenize("!"), Err(SqlError::Lex(_))));
     }
 
     #[test]

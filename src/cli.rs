@@ -16,7 +16,7 @@ use crate::core::{
     parallel_skyline_ctx, ranked_skyline, render_profile_diff, resolve_threads, KernelConfig,
     ProfileSnapshot,
 };
-use crate::{AlgoOptions, Algorithm, Direction, Gamma, Outcome, Pruning, RunContext};
+use crate::{AlgoOptions, Algorithm, Direction, Gamma, Outcome, RunContext};
 use aggsky_datagen::{to_grouped_csv, Distribution, GroupSizes, GroupedCsv, SyntheticConfig};
 use aggsky_obs::{export_chrome, export_prometheus, Counter, FlightRecorder, Hist, TraceRecorder};
 use std::fmt::Write as _;
@@ -185,11 +185,8 @@ fn skyline_command(args: &[String]) -> Result<String, CliError> {
         .collect();
 
     let ds = csv.parse(Some(&directions)).map_err(|e| format!("{path}: {e}"))?;
-    let opts = if flags.has("exact") {
-        AlgoOptions::exact(gamma)
-    } else {
-        AlgoOptions { pruning: Pruning::Paper, ..AlgoOptions::paper(gamma) }
-    };
+    let opts =
+        if flags.has("exact") { AlgoOptions::exact(gamma) } else { AlgoOptions::paper(gamma) };
     let threads: Option<usize> = match flags.get("threads") {
         None => None,
         Some(v) => Some(v.parse().map_err(|_| format!("--threads: invalid value {v:?}"))?),

@@ -51,7 +51,8 @@ fn exact_algorithms_match_oracle() {
         let ds = random_grid_dataset(seed);
         let gamma = gamma_for(seed);
         let oracle = naive_skyline(&ds, gamma).skyline;
-        for kernel in [KernelConfig::Exhaustive, KernelConfig::blocked(), KernelConfig::columnar()]
+        for kernel in
+            [KernelConfig::Exhaustive, KernelConfig::columnar_scalar(), KernelConfig::columnar()]
         {
             let opts = AlgoOptions { kernel, ..AlgoOptions::exact(gamma) };
             for algo in Algorithm::EVALUATED {
@@ -116,7 +117,7 @@ fn pair_verdicts_match_exhaustive() {
                     1,
                     gamma,
                     bbox.then_some((&boxes[0], &boxes[1])),
-                    PairOptions { stop_rule: stop, need_bar: true, corrected_bar: false },
+                    PairOptions { stop_rule: stop, need_bar: true },
                     &mut stats,
                 );
                 assert_eq!(v, oracle, "stop={stop} bbox={bbox} seed={seed}");

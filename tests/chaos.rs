@@ -102,7 +102,7 @@ fn injected_worker_panic_is_retried_and_does_not_change_the_skyline() {
             &ds,
             Gamma::DEFAULT,
             1,
-            KernelConfig::blocked(),
+            KernelConfig::columnar(),
             &RunContext::unlimited(),
         )
         .unwrap()
@@ -117,7 +117,7 @@ fn injected_worker_panic_is_retried_and_does_not_change_the_skyline() {
                     &ds,
                     Gamma::DEFAULT,
                     threads,
-                    KernelConfig::blocked(),
+                    KernelConfig::columnar(),
                     &ctx,
                 )
                 .unwrap_or_else(|e| panic!("seed {seed} threads {threads} at {at}: fatal {e}"));
@@ -226,7 +226,7 @@ fn injected_worker_panic_dumps_the_flight_ring() {
     let flight = Arc::new(FlightRecorder::new());
     let plan = FaultPlan::panic_at_pair(0);
     let ctx = RunContext::unlimited().with_fault(plan).with_recorder(flight.clone());
-    let outcome = parallel_skyline_ctx(&ds, Gamma::DEFAULT, 2, KernelConfig::blocked(), &ctx)
+    let outcome = parallel_skyline_ctx(&ds, Gamma::DEFAULT, 2, KernelConfig::columnar(), &ctx)
         .expect("panic fault is retried, not fatal");
     assert!(matches!(outcome, Outcome::Complete(_)), "retried run must complete");
     assert_eq!(ctx.fault().expect("plan installed").fired(), 1);
@@ -292,7 +292,7 @@ fn seeded_plans_are_reproducible_and_harmless_on_the_parallel_path() {
         let kind = a.kind();
         let ctx = RunContext::unlimited().with_fault(a);
         let outcome =
-            parallel_skyline_ctx(&ds, Gamma::DEFAULT, 3, KernelConfig::blocked(), &ctx).unwrap();
+            parallel_skyline_ctx(&ds, Gamma::DEFAULT, 3, KernelConfig::columnar(), &ctx).unwrap();
         if kind != FaultKind::CorruptCoordinate {
             match outcome {
                 Outcome::Complete(r) => assert_eq!(r.skyline, exact, "seed {seed} ({kind:?})"),

@@ -1,19 +1,17 @@
-//! Differential suite for the columnar straddle kernel: the lane-based
-//! bitmask path must be *bit-identical* to the row-wise blocked path — same
-//! verdicts, same `n12`/`n21`, same `Stats` — and both must agree with the
-//! unblocked per-record ground truth, for every `PairOptions` combination,
-//! across dimensionalities on both sides of the monomorphized range
-//! (d ∈ {1, 2, 5, 8, 9}; 2..=8 run the fixed-arity kernels, 1 and 9 the
-//! dynamic fallback), with ragged group sizes so edge blocks exercise the
-//! sentinel padding.
+//! Differential suite for the columnar straddle kernel: its verdicts must
+//! equal the unblocked per-record ground truth, its `n12`/`n21` the
+//! domination matrix, its `Stats` those of the scalar columnar kernel, and
+//! its tick charge a count taken from the preparation's block views alone,
+//! for every `PairOptions` combination, across dimensionalities on both
+//! sides of the monomorphized range (d ∈ {1, 2, 5, 8, 9}; 2..=8 run the
+//! fixed-arity kernels, 1 and 9 the dynamic fallback), with ragged group
+//! sizes so edge blocks exercise the sentinel padding.
 
-use aggsky::core::kernel::{
-    compare_groups_blocked, compare_groups_columnar, count_pairs, count_pairs_across, Kernel,
-    KernelConfig,
-};
+use aggsky::core::kernel::{count_pairs, count_pairs_across, Kernel, KernelConfig};
+use aggsky::core::ord;
 use aggsky::core::paircount::{compare_groups, PairOptions};
 use aggsky::core::prepared::{PreparedDataset, MAX_LANE_BLOCK};
-use aggsky::core::{DominationMatrix, GroupId, Mbb, Stats};
+use aggsky::core::{dominates, DominationMatrix, GroupId, Mbb, Stats};
 use aggsky::datagen::Rng64;
 use aggsky::{AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder};
 
@@ -68,9 +66,7 @@ fn all_pair_options() -> Vec<PairOptions> {
     let mut out = Vec::new();
     for stop_rule in [false, true] {
         for need_bar in [false, true] {
-            for corrected_bar in [false, true] {
-                out.push(PairOptions { stop_rule, need_bar, corrected_bar });
-            }
+            out.push(PairOptions { stop_rule, need_bar });
         }
     }
     out
@@ -86,19 +82,19 @@ fn ones(m: &DominationMatrix) -> u64 {
     n
 }
 
-/// Verdicts AND `Stats` of the columnar kernel equal the row-wise blocked
-/// kernel bit for bit, and verdicts equal the unblocked reference, for
+/// Verdicts of the columnar kernel equal the unblocked reference, and its
+/// verdicts AND `Stats` equal the scalar columnar kernel's bit for bit, for
 /// every dimension, block size, option set, and box configuration.
 #[test]
-fn columnar_is_bit_identical_to_row_wise_and_agrees_with_exhaustive() {
+fn columnar_agrees_with_exhaustive_and_scalar() {
     for dim in DIMS {
         for seed in 0..4u64 {
             let ds = dataset(dim, seed);
             let gamma = Gamma::new([0.5, 0.75, 0.9, 1.0][(seed % 4) as usize]).unwrap();
             let boxes = Mbb::of_all_groups(&ds);
             for block_size in BLOCK_SIZES {
-                let prep = PreparedDataset::build(&ds, block_size).unwrap();
-                assert!(prep.lanes_enabled(), "d={dim} bs={block_size}");
+                let columnar = Kernel::new(&ds, KernelConfig::Columnar { block_size }).unwrap();
+                let scalar = Kernel::new(&ds, KernelConfig::ColumnarScalar { block_size }).unwrap();
                 for g1 in ds.group_ids() {
                     for g2 in (g1 + 1)..ds.n_groups() {
                         for opts in all_pair_options() {
@@ -109,22 +105,87 @@ fn columnar_is_bit_identical_to_row_wise_and_agrees_with_exhaustive() {
                                      boxes={use_boxes}"
                                 );
                                 let mut s_col = Stats::default();
-                                let mut s_row = Stats::default();
+                                let mut s_scl = Stats::default();
                                 let mut s_ref = Stats::default();
-                                let columnar = compare_groups_columnar(
-                                    &prep, g1, g2, gamma, pair_boxes, opts, &mut s_col,
-                                );
-                                let row_wise = compare_groups_blocked(
-                                    &prep, g1, g2, gamma, pair_boxes, opts, &mut s_row,
-                                );
+                                let col =
+                                    columnar.compare(g1, g2, gamma, pair_boxes, opts, &mut s_col);
+                                let scl =
+                                    scalar.compare(g1, g2, gamma, pair_boxes, opts, &mut s_scl);
                                 let reference = compare_groups(
                                     &ds, g1, g2, gamma, pair_boxes, opts, &mut s_ref,
                                 );
-                                assert_eq!(columnar, row_wise, "verdict drift: {tag}");
-                                assert_eq!(columnar, reference, "vs exhaustive: {tag}");
-                                assert_eq!(s_col, s_row, "stats drift: {tag}");
+                                assert_eq!(col, reference, "vs exhaustive: {tag}");
+                                assert_eq!(col, scl, "verdict drift: {tag}");
+                                assert_eq!(s_col, s_scl, "stats drift: {tag}");
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The `Stats` an unbounded count of group `g1` against `g2` must charge,
+/// derived from the block views alone: a block pair whose minimum corner
+/// dominates the other's maximum corner is full; otherwise a direction is
+/// possible when the best corner dominates the other's worst corner and the
+/// sum ranges allow a strictly larger sum, and a pair with neither is
+/// skipped; a straddling pair tests, for each probe record of `g1`'s block,
+/// the records of strictly larger sum (backward) and of strictly smaller
+/// sum (forward) in `g2`'s block.
+fn independent_block_count(prep: &PreparedDataset, g1: GroupId, g2: GroupId) -> Stats {
+    let mut stats = Stats::default();
+    for a in 0..prep.n_blocks(g1) {
+        let ba = prep.block(g1, a);
+        for b in 0..prep.n_blocks(g2) {
+            let bb = prep.block(g2, b);
+            if dominates(ba.min, bb.max) || dominates(bb.min, ba.max) {
+                stats.blocks_full += 1;
+                continue;
+            }
+            let fwd = dominates(ba.max, bb.min) && ord::gt(ba.sums[0], bb.sums[bb.len() - 1]);
+            let bwd = dominates(bb.max, ba.min) && ord::gt(bb.sums[0], ba.sums[ba.len() - 1]);
+            if !fwd && !bwd {
+                stats.blocks_skipped += 1;
+                continue;
+            }
+            for &s1 in ba.sums {
+                let larger = bb.sums.iter().filter(|&&s| ord::gt(s, s1)).count() as u64;
+                let smaller = bb.sums.iter().filter(|&&s| ord::lt(s, s1)).count() as u64;
+                stats.records_compared += u64::from(bwd) * larger + u64::from(fwd) * smaller;
+            }
+        }
+    }
+    stats.record_pairs = stats.records_compared;
+    stats
+}
+
+/// The tick charge is pinned by a count independent of the straddle
+/// kernels: an unbounded `count_pairs` (auto mode) and a scalar
+/// `count_pairs_across` charge exactly [`independent_block_count`], for
+/// every dimension, block size and edge-group dataset.
+#[test]
+fn columnar_ticks_match_an_independent_block_count() {
+    for dim in DIMS {
+        for seed in 0..3u64 {
+            for block_size in BLOCK_SIZES {
+                let ds = dataset_with_edge_groups(dim, seed, block_size);
+                let prep = PreparedDataset::build(&ds, block_size).unwrap();
+                let scalar = KernelConfig::ColumnarScalar { block_size };
+                for g1 in ds.group_ids() {
+                    for g2 in ds.group_ids() {
+                        if g1 == g2 {
+                            continue;
+                        }
+                        let tag = format!("d={dim} seed={seed} bs={block_size} {g1} vs {g2}");
+                        let expect = independent_block_count(&prep, g1, g2);
+                        let mut auto = Stats::default();
+                        count_pairs(&prep, g1, g2, &mut auto);
+                        assert_eq!(auto, expect, "auto: {tag}");
+                        let mut across = Stats::default();
+                        count_pairs_across(scalar, &prep, g1, &prep, g2, &mut across).unwrap();
+                        assert_eq!(across, Stats { group_pairs: 1, ..expect }, "scalar: {tag}");
                     }
                 }
             }
@@ -137,9 +198,8 @@ fn columnar_is_bit_identical_to_row_wise_and_agrees_with_exhaustive() {
 /// `count_pairs_across`, fed each group from its own single-group
 /// preparation, gives the same tallies and every `Stats` field of
 /// `count_pairs` inside one preparation (plus the one group pair a fresh
-/// `compare_bounded` charges) in row-wise, scalar-columnar and auto (AVX2
-/// when available) modes, including left groups of 1, block−1 and block+1
-/// rows.
+/// `compare_bounded` charges) in scalar and auto (AVX2 when available)
+/// modes, including left groups of 1, block−1 and block+1 rows.
 #[test]
 fn columnar_counts_match_domination_matrix() {
     for dim in DIMS {
@@ -160,7 +220,6 @@ fn columnar_counts_match_domination_matrix() {
                         assert_eq!(n12, ones(&DominationMatrix::build(&ds, g1, g2)), "{tag}");
                         assert_eq!(n21, ones(&DominationMatrix::build(&ds, g2, g1)), "{tag}");
                         for config in [
-                            KernelConfig::Blocked { block_size },
                             KernelConfig::ColumnarScalar { block_size },
                             KernelConfig::Columnar { block_size },
                         ] {
@@ -191,7 +250,7 @@ fn cross_preparation_counting_rejects_mismatched_inputs() {
     for (config, p2) in [
         (KernelConfig::Exhaustive, &p4),
         (KernelConfig::Columnar { block_size: 5 }, &p4),
-        (KernelConfig::Blocked { block_size: 4 }, &p5),
+        (KernelConfig::ColumnarScalar { block_size: 4 }, &p5),
         (KernelConfig::Columnar { block_size: 4 }, &other_dim),
     ] {
         assert!(count_pairs_across(config, &p4, 0, p2, 0, &mut stats).is_err(), "{config:?}");
@@ -201,7 +260,7 @@ fn cross_preparation_counting_rejects_mismatched_inputs() {
 
 /// Sentinel padding: a group one record longer than the maximum lane block
 /// leaves a 63/64-padded edge block; the padded lanes must contribute
-/// nothing to either tally or to the work counters.
+/// nothing to either tally, to the verdict or to the work counters.
 #[test]
 fn sentinel_padded_edge_blocks_change_nothing() {
     for dim in [1, 2, 5, 8, 9] {
@@ -214,17 +273,26 @@ fn sentinel_padded_edge_blocks_change_nothing() {
         }
         let ds = b.build().unwrap();
         let prep = PreparedDataset::build(&ds, MAX_LANE_BLOCK).unwrap();
+        let columnar = Kernel::with_prepared(&ds, &prep);
+        let scalar =
+            Kernel::new(&ds, KernelConfig::ColumnarScalar { block_size: MAX_LANE_BLOCK }).unwrap();
         let gamma = Gamma::new(0.75).unwrap();
-        let opts = PairOptions { stop_rule: false, need_bar: true, corrected_bar: true };
+        let opts = PairOptions { stop_rule: false, need_bar: true };
         for g1 in ds.group_ids() {
             for g2 in (g1 + 1)..ds.n_groups() {
                 let mut s_col = Stats::default();
-                let mut s_row = Stats::default();
-                let columnar =
-                    compare_groups_columnar(&prep, g1, g2, gamma, None, opts, &mut s_col);
-                let row_wise = compare_groups_blocked(&prep, g1, g2, gamma, None, opts, &mut s_row);
-                assert_eq!(columnar, row_wise, "d={dim} {g1}v{g2}");
-                assert_eq!(s_col, s_row, "d={dim} {g1}v{g2}");
+                let mut s_scl = Stats::default();
+                let col = columnar.compare(g1, g2, gamma, None, opts, &mut s_col);
+                let scl = scalar.compare(g1, g2, gamma, None, opts, &mut s_scl);
+                let reference =
+                    compare_groups(&ds, g1, g2, gamma, None, opts, &mut Stats::default());
+                assert_eq!(col, reference, "d={dim} {g1}v{g2}");
+                assert_eq!(col, scl, "d={dim} {g1}v{g2}");
+                assert_eq!(s_col, s_scl, "d={dim} {g1}v{g2}");
+                assert_eq!(
+                    s_col,
+                    Stats { group_pairs: 1, ..independent_block_count(&prep, g1, g2) }
+                );
                 let (n12, n21) = count_pairs(&prep, g1, g2, &mut Stats::default());
                 assert_eq!(n12, ones(&DominationMatrix::build(&ds, g1, g2)), "d={dim}");
                 assert_eq!(n21, ones(&DominationMatrix::build(&ds, g2, g1)), "d={dim}");
@@ -233,9 +301,10 @@ fn sentinel_padded_edge_blocks_change_nothing() {
     }
 }
 
-/// End to end: every evaluated algorithm returns the same skyline, the same
-/// verdict-relevant `Stats`, under all three kernel configurations; blocked
-/// and columnar runs are bit-identical in their work counters too.
+/// End to end: every evaluated algorithm returns the same skyline under all
+/// three kernel configurations (exhaustive, scalar columnar, auto
+/// columnar); the two columnar runs are bit-identical in their work
+/// counters too.
 #[test]
 fn algorithms_agree_across_all_three_kernels() {
     for dim in [2, 5] {
@@ -247,15 +316,15 @@ fn algorithms_agree_across_all_three_kernels() {
                 let ex = algo
                     .run_with(&ds, AlgoOptions { kernel: KernelConfig::Exhaustive, ..base })
                     .unwrap();
-                let bl = algo
-                    .run_with(&ds, AlgoOptions { kernel: KernelConfig::blocked(), ..base })
+                let scl = algo
+                    .run_with(&ds, AlgoOptions { kernel: KernelConfig::columnar_scalar(), ..base })
                     .unwrap();
                 let col = algo
                     .run_with(&ds, AlgoOptions { kernel: KernelConfig::columnar(), ..base })
                     .unwrap();
-                assert_eq!(ex.skyline, bl.skyline, "{algo:?} d={dim} seed={seed}");
-                assert_eq!(bl.skyline, col.skyline, "{algo:?} d={dim} seed={seed}");
-                assert_eq!(bl.stats, col.stats, "{algo:?} d={dim} seed={seed}: stats drift");
+                assert_eq!(ex.skyline, scl.skyline, "{algo:?} d={dim} seed={seed}");
+                assert_eq!(scl.skyline, col.skyline, "{algo:?} d={dim} seed={seed}");
+                assert_eq!(scl.stats, col.stats, "{algo:?} d={dim} seed={seed}: stats drift");
             }
         }
     }

@@ -102,7 +102,7 @@ fn budget_exhaustion_interrupts_the_parallel_scheduler_soundly() {
         for threads in [1usize, 3] {
             let ctx = RunContext::with_budget(50);
             let outcome =
-                parallel_skyline_ctx(&ds, Gamma::DEFAULT, threads, KernelConfig::blocked(), &ctx)
+                parallel_skyline_ctx(&ds, Gamma::DEFAULT, threads, KernelConfig::columnar(), &ctx)
                     .unwrap();
             match outcome {
                 Outcome::Complete(r) => assert_eq!(r.skyline, exact),

@@ -1,10 +1,13 @@
-//! Equivalence of the blocked counting kernel with the per-pair ground
-//! truth: on random, correlated and anticorrelated workloads, at every
-//! block size, the kernel's exact pair counts must equal the
+//! Equivalence of the block-at-a-time counting kernel with the per-pair
+//! ground truth: on random, correlated and anticorrelated workloads, at
+//! every block size, the kernel's exact pair counts must equal the
 //! [`DominationMatrix`] ones-count, and its verdicts must match the
-//! unblocked `compare_groups` for every `PairOptions` combination.
+//! unblocked `compare_groups` for every `PairOptions` combination. The
+//! kernel is the columnar one the runtime selects, so a run with
+//! `AGGSKY_FORCE_SCALAR=1` checks the scalar straddle loop and a run on an
+//! AVX2 host the vectorized one.
 
-use aggsky::core::kernel::{compare_groups_blocked, count_pairs};
+use aggsky::core::kernel::{count_pairs, Kernel, KernelConfig};
 use aggsky::core::paircount::{compare_groups, PairOptions};
 use aggsky::core::prepared::PreparedDataset;
 use aggsky::core::{DominationMatrix, Mbb, Stats};
@@ -64,9 +67,7 @@ fn all_pair_options() -> Vec<PairOptions> {
     let mut out = Vec::new();
     for stop_rule in [false, true] {
         for need_bar in [false, true] {
-            for corrected_bar in [false, true] {
-                out.push(PairOptions { stop_rule, need_bar, corrected_bar });
-            }
+            out.push(PairOptions { stop_rule, need_bar });
         }
     }
     out
@@ -113,7 +114,7 @@ fn verdicts_match_unblocked_for_all_options() {
             let gamma = Gamma::new([0.5, 0.75, 1.0][(seed % 3) as usize]).unwrap();
             let boxes = Mbb::of_all_groups(&ds);
             for block_size in BLOCK_SIZES {
-                let prep = PreparedDataset::build(&ds, block_size).unwrap();
+                let kernel = Kernel::new(&ds, KernelConfig::Columnar { block_size }).unwrap();
                 for g1 in ds.group_ids() {
                     for g2 in (g1 + 1)..ds.n_groups() {
                         for opts in all_pair_options() {
@@ -121,9 +122,8 @@ fn verdicts_match_unblocked_for_all_options() {
                                 let pair_boxes = use_boxes.then(|| (&boxes[g1], &boxes[g2]));
                                 let mut s1 = Stats::default();
                                 let mut s2 = Stats::default();
-                                let blocked = compare_groups_blocked(
-                                    &prep, g1, g2, gamma, pair_boxes, opts, &mut s1,
-                                );
+                                let blocked =
+                                    kernel.compare(g1, g2, gamma, pair_boxes, opts, &mut s1);
                                 let reference =
                                     compare_groups(&ds, g1, g2, gamma, pair_boxes, opts, &mut s2);
                                 assert_eq!(

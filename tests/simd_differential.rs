@@ -15,10 +15,7 @@
 //! is nothing to differentiate).
 
 use aggsky::core::cpu;
-use aggsky::core::kernel::{
-    compare_groups_columnar, compare_groups_columnar_scalar, count_pairs, count_pairs_across,
-    Kernel, KernelConfig,
-};
+use aggsky::core::kernel::{count_pairs, count_pairs_across, Kernel, KernelConfig};
 use aggsky::core::paircount::PairOptions;
 use aggsky::core::prepared::{PreparedDataset, MAX_LANE_BLOCK};
 use aggsky::core::{DominationMatrix, GroupId, Mbb, Stats};
@@ -88,9 +85,7 @@ fn all_pair_options() -> Vec<PairOptions> {
     let mut out = Vec::new();
     for stop_rule in [false, true] {
         for need_bar in [false, true] {
-            for corrected_bar in [false, true] {
-                out.push(PairOptions { stop_rule, need_bar, corrected_bar });
-            }
+            out.push(PairOptions { stop_rule, need_bar });
         }
     }
     out
@@ -120,8 +115,9 @@ fn avx2_is_bit_identical_to_scalar_columnar() {
             let gamma = Gamma::new([0.5, 0.75, 0.9, 1.0][(seed % 4) as usize]).unwrap();
             let boxes = Mbb::of_all_groups(&ds);
             for block_size in BLOCK_SIZES {
-                let prep = PreparedDataset::build(&ds, block_size).unwrap();
-                assert!(prep.lanes_enabled(), "d={dim} bs={block_size}");
+                let auto = Kernel::new(&ds, KernelConfig::Columnar { block_size }).unwrap();
+                let oracle = Kernel::new(&ds, KernelConfig::ColumnarScalar { block_size }).unwrap();
+                assert!(auto.is_simd(), "d={dim} bs={block_size}");
                 for g1 in ds.group_ids() {
                     for g2 in (g1 + 1)..ds.n_groups() {
                         for opts in all_pair_options() {
@@ -133,24 +129,10 @@ fn avx2_is_bit_identical_to_scalar_columnar() {
                                 );
                                 let mut s_simd = Stats::default();
                                 let mut s_scalar = Stats::default();
-                                let simd = compare_groups_columnar(
-                                    &prep,
-                                    g1,
-                                    g2,
-                                    gamma,
-                                    pair_boxes,
-                                    opts,
-                                    &mut s_simd,
-                                );
-                                let scalar = compare_groups_columnar_scalar(
-                                    &prep,
-                                    g1,
-                                    g2,
-                                    gamma,
-                                    pair_boxes,
-                                    opts,
-                                    &mut s_scalar,
-                                );
+                                let simd =
+                                    auto.compare(g1, g2, gamma, pair_boxes, opts, &mut s_simd);
+                                let scalar =
+                                    oracle.compare(g1, g2, gamma, pair_boxes, opts, &mut s_scalar);
                                 assert_eq!(simd, scalar, "verdict drift: {tag}");
                                 assert_eq!(s_simd, s_scalar, "stats drift: {tag}");
                             }
@@ -166,8 +148,8 @@ fn avx2_is_bit_identical_to_scalar_columnar() {
 /// Each group counted from its own single-group preparation by
 /// `count_pairs_across` gives the tallies and every `Stats` field of the
 /// AVX2 `count_pairs` inside one preparation (plus the one group pair a
-/// fresh `compare_bounded` charges), in row-wise, scalar-columnar and AVX2
-/// modes, including left groups of 1, block−1 and block+1 rows.
+/// fresh `compare_bounded` charges), in scalar-columnar and AVX2 modes,
+/// including left groups of 1, block−1 and block+1 rows.
 fn assert_cross_preparation_counts_bit_identical(dim: usize, seed: u64, block_size: usize) {
     let ds = dataset_with_edge_groups(dim, seed, block_size);
     let prep = PreparedDataset::build(&ds, block_size).unwrap();
@@ -180,11 +162,9 @@ fn assert_cross_preparation_counts_bit_identical(dim: usize, seed: u64, block_si
             }
             let mut joint = Stats { group_pairs: 1, ..Stats::default() };
             let counts = count_pairs(&prep, g1, g2, &mut joint);
-            for config in [
-                KernelConfig::Blocked { block_size },
-                KernelConfig::ColumnarScalar { block_size },
-                KernelConfig::Columnar { block_size },
-            ] {
+            for config in
+                [KernelConfig::ColumnarScalar { block_size }, KernelConfig::Columnar { block_size }]
+            {
                 let tag = format!("d={dim} seed={seed} bs={block_size} {g1} vs {g2} {config:?}");
                 let mut across = Stats::default();
                 let got =
@@ -253,24 +233,17 @@ fn sentinel_padded_edge_blocks_are_invisible_to_avx2() {
         }
         let ds = b.build().unwrap();
         let gamma = Gamma::new(0.75).unwrap();
-        let opts = PairOptions { stop_rule: false, need_bar: true, corrected_bar: true };
+        let opts = PairOptions { stop_rule: false, need_bar: true };
         for block_size in BLOCK_SIZES {
             let prep = PreparedDataset::build(&ds, block_size).unwrap();
+            let auto = Kernel::with_prepared(&ds, &prep);
+            let oracle = Kernel::new(&ds, KernelConfig::ColumnarScalar { block_size }).unwrap();
             for g1 in ds.group_ids() {
                 for g2 in (g1 + 1)..ds.n_groups() {
                     let mut s_simd = Stats::default();
                     let mut s_scalar = Stats::default();
-                    let simd =
-                        compare_groups_columnar(&prep, g1, g2, gamma, None, opts, &mut s_simd);
-                    let scalar = compare_groups_columnar_scalar(
-                        &prep,
-                        g1,
-                        g2,
-                        gamma,
-                        None,
-                        opts,
-                        &mut s_scalar,
-                    );
+                    let simd = auto.compare(g1, g2, gamma, None, opts, &mut s_simd);
+                    let scalar = oracle.compare(g1, g2, gamma, None, opts, &mut s_scalar);
                     assert_eq!(simd, scalar, "d={dim} bs={block_size} {g1}v{g2}");
                     assert_eq!(s_simd, s_scalar, "d={dim} bs={block_size} {g1}v{g2}");
                     let (n12, n21) = count_pairs(&prep, g1, g2, &mut Stats::default());

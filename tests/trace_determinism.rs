@@ -66,7 +66,7 @@ fn same_seed_runs_export_byte_identical_traces() {
 fn budgeted_runs_are_equally_deterministic() {
     let ds = random_dataset(92, 16, 6);
     let opts =
-        AlgoOptions { kernel: KernelConfig::blocked(), ..AlgoOptions::exact(Gamma::DEFAULT) };
+        AlgoOptions { kernel: KernelConfig::columnar(), ..AlgoOptions::exact(Gamma::DEFAULT) };
     let (chrome_a, prom_a, _) = traced_run(&ds, Algorithm::Indexed, opts, 200);
     let (chrome_b, prom_b, _) = traced_run(&ds, Algorithm::Indexed, opts, 200);
     assert_eq!(chrome_a, chrome_b, "interrupted trace not deterministic");
@@ -102,7 +102,7 @@ fn same_seed_flight_dumps_are_byte_identical() {
     // tick-stamped.
     let ds = random_dataset(95, 16, 6);
     let opts =
-        AlgoOptions { kernel: KernelConfig::blocked(), ..AlgoOptions::exact(Gamma::DEFAULT) };
+        AlgoOptions { kernel: KernelConfig::columnar(), ..AlgoOptions::exact(Gamma::DEFAULT) };
     let run = || {
         let flight = Arc::new(FlightRecorder::new());
         let ctx = RunContext::with_budget(300).with_recorder(flight.clone());
@@ -131,7 +131,7 @@ fn sketch_quantiles_are_deterministic_and_pinned() {
             &ds,
             Gamma::DEFAULT,
             1,
-            KernelConfig::blocked(),
+            KernelConfig::columnar(),
             &ctx,
         )
         .unwrap();
@@ -143,7 +143,7 @@ fn sketch_quantiles_are_deterministic_and_pinned() {
     assert_eq!(a.max, b.max);
     assert_eq!(a.quantile(500), b.quantile(500));
     assert_eq!(a.quantile(990), b.quantile(990));
-    assert!(a.count > 0, "blocked kernel feeds the batch sketch");
+    assert!(a.count > 0, "the columnar kernel feeds the batch sketch");
     assert!(a.quantile(500).unwrap() <= a.max);
 }
 
@@ -159,7 +159,7 @@ fn single_worker_parallel_trace_is_deterministic() {
             &ds,
             Gamma::DEFAULT,
             1,
-            KernelConfig::blocked(),
+            KernelConfig::columnar(),
             &ctx,
         )
         .unwrap();
