@@ -4,7 +4,7 @@
 use super::nested_loop::split_two;
 use super::{
     apply_verdict, build_order, collect_result, interrupted, kernel_boxes, AlgoOptions, PairDeltas,
-    Pruning, SkylineResult, Status,
+    PairDists, Pruning, SkylineResult, Status,
 };
 use crate::dataset::GroupedDataset;
 use crate::error::Result;
@@ -23,16 +23,18 @@ use aggsky_spatial::{Aabb, RTree};
 /// the Figure 9 region decomposition (the paper's "LO" configuration).
 pub fn indexed(ds: &GroupedDataset, opts: &AlgoOptions) -> Result<SkylineResult> {
     let kernel = Kernel::new(ds, opts.kernel)?;
-    Ok(indexed_on(&kernel, opts, &RunContext::unlimited(), None).unwrap_or_partial())
+    let mut dists = PairDists::default();
+    Ok(indexed_on(&kernel, opts, &RunContext::unlimited(), None, &mut dists).unwrap_or_partial())
 }
 
 /// [`indexed`] over a pre-built kernel, polling `ctx` before every
-/// candidate comparison.
+/// candidate comparison and observing each pair's work into `dists`.
 pub(super) fn indexed_on(
     kernel: &Kernel<'_>,
     opts: &AlgoOptions,
     ctx: &RunContext,
     mut cache: Option<&mut PairCache>,
+    dists: &mut PairDists,
 ) -> Outcome {
     let ds = kernel.dataset();
     let n = ds.n_groups();
@@ -83,9 +85,7 @@ pub(super) fn indexed_on(
         // worst corner can possibly dominate g1.
         tree.window_query_into(&Aabb::at_least(&boxes[g1].min), &mut candidates);
         stats.index_candidates += crate::num::wide(candidates.len().saturating_sub(1));
-        if let Some(rec) = ctx.obs() {
-            rec.observe(Hist::WindowCandidates, crate::num::wide(candidates.len()));
-        }
+        dists.observe_value(Hist::WindowCandidates, crate::num::wide(candidates.len()));
         for &g2 in &candidates {
             if g2 == g1 {
                 continue; // Algorithm 5 line 13.
@@ -109,7 +109,7 @@ pub(super) fn indexed_on(
                 &mut stats,
             );
             ctx.corrupt_verdict(&mut verdict, stats.record_pairs);
-            before.observe(ctx, &stats);
+            dists.observe(&before, &stats);
             let (s1, s2) = split_two(&mut statuses, g1, g2);
             apply_verdict(verdict, s1, s2, opts.pruning);
             if strong_marks && statuses[g1] == Status::StronglyDominated {

@@ -49,7 +49,7 @@ use crate::paircache::PairCache;
 use crate::paircount::{DomLevel, PairVerdict};
 use crate::runctx::{InterruptReason, Outcome, RunContext};
 use crate::stats::Stats;
-use aggsky_obs::Stamp;
+use aggsky_obs::{Hist, HistBatch, Recorder, Stamp};
 
 /// Output of an aggregate-skyline computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -331,16 +331,20 @@ impl Algorithm {
         cache: Option<&mut PairCache>,
     ) -> Outcome {
         let span = ctx.obs().map_or(0, |rec| rec.span_start(self.short_name(), 0, Stamp::ZERO));
+        let mut dists = PairDists::new(ctx);
+        let d = &mut dists;
         let outcome = match self {
             Algorithm::Naive => naive::naive_skyline_ctx(kernel.dataset(), opts.gamma, ctx),
-            Algorithm::NestedLoop => nested_loop::nested_loop_on(kernel, &opts, ctx, cache),
-            Algorithm::Transitive => transitive::transitive_on(kernel, &opts, ctx, cache),
-            Algorithm::Sorted => transitive::sorted_on(kernel, &opts, ctx, cache),
+            Algorithm::NestedLoop => nested_loop::nested_loop_on(kernel, &opts, ctx, cache, d),
+            Algorithm::Transitive => transitive::transitive_on(kernel, &opts, ctx, cache, d),
+            Algorithm::Sorted => transitive::sorted_on(kernel, &opts, ctx, cache, d),
             Algorithm::Indexed => {
-                indexed::indexed_on(kernel, &AlgoOptions { bbox_prune: false, ..opts }, ctx, cache)
+                let opts = AlgoOptions { bbox_prune: false, ..opts };
+                indexed::indexed_on(kernel, &opts, ctx, cache, d)
             }
             Algorithm::IndexedBbox => {
-                indexed::indexed_on(kernel, &AlgoOptions { bbox_prune: true, ..opts }, ctx, cache)
+                let opts = AlgoOptions { bbox_prune: true, ..opts };
+                indexed::indexed_on(kernel, &opts, ctx, cache, d)
             }
         };
         if let Some(rec) = ctx.obs() {
@@ -349,6 +353,7 @@ impl Algorithm {
             // of an uninstrumented run of the same query.
             let stats = outcome.stats();
             stats.record_to(rec);
+            dists.record_to(rec);
             rec.span_end(
                 span,
                 Stamp::tick(stats.record_pairs),
@@ -395,29 +400,50 @@ impl PairDeltas {
     pub(crate) fn before(stats: &Stats) -> PairDeltas {
         PairDeltas { record_pairs: stats.record_pairs, records_compared: stats.records_compared }
     }
+}
+
+/// One run's work distributions (record pairs per group pair, straddle
+/// fanout, …), observed locally and merged into the recorder once, beside
+/// the run's [`Stats::record_to`] dump: a shared registry update per group
+/// pair costs tens of nanoseconds, as much as counting a cheap pair. Holds
+/// nothing when the run has no recorder.
+#[derive(Default)]
+pub(crate) struct PairDists(Option<Box<HistBatch>>);
+
+impl PairDists {
+    pub(crate) fn new(ctx: &RunContext) -> PairDists {
+        PairDists(ctx.obs().map(|_| Box::default()))
+    }
 
     /// Records the pair's work into the histograms. Straddle fanout is only
     /// observed when the prepared kernel actually compared records inside
     /// straddling blocks (the delta is zero under the exhaustive kernel and
     /// for block pairs fully classified by corner tests).
     #[inline]
-    pub(crate) fn observe(&self, ctx: &RunContext, stats: &Stats) {
-        if let Some(rec) = ctx.obs() {
-            self.observe_to(rec, stats);
+    pub(crate) fn observe(&mut self, before: &PairDeltas, stats: &Stats) {
+        let Some(batch) = &mut self.0 else { return };
+        batch.observe(
+            Hist::RecordPairsPerGroupPair,
+            stats.record_pairs.saturating_sub(before.record_pairs),
+        );
+        let straddle = stats.records_compared.saturating_sub(before.records_compared);
+        if straddle > 0 {
+            batch.observe(Hist::StraddleFanout, straddle);
         }
     }
 
-    /// [`PairDeltas::observe`] against an already-resolved recorder (the
-    /// parallel workers hold one for their whole chunk loop).
+    /// Records one observation of another distribution.
     #[inline]
-    pub(crate) fn observe_to(&self, rec: &dyn aggsky_obs::Recorder, stats: &Stats) {
-        rec.observe(
-            aggsky_obs::Hist::RecordPairsPerGroupPair,
-            stats.record_pairs.saturating_sub(self.record_pairs),
-        );
-        let straddle = stats.records_compared.saturating_sub(self.records_compared);
-        if straddle > 0 {
-            rec.observe(aggsky_obs::Hist::StraddleFanout, straddle);
+    pub(crate) fn observe_value(&mut self, hist: Hist, value: u64) {
+        if let Some(batch) = &mut self.0 {
+            batch.observe(hist, value);
+        }
+    }
+
+    /// Merges everything observed into `rec`.
+    pub(crate) fn record_to(&self, rec: &dyn Recorder) {
+        if let Some(batch) = &self.0 {
+            rec.observe_batch(batch);
         }
     }
 }

@@ -2,8 +2,8 @@
 //! condition.
 
 use super::{
-    apply_verdict, collect_result, interrupted, kernel_boxes, AlgoOptions, PairDeltas, Pruning,
-    SkylineResult, Status,
+    apply_verdict, collect_result, interrupted, kernel_boxes, AlgoOptions, PairDeltas, PairDists,
+    Pruning, SkylineResult, Status,
 };
 use crate::dataset::GroupedDataset;
 use crate::error::Result;
@@ -19,16 +19,20 @@ use crate::stats::Stats;
 /// skips a pair and visits groups in insertion order).
 pub fn nested_loop(ds: &GroupedDataset, opts: &AlgoOptions) -> Result<SkylineResult> {
     let kernel = Kernel::new(ds, opts.kernel)?;
-    Ok(nested_loop_on(&kernel, opts, &RunContext::unlimited(), None).unwrap_or_partial())
+    let mut dists = PairDists::default();
+    Ok(nested_loop_on(&kernel, opts, &RunContext::unlimited(), None, &mut dists)
+        .unwrap_or_partial())
 }
 
 /// [`nested_loop`] over a pre-built kernel, polling `ctx` before every
-/// group-pair comparison and memoizing tallies through `cache` when given.
+/// group-pair comparison, memoizing tallies through `cache` when given and
+/// observing each pair's work into `dists`.
 pub(super) fn nested_loop_on(
     kernel: &Kernel<'_>,
     opts: &AlgoOptions,
     ctx: &RunContext,
     mut cache: Option<&mut PairCache>,
+    dists: &mut PairDists,
 ) -> Outcome {
     let n = kernel.dataset().n_groups();
     let mut statuses = vec![Status::Live; n];
@@ -59,7 +63,7 @@ pub(super) fn nested_loop_on(
                 &mut stats,
             );
             ctx.corrupt_verdict(&mut verdict, stats.record_pairs);
-            before.observe(ctx, &stats);
+            dists.observe(&before, &stats);
             let (left, right) = split_two(&mut statuses, g1, g2);
             apply_verdict(verdict, left, right, Pruning::Exact);
         }

@@ -38,7 +38,7 @@
 //! does the query fail, with the typed [`Error::WorkerPanicked`] instead
 //! of a propagated panic.
 
-use super::{PairDeltas, SkylineResult, Status};
+use super::{PairDeltas, PairDists, SkylineResult, Status};
 use crate::anytime::AnytimeResult;
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
@@ -337,6 +337,7 @@ fn run_stealing(
         let mut pair_cache = kernel.prepared().map(|_| PairCache::new());
         let mut part: Vec<(GroupId, Status)> = Vec::new();
         let mut batches = 0u64;
+        let mut dists = PairDists::new(ctx);
         'outer: loop {
             if shared.should_stop() {
                 break;
@@ -386,7 +387,7 @@ fn run_stealing(
                     // double-charge the budget.
                     shared.spent.fetch_add(local.record_pairs, Ordering::Relaxed);
                     batches += 1;
-                    if let Some(rec) = ctx.obs() {
+                    if ctx.obs().is_some() {
                         let before_cursor = job.resume.map_or(0, |t| t.cursor);
                         let after_cursor = match &out {
                             BoundedCompare::Pending(t) => Some(t.cursor),
@@ -401,9 +402,10 @@ fn run_stealing(
                             BoundedCompare::Decided { .. } => None,
                         };
                         if let Some(after) = after_cursor {
-                            rec.observe(Hist::BatchBlockPairs, after.saturating_sub(before_cursor));
+                            let block_pairs = after.saturating_sub(before_cursor);
+                            dists.observe_value(Hist::BatchBlockPairs, block_pairs);
                         }
-                        PairDeltas::before(&Stats::default()).observe_to(rec, &local);
+                        dists.observe(&PairDeltas::before(&Stats::default()), &local);
                     }
                     stats.merge(&local);
                     match out {
@@ -469,6 +471,7 @@ fn run_stealing(
             }
         }
         if let Some(rec) = ctx.obs() {
+            dists.record_to(rec);
             rec.span_end(
                 worker_span,
                 shared.tick_now(),

@@ -4,7 +4,7 @@
 use super::nested_loop::split_two;
 use super::{
     apply_verdict, build_order, collect_result, interrupted, kernel_boxes, AlgoOptions, PairDeltas,
-    Pruning, SkylineResult, Status,
+    PairDists, Pruning, SkylineResult, Status,
 };
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::Result;
@@ -19,7 +19,8 @@ use crate::stats::Stats;
 /// groups in insertion order.
 pub fn transitive(ds: &GroupedDataset, opts: &AlgoOptions) -> Result<SkylineResult> {
     let kernel = Kernel::new(ds, opts.kernel)?;
-    Ok(transitive_on(&kernel, opts, &RunContext::unlimited(), None).unwrap_or_partial())
+    let mut dists = PairDists::default();
+    Ok(transitive_on(&kernel, opts, &RunContext::unlimited(), None, &mut dists).unwrap_or_partial())
 }
 
 /// [`transitive`] over a pre-built kernel.
@@ -28,12 +29,13 @@ pub(super) fn transitive_on(
     opts: &AlgoOptions,
     ctx: &RunContext,
     cache: Option<&mut PairCache>,
+    dists: &mut PairDists,
 ) -> Outcome {
     let ds = kernel.dataset();
     let mut owned_boxes = None;
     let boxes = opts.bbox_prune.then(|| kernel_boxes(kernel, &mut owned_boxes));
     let order: Vec<GroupId> = ds.group_ids().collect();
-    run_pairwise(kernel, opts, &order, boxes, ctx, cache)
+    run_pairwise(kernel, opts, &order, boxes, ctx, cache, dists)
 }
 
 /// SI: the sorted variant (Algorithm 4). Groups are visited in the order of
@@ -41,7 +43,8 @@ pub(super) fn transitive_on(
 /// of the MBB minimum corner from the origin); otherwise identical to TR.
 pub fn sorted(ds: &GroupedDataset, opts: &AlgoOptions) -> Result<SkylineResult> {
     let kernel = Kernel::new(ds, opts.kernel)?;
-    Ok(sorted_on(&kernel, opts, &RunContext::unlimited(), None).unwrap_or_partial())
+    let mut dists = PairDists::default();
+    Ok(sorted_on(&kernel, opts, &RunContext::unlimited(), None, &mut dists).unwrap_or_partial())
 }
 
 /// [`sorted`] over a pre-built kernel.
@@ -50,17 +53,19 @@ pub(super) fn sorted_on(
     opts: &AlgoOptions,
     ctx: &RunContext,
     cache: Option<&mut PairCache>,
+    dists: &mut PairDists,
 ) -> Outcome {
     let ds = kernel.dataset();
     let mut owned_boxes = None;
     let boxes = kernel_boxes(kernel, &mut owned_boxes);
     let order = build_order(ds, boxes, opts.sort);
     let boxes_opt = opts.bbox_prune.then_some(boxes);
-    run_pairwise(kernel, opts, &order, boxes_opt, ctx, cache)
+    run_pairwise(kernel, opts, &order, boxes_opt, ctx, cache, dists)
 }
 
 /// The Algorithm 3 loop over an arbitrary visiting order, polling `ctx`
-/// before every group-pair comparison.
+/// before every group-pair comparison and observing each pair's work into
+/// `dists`.
 pub(super) fn run_pairwise(
     kernel: &Kernel<'_>,
     opts: &AlgoOptions,
@@ -68,6 +73,7 @@ pub(super) fn run_pairwise(
     boxes: Option<&[Mbb]>,
     ctx: &RunContext,
     mut cache: Option<&mut PairCache>,
+    dists: &mut PairDists,
 ) -> Outcome {
     let ds = kernel.dataset();
     let n = ds.n_groups();
@@ -125,7 +131,7 @@ pub(super) fn run_pairwise(
                 &mut stats,
             );
             ctx.corrupt_verdict(&mut verdict, stats.record_pairs);
-            before.observe(ctx, &stats);
+            dists.observe(&before, &stats);
             let (s1, s2) = split_two(&mut statuses, g1, g2);
             apply_verdict(verdict, s1, s2, opts.pruning);
             // Algorithm 3 line 19: once g1 is strongly dominated, stop

@@ -27,7 +27,7 @@
 //! the budget ran out instead of restarting: repeated resumption with any
 //! per-step budget converges to the same partition as one unlimited run.
 
-use crate::algorithms::{end_prepare_span, kernel_boxes, PairDeltas};
+use crate::algorithms::{end_prepare_span, kernel_boxes, PairDeltas, PairDists};
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
@@ -37,6 +37,8 @@ use crate::runctx::RunContext;
 use crate::stats::Stats;
 use aggsky_obs::Stamp;
 use aggsky_spatial::{Aabb, RTree};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Outcome of a budgeted run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +74,10 @@ impl AnytimeResult {
 /// [`AnytimeResult`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnytimeCheckpoint {
-    /// `(group, remaining candidate dominators)` for each undecided group.
+    /// `(group, remaining candidate dominators)` for each undecided group,
+    /// ascending by group. The engine leaves each list in its visiting
+    /// order, ascending by `(|s|, s)`; a list in any other order is sorted
+    /// on resume.
     pub remaining: Vec<(GroupId, Vec<GroupId>)>,
 }
 
@@ -129,7 +134,7 @@ pub fn anytime_resume_ctx(
     if prev.is_complete() {
         return Ok(prev.clone());
     }
-    anytime_resume_on(&anytime_kernel(ds), gamma, ctx, prev)
+    anytime_resume_on(&anytime_kernel(ds), gamma, ctx, prev.clone())
 }
 
 /// [`anytime_skyline_ctx`] over a caller-built kernel.
@@ -141,20 +146,21 @@ pub(crate) fn anytime_skyline_on(
     engine(kernel, gamma, ctx, None)
 }
 
-/// [`anytime_resume_ctx`] over a caller-built kernel.
+/// [`anytime_resume_ctx`] over a caller-built kernel, taking the earlier
+/// partition by value so its candidate lists move into the engine.
 pub(crate) fn anytime_resume_on(
     kernel: &Kernel<'_>,
     gamma: Gamma,
     ctx: &RunContext,
-    prev: &AnytimeResult,
+    prev: AnytimeResult,
 ) -> Result<AnytimeResult> {
     if prev.is_complete() {
-        return Ok(prev.clone());
+        return Ok(prev);
     }
     match &prev.checkpoint {
         Some(cp) => {
-            validate_checkpoint(prev, cp, kernel.dataset().n_groups())?;
-            Ok(engine(kernel, gamma, ctx, Some((prev, cp))))
+            validate_checkpoint(&prev, cp, kernel.dataset().n_groups())?;
+            Ok(engine(kernel, gamma, ctx, Some(prev)))
         }
         None => Ok(engine(kernel, gamma, ctx, None)),
     }
@@ -187,15 +193,71 @@ fn validate_checkpoint(prev: &AnytimeResult, cp: &AnytimeCheckpoint, n: usize) -
     Ok(())
 }
 
+/// One open group's candidate dominators, ascending by the rank of
+/// `(|s|, s)`, so for a fixed group they come out in the engine's
+/// `(|g|·|s|, s)` cost order.
+#[derive(Default)]
+struct Candidates {
+    /// The candidates, ascending by rank; never reordered once sorted.
+    list: Vec<GroupId>,
+    /// Index in `list` of the next candidate to compare.
+    next: usize,
+    /// `done[j]`: the mirror comparison already settled `list[j]`. Empty
+    /// until the first such strike.
+    done: Vec<bool>,
+}
+
+impl Candidates {
+    /// The next candidate still to compare, advancing past settled ones.
+    fn peek(&mut self) -> Option<GroupId> {
+        loop {
+            let s = *self.list.get(self.next)?;
+            if !self.done.get(self.next).copied().unwrap_or(false) {
+                return Some(s);
+            }
+            self.next += 1;
+        }
+    }
+
+    /// Marks `s` settled, finding it by binary search on its `rank`.
+    fn strike(&mut self, s: GroupId, rank: impl Fn(&GroupId) -> usize) {
+        let Ok(j) = self.list.binary_search_by_key(&rank(&s), &rank) else { return };
+        if self.done.is_empty() {
+            self.done = vec![false; self.list.len()];
+        }
+        if let Some(d) = self.done.get_mut(j) {
+            *d = true;
+        }
+    }
+
+    /// What is left to compare, in rank order.
+    fn into_remaining(self) -> Vec<GroupId> {
+        let Candidates { mut list, next, done } = self;
+        let mut j = 0;
+        list.retain(|_| {
+            let keep = j >= next && !done.get(j).copied().unwrap_or(false);
+            j += 1;
+            keep
+        });
+        list
+    }
+}
+
 /// The shared engine behind fresh and resumed runs. State is one candidate
 /// list per group (dominators not yet compared against); a group is
 /// confirmed in when its list drains, confirmed out when a comparison
 /// finds a dominator.
+///
+/// Work is visited cheapest pair first, in the global `(|g|·|s|, g, s)`
+/// order — the same deterministic order whether the run is fresh or
+/// resumed, which is why chunked resumption converges to the one-shot
+/// partition. A heap holds one entry per open group, its next candidate,
+/// so a chunk touches only the pairs it reaches.
 fn engine(
     kernel: &Kernel<'_>,
     gamma: Gamma,
     ctx: &RunContext,
-    resume: Option<(&AnytimeResult, &AnytimeCheckpoint)>,
+    resume: Option<AnytimeResult>,
 ) -> AnytimeResult {
     let ds = kernel.dataset();
     let n = ds.n_groups();
@@ -205,15 +267,21 @@ fn engine(
     let mut owned_boxes = None;
     let boxes = kernel_boxes(kernel, &mut owned_boxes);
     let mut stats = Stats::default();
+    let mut dists = PairDists::new(ctx);
 
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        Open,
-        Out,
+    // rank[s] orders groups by (|s|, s): for a fixed g it is the cost order.
+    let mut by_size: Vec<GroupId> = ds.group_ids().collect();
+    by_size.sort_unstable_by_key(|&g| (ds.group_len(g), g));
+    let mut rank = vec![0usize; n];
+    for (r, &g) in by_size.iter().enumerate() {
+        if let Some(slot) = rank.get_mut(g) {
+            *slot = r;
+        }
     }
-    let mut status = vec![St::Open; n];
-    let mut remaining: Vec<Vec<GroupId>> = vec![Vec::new(); n];
+    let by_rank = |x: &GroupId| rank.get(*x).copied().unwrap_or(usize::MAX);
 
+    let mut out = vec![false; n];
+    let mut cands: Vec<Candidates> = std::iter::repeat_with(Candidates::default).take(n).collect();
     match resume {
         None => {
             let index_span =
@@ -225,88 +293,116 @@ fn engine(
             if let Some(rec) = ctx.obs() {
                 rec.span_end(index_span, Stamp::ZERO, &[("entries", crate::num::wide(n))]);
             }
-            for (g, b) in boxes.iter().enumerate() {
-                let mut c = tree.window_query(&Aabb::at_least(&b.min));
-                c.retain(|&s| s != g);
-                stats.index_candidates += crate::num::wide(c.len());
-                remaining[g] = c;
+            for ((g, b), c) in boxes.iter().enumerate().zip(cands.iter_mut()) {
+                let mut list = tree.window_query(&Aabb::at_least(&b.min));
+                list.retain(|&s| s != g);
+                stats.index_candidates += crate::num::wide(list.len());
+                list.sort_unstable_by_key(by_rank);
+                c.list = list;
             }
         }
-        Some((prev, cp)) => {
+        Some(prev) => {
             // Confirmed-out groups stay out (their dominators are real);
             // confirmed-in groups have no remaining candidates and are
-            // re-derived as in; undecided groups resume their lists.
-            for &g in &prev.confirmed_out {
-                status[g] = St::Out;
+            // re-derived as in; undecided groups resume their lists, which
+            // a frame stores already in rank order.
+            for g in prev.confirmed_out {
+                if let Some(o) = out.get_mut(g) {
+                    *o = true;
+                }
             }
-            for (g, cands) in &cp.remaining {
-                remaining[*g] = cands.clone();
+            for (g, mut list) in prev.checkpoint.map(|cp| cp.remaining).unwrap_or_default() {
+                let sorted =
+                    list.iter().zip(list.iter().skip(1)).all(|(a, b)| by_rank(a) < by_rank(b));
+                if !sorted {
+                    list.sort_unstable_by_key(by_rank);
+                }
+                if let Some(c) = cands.get_mut(g) {
+                    *c = Candidates { list, ..Candidates::default() };
+                }
             }
         }
     }
 
-    // Work items: (cost, g, candidate) triples, cheapest first — the same
-    // deterministic order whether the run is fresh or resumed, which is
-    // why chunked resumption converges to the one-shot partition.
-    let mut work: Vec<(u64, GroupId, GroupId)> = Vec::new();
-    for (g, cands) in remaining.iter().enumerate() {
-        for &s in cands {
-            let cost = crate::num::pair_product(ds.group_len(g), ds.group_len(s));
-            work.push((cost, g, s));
+    let cost = |g: GroupId, s: GroupId| crate::num::pair_product(ds.group_len(g), ds.group_len(s));
+    let mut heap: BinaryHeap<Reverse<(u64, GroupId, GroupId)>> = BinaryHeap::with_capacity(n);
+    for (g, (c, &o)) in cands.iter_mut().zip(&out).enumerate() {
+        if let (false, Some(s)) = (o, c.peek()) {
+            heap.push(Reverse((cost(g, s), g, s)));
         }
     }
-    work.sort_unstable();
 
     let pair_opts = PairOptions { stop_rule: true, need_bar: false };
-    for &(_, g, s) in &work {
+    while let Some(Reverse((_, g, s))) = heap.pop() {
+        // A group confirmed out leaves the heap: its other candidates are
+        // moot.
+        if out.get(g).copied().unwrap_or(true) {
+            continue;
+        }
+        let Some(c) = cands.get_mut(g) else { continue };
+        // The mirror of an earlier comparison may have settled the entry's
+        // candidate since it was pushed: requeue at the next one.
+        match c.peek() {
+            None => continue,
+            Some(t) if t != s => {
+                heap.push(Reverse((cost(g, t), g, t)));
+                continue;
+            }
+            Some(_) => {}
+        }
         if ctx.poll(stats.record_pairs).is_some() {
             break;
         }
-        if status[g] == St::Out {
-            continue; // membership settled, remaining candidates moot
-        }
-        // The mirror of an earlier comparison may already have resolved
-        // this item; `remaining` is the ground truth.
-        let Some(pos) = remaining[g].iter().position(|&x| x == s) else {
-            continue;
-        };
-        remaining[g].swap_remove(pos);
+        c.next += 1;
         let before = PairDeltas::before(&stats);
         let mut verdict =
-            kernel.compare(s, g, gamma, Some((&boxes[s], &boxes[g])), pair_opts, &mut stats);
+            kernel.compare(s, g, gamma, boxes.get(s).zip(boxes.get(g)), pair_opts, &mut stats);
         ctx.corrupt_verdict(&mut verdict, stats.record_pairs);
-        before.observe(ctx, &stats);
-        if verdict.forward.dominates() {
-            status[g] = St::Out;
+        dists.observe(&before, &stats);
+        let g_out = verdict.forward.dominates();
+        if g_out {
+            if let Some(o) = out.get_mut(g) {
+                *o = true;
+            }
+        } else if let Some(t) = c.peek() {
+            heap.push(Reverse((cost(g, t), g, t)));
         }
-        // The comparison resolved BOTH directions, so the mirror work item
+        // The comparison resolved BOTH directions, so the mirror item
         // (s, g) — pending whenever the boxes overlap both ways — is free
-        // information: strike it from s's list so its record pairs are
-        // never recounted, and apply the reverse domination if any.
-        if let Some(mirror) = remaining[s].iter().position(|&x| x == g) {
-            remaining[s].swap_remove(mirror);
+        // information: settle it in s's list so its record pairs are never
+        // recounted, and apply the reverse domination if any.
+        if let Some(cs) = cands.get_mut(s) {
+            cs.strike(g, by_rank);
         }
         if verdict.backward.dominates() {
-            status[s] = St::Out;
+            if let Some(o) = out.get_mut(s) {
+                *o = true;
+            }
         }
     }
 
     let mut confirmed_in = Vec::new();
     let mut confirmed_out = Vec::new();
     let mut undecided = Vec::new();
-    for g in 0..n {
-        match status[g] {
-            St::Out => confirmed_out.push(g),
-            St::Open if remaining[g].is_empty() => confirmed_in.push(g),
-            St::Open => undecided.push(g),
+    let mut remaining = Vec::new();
+    for (g, (c, o)) in cands.into_iter().zip(out).enumerate() {
+        if o {
+            confirmed_out.push(g);
+            continue;
+        }
+        let left = c.into_remaining();
+        if left.is_empty() {
+            confirmed_in.push(g);
+        } else {
+            undecided.push(g);
+            remaining.push((g, left));
         }
     }
-    let checkpoint = (!undecided.is_empty()).then(|| AnytimeCheckpoint {
-        remaining: undecided.iter().map(|&g| (g, std::mem::take(&mut remaining[g]))).collect(),
-    });
+    let checkpoint = (!undecided.is_empty()).then_some(AnytimeCheckpoint { remaining });
     // The anytime engine bypasses `run_on`, so it dumps its own counters.
     if let Some(rec) = ctx.obs() {
         stats.record_to(rec);
+        dists.record_to(rec);
         if checkpoint.is_some() {
             rec.event(
                 "checkpoint",
@@ -403,22 +499,103 @@ mod tests {
         assert!(r.undecided.contains(&0), "challenged group undecided at zero budget");
     }
 
+    /// `n_groups` groups of `dim`-dimensional records around random
+    /// centres, all of `len` records (uniform) or of Zipf-like sizes
+    /// `4·len/(g+1)`.
+    fn sized_dataset(
+        n_groups: usize,
+        len: usize,
+        dim: usize,
+        zipf: bool,
+        seed: u64,
+    ) -> GroupedDataset {
+        let mut next = crate::testdata::lcg(seed);
+        let mut b = crate::dataset::GroupedDatasetBuilder::new(dim);
+        for g in 0..n_groups {
+            let size = if zipf { (4 * len / (g + 1)).max(1) } else { len };
+            let centre: Vec<f64> = (0..dim).map(|_| next()).collect();
+            let rows: Vec<Vec<f64>> =
+                (0..size).map(|_| centre.iter().map(|c| c + 0.4 * next()).collect()).collect();
+            b.push_group(format!("g{g}"), &rows).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// Runs `ds` in chunks of `budget` ticks to completion; returns the
+    /// final partition, the chunks' merged `Stats` and the chunk count.
+    /// With `reverse`, every checkpoint list is reversed before it resumes.
+    fn chain(ds: &GroupedDataset, budget: u64, reverse: bool) -> (AnytimeResult, Stats, usize) {
+        let mut r = anytime_skyline(ds, Gamma::DEFAULT, budget);
+        let mut merged = r.stats;
+        let mut chunks = 1;
+        while !r.is_complete() {
+            if let (true, Some(cp)) = (reverse, &mut r.checkpoint) {
+                cp.remaining.iter_mut().for_each(|(_, cands)| cands.reverse());
+            }
+            r = anytime_resume(ds, Gamma::DEFAULT, budget, &r).unwrap();
+            merged.merge(&r.stats);
+            chunks += 1;
+            assert!(chunks < 100_000, "resume loop did not converge (budget {budget})");
+        }
+        (r, merged, chunks)
+    }
+
     #[test]
     fn chunked_resume_equals_one_unlimited_run() {
-        for seed in 0..8 {
-            let ds = random_dataset(18, 6, 3, 9100 + seed);
-            let full = anytime_skyline(&ds, Gamma::DEFAULT, u64::MAX);
-            for step in [1u64, 7, 50, 400] {
-                let mut r = anytime_skyline(&ds, Gamma::DEFAULT, step);
-                let mut rounds = 0;
-                while !r.is_complete() {
-                    r = anytime_resume(&ds, Gamma::DEFAULT, step, &r).unwrap();
-                    rounds += 1;
-                    assert!(rounds < 100_000, "resume loop did not converge (step {step})");
+        let mut datasets: Vec<GroupedDataset> =
+            (0..8).map(|seed| random_dataset(18, 6, 3, 9100 + seed)).collect();
+        for zipf in [false, true] {
+            for dim in 1..=4 {
+                for seed in 0..2 {
+                    datasets.push(sized_dataset(14, 6, dim, zipf, 9150 + 10 * dim as u64 + seed));
                 }
-                assert_eq!(r.confirmed_in, full.confirmed_in, "seed {seed} step {step}");
-                assert_eq!(r.confirmed_out, full.confirmed_out, "seed {seed} step {step}");
             }
+        }
+        for (i, ds) in datasets.iter().enumerate() {
+            let full = anytime_skyline(ds, Gamma::DEFAULT, u64::MAX);
+            let total = full.stats.record_pairs;
+            for budget in [1u64, 37, 500, total / 3 + 1] {
+                let (r, merged, chunks) = chain(ds, budget, false);
+                let at = format!("dataset {i} budget {budget} ({chunks} chunks)");
+                assert_eq!(r.confirmed_in, full.confirmed_in, "{at}");
+                assert_eq!(r.confirmed_out, full.confirmed_out, "{at}");
+                // Every pair is counted exactly once across the chain, in
+                // the unlimited run's order.
+                assert_eq!(merged, full.stats, "{at}");
+            }
+            // A checkpoint list in any order resumes in the same order.
+            assert_eq!(chain(ds, 37, true), chain(ds, 37, false), "dataset {i}, reversed lists");
+        }
+    }
+
+    /// Unlimited-run `Stats` and chunk counts at 500 ticks per chunk,
+    /// pinned so that a change in the visiting order fails even when the
+    /// chunks still add up.
+    #[test]
+    fn seeded_runs_match_their_golden_stats_and_chunk_counts() {
+        let golden =
+            |group_pairs, record_pairs, bbox_resolved, early_stops, index_candidates| Stats {
+                group_pairs,
+                record_pairs,
+                bbox_resolved,
+                early_stops,
+                index_candidates,
+                records_compared: record_pairs,
+                ..Stats::default()
+            };
+        let cases = [
+            (
+                sized_dataset(16, 24, 2, false, 9301),
+                Stats { blocks_full: 3, blocks_skipped: 1, ..golden(35, 15_079, 0, 30, 159) },
+                23,
+            ),
+            (sized_dataset(20, 12, 3, true, 9302), golden(45, 1_109, 2, 1, 129), 2),
+            (random_dataset(24, 40, 4, 9303), golden(276, 94_484, 0, 216, 551), 144),
+        ];
+        for (i, (ds, stats, chunks)) in cases.iter().enumerate() {
+            let full = anytime_skyline(ds, Gamma::DEFAULT, u64::MAX);
+            assert_eq!(full.stats, *stats, "case {i}");
+            assert_eq!(chain(ds, 500, false).2, *chunks, "case {i}");
         }
     }
 

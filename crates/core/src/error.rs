@@ -83,6 +83,10 @@ pub enum Error {
     /// the caller's). Distinct from [`Error::CorruptCheckpoint`]: the frame
     /// is intact, it just answers a different question.
     CheckpointMismatch(String),
+    /// An intact frame stores its resume state in a layout this version no
+    /// longer reads (DESIGN.md §15). The store skips such a frame like a
+    /// corrupt one, so its run restarts cold.
+    UnsupportedCheckpoint(String),
 }
 
 impl fmt::Display for Error {
@@ -129,6 +133,9 @@ impl fmt::Display for Error {
             Error::CorruptCheckpoint(msg) => write!(f, "corrupt checkpoint: {msg}"),
             Error::CheckpointMismatch(msg) => {
                 write!(f, "checkpoint belongs to a different dataset/configuration: {msg}")
+            }
+            Error::UnsupportedCheckpoint(msg) => {
+                write!(f, "checkpoint layout no longer read: {msg}")
             }
         }
     }

@@ -16,10 +16,15 @@
 //! against the bytes actually present before it is trusted.
 //!
 //! The payload is the [`Snapshot`] encoding, fingerprint first — a reader
-//! can reject a frame from the wrong dataset without parsing the rest. All
-//! integers are little-endian `u64` (group ids go through the sanctioned
+//! can reject a frame from the wrong dataset without parsing the rest.
+//! Integers are little-endian `u64` (group ids go through the sanctioned
 //! [`crate::num`] conversions), floats travel as IEEE-754 bit patterns so
-//! the round-trip is bit-exact.
+//! the round-trip is bit-exact. The one exception is the bulk of a resume
+//! state, the undecided groups' candidate lists: checkpoint tag 2 stores
+//! them as LEB128 varints (one to two bytes per id on datasets of up to
+//! 16 384 groups). Tag 1, the earlier fixed-width layout, is no longer
+//! read: such a frame fails to decode, so the store skips it and the run
+//! restarts cold.
 
 use crate::anytime::{AnytimeCheckpoint, AnytimeResult};
 use crate::dataset::GroupId;
@@ -58,6 +63,17 @@ impl ByteWriter {
 
     fn usize(&mut self, v: usize) {
         self.u64(crate::num::wide(v));
+    }
+
+    /// LEB128: seven bits per byte, low groups first, the high bit set on
+    /// every byte but the last.
+    fn varint(&mut self, v: usize) {
+        let mut v = crate::num::wide(v);
+        while v >= 0x80 {
+            self.buf.push(low_byte(v) | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(low_byte(v));
     }
 
     fn ids(&mut self, ids: &[GroupId]) {
@@ -110,6 +126,39 @@ impl<'a> ByteReader<'a> {
     fn len(&mut self, elem_bytes: usize, what: &str) -> Result<usize> {
         let n = self.usize(what)?;
         if n.checked_mul(elem_bytes).is_none_or(|total| total > self.rest.len()) {
+            return Err(Error::CorruptCheckpoint(format!(
+                "{what} {n} larger than the remaining {} payload bytes allow",
+                self.rest.len()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// A LEB128 varint (see [`ByteWriter::varint`]): at most ten bytes,
+    /// the tenth carrying only bit 63.
+    fn varint(&mut self, what: &str) -> Result<usize> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8(what)?;
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                if shift == 63 && b > 1 {
+                    return Err(Error::CorruptCheckpoint(format!(
+                        "{what} varint overflows 64 bits"
+                    )));
+                }
+                return crate::num::narrow(v)
+                    .ok_or_else(|| Error::CorruptCheckpoint(format!("{what} {v} exceeds usize")));
+            }
+        }
+        Err(Error::CorruptCheckpoint(format!("{what} varint longer than 10 bytes")))
+    }
+
+    /// A varint count that must be realizable from the remaining bytes
+    /// (each element at least `min_bytes` long).
+    fn varint_len(&mut self, min_bytes: usize, what: &str) -> Result<usize> {
+        let n = self.varint(what)?;
+        if n.checked_mul(min_bytes).is_none_or(|total| total > self.rest.len()) {
             return Err(Error::CorruptCheckpoint(format!(
                 "{what} {n} larger than the remaining {} payload bytes allow",
                 self.rest.len()
@@ -285,19 +334,35 @@ fn decode_stats(r: &mut ByteReader<'_>) -> Result<Stats> {
     })
 }
 
+/// The low seven bits of `v`.
+fn low_byte(v: u64) -> u8 {
+    u8::try_from(v & 0x7F).unwrap_or(0x7F)
+}
+
+/// Checkpoint tag of a partition with no resume state.
+const NO_CHECKPOINT: u8 = 0;
+/// Checkpoint tag of the earlier layout (`u64` ids), no longer read.
+const CHECKPOINT_FIXED: u8 = 1;
+/// Checkpoint tag of the current layout: varint group ids, every list in
+/// the order the engine left it (rank order).
+const CHECKPOINT_VARINT: u8 = 2;
+
 fn encode_partition(w: &mut ByteWriter, p: &AnytimeResult) {
     w.ids(&p.confirmed_in);
     w.ids(&p.confirmed_out);
     w.ids(&p.undecided);
     encode_stats(w, &p.stats);
     match &p.checkpoint {
-        None => w.u8(0),
+        None => w.u8(NO_CHECKPOINT),
         Some(cp) => {
-            w.u8(1);
-            w.usize(cp.remaining.len());
+            w.u8(CHECKPOINT_VARINT);
+            w.varint(cp.remaining.len());
             for (g, cands) in &cp.remaining {
-                w.usize(*g);
-                w.ids(cands);
+                w.varint(*g);
+                w.varint(cands.len());
+                for &s in cands {
+                    w.varint(s);
+                }
             }
         }
     }
@@ -308,21 +373,33 @@ fn decode_partition(r: &mut ByteReader<'_>) -> Result<AnytimeResult> {
     let confirmed_out = r.ids("confirmed_out")?;
     let undecided = r.ids("undecided")?;
     let stats = decode_stats(r)?;
-    let checkpoint = match r.u8("checkpoint flag")? {
-        0 => None,
-        1 => {
-            let n = r.len(16, "checkpoint group count")?;
+    let checkpoint = match r.u8("checkpoint tag")? {
+        NO_CHECKPOINT => None,
+        CHECKPOINT_VARINT => {
+            // Each group needs at least its id and its list length.
+            let n = r.varint_len(2, "checkpoint group count")?;
             let mut remaining = Vec::with_capacity(n);
             for _ in 0..n {
-                let g = r.usize("checkpoint group id")?;
-                let cands = r.ids("checkpoint candidates")?;
+                let g = r.varint("checkpoint group id")?;
+                let len = r.varint_len(1, "checkpoint candidate count")?;
+                let mut cands = Vec::with_capacity(len);
+                for _ in 0..len {
+                    cands.push(r.varint("checkpoint candidate id")?);
+                }
                 remaining.push((g, cands));
             }
             Some(AnytimeCheckpoint { remaining })
         }
+        CHECKPOINT_FIXED => {
+            return Err(Error::UnsupportedCheckpoint(
+                "checkpoint tag 1 (fixed-width candidate ids, written by an earlier version); \
+                 the run restarts cold"
+                    .into(),
+            ))
+        }
         other => {
             return Err(Error::CorruptCheckpoint(format!(
-                "checkpoint flag must be 0 or 1, found {other}"
+                "checkpoint tag must be 0 or 2, found {other}"
             )))
         }
     };
@@ -517,5 +594,98 @@ mod tests {
         let mut payload = encode_snapshot(&sample_snapshot());
         payload.push(0);
         assert!(matches!(decode_snapshot(&payload), Err(Error::CorruptCheckpoint(_))));
+    }
+
+    /// The payload of `sample_snapshot` up to and including its checkpoint
+    /// tag, for hand-built checkpoint sections.
+    fn payload_up_to_checkpoint_tag(tag: u8) -> ByteWriter {
+        let snap = sample_snapshot();
+        let p = snap.partition.unwrap();
+        let mut w = ByteWriter::new();
+        encode_fingerprint(&mut w, &snap.fingerprint);
+        w.u8(1);
+        w.ids(&p.confirmed_in);
+        w.ids(&p.confirmed_out);
+        w.ids(&p.undecided);
+        encode_stats(&mut w, &p.stats);
+        w.u8(tag);
+        w
+    }
+
+    #[test]
+    fn varint_ids_round_trip_at_every_width() {
+        let ids = vec![0, 127, 128, 1 << 32, usize::MAX];
+        let mut snap = sample_snapshot();
+        if let Some(p) = &mut snap.partition {
+            p.checkpoint = Some(AnytimeCheckpoint {
+                remaining: vec![(usize::MAX, ids.clone()), (128, Vec::new()), (0, vec![127])],
+            });
+        }
+        let payload = encode_snapshot(&snap);
+        assert_eq!(decode_snapshot(&payload).unwrap(), snap);
+        // One byte below 128, two from 128, ten for usize::MAX on 64 bits.
+        let mut w = ByteWriter::new();
+        for (v, bytes) in [(0usize, 1usize), (127, 1), (128, 2), (1 << 32, 5), (usize::MAX, 10)] {
+            let before = w.buf.len();
+            w.varint(v);
+            assert_eq!(w.buf.len() - before, bytes, "varint width of {v}");
+        }
+    }
+
+    #[test]
+    fn malformed_varint_sections_are_rejected() {
+        let finish = |mut w: ByteWriter| {
+            w.u64(0); // no pair entries
+            decode_snapshot(&w.buf)
+        };
+        // A well-formed section decodes.
+        let mut w = payload_up_to_checkpoint_tag(2);
+        w.buf.extend_from_slice(&[1, 5, 2, 0, 3]);
+        assert!(finish(w).is_ok());
+        // A varint longer than 10 bytes.
+        let mut w = payload_up_to_checkpoint_tag(2);
+        w.buf.extend_from_slice(&[1, 5, 1]);
+        w.buf.extend_from_slice(&[0x80; 10]);
+        w.buf.push(0);
+        let err = finish(w).unwrap_err();
+        assert!(matches!(err, Error::CorruptCheckpoint(ref m) if m.contains("10 bytes")), "{err}");
+        // A tenth byte carrying more than bit 63.
+        let mut w = payload_up_to_checkpoint_tag(2);
+        w.buf.extend_from_slice(&[1, 5, 1]);
+        w.buf.extend_from_slice(&[0xFF; 9]);
+        w.buf.push(0x02);
+        let err = finish(w).unwrap_err();
+        assert!(matches!(err, Error::CorruptCheckpoint(ref m) if m.contains("64 bits")), "{err}");
+        // Counts larger than the bytes that remain: groups, then candidates.
+        let mut w = payload_up_to_checkpoint_tag(2);
+        w.buf.extend_from_slice(&[0x90, 0x4E]); // 10 000 groups
+        let err = finish(w).unwrap_err();
+        assert!(matches!(err, Error::CorruptCheckpoint(ref m) if m.contains("group count")));
+        let mut w = payload_up_to_checkpoint_tag(2);
+        w.buf.extend_from_slice(&[1, 5, 50, 0, 3]);
+        let err = finish(w).unwrap_err();
+        assert!(matches!(err, Error::CorruptCheckpoint(ref m) if m.contains("candidate count")));
+        // Trailing bytes after the snapshot.
+        let mut w = payload_up_to_checkpoint_tag(2);
+        w.buf.extend_from_slice(&[1, 5, 2, 0, 3]);
+        w.u64(0);
+        w.u8(7);
+        assert!(matches!(decode_snapshot(&w.buf), Err(Error::CorruptCheckpoint(_))));
+        // An unknown tag.
+        let w = payload_up_to_checkpoint_tag(3);
+        assert!(matches!(finish(w), Err(Error::CorruptCheckpoint(_))));
+    }
+
+    #[test]
+    fn fixed_width_checkpoint_tag_is_refused_with_its_own_error() {
+        // Tag 1: a u64 group count, then per group a u64 id and a
+        // length-prefixed list of u64 candidate ids.
+        let mut w = payload_up_to_checkpoint_tag(1);
+        w.usize(1);
+        w.usize(1);
+        w.ids(&[0, 3]);
+        w.u64(0);
+        let err = decode_snapshot(&w.buf).unwrap_err();
+        assert!(matches!(err, Error::UnsupportedCheckpoint(ref m) if m.contains("tag 1")), "{err}");
     }
 }

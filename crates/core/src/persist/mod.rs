@@ -260,7 +260,7 @@ pub fn checkpoint_step_with(
     }
 
     let recovered_stats = prev.as_ref().map_or_else(Stats::default, |p| p.stats);
-    let chunk = match &prev {
+    let chunk = match prev {
         None => anytime_skyline_on(kernel, gamma, ctx),
         Some(p) => anytime_resume_on(kernel, gamma, ctx, p)?,
     };

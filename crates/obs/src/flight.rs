@@ -20,7 +20,7 @@
 
 use crate::chrome::escape;
 use crate::clock::Stamp;
-use crate::metrics::{Counter, Hist, MetricsRegistry};
+use crate::metrics::{Counter, Hist, HistBatch, MetricsRegistry};
 use crate::recorder::{Recorder, SpanId};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -243,6 +243,10 @@ impl Recorder for FlightRecorder {
 
     fn observe(&self, hist: Hist, value: u64) {
         self.metrics.observe(hist, value);
+    }
+
+    fn observe_batch(&self, batch: &HistBatch) {
+        self.metrics.merge(batch);
     }
 
     fn dump(&self, reason: &'static str) {

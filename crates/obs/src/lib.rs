@@ -47,8 +47,8 @@ pub use chrome::export_chrome;
 pub use clock::{ClockDomain, Stamp, WallClock};
 pub use flight::{FlightDump, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use metrics::{
-    bucket_le, bucket_of, Counter, Hist, HistSnapshot, MetricsRegistry, MetricsSnapshot, Sketch,
-    HIST_BUCKETS,
+    bucket_le, bucket_of, Counter, Hist, HistBatch, HistSnapshot, MetricsRegistry, MetricsSnapshot,
+    Sketch, HIST_BUCKETS,
 };
 pub use prom::{export_prometheus, validate_prometheus};
 pub use querylog::{query_id, QueryJournal, QueryRecord};

@@ -11,7 +11,7 @@
 //! `2^(i-1) ≤ v < 2^i` (bucket 0 holds exactly `v = 0`), i.e. the bucket
 //! index is the number of significant bits. 65 buckets cover all of `u64`.
 
-use crate::sketch::SketchSnapshot;
+use crate::sketch::{sketch_value_of, SketchSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -330,6 +330,65 @@ impl HistSnapshot {
     }
 }
 
+/// Histogram observations, and the paired sketches' (see
+/// [`Hist::paired_sketch`]), accumulated in plain integers by one run and
+/// merged into a registry at once through [`crate::Recorder::observe_batch`]:
+/// a per-group-pair hot loop then pays no shared atomic or mutex per
+/// observation. Merging a batch leaves a registry exactly as the same
+/// observations made one by one would.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistBatch {
+    /// Histograms without a paired sketch; a paired one is derived from its
+    /// sketch at merge time, so an observation updates one of the two.
+    hists: [HistSnapshot; Hist::ALL.len()],
+    sketches: [SketchSnapshot; Sketch::ALL.len()],
+}
+
+impl Default for HistBatch {
+    fn default() -> HistBatch {
+        HistBatch {
+            hists: [HistSnapshot::default(); Hist::ALL.len()],
+            sketches: std::array::from_fn(|_| SketchSnapshot::default()),
+        }
+    }
+}
+
+impl HistBatch {
+    /// Records one observation, as [`MetricsRegistry::observe`] would.
+    #[inline]
+    pub fn observe(&mut self, hist: Hist, value: u64) {
+        match hist.paired_sketch() {
+            Some(s) => {
+                if let Some(s) = self.sketches.get_mut(s.index()) {
+                    s.observe(value);
+                }
+            }
+            None => {
+                if let Some(h) = self.hists.get_mut(hist.index()) {
+                    h.observe(value);
+                }
+            }
+        }
+    }
+
+    /// The observations of `hist`.
+    fn hist(&self, hist: Hist) -> HistSnapshot {
+        let Some(sketch) = hist.paired_sketch().and_then(|s| self.sketches.get(s.index())) else {
+            return self.hists.get(hist.index()).copied().unwrap_or_default();
+        };
+        // Every sketch bucket lies inside one power-of-two bucket: the one
+        // holding its representative value.
+        let mut h =
+            HistSnapshot { count: sketch.count, sum: sketch.sum, ..HistSnapshot::default() };
+        for (i, &n) in sketch.buckets.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            if let Some(b) = h.buckets.get_mut(bucket_of(sketch_value_of(i))) {
+                *b = b.saturating_add(n);
+            }
+        }
+        h
+    }
+}
+
 struct AtomicHist {
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
@@ -346,11 +405,24 @@ impl AtomicHist {
     }
 
     fn observe(&self, value: u64) {
-        if let Some(b) = self.buckets.get(bucket_of(value)) {
-            b.fetch_add(1, Ordering::Relaxed);
+        self.add(std::iter::once((bucket_of(value), 1)), 1, value);
+    }
+
+    fn merge(&self, part: &HistSnapshot) {
+        let filled = part.buckets.iter().copied().enumerate().filter(|&(_, n)| n > 0);
+        self.add(filled, part.count, part.sum);
+    }
+
+    /// Adds `count` observations summing to `sum`, `n` of them in each
+    /// `(bucket, n)` of `per_bucket`.
+    fn add(&self, per_bucket: impl Iterator<Item = (usize, u64)>, count: u64, sum: u64) {
+        for (i, n) in per_bucket {
+            if let Some(b) = self.buckets.get(i) {
+                b.fetch_add(n, Ordering::Relaxed);
+            }
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> HistSnapshot {
@@ -401,6 +473,27 @@ impl MetricsRegistry {
         }
         if let Some(s) = hist.paired_sketch() {
             self.observe_sketch(s, value);
+        }
+    }
+
+    /// Merges a run's locally accumulated observations, leaving every
+    /// histogram and sketch as the same `observe` calls would.
+    pub fn merge(&self, batch: &HistBatch) {
+        for hist in Hist::ALL {
+            let part = batch.hist(hist);
+            if let (true, Some(h)) = (part.count > 0, self.hists.get(hist.index())) {
+                h.merge(&part);
+            }
+        }
+        if batch.sketches.iter().all(|s| s.count == 0) {
+            return;
+        }
+        if let Ok(mut sketches) = self.sketches.lock() {
+            for (s, part) in sketches.iter_mut().zip(&batch.sketches) {
+                if part.count > 0 {
+                    s.merge(part);
+                }
+            }
         }
     }
 
@@ -559,6 +652,33 @@ mod tests {
         assert_eq!(snap.sketch(Sketch::QueryTicks).count, 1);
         // The coarse histogram is unchanged by the pairing.
         assert_eq!(snap.hist(Hist::BatchBlockPairs).count, 4);
+    }
+
+    #[test]
+    fn one_batch_merge_equals_the_observations_one_by_one() {
+        let (one_by_one, batched) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let mut batch = HistBatch::default();
+        let mut state = 0x5EED_u64;
+        for i in 0..2_000u64 {
+            // Values from 0 to beyond 2^40, every histogram, paired or not.
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let value = (state >> 20) >> (state % 41);
+            let hist = Hist::ALL[usize::try_from(i).unwrap() % Hist::ALL.len()];
+            one_by_one.observe(hist, value);
+            batch.observe(hist, value);
+        }
+        // The ends of the range, where a sketch bucket meets its octave.
+        for value in [0, 31, 32, (1 << 63) + (1 << 62)] {
+            one_by_one.observe(Hist::StraddleFanout, value);
+            batch.observe(Hist::StraddleFanout, value);
+        }
+        one_by_one.observe_sketch(Sketch::QueryTicks, 9);
+        batched.observe_sketch(Sketch::QueryTicks, 9);
+        batched.merge(&batch);
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
+        // An empty batch changes nothing.
+        batched.merge(&HistBatch::default());
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
     }
 
     #[test]

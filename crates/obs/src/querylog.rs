@@ -83,6 +83,10 @@ pub struct QueryRecord {
     /// from an earlier statement; `rows_scanned` and `groups_built` are
     /// then 0.
     pub input_reused: bool,
+    /// Checkpoint frames a durable statement (`SET CHECKPOINT`) passed over
+    /// while recovering: torn, corrupt, or in a layout no longer read.
+    /// Exported only when nonzero.
+    pub frames_skipped: u64,
     /// Rows returned to the client.
     pub rows_out: u64,
     /// True when the statement hit its budget/cancellation edge.
@@ -107,7 +111,8 @@ pub struct QueryRecord {
 
 impl QueryRecord {
     /// Renders the record as one JSON object (no trailing newline). Key
-    /// order is fixed; `wall_micros` is omitted when absent.
+    /// order is fixed; `frames_skipped` is omitted when zero and
+    /// `wall_micros` when absent.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         let _ = write!(
@@ -141,6 +146,9 @@ impl QueryRecord {
             ",\"input_reused\":{},\"rows_out\":{},\"interrupted\":{},\"slow\":{}",
             self.input_reused, self.rows_out, self.interrupted, self.slow
         );
+        if self.frames_skipped > 0 {
+            out.push_str(&format!(",\"frames_skipped\":{}", self.frames_skipped));
+        }
         if let Some(e) = self.epoch {
             let _ = write!(
                 out,

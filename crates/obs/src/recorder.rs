@@ -13,7 +13,7 @@
 //! stamps, a sequential run produces a byte-identical export every time.
 
 use crate::clock::Stamp;
-use crate::metrics::{Counter, Hist, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{Counter, Hist, HistBatch, MetricsRegistry, MetricsSnapshot};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -48,6 +48,11 @@ pub trait Recorder: Send + Sync {
     /// Records one histogram observation.
     fn observe(&self, hist: Hist, value: u64);
 
+    /// Records every observation a run accumulated in `batch`, once (the
+    /// per-pair hot loops observe locally and merge here, beside the run's
+    /// counter dump).
+    fn observe_batch(&self, batch: &HistBatch);
+
     /// Asks the recorder to persist a black-box snapshot of recent
     /// activity, tagged with the failure `reason` (`"budget_exhausted"`,
     /// `"chaos_panic"`, `"worker_retry"`, …). The default is a no-op; the
@@ -75,6 +80,7 @@ impl Recorder for NoopRecorder {
     fn event(&self, _name: &'static str, _track: u32, _at: Stamp, _args: &[(&'static str, u64)]) {}
     fn add(&self, _counter: Counter, _delta: u64) {}
     fn observe(&self, _hist: Hist, _value: u64) {}
+    fn observe_batch(&self, _batch: &HistBatch) {}
 }
 
 /// One recorded span.
@@ -192,6 +198,10 @@ impl Recorder for TraceRecorder {
 
     fn observe(&self, hist: Hist, value: u64) {
         self.metrics.observe(hist, value);
+    }
+
+    fn observe_batch(&self, batch: &HistBatch) {
+        self.metrics.merge(batch);
     }
 }
 

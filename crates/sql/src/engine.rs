@@ -747,6 +747,7 @@ fn harvest_counters(record: &mut QueryRecord, snap: &aggsky_obs::TraceSnapshot) 
     record.rows_scanned = c(Counter::SqlRowsScanned);
     record.groups_built = c(Counter::SqlGroupsBuilt);
     record.input_reused = c(Counter::SqlInputReused) > 0;
+    record.frames_skipped = c(Counter::CheckpointFramesSkipped);
     // Only a statement whose aggregate skyline ran counted with a kernel.
     if snap.spans.iter().any(|s| s.name == "skyline") {
         record.kernel = crate::exec::skyline_kernel_name().to_string();

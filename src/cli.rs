@@ -256,7 +256,7 @@ fn skyline_command(args: &[String]) -> Result<String, CliError> {
             write!(name, ", saved frame {seq}").unwrap();
         }
         if step.frames_skipped > 0 {
-            write!(name, ", {} torn frame(s) skipped", step.frames_skipped).unwrap();
+            write!(name, ", {} frame(s) skipped", step.frames_skipped).unwrap();
         }
         name.push(')');
         (outcome, name)

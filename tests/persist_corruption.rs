@@ -195,3 +195,137 @@ fn pair_cache_tallies_round_trip_through_a_frame() {
     assert_eq!(restored.ingest(&prep, &restored_entries).unwrap(), entries.len());
     assert_eq!(restored.export(), entries, "ingested tallies diverged from the originals");
 }
+
+/// `snap` in the earlier frame layout: checkpoint tag 1, every id a `u64`.
+fn encode_fixed_width_frame(snap: &Snapshot) -> Vec<u8> {
+    let mut out = Vec::new();
+    let put = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
+    let fp = &snap.fingerprint;
+    for v in [fp.n_groups, fp.n_records, fp.dim, fp.gamma_bits, fp.block_size] {
+        put(&mut out, v);
+    }
+    out.push(fp.kernel_tag);
+    put(&mut out, fp.seed);
+    put(&mut out, fp.data_hash);
+    let p = snap.partition.as_ref().expect("the frame carries a partition");
+    out.push(1);
+    for ids in [&p.confirmed_in, &p.confirmed_out, &p.undecided] {
+        put(&mut out, ids.len() as u64);
+        for &g in ids.iter() {
+            put(&mut out, g as u64);
+        }
+    }
+    let s = p.stats;
+    for v in [
+        s.group_pairs,
+        s.record_pairs,
+        s.bbox_resolved,
+        s.bbox_skipped_pairs,
+        s.early_stops,
+        s.transitive_skips,
+        s.index_candidates,
+        s.blocks_full,
+        s.blocks_skipped,
+        s.records_compared,
+        s.worker_retries,
+        s.workers_quarantined,
+        s.cache_hits,
+        s.cache_misses,
+        s.cache_resumes,
+    ] {
+        put(&mut out, v);
+    }
+    let cp = p.checkpoint.as_ref().expect("an incomplete partition carries a checkpoint");
+    out.push(1);
+    put(&mut out, cp.remaining.len() as u64);
+    for (g, cands) in &cp.remaining {
+        put(&mut out, *g as u64);
+        put(&mut out, cands.len() as u64);
+        for &s in cands {
+            put(&mut out, s as u64);
+        }
+    }
+    assert!(snap.pairs.is_empty());
+    put(&mut out, 0);
+    frame::encode_frame(&out)
+}
+
+/// Rewrites the newest frame of `dir` in the earlier layout.
+fn downgrade_newest_frame(dir: &std::path::Path) {
+    let path = newest_frame(dir);
+    let bytes = std::fs::read(&path).unwrap();
+    let snap = frame::decode_snapshot(frame::decode_frame(&bytes).unwrap()).unwrap();
+    std::fs::write(&path, encode_fixed_width_frame(&snap)).unwrap();
+}
+
+#[test]
+fn frame_in_the_fixed_width_layout_is_skipped_and_the_run_restarts_cold() {
+    use aggsky::core::persist::checkpoint_step;
+    use aggsky::core::{naive_skyline, RunContext};
+    let ds = dataset(13);
+    let gamma = Gamma::DEFAULT;
+    let oracle = naive_skyline(&ds, gamma).skyline;
+    let total = anytime_skyline(&ds, gamma, u64::MAX).stats.record_pairs;
+    let budget = total / 4 + 1;
+    let dir = tmpdir("fixed-width");
+    let store = CheckpointStore::open(&dir).unwrap();
+    let step = |store: &CheckpointStore| {
+        checkpoint_step(&ds, gamma, &RunContext::with_budget(budget), store).unwrap()
+    };
+    let first = step(&store);
+    assert!(!first.is_complete(), "a quarter of the ticks must not finish the run");
+    downgrade_newest_frame(&dir);
+    let recovery = store.load().unwrap();
+    assert!(recovery.snapshot.is_none());
+    assert_eq!(recovery.skipped.len(), 1);
+    assert!(recovery.skipped[0].reason.contains("no longer read"), "{:?}", recovery.skipped);
+
+    // The re-issue reports the frame skipped and redoes the first chunk.
+    let mut out = step(&store);
+    assert_eq!((out.frames_skipped, out.resumed_seq), (1, None));
+    assert_eq!(out.result, first.result, "a cold restart repeats the first chunk");
+    while !out.is_complete() {
+        out = step(&store);
+        assert_eq!(out.frames_skipped, 0);
+    }
+    assert_eq!(out.result.confirmed_in, oracle);
+    assert_eq!(out.result.stats, anytime_skyline(&ds, gamma, u64::MAX).stats);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The same through SQL: a `SET CHECKPOINT` re-issue logs the skipped
+    // frame, starts cold and ends with the oracle's skyline.
+    let mut db = aggsky::Database::new();
+    let dims: Vec<String> = (0..ds.dim()).map(|d| format!("d{d}")).collect();
+    let cols: Vec<String> = dims.iter().map(|d| format!("{d} FLOAT")).collect();
+    db.execute(&format!("CREATE TABLE t (g TEXT, {})", cols.join(", "))).unwrap();
+    for g in ds.group_ids() {
+        for rec in ds.records(g) {
+            let nums: Vec<String> = rec.iter().map(|v| format!("{v:?}")).collect();
+            db.execute(&format!("INSERT INTO t VALUES ('{}', {})", ds.label(g), nums.join(", ")))
+                .unwrap();
+        }
+    }
+    let sky: Vec<String> = dims.iter().map(|d| format!("{d} MAX")).collect();
+    let sql = format!("SELECT g FROM t GROUP BY g SKYLINE OF {} GAMMA 0.5", sky.join(", "));
+    let sql_dir = tmpdir("fixed-width-sql");
+    db.execute(&format!("SET CHECKPOINT '{}'", sql_dir.display())).unwrap();
+    db.execute(&format!("SET TIMEOUT {budget}")).unwrap();
+    let first = db.execute(&sql).unwrap();
+    assert!(first.interrupted.is_some());
+    let first_ticks = db.journal().records().last().unwrap().ticks;
+    downgrade_newest_frame(&sql_dir);
+    let mut r = db.execute(&sql).unwrap();
+    let log = db.journal().records().last().unwrap().clone();
+    assert_eq!(log.frames_skipped, 1);
+    assert!(log.to_json().contains("\"frames_skipped\":1"), "{}", log.to_json());
+    assert_eq!((log.ticks, &r.rows), (first_ticks, &first.rows), "the re-issue starts cold");
+    while r.interrupted.is_some() {
+        r = db.execute(&sql).unwrap();
+        assert_eq!(db.journal().records().last().unwrap().frames_skipped, 0);
+    }
+    let mut got: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+    got.sort();
+    let want: Vec<String> = ds.sorted_labels(&oracle).into_iter().map(str::to_string).collect();
+    assert_eq!(got, want);
+    let _ = std::fs::remove_dir_all(&sql_dir);
+}
