@@ -4,15 +4,16 @@
 //! The static analyzer (`aggsky-lint`) grandfathers the workspace's
 //! remaining slice-index sites on the argument that the surrounding code
 //! proves the bounds. This module turns that argument into executable
-//! checks: with `--features invariants`, debug builds validate the
-//! structures those proofs rest on — [`PreparedDataset`] block layout,
-//! [`Mbb`] containment, and pair-count conservation — every time they are
-//! built or consumed. Without the feature (or in release builds) every
-//! function here compiles to nothing, so the hot paths pay no cost.
+//! checks: with `--features invariants`, debug and release builds alike
+//! validate the structures those proofs rest on — [`PreparedDataset`]
+//! block layout, [`Mbb`] containment, and pair-count conservation — every
+//! time they are built or consumed. Without the feature every function
+//! here compiles to nothing, so the hot paths pay no cost.
 //!
 //! ```text
-//! cargo test --features invariants   # contracts active
-//! cargo test                         # contracts compiled out
+//! cargo test --features invariants             # contracts active
+//! cargo test --release --features invariants   # contracts active
+//! cargo test                                   # contracts compiled out
 //! ```
 
 #![allow(unused_variables)] // bodies vanish without the feature
@@ -35,26 +36,26 @@ pub fn check_prepared(ds: &GroupedDataset, prep: &PreparedDataset) {
     #[cfg(feature = "invariants")]
     {
         let dim = prep.dim();
-        debug_assert_eq!(dim, ds.dim(), "prepared dim must match source");
-        debug_assert_eq!(prep.n_groups(), ds.n_groups());
+        assert_eq!(dim, ds.dim(), "prepared dim must match source");
+        assert_eq!(prep.n_groups(), ds.n_groups());
         let mut total = 0usize;
         for g in 0..prep.n_groups() {
             let len = prep.group_len(g);
-            debug_assert_eq!(len, ds.group_len(g), "group {g} length changed");
+            assert_eq!(len, ds.group_len(g), "group {g} length changed");
             total += len;
             let sums = prep.group_sums(g);
-            debug_assert!(
+            assert!(
                 sums.windows(2).all(|w| crate::ord::ge(w[0], w[1])),
                 "group {g}: sums not descending"
             );
             for (i, &s) in sums.iter().enumerate() {
                 let expect: f64 = prep.record(g, i).iter().sum();
-                debug_assert!(
+                assert!(
                     crate::ord::eq(s, expect),
                     "group {g} record {i}: cached sum {s} != recomputed {expect}"
                 );
             }
-            debug_assert_eq!(
+            assert_eq!(
                 prep.n_blocks(g),
                 len.div_ceil(prep.block_size()),
                 "group {g}: block count inconsistent with block size"
@@ -63,12 +64,12 @@ pub fn check_prepared(ds: &GroupedDataset, prep: &PreparedDataset) {
             let mut covered = 0usize;
             for b in 0..prep.n_blocks(g) {
                 let view = prep.block(g, b);
-                debug_assert!(!view.is_empty(), "group {g} block {b} empty");
-                debug_assert!(view.len() <= prep.block_size());
+                assert!(!view.is_empty(), "group {g} block {b} empty");
+                assert!(view.len() <= prep.block_size());
                 covered += view.len();
                 for row in view.rows.chunks_exact(dim) {
                     for (d, &v) in row.iter().enumerate() {
-                        debug_assert!(
+                        assert!(
                             crate::ord::le(view.min[d], v) && crate::ord::le(v, view.max[d]),
                             "group {g} block {b}: corner does not bound dim {d}"
                         );
@@ -78,37 +79,37 @@ pub fn check_prepared(ds: &GroupedDataset, prep: &PreparedDataset) {
                 // Lane keys are the sort keys of the block's records in
                 // column-major order, sentinel-padded to the block size.
                 let lanes = prep.lane_block(g, b);
-                debug_assert_eq!(lanes.len, view.len(), "group {g} block {b}: lane length");
+                assert_eq!(lanes.len, view.len(), "group {g} block {b}: lane length");
                 for (j, row) in view.rows.chunks_exact(dim).enumerate() {
                     for (d, &v) in row.iter().enumerate() {
-                        debug_assert_eq!(
+                        assert_eq!(
                             lanes.lane(d)[j],
                             crate::dominance::sort_key(v),
                             "group {g} block {b} record {j}: lane {d} key mismatch"
                         );
                     }
-                    debug_assert_eq!(
+                    assert_eq!(
                         lanes.lane(dim)[j],
                         crate::dominance::sort_key(view.sums[j]),
                         "group {g} block {b} record {j}: sum-lane key mismatch"
                     );
                 }
-                debug_assert_eq!(
+                assert_eq!(
                     lanes.width % crate::prepared::LANE_VECTOR,
                     0,
                     "lane stride not padded to the vector width"
                 );
                 for j in view.len()..lanes.width {
-                    debug_assert_eq!(lanes.lane(0)[j], i64::MAX, "pad lane 0 sentinel");
+                    assert_eq!(lanes.lane(0)[j], i64::MAX, "pad lane 0 sentinel");
                     for d in 1..=dim {
-                        debug_assert_eq!(lanes.lane(d)[j], i64::MIN, "pad lane {d} sentinel");
+                        assert_eq!(lanes.lane(d)[j], i64::MIN, "pad lane {d} sentinel");
                     }
                 }
             }
-            debug_assert_eq!(covered, len, "group {g}: blocks do not partition");
+            assert_eq!(covered, len, "group {g}: blocks do not partition");
         }
-        debug_assert_eq!(total, prep.n_records());
-        debug_assert_eq!(total, ds.n_records());
+        assert_eq!(total, prep.n_records());
+        assert_eq!(total, ds.n_records());
     }
 }
 
@@ -117,9 +118,9 @@ pub fn check_prepared(ds: &GroupedDataset, prep: &PreparedDataset) {
 pub fn check_mbb_contains(mbb: &Mbb, record: &[f64]) {
     #[cfg(feature = "invariants")]
     {
-        debug_assert_eq!(mbb.min.len(), record.len());
+        assert_eq!(mbb.min.len(), record.len());
         for (d, &v) in record.iter().enumerate() {
-            debug_assert!(
+            assert!(
                 crate::ord::le(mbb.min[d], v) && crate::ord::le(v, mbb.max[d]),
                 "record outside its group MBB in dimension {d}"
             );
@@ -136,7 +137,7 @@ pub fn check_pair_conservation(classified: u64, len_s: usize, len_r: usize) {
     #[cfg(feature = "invariants")]
     {
         let total = crate::num::pair_product(len_s, len_r);
-        debug_assert_eq!(
+        assert_eq!(
             classified, total,
             "kernel classified {classified} pairs of {total} (|S|={len_s}, |R|={len_r})"
         );
@@ -155,13 +156,10 @@ pub fn check_snapshot_roundtrip(snap: &crate::persist::Snapshot) {
         use crate::persist::frame;
         let bytes = frame::encode_frame(&frame::encode_snapshot(snap));
         let payload = frame::decode_frame(&bytes);
-        debug_assert!(payload.is_ok(), "fresh frame failed to decode: {:?}", payload.err());
+        assert!(payload.is_ok(), "fresh frame failed to decode: {:?}", payload.err());
         if let Ok(payload) = payload {
             let decoded = frame::decode_snapshot(payload);
-            debug_assert!(
-                decoded.as_ref() == Ok(snap),
-                "snapshot round-trip not identity: {decoded:?}"
-            );
+            assert!(decoded.as_ref() == Ok(snap), "snapshot round-trip not identity: {decoded:?}");
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::error::{Error, Result};
 use crate::persist::frame::{decode_frame, encode_frame};
-use aggsky_obs::{Counter, Hist, Sketch, TraceSnapshot};
+use aggsky_obs::{Counter, Hist, TraceSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -94,25 +94,21 @@ impl ProfileSnapshot {
             .collect();
         let hists = Hist::ALL
             .into_iter()
-            .filter(|h| snap.metrics.hist(*h).count > 0)
-            .map(|h| {
-                let hs = snap.metrics.hist(h);
-                HistStat { name: h.name().to_owned(), count: hs.count, sum: hs.sum }
-            })
+            .map(|h| (h, snap.metrics.sketch(h)))
+            .filter(|(_, sk)| sk.count > 0)
+            .map(|(h, sk)| HistStat { name: h.name().to_owned(), count: sk.count, sum: sk.sum })
             .collect();
-        let sketches = Sketch::ALL
+        let sketches = Hist::ALL
             .into_iter()
-            .filter(|s| snap.metrics.sketch(*s).count > 0)
-            .map(|s| {
-                let sk = snap.metrics.sketch(s);
-                SketchStat {
-                    name: s.name().to_owned(),
-                    count: sk.count,
-                    p50: sk.quantile(500).unwrap_or(0),
-                    p95: sk.quantile(950).unwrap_or(0),
-                    p99: sk.quantile(990).unwrap_or(0),
-                    max: sk.max,
-                }
+            .filter_map(|h| Some((h.summary_name()?, snap.metrics.sketch(h))))
+            .filter(|(_, sk)| sk.count > 0)
+            .map(|(name, sk)| SketchStat {
+                name: name.to_owned(),
+                count: sk.count,
+                p50: sk.quantile(500).unwrap_or(0),
+                p95: sk.quantile(950).unwrap_or(0),
+                p99: sk.quantile(990).unwrap_or(0),
+                max: sk.max,
             })
             .collect();
         let mut by_name: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
@@ -465,8 +461,8 @@ mod tests {
         assert!(!p.counters.iter().any(|(n, _)| n == "aggsky_checkpoint_saves_total"));
         let scan = p.spans.iter().find(|s| s.name == "scan").expect("scan span aggregated");
         assert_eq!((scan.count, scan.total), (1, 40));
-        // BatchBlockPairs feeds its paired sketch, so the profile carries
-        // the tail summary too.
+        // BatchBlockPairs names a summary, so the profile carries its tail
+        // quantiles too.
         let sk = p.sketches.iter().find(|s| s.name.contains("batch_block_pairs"));
         assert_eq!(sk.map(|s| s.count), Some(2));
     }

@@ -2,7 +2,8 @@
 //!
 //! Deterministic, dependency-free observability for the aggsky workspace:
 //! a span/event [`Recorder`] with two clock domains, a static metric
-//! registry (counters + log2-bucketed histograms), and three exporters —
+//! registry (counters + distributions stored as quantile sketches and
+//! exported as log2-bucketed histograms), and three exporters —
 //! Chrome trace-event JSON ([`export_chrome`], loadable in Perfetto),
 //! Prometheus text exposition ([`export_prometheus`]), and a human-readable
 //! per-phase summary tree ([`render_summary`], the renderer behind SQL
@@ -48,7 +49,7 @@ pub use clock::{ClockDomain, Stamp, WallClock};
 pub use flight::{FlightDump, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use metrics::{
     bucket_le, bucket_of, Counter, Hist, HistBatch, HistSnapshot, MetricsRegistry, MetricsSnapshot,
-    Sketch, HIST_BUCKETS,
+    HIST_BUCKETS,
 };
 pub use prom::{export_prometheus, validate_prometheus};
 pub use querylog::{query_id, QueryJournal, QueryRecord};

@@ -1,22 +1,26 @@
-//! The static metric registry: named counters and log2-bucketed histograms.
+//! The static metric registry: named counters and distributions.
 //!
 //! Metric identity is a closed enum rather than a string so every
 //! observation site is a compile-time constant: no interning, no hashing,
 //! no allocation on the hot path. Counters mirror the `Stats` struct of
-//! `aggsky-core` one-to-one (plus a few SQL-executor extras); histograms
-//! capture *distributions* the flat counters cannot — record pairs per
-//! group pair, scheduler chunk sizes, straddle-block fanout.
+//! `aggsky-core` one-to-one (plus a few SQL-executor extras); distributions
+//! capture what the flat counters cannot — record pairs per group pair,
+//! scheduler batch sizes, straddle-block fanout.
 //!
-//! Histogram buckets are powers of two: bucket `i` holds values `v` with
-//! `2^(i-1) ≤ v < 2^i` (bucket 0 holds exactly `v = 0`), i.e. the bucket
-//! index is the number of significant bits. 65 buckets cover all of `u64`.
+//! Every distribution is stored once, as a quantile sketch
+//! ([`crate::sketch`]). Its log2-bucketed histogram is a view derived from
+//! that sketch ([`HistSnapshot::from_sketch`]), exact because every sketch
+//! bucket lies inside one power-of-two bucket. Log2 bucket `i` holds values
+//! `v` with `2^(i-1) ≤ v < 2^i` (bucket 0 holds exactly `v = 0`), i.e. the
+//! bucket index is the number of significant bits. 65 buckets cover all of
+//! `u64`.
 
 use crate::sketch::{sketch_value_of, SketchSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Number of histogram buckets: one per significant-bit count of a `u64`,
-/// plus one for zero.
+/// Number of log2 histogram buckets: one per significant-bit count of a
+/// `u64`, plus one for zero.
 pub const HIST_BUCKETS: usize = 65;
 
 /// A named monotone counter. Every non-`Sql*` variant mirrors an
@@ -168,7 +172,9 @@ impl Counter {
     }
 }
 
-/// A named log2-bucketed histogram.
+/// A named distribution. Each is stored as a quantile sketch and exported
+/// as a log2 histogram, plus a summary where [`Hist::summary_name`] names
+/// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Hist {
     /// Record pairs charged per evaluated group pair.
@@ -184,7 +190,7 @@ pub enum Hist {
 }
 
 impl Hist {
-    /// Every histogram, in export order.
+    /// Every distribution, in export order.
     pub const ALL: [Hist; 5] = [
         Hist::RecordPairsPerGroupPair,
         Hist::BatchBlockPairs,
@@ -193,7 +199,7 @@ impl Hist {
         Hist::CheckpointFrameBytes,
     ];
 
-    /// Prometheus metric family name.
+    /// Prometheus histogram family name.
     pub const fn name(self) -> &'static str {
         match self {
             Hist::RecordPairsPerGroupPair => "aggsky_record_pairs_per_group_pair",
@@ -204,6 +210,17 @@ impl Hist {
         }
     }
 
+    /// Prometheus summary family name, for the distributions whose tail
+    /// matters: their p50/p95/p99 are exported at the sketch's ≤3.2%
+    /// resolution beside the factor-of-two log2 buckets.
+    pub const fn summary_name(self) -> Option<&'static str> {
+        match self {
+            Hist::BatchBlockPairs => Some("aggsky_batch_block_pairs_quantiles"),
+            Hist::StraddleFanout => Some("aggsky_straddle_fanout_quantiles"),
+            _ => None,
+        }
+    }
+
     const fn index(self) -> usize {
         match self {
             Hist::RecordPairsPerGroupPair => 0,
@@ -211,55 +228,6 @@ impl Hist {
             Hist::StraddleFanout => 2,
             Hist::WindowCandidates => 3,
             Hist::CheckpointFrameBytes => 4,
-        }
-    }
-
-    /// The quantile sketch fed alongside this histogram, for the
-    /// distributions where tail latency matters. One `observe` call updates
-    /// both, so the coarse log2 export stays byte-stable while p95/p99 gain
-    /// the sketch's ≤3.2% resolution.
-    pub const fn paired_sketch(self) -> Option<Sketch> {
-        match self {
-            Hist::BatchBlockPairs => Some(Sketch::BatchBlockPairs),
-            Hist::StraddleFanout => Some(Sketch::StraddleFanout),
-            _ => None,
-        }
-    }
-}
-
-/// A named log-linear quantile sketch (see [`crate::sketch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Sketch {
-    /// Straddle block pairs executed per stolen scheduler batch
-    /// (fine-grained companion of [`Hist::BatchBlockPairs`]).
-    BatchBlockPairs,
-    /// Record pairs compared per straddling block scan (companion of
-    /// [`Hist::StraddleFanout`]).
-    StraddleFanout,
-    /// Record-pair ticks charged per executed SQL query (fed by the SQL
-    /// layer's query journal).
-    QueryTicks,
-}
-
-impl Sketch {
-    /// Every sketch, in export order.
-    pub const ALL: [Sketch; 3] =
-        [Sketch::BatchBlockPairs, Sketch::StraddleFanout, Sketch::QueryTicks];
-
-    /// Prometheus metric family name (exported as a `summary`).
-    pub const fn name(self) -> &'static str {
-        match self {
-            Sketch::BatchBlockPairs => "aggsky_batch_block_pairs_quantiles",
-            Sketch::StraddleFanout => "aggsky_straddle_fanout_quantiles",
-            Sketch::QueryTicks => "aggsky_query_ticks",
-        }
-    }
-
-    const fn index(self) -> usize {
-        match self {
-            Sketch::BatchBlockPairs => 0,
-            Sketch::StraddleFanout => 1,
-            Sketch::QueryTicks => 2,
         }
     }
 }
@@ -275,7 +243,8 @@ pub fn bucket_le(i: usize) -> u128 {
     1u128.checked_shl(u32::try_from(i.min(64)).unwrap_or(64)).map_or(u128::MAX, |p| p - 1)
 }
 
-/// An immutable point-in-time copy of one histogram.
+/// The log2 view of one distribution, derived from its sketch by
+/// [`HistSnapshot::from_sketch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Per-bucket observation counts (see [`bucket_of`]).
@@ -293,23 +262,18 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Records one value.
-    pub fn observe(&mut self, value: u64) {
-        if let Some(b) = self.buckets.get_mut(bucket_of(value)) {
-            *b = b.saturating_add(1);
+    /// The log2 histogram of the observations in `sketch`, exactly as if
+    /// each had been bucketed by [`bucket_of`]: every sketch bucket lies
+    /// inside one power-of-two bucket, the one holding its representative.
+    pub fn from_sketch(sketch: &SketchSnapshot) -> HistSnapshot {
+        let mut h =
+            HistSnapshot { count: sketch.count, sum: sketch.sum, ..HistSnapshot::default() };
+        for (i, &n) in sketch.buckets.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            if let Some(b) = h.buckets.get_mut(bucket_of(sketch_value_of(i))) {
+                *b = b.saturating_add(n);
+            }
         }
-        self.count = self.count.saturating_add(1);
-        self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Adds `other` into `self` bucket-wise. Associative, commutative, and
-    /// count-conserving (verified by a seeded property test).
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
+        h
     }
 
     /// Upper bound of the smallest bucket whose cumulative count reaches
@@ -330,26 +294,19 @@ impl HistSnapshot {
     }
 }
 
-/// Histogram observations, and the paired sketches' (see
-/// [`Hist::paired_sketch`]), accumulated in plain integers by one run and
-/// merged into a registry at once through [`crate::Recorder::observe_batch`]:
-/// a per-group-pair hot loop then pays no shared atomic or mutex per
-/// observation. Merging a batch leaves a registry exactly as the same
-/// observations made one by one would.
+/// Observations accumulated in plain integers by one run and merged into
+/// a registry at once through [`crate::Recorder::observe_batch`]: a
+/// per-group-pair hot loop then pays no shared lock per observation.
+/// Merging a batch leaves a registry exactly as the same observations
+/// made one by one would.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistBatch {
-    /// Histograms without a paired sketch; a paired one is derived from its
-    /// sketch at merge time, so an observation updates one of the two.
-    hists: [HistSnapshot; Hist::ALL.len()],
-    sketches: [SketchSnapshot; Sketch::ALL.len()],
+    sketches: [SketchSnapshot; Hist::ALL.len()],
 }
 
 impl Default for HistBatch {
     fn default() -> HistBatch {
-        HistBatch {
-            hists: [HistSnapshot::default(); Hist::ALL.len()],
-            sketches: std::array::from_fn(|_| SketchSnapshot::default()),
-        }
+        HistBatch { sketches: [SketchSnapshot::EMPTY; Hist::ALL.len()] }
     }
 }
 
@@ -357,94 +314,20 @@ impl HistBatch {
     /// Records one observation, as [`MetricsRegistry::observe`] would.
     #[inline]
     pub fn observe(&mut self, hist: Hist, value: u64) {
-        match hist.paired_sketch() {
-            Some(s) => {
-                if let Some(s) = self.sketches.get_mut(s.index()) {
-                    s.observe(value);
-                }
-            }
-            None => {
-                if let Some(h) = self.hists.get_mut(hist.index()) {
-                    h.observe(value);
-                }
-            }
-        }
-    }
-
-    /// The observations of `hist`.
-    fn hist(&self, hist: Hist) -> HistSnapshot {
-        let Some(sketch) = hist.paired_sketch().and_then(|s| self.sketches.get(s.index())) else {
-            return self.hists.get(hist.index()).copied().unwrap_or_default();
-        };
-        // Every sketch bucket lies inside one power-of-two bucket: the one
-        // holding its representative value.
-        let mut h =
-            HistSnapshot { count: sketch.count, sum: sketch.sum, ..HistSnapshot::default() };
-        for (i, &n) in sketch.buckets.iter().enumerate().filter(|&(_, &n)| n > 0) {
-            if let Some(b) = h.buckets.get_mut(bucket_of(sketch_value_of(i))) {
-                *b = b.saturating_add(n);
-            }
-        }
-        h
-    }
-}
-
-struct AtomicHist {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl AtomicHist {
-    fn new() -> AtomicHist {
-        AtomicHist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    fn observe(&self, value: u64) {
-        self.add(std::iter::once((bucket_of(value), 1)), 1, value);
-    }
-
-    fn merge(&self, part: &HistSnapshot) {
-        let filled = part.buckets.iter().copied().enumerate().filter(|&(_, n)| n > 0);
-        self.add(filled, part.count, part.sum);
-    }
-
-    /// Adds `count` observations summing to `sum`, `n` of them in each
-    /// `(bucket, n)` of `per_bucket`.
-    fn add(&self, per_bucket: impl Iterator<Item = (usize, u64)>, count: u64, sum: u64) {
-        for (i, n) in per_bucket {
-            if let Some(b) = self.buckets.get(i) {
-                b.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(count, Ordering::Relaxed);
-        self.sum.fetch_add(sum, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
-            buckets: std::array::from_fn(|i| {
-                self.buckets.get(i).map_or(0, |b| b.load(Ordering::Relaxed))
-            }),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
+        if let Some(s) = self.sketches.get_mut(hist.index()) {
+            s.observe(value);
         }
     }
 }
 
-/// Storage for every [`Counter`], [`Hist`], and [`Sketch`]. Shared by
-/// reference between the recorder and any number of worker threads.
-/// Counters and histograms are lock-free atomics on the per-pair hot path;
-/// sketches sit behind one mutex, acceptable because they are observed at
-/// batch/query granularity, never per record pair.
+/// Storage for every [`Counter`] and [`Hist`]. Shared by reference between
+/// the recorder and any number of worker threads. Counters are lock-free
+/// atomics; each distribution's sketch sits behind its own mutex, taken
+/// once per checkpoint save or per run-local [`HistBatch`] merge, never
+/// per group pair or record pair.
 pub struct MetricsRegistry {
     counters: [AtomicU64; Counter::ALL.len()],
-    hists: [AtomicHist; Hist::ALL.len()],
-    sketches: Mutex<[SketchSnapshot; Sketch::ALL.len()]>,
+    hists: [Mutex<SketchSnapshot>; Hist::ALL.len()],
 }
 
 impl MetricsRegistry {
@@ -452,8 +335,7 @@ impl MetricsRegistry {
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: std::array::from_fn(|_| AtomicHist::new()),
-            sketches: Mutex::new(std::array::from_fn(|_| SketchSnapshot::default())),
+            hists: std::array::from_fn(|_| Mutex::new(SketchSnapshot::EMPTY)),
         }
     }
 
@@ -464,46 +346,18 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one histogram observation; histograms with a
-    /// [`Hist::paired_sketch`] feed their quantile sketch from the same
-    /// call.
+    /// Records one observation of a distribution.
     pub fn observe(&self, hist: Hist, value: u64) {
-        if let Some(h) = self.hists.get(hist.index()) {
-            h.observe(value);
-        }
-        if let Some(s) = hist.paired_sketch() {
-            self.observe_sketch(s, value);
+        if let Some(s) = self.hists.get(hist.index()) {
+            lock(s).observe(value);
         }
     }
 
     /// Merges a run's locally accumulated observations, leaving every
-    /// histogram and sketch as the same `observe` calls would.
+    /// distribution as the same `observe` calls would.
     pub fn merge(&self, batch: &HistBatch) {
-        for hist in Hist::ALL {
-            let part = batch.hist(hist);
-            if let (true, Some(h)) = (part.count > 0, self.hists.get(hist.index())) {
-                h.merge(&part);
-            }
-        }
-        if batch.sketches.iter().all(|s| s.count == 0) {
-            return;
-        }
-        if let Ok(mut sketches) = self.sketches.lock() {
-            for (s, part) in sketches.iter_mut().zip(&batch.sketches) {
-                if part.count > 0 {
-                    s.merge(part);
-                }
-            }
-        }
-    }
-
-    /// Records one quantile-sketch observation directly (used for sketches
-    /// with no histogram companion, e.g. [`Sketch::QueryTicks`]).
-    pub fn observe_sketch(&self, sketch: Sketch, value: u64) {
-        if let Ok(mut sketches) = self.sketches.lock() {
-            if let Some(s) = sketches.get_mut(sketch.index()) {
-                s.observe(value);
-            }
+        for (s, part) in self.hists.iter().zip(&batch.sketches).filter(|(_, p)| p.count > 0) {
+            lock(s).merge(part);
         }
     }
 
@@ -514,20 +368,21 @@ impl MetricsRegistry {
 
     /// Copies every metric out into an immutable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let sketches = match self.sketches.lock() {
-            Ok(s) => s.clone(),
-            Err(_) => std::array::from_fn(|_| SketchSnapshot::default()),
-        };
         MetricsSnapshot {
             counters: std::array::from_fn(|i| {
                 self.counters.get(i).map_or(0, |c| c.load(Ordering::Relaxed))
             }),
             hists: std::array::from_fn(|i| {
-                self.hists.get(i).map_or_else(HistSnapshot::default, AtomicHist::snapshot)
+                self.hists.get(i).map_or_else(SketchSnapshot::default, |s| lock(s).clone())
             }),
-            sketches,
         }
     }
+}
+
+/// Locks one distribution's sketch. Every update leaves a sketch valid at
+/// every step, so a guard recovered from a poisoned lock holds sound data.
+fn lock(sketch: &Mutex<SketchSnapshot>) -> MutexGuard<'_, SketchSnapshot> {
+    sketch.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for MetricsRegistry {
@@ -546,8 +401,7 @@ impl std::fmt::Debug for MetricsRegistry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     counters: [u64; Counter::ALL.len()],
-    hists: [HistSnapshot; Hist::ALL.len()],
-    sketches: [SketchSnapshot; Sketch::ALL.len()],
+    hists: [SketchSnapshot; Hist::ALL.len()],
 }
 
 impl MetricsSnapshot {
@@ -555,8 +409,7 @@ impl MetricsSnapshot {
     pub fn empty() -> MetricsSnapshot {
         MetricsSnapshot {
             counters: [0; Counter::ALL.len()],
-            hists: [HistSnapshot::default(); Hist::ALL.len()],
-            sketches: std::array::from_fn(|_| SketchSnapshot::default()),
+            hists: [SketchSnapshot::EMPTY; Hist::ALL.len()],
         }
     }
 
@@ -565,14 +418,14 @@ impl MetricsSnapshot {
         self.counters.get(counter.index()).copied().unwrap_or(0)
     }
 
-    /// One histogram at snapshot time.
-    pub fn hist(&self, hist: Hist) -> HistSnapshot {
-        self.hists.get(hist.index()).copied().unwrap_or_default()
+    /// One distribution at snapshot time, as stored.
+    pub fn sketch(&self, hist: Hist) -> &SketchSnapshot {
+        self.hists.get(hist.index()).unwrap_or(&SketchSnapshot::EMPTY)
     }
 
-    /// One quantile sketch at snapshot time.
-    pub fn sketch(&self, sketch: Sketch) -> SketchSnapshot {
-        self.sketches.get(sketch.index()).cloned().unwrap_or_default()
+    /// The log2 view of one distribution at snapshot time.
+    pub fn hist(&self, hist: Hist) -> HistSnapshot {
+        HistSnapshot::from_sketch(self.sketch(hist))
     }
 }
 
@@ -619,14 +472,18 @@ mod tests {
         assert_eq!(h.sum, 12);
         assert_eq!(h.buckets[bucket_of(3)], 1);
         assert_eq!(h.buckets[bucket_of(9)], 1);
+        let sk = snap.sketch(Hist::BatchBlockPairs);
+        assert_eq!((sk.count, sk.sum, sk.max), (2, 12, 9));
+        assert_eq!(snap.sketch(Hist::StraddleFanout).count, 0);
     }
 
     #[test]
     fn quantile_bounds_are_sane() {
-        let mut h = HistSnapshot::default();
+        let mut sk = SketchSnapshot::default();
         for v in 1..=100u64 {
-            h.observe(v);
+            sk.observe(v);
         }
+        let h = HistSnapshot::from_sketch(&sk);
         let p50 = h.quantile_le(500).unwrap();
         let p100 = h.quantile_le(1000).unwrap();
         assert!(p50 >= 50, "median bound {p50} below true median");
@@ -636,22 +493,24 @@ mod tests {
     }
 
     #[test]
-    fn paired_hist_observation_feeds_sketch() {
-        let reg = MetricsRegistry::new();
-        for v in [3u64, 9, 100, 1000] {
-            reg.observe(Hist::BatchBlockPairs, v);
+    fn log2_view_buckets_every_value_by_its_significant_bits() {
+        let mut sk = SketchSnapshot::default();
+        let mut expected = HistSnapshot::default();
+        let mut state = 0x5EED_u64;
+        let ends = [0, 31, 32, 33, 63, 64, (1 << 63) - 1, 1 << 63, (1 << 63) + (1 << 62), u64::MAX];
+        let seeded = (0..2_000).map(|_| {
+            // Values from 0 to beyond 2^40.
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 20) >> (state % 41)
+        });
+        for value in seeded.chain(ends) {
+            sk.observe(value);
+            expected.buckets[bucket_of(value)] += 1;
+            expected.count += 1;
+            expected.sum = expected.sum.saturating_add(value);
         }
-        reg.observe(Hist::WindowCandidates, 7); // no paired sketch
-        reg.observe_sketch(Sketch::QueryTicks, 40);
-        let snap = reg.snapshot();
-        let sk = snap.sketch(Sketch::BatchBlockPairs);
-        assert_eq!(sk.count, 4);
-        assert_eq!(sk.sum, 1112);
-        assert_eq!(sk.max, 1000);
-        assert_eq!(snap.sketch(Sketch::StraddleFanout).count, 0);
-        assert_eq!(snap.sketch(Sketch::QueryTicks).count, 1);
-        // The coarse histogram is unchanged by the pairing.
-        assert_eq!(snap.hist(Hist::BatchBlockPairs).count, 4);
+        assert_eq!(HistSnapshot::from_sketch(&sk), expected);
+        assert_eq!(HistSnapshot::from_sketch(&SketchSnapshot::default()), HistSnapshot::default());
     }
 
     #[test]
@@ -660,7 +519,7 @@ mod tests {
         let mut batch = HistBatch::default();
         let mut state = 0x5EED_u64;
         for i in 0..2_000u64 {
-            // Values from 0 to beyond 2^40, every histogram, paired or not.
+            // Values from 0 to beyond 2^40, every distribution.
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let value = (state >> 20) >> (state % 41);
             let hist = Hist::ALL[usize::try_from(i).unwrap() % Hist::ALL.len()];
@@ -672,8 +531,6 @@ mod tests {
             one_by_one.observe(Hist::StraddleFanout, value);
             batch.observe(Hist::StraddleFanout, value);
         }
-        one_by_one.observe_sketch(Sketch::QueryTicks, 9);
-        batched.observe_sketch(Sketch::QueryTicks, 9);
         batched.merge(&batch);
         assert_eq!(batched.snapshot(), one_by_one.snapshot());
         // An empty batch changes nothing.
@@ -695,11 +552,5 @@ mod tests {
             hseen[h.index()] = true;
         }
         assert!(hseen.iter().all(|s| *s));
-        let mut sseen = [false; Sketch::ALL.len()];
-        for s in Sketch::ALL {
-            assert!(!sseen[s.index()], "duplicate sketch index");
-            sseen[s.index()] = true;
-        }
-        assert!(sseen.iter().all(|s| *s));
     }
 }

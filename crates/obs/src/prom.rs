@@ -7,18 +7,17 @@
 //! `name_count`. Bucket boundaries are the log2 upper bounds of
 //! [`crate::metrics::bucket_le`]; empty tail buckets are trimmed (the
 //! `+Inf` bucket always remains), so output size tracks the data.
-//! Quantile sketches export as `summary` families: `name{quantile="…"}`
-//! lines in increasing quantile order (omitted when empty), then
-//! `name_sum` and `name_count`.
+//! Distributions with a [`Hist::summary_name`] also export their sketch as
+//! a `summary` family: `name{quantile="…"}` lines in increasing quantile
+//! order (omitted when empty), then `name_sum` and `name_count`.
 
-use crate::metrics::{bucket_le, Counter, Hist, MetricsSnapshot, Sketch};
+use crate::metrics::{bucket_le, Counter, Hist, MetricsSnapshot};
 use std::fmt::Write as _;
 
 /// The quantiles every sketch exports, as (label, per-mille) pairs.
 const SUMMARY_QUANTILES: [(&str, u64); 3] = [("0.5", 500), ("0.95", 950), ("0.99", 990)];
 
-/// Serializes every counter, histogram, and quantile sketch to Prometheus
-/// text format.
+/// Serializes every counter and distribution to Prometheus text format.
 pub fn export_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for c in Counter::ALL {
@@ -42,9 +41,9 @@ pub fn export_prometheus(snap: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "{name}_sum {}", hist.sum);
         let _ = writeln!(out, "{name}_count {}", hist.count);
     }
-    for s in Sketch::ALL {
-        let name = s.name();
-        let sk = snap.sketch(s);
+    for (name, sk) in
+        Hist::ALL.into_iter().filter_map(|h| Some((h.summary_name()?, snap.sketch(h))))
+    {
         let _ = writeln!(out, "# TYPE {name} summary");
         if sk.count > 0 {
             for (label, q) in SUMMARY_QUANTILES {
@@ -427,8 +426,11 @@ mod tests {
         assert!(text.contains("aggsky_batch_block_pairs_quantiles_count 100"));
         assert!(text.contains("aggsky_batch_block_pairs_quantiles_sum 5050"));
         // Empty sketches emit only the sum/count pair, which validates too.
-        assert!(text.contains("# TYPE aggsky_query_ticks summary"));
-        assert!(text.contains("aggsky_query_ticks_count 0"));
+        assert!(text.contains("# TYPE aggsky_straddle_fanout_quantiles summary"));
+        assert!(text.contains("aggsky_straddle_fanout_quantiles_count 0"));
+        assert!(!text.contains("aggsky_straddle_fanout_quantiles{"));
+        // Only the distributions that name a summary export one.
+        assert_eq!(text.matches(" summary\n").count(), 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! and no allocation — the overhead contract of DESIGN.md §11.
 //!
 //! [`TraceRecorder`] records spans and instant events into mutex-protected
-//! buffers and metrics into the lock-free [`MetricsRegistry`]. Span and
+//! buffers and metrics into the [`MetricsRegistry`]. Span and
 //! event identities are assigned in arrival order; combined with tick-domain
 //! stamps, a sequential run produces a byte-identical export every time.
 

@@ -1,12 +1,12 @@
 //! A dependency-free log-linear quantile sketch with a proven relative
-//! error bound.
+//! error bound: the one type every distribution of [`crate::metrics`] is
+//! stored as.
 //!
-//! The log2 histograms of [`crate::metrics`] answer "which power-of-two
-//! bucket" — a factor-of-two error band that is too coarse for tail-latency
-//! questions (p95/p99 of batch sizes, straddle pair costs, per-query
-//! ticks). This sketch keeps the fixed-bucket, integer-only, allocation-free
-//! design but subdivides every binary octave into `2^LINEAR_BITS = 16`
-//! linear sub-buckets:
+//! A log2 histogram answers "which power-of-two bucket" — a factor-of-two
+//! error band that is too coarse for tail-latency questions (p95/p99 of
+//! batch sizes, straddle pair costs, per-query ticks). This sketch keeps
+//! the fixed-bucket, integer-only, allocation-free design but subdivides
+//! every binary octave into `2^LINEAR_BITS = 16` linear sub-buckets:
 //!
 //! * values `0 ≤ v < 32` land in an exact bucket (error 0);
 //! * a value `v ≥ 32` with `e` = index of its leading bit lands in the
@@ -15,6 +15,9 @@
 //!   `2^e`, so reporting the bucket midpoint is off by at most
 //!   `2^(e-5) / 2^e = 1/32 ≈ 3.1%` — comfortably inside the ≤10% contract
 //!   (verified against exact quantiles by a seeded test).
+//!
+//! Every bucket lies inside one binary octave, so the log2 histogram of
+//! the same observations is a view derived from the sketch exactly.
 //!
 //! Sketches merge bucket-wise (associative, commutative, count-conserving)
 //! so per-worker sketches combine exactly like `Stats`. All arithmetic is
@@ -87,11 +90,15 @@ pub struct SketchSnapshot {
 
 impl Default for SketchSnapshot {
     fn default() -> SketchSnapshot {
-        SketchSnapshot { buckets: [0; SKETCH_BUCKETS], count: 0, sum: 0, max: 0 }
+        SketchSnapshot::EMPTY
     }
 }
 
 impl SketchSnapshot {
+    /// The sketch of no observations.
+    pub const EMPTY: SketchSnapshot =
+        SketchSnapshot { buckets: [0; SKETCH_BUCKETS], count: 0, sum: 0, max: 0 };
+
     /// Records one value.
     pub fn observe(&mut self, value: u64) {
         if let Some(b) = self.buckets.get_mut(sketch_bucket_of(value)) {

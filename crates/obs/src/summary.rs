@@ -6,8 +6,9 @@
 //! deterministic for deterministic recordings.
 
 use crate::clock::ClockDomain;
-use crate::metrics::{Counter, Hist, Sketch};
+use crate::metrics::{Counter, Hist, HistSnapshot};
 use crate::recorder::{SpanRec, TraceSnapshot};
+use crate::sketch::SketchSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -48,12 +49,14 @@ pub fn render_summary(snap: &TraceSnapshot) -> String {
             let _ = writeln!(out, "  {} = {}", c.name(), snap.metrics.counter(c));
         }
     }
-    let observed: Vec<Hist> =
-        Hist::ALL.into_iter().filter(|h| snap.metrics.hist(*h).count > 0).collect();
+    let observed: Vec<(Hist, HistSnapshot)> = Hist::ALL
+        .into_iter()
+        .map(|h| (h, snap.metrics.hist(h)))
+        .filter(|(_, snap_h)| snap_h.count > 0)
+        .collect();
     if !observed.is_empty() {
         out.push_str("histograms:\n");
-        for h in observed {
-            let snap_h = snap.metrics.hist(h);
+        for (h, snap_h) in observed {
             let p50 = snap_h.quantile_le(500).unwrap_or(0);
             let p99 = snap_h.quantile_le(990).unwrap_or(0);
             let _ = writeln!(
@@ -65,21 +68,21 @@ pub fn render_summary(snap: &TraceSnapshot) -> String {
             );
         }
     }
-    let sketched: Vec<Sketch> =
-        Sketch::ALL.into_iter().filter(|s| snap.metrics.sketch(*s).count > 0).collect();
+    let sketched: Vec<(&str, &SketchSnapshot)> = Hist::ALL
+        .into_iter()
+        .filter_map(|h| Some((h.summary_name()?, snap.metrics.sketch(h))))
+        .filter(|(_, sk)| sk.count > 0)
+        .collect();
     if !sketched.is_empty() {
         out.push_str("sketches:\n");
-        for s in sketched {
-            let sk = snap.metrics.sketch(s);
+        for (name, sk) in sketched {
             let p50 = sk.quantile(500).unwrap_or(0);
             let p95 = sk.quantile(950).unwrap_or(0);
             let p99 = sk.quantile(990).unwrap_or(0);
             let _ = writeln!(
                 out,
-                "  {} count={} p50={p50} p95={p95} p99={p99} max={}",
-                s.name(),
-                sk.count,
-                sk.max
+                "  {name} count={} p50={p50} p95={p95} p99={p99} max={}",
+                sk.count, sk.max
             );
         }
     }

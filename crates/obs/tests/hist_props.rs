@@ -1,7 +1,8 @@
-//! Seeded property tests for the log2 histogram: `merge` is associative,
-//! commutative, and conserves total observation count and sum.
+//! Seeded property tests for the quantile sketch, the one type every
+//! distribution is stored as: `merge` is associative, commutative, and
+//! conserves total observation count and sum.
 
-use aggsky_obs::{bucket_of, HistSnapshot, HIST_BUCKETS};
+use aggsky_obs::{sketch_bucket_of, SketchSnapshot, SKETCH_BUCKETS};
 
 /// splitmix64 — the workspace's standard seeded generator (no external
 /// randomness, reproducible failures).
@@ -13,21 +14,21 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A histogram filled with `n` values drawn from a seeded stream, spanning
+/// A sketch filled with `n` values drawn from a seeded stream, spanning
 /// many orders of magnitude (shift by 0..=63 bits).
-fn random_hist(seed: u64, n: usize) -> HistSnapshot {
+fn random_sketch(seed: u64, n: usize) -> SketchSnapshot {
     let mut state = seed;
-    let mut h = HistSnapshot::default();
+    let mut s = SketchSnapshot::default();
     for _ in 0..n {
         let raw = splitmix64(&mut state);
         let shift = splitmix64(&mut state) % 64;
-        h.observe(raw >> shift);
+        s.observe(raw >> shift);
     }
-    h
+    s
 }
 
-fn merged(a: &HistSnapshot, b: &HistSnapshot) -> HistSnapshot {
-    let mut out = *a;
+fn merged(a: &SketchSnapshot, b: &SketchSnapshot) -> SketchSnapshot {
+    let mut out = a.clone();
     out.merge(b);
     out
 }
@@ -35,8 +36,8 @@ fn merged(a: &HistSnapshot, b: &HistSnapshot) -> HistSnapshot {
 #[test]
 fn merge_is_commutative() {
     for seed in 0..50u64 {
-        let a = random_hist(seed, 100);
-        let b = random_hist(seed.wrapping_mul(31).wrapping_add(7), 173);
+        let a = random_sketch(seed, 100);
+        let b = random_sketch(seed.wrapping_mul(31).wrapping_add(7), 173);
         assert_eq!(merged(&a, &b), merged(&b, &a), "seed {seed}");
     }
 }
@@ -44,9 +45,9 @@ fn merge_is_commutative() {
 #[test]
 fn merge_is_associative() {
     for seed in 0..50u64 {
-        let a = random_hist(seed, 64);
-        let b = random_hist(seed + 1000, 128);
-        let c = random_hist(seed + 2000, 33);
+        let a = random_sketch(seed, 64);
+        let b = random_sketch(seed + 1000, 128);
+        let c = random_sketch(seed + 2000, 33);
         assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)), "seed {seed}");
     }
 }
@@ -54,11 +55,12 @@ fn merge_is_associative() {
 #[test]
 fn merge_conserves_count_and_sum() {
     for seed in 0..50u64 {
-        let a = random_hist(seed, 211);
-        let b = random_hist(seed + 5000, 97);
+        let a = random_sketch(seed, 211);
+        let b = random_sketch(seed + 5000, 97);
         let m = merged(&a, &b);
         assert_eq!(m.count, a.count + b.count, "seed {seed}");
         assert_eq!(m.sum, a.sum.saturating_add(b.sum), "seed {seed}");
+        assert_eq!(m.max, a.max.max(b.max), "seed {seed}");
         assert_eq!(
             m.buckets.iter().sum::<u64>(),
             a.buckets.iter().sum::<u64>() + b.buckets.iter().sum::<u64>(),
@@ -70,9 +72,9 @@ fn merge_conserves_count_and_sum() {
 #[test]
 fn merge_with_empty_is_identity() {
     for seed in [3u64, 99, 1234] {
-        let a = random_hist(seed, 80);
-        assert_eq!(merged(&a, &HistSnapshot::default()), a);
-        assert_eq!(merged(&HistSnapshot::default(), &a), a);
+        let a = random_sketch(seed, 80);
+        assert_eq!(merged(&a, &SketchSnapshot::default()), a);
+        assert_eq!(merged(&SketchSnapshot::default(), &a), a);
     }
 }
 
@@ -81,11 +83,11 @@ fn every_observation_lands_in_exactly_one_bucket() {
     let mut state = 42u64;
     for _ in 0..1000 {
         let v = splitmix64(&mut state) >> (splitmix64(&mut state) % 64);
-        let b = bucket_of(v);
-        assert!(b < HIST_BUCKETS);
-        let mut h = HistSnapshot::default();
-        h.observe(v);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 1);
-        assert_eq!(h.buckets[b], 1);
+        let b = sketch_bucket_of(v);
+        assert!(b < SKETCH_BUCKETS);
+        let mut s = SketchSnapshot::default();
+        s.observe(v);
+        assert_eq!(s.buckets.iter().sum::<u64>(), 1);
+        assert_eq!(s.buckets[b], 1);
     }
 }

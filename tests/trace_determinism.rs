@@ -6,8 +6,9 @@
 //! machines and reruns.
 
 use aggsky::core::obs::{
-    export_chrome, export_prometheus, render_summary, FlightRecorder, TraceRecorder,
+    export_chrome, export_prometheus, render_summary, FlightRecorder, Hist, Recorder, TraceRecorder,
 };
+use aggsky::core::persist::ProfileSnapshot;
 use aggsky::core::{AlgoOptions, Algorithm, KernelConfig, RunContext};
 use aggsky::datagen::Rng64;
 use aggsky::{Gamma, GroupedDataset, GroupedDatasetBuilder};
@@ -120,9 +121,9 @@ fn same_seed_flight_dumps_are_byte_identical() {
 
 #[test]
 fn sketch_quantiles_are_deterministic_and_pinned() {
-    // The paired BatchBlockPairs sketch (fed by the scheduler's batch
-    // loop) must replay exactly and answer quantiles deterministically
-    // across identical 1-worker runs.
+    // The BatchBlockPairs sketch (fed by the scheduler's batch loop) must
+    // replay exactly and answer quantiles deterministically across
+    // identical 1-worker runs.
     let ds = random_dataset(96, 14, 6);
     let run = || {
         let rec = Arc::new(TraceRecorder::new());
@@ -135,7 +136,7 @@ fn sketch_quantiles_are_deterministic_and_pinned() {
             &ctx,
         )
         .unwrap();
-        rec.snapshot().metrics.sketch(aggsky::core::obs::metrics::Sketch::BatchBlockPairs)
+        rec.snapshot().metrics.sketch(Hist::BatchBlockPairs).clone()
     };
     let a = run();
     let b = run();
@@ -176,3 +177,206 @@ fn single_worker_parallel_trace_is_deterministic() {
             || prom_a.contains("aggsky_batch_block_pairs")
     );
 }
+
+/// One seeded run that feeds every distribution into a single recorder:
+/// IN on the columnar kernel (record pairs per group pair, straddle fanout,
+/// window candidates), a 1-worker parallel run (block pairs per batch), and
+/// checkpoint frame sizes observed directly, since persist spans carry wall
+/// time. Returns the Prometheus text, the summary's `histograms:` and
+/// `sketches:` sections, and the profile's histogram and sketch entries.
+fn every_distribution_exports() -> (String, String, String) {
+    let ds = random_dataset(97, 12, 40);
+    let rec = Arc::new(TraceRecorder::new());
+    let ctx = RunContext::unlimited().with_recorder(rec.clone());
+    let opts =
+        AlgoOptions { kernel: KernelConfig::columnar(), ..AlgoOptions::exact(Gamma::DEFAULT) };
+    let _ = Algorithm::Indexed.run_ctx(&ds, opts, &ctx).unwrap();
+    let _ =
+        aggsky::core::parallel_skyline_ctx(&ds, Gamma::DEFAULT, 1, KernelConfig::columnar(), &ctx)
+            .unwrap();
+    for bytes in [0, 31, 32, 33, 4_095, 4_096, 35_617] {
+        rec.observe(Hist::CheckpointFrameBytes, bytes);
+    }
+    let snapshot = rec.snapshot();
+    let summary = render_summary(&snapshot);
+    let sections = summary.find("histograms:\n").map_or("", |at| &summary[at..]).to_owned();
+    let profile = ProfileSnapshot::from_trace(&snapshot);
+    let mut entries = String::new();
+    for h in &profile.hists {
+        entries += &format!("hist {} count={} sum={}\n", h.name, h.count, h.sum);
+    }
+    for s in &profile.sketches {
+        entries += &format!(
+            "sketch {} count={} p50={} p95={} p99={} max={}\n",
+            s.name, s.count, s.p50, s.p95, s.p99, s.max
+        );
+    }
+    (export_prometheus(&snapshot.metrics), sections, entries)
+}
+
+#[test]
+fn every_distribution_exports_pinned_text() {
+    // Golden text, not a two-run comparison: the exports of every
+    // distribution, from its log2 view and its quantile view, are pinned
+    // byte for byte, so a change to how distributions are stored or
+    // merged cannot shift a bucket, a quantile or a sum unnoticed.
+    let (prom, sections, entries) = every_distribution_exports();
+    aggsky::core::obs::validate_prometheus(&prom).unwrap();
+    assert_eq!(prom, GOLDEN_PROMETHEUS);
+    assert_eq!(sections, GOLDEN_SUMMARY_SECTIONS);
+    assert_eq!(entries, GOLDEN_PROFILE_ENTRIES);
+}
+
+const GOLDEN_PROMETHEUS: &str = r#"# TYPE aggsky_group_pairs_total counter
+aggsky_group_pairs_total 264
+# TYPE aggsky_record_pairs_total counter
+aggsky_record_pairs_total 75688
+# TYPE aggsky_bbox_resolved_total counter
+aggsky_bbox_resolved_total 0
+# TYPE aggsky_bbox_skipped_pairs_total counter
+aggsky_bbox_skipped_pairs_total 0
+# TYPE aggsky_early_stops_total counter
+aggsky_early_stops_total 174
+# TYPE aggsky_transitive_skips_total counter
+aggsky_transitive_skips_total 0
+# TYPE aggsky_index_candidates_total counter
+aggsky_index_candidates_total 264
+# TYPE aggsky_blocks_full_total counter
+aggsky_blocks_full_total 0
+# TYPE aggsky_blocks_skipped_total counter
+aggsky_blocks_skipped_total 0
+# TYPE aggsky_records_compared_total counter
+aggsky_records_compared_total 75688
+# TYPE aggsky_worker_retries_total counter
+aggsky_worker_retries_total 0
+# TYPE aggsky_workers_quarantined_total counter
+aggsky_workers_quarantined_total 0
+# TYPE aggsky_sql_rows_scanned_total counter
+aggsky_sql_rows_scanned_total 0
+# TYPE aggsky_sql_groups_built_total counter
+aggsky_sql_groups_built_total 0
+# TYPE aggsky_cache_hits_total counter
+aggsky_cache_hits_total 66
+# TYPE aggsky_cache_misses_total counter
+aggsky_cache_misses_total 66
+# TYPE aggsky_cache_resumes_total counter
+aggsky_cache_resumes_total 0
+# TYPE aggsky_checkpoint_saves_total counter
+aggsky_checkpoint_saves_total 0
+# TYPE aggsky_checkpoint_loads_total counter
+aggsky_checkpoint_loads_total 0
+# TYPE aggsky_checkpoint_frames_skipped_total counter
+aggsky_checkpoint_frames_skipped_total 0
+# TYPE aggsky_dyn_inserts_total counter
+aggsky_dyn_inserts_total 0
+# TYPE aggsky_dyn_deferred_total counter
+aggsky_dyn_deferred_total 0
+# TYPE aggsky_dyn_flushed_pairs_total counter
+aggsky_dyn_flushed_pairs_total 0
+# TYPE aggsky_sql_input_reused_total counter
+aggsky_sql_input_reused_total 0
+# TYPE aggsky_record_pairs_per_group_pair histogram
+aggsky_record_pairs_per_group_pair_bucket{le="0"} 66
+aggsky_record_pairs_per_group_pair_bucket{le="1"} 66
+aggsky_record_pairs_per_group_pair_bucket{le="3"} 66
+aggsky_record_pairs_per_group_pair_bucket{le="7"} 66
+aggsky_record_pairs_per_group_pair_bucket{le="15"} 78
+aggsky_record_pairs_per_group_pair_bucket{le="31"} 93
+aggsky_record_pairs_per_group_pair_bucket{le="63"} 99
+aggsky_record_pairs_per_group_pair_bucket{le="127"} 99
+aggsky_record_pairs_per_group_pair_bucket{le="255"} 138
+aggsky_record_pairs_per_group_pair_bucket{le="511"} 213
+aggsky_record_pairs_per_group_pair_bucket{le="1023"} 263
+aggsky_record_pairs_per_group_pair_bucket{le="2047"} 264
+aggsky_record_pairs_per_group_pair_bucket{le="+Inf"} 264
+aggsky_record_pairs_per_group_pair_sum 75688
+aggsky_record_pairs_per_group_pair_count 264
+# TYPE aggsky_batch_block_pairs histogram
+aggsky_batch_block_pairs_bucket{le="0"} 0
+aggsky_batch_block_pairs_bucket{le="1"} 21
+aggsky_batch_block_pairs_bucket{le="3"} 61
+aggsky_batch_block_pairs_bucket{le="7"} 66
+aggsky_batch_block_pairs_bucket{le="+Inf"} 66
+aggsky_batch_block_pairs_sum 132
+aggsky_batch_block_pairs_count 66
+# TYPE aggsky_straddle_fanout_pairs histogram
+aggsky_straddle_fanout_pairs_bucket{le="0"} 0
+aggsky_straddle_fanout_pairs_bucket{le="1"} 0
+aggsky_straddle_fanout_pairs_bucket{le="3"} 0
+aggsky_straddle_fanout_pairs_bucket{le="7"} 0
+aggsky_straddle_fanout_pairs_bucket{le="15"} 12
+aggsky_straddle_fanout_pairs_bucket{le="31"} 27
+aggsky_straddle_fanout_pairs_bucket{le="63"} 33
+aggsky_straddle_fanout_pairs_bucket{le="127"} 33
+aggsky_straddle_fanout_pairs_bucket{le="255"} 72
+aggsky_straddle_fanout_pairs_bucket{le="511"} 147
+aggsky_straddle_fanout_pairs_bucket{le="1023"} 197
+aggsky_straddle_fanout_pairs_bucket{le="2047"} 198
+aggsky_straddle_fanout_pairs_bucket{le="+Inf"} 198
+aggsky_straddle_fanout_pairs_sum 75688
+aggsky_straddle_fanout_pairs_count 198
+# TYPE aggsky_window_candidates histogram
+aggsky_window_candidates_bucket{le="0"} 0
+aggsky_window_candidates_bucket{le="1"} 0
+aggsky_window_candidates_bucket{le="3"} 0
+aggsky_window_candidates_bucket{le="7"} 0
+aggsky_window_candidates_bucket{le="15"} 12
+aggsky_window_candidates_bucket{le="+Inf"} 12
+aggsky_window_candidates_sum 144
+aggsky_window_candidates_count 12
+# TYPE aggsky_checkpoint_frame_bytes histogram
+aggsky_checkpoint_frame_bytes_bucket{le="0"} 1
+aggsky_checkpoint_frame_bytes_bucket{le="1"} 1
+aggsky_checkpoint_frame_bytes_bucket{le="3"} 1
+aggsky_checkpoint_frame_bytes_bucket{le="7"} 1
+aggsky_checkpoint_frame_bytes_bucket{le="15"} 1
+aggsky_checkpoint_frame_bytes_bucket{le="31"} 2
+aggsky_checkpoint_frame_bytes_bucket{le="63"} 4
+aggsky_checkpoint_frame_bytes_bucket{le="127"} 4
+aggsky_checkpoint_frame_bytes_bucket{le="255"} 4
+aggsky_checkpoint_frame_bytes_bucket{le="511"} 4
+aggsky_checkpoint_frame_bytes_bucket{le="1023"} 4
+aggsky_checkpoint_frame_bytes_bucket{le="2047"} 4
+aggsky_checkpoint_frame_bytes_bucket{le="4095"} 5
+aggsky_checkpoint_frame_bytes_bucket{le="8191"} 6
+aggsky_checkpoint_frame_bytes_bucket{le="16383"} 6
+aggsky_checkpoint_frame_bytes_bucket{le="32767"} 6
+aggsky_checkpoint_frame_bytes_bucket{le="65535"} 7
+aggsky_checkpoint_frame_bytes_bucket{le="+Inf"} 7
+aggsky_checkpoint_frame_bytes_sum 43904
+aggsky_checkpoint_frame_bytes_count 7
+# TYPE aggsky_batch_block_pairs_quantiles summary
+aggsky_batch_block_pairs_quantiles{quantile="0.5"} 2
+aggsky_batch_block_pairs_quantiles{quantile="0.95"} 4
+aggsky_batch_block_pairs_quantiles{quantile="0.99"} 4
+aggsky_batch_block_pairs_quantiles{quantile="1"} 4
+aggsky_batch_block_pairs_quantiles_sum 132
+aggsky_batch_block_pairs_quantiles_count 66
+# TYPE aggsky_straddle_fanout_quantiles summary
+aggsky_straddle_fanout_quantiles{quantile="0.5"} 376
+aggsky_straddle_fanout_quantiles{quantile="0.95"} 816
+aggsky_straddle_fanout_quantiles{quantile="0.99"} 1008
+aggsky_straddle_fanout_quantiles{quantile="1"} 1064
+aggsky_straddle_fanout_quantiles_sum 75688
+aggsky_straddle_fanout_quantiles_count 198
+"#;
+
+const GOLDEN_SUMMARY_SECTIONS: &str = r#"histograms:
+  aggsky_record_pairs_per_group_pair count=264 sum=75688 p50≤255 p99≤1023
+  aggsky_batch_block_pairs count=66 sum=132 p50≤3 p99≤7
+  aggsky_straddle_fanout_pairs count=198 sum=75688 p50≤511 p99≤1023
+  aggsky_window_candidates count=12 sum=144 p50≤15 p99≤15
+  aggsky_checkpoint_frame_bytes count=7 sum=43904 p50≤63 p99≤65535
+sketches:
+  aggsky_batch_block_pairs_quantiles count=66 p50=2 p95=4 p99=4 max=4
+  aggsky_straddle_fanout_quantiles count=198 p50=376 p95=816 p99=1008 max=1064
+"#;
+
+const GOLDEN_PROFILE_ENTRIES: &str = r#"hist aggsky_record_pairs_per_group_pair count=264 sum=75688
+hist aggsky_batch_block_pairs count=66 sum=132
+hist aggsky_straddle_fanout_pairs count=198 sum=75688
+hist aggsky_window_candidates count=12 sum=144
+hist aggsky_checkpoint_frame_bytes count=7 sum=43904
+sketch aggsky_batch_block_pairs_quantiles count=66 p50=2 p95=4 p99=4 max=4
+sketch aggsky_straddle_fanout_quantiles count=198 p50=376 p95=816 p99=1008 max=1064
+"#;
