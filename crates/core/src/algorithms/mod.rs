@@ -254,38 +254,6 @@ impl Algorithm {
         Ok(self.run_on(&kernel, opts, ctx, None))
     }
 
-    /// Runs this algorithm over an existing preparation, skipping the
-    /// per-run [`crate::PreparedDataset::build`] cost (`opts.kernel` is
-    /// ignored). Straddling block pairs use the columnar kernel
-    /// ([`Kernel::with_prepared`]), as [`Algorithm::run_cached`] does, so
-    /// the run's `Stats` equal those of [`Algorithm::run_ctx`] with a
-    /// columnar kernel at the preparation's block size. The preparation
-    /// must have been built from `ds`.
-    pub fn run_prepared(
-        self,
-        ds: &GroupedDataset,
-        prep: &crate::prepared::PreparedDataset,
-        opts: AlgoOptions,
-    ) -> SkylineResult {
-        self.run_prepared_ctx(ds, prep, opts, &RunContext::unlimited()).unwrap_or_partial()
-    }
-
-    /// [`Algorithm::run_prepared`] under an execution-control context. Its
-    /// trace has the shape of [`Algorithm::run_ctx`]'s: a `prepare` span,
-    /// then the algorithm's.
-    pub fn run_prepared_ctx(
-        self,
-        ds: &GroupedDataset,
-        prep: &crate::prepared::PreparedDataset,
-        opts: AlgoOptions,
-        ctx: &RunContext,
-    ) -> Outcome {
-        let kernel = Kernel::with_prepared(ds, prep);
-        let prep_span = ctx.obs().map_or(0, |rec| rec.span_start("prepare", 0, Stamp::ZERO));
-        end_prepare_span(prep_span, &kernel, ctx);
-        self.run_on(&kernel, opts, ctx, None)
-    }
-
     /// Runs this algorithm over a shared preparation *and* a shared
     /// [`PairCache`]: every group comparison first consults the cache and
     /// memoizes its (possibly partial) tally. This is the entry point the
@@ -406,13 +374,13 @@ impl PairDeltas {
 /// fanout, …), observed locally and merged into the recorder once, beside
 /// the run's [`Stats::record_to`] dump: a shared registry update per group
 /// pair costs tens of nanoseconds, as much as counting a cheap pair. Holds
-/// nothing when the run has no recorder.
+/// nothing when the run has no recorder, or one that drops distributions.
 #[derive(Default)]
 pub(crate) struct PairDists(Option<Box<HistBatch>>);
 
 impl PairDists {
     pub(crate) fn new(ctx: &RunContext) -> PairDists {
-        PairDists(ctx.obs().map(|_| Box::default()))
+        PairDists(ctx.obs().filter(|rec| rec.keeps_distributions()).map(|_| Box::default()))
     }
 
     /// Records the pair's work into the histograms. Straddle fanout is only

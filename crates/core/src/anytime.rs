@@ -7,9 +7,18 @@
 //! *confirmed in*, *confirmed out* (a γ-dominator was found), and
 //! *undecided*. With an unlimited budget the result equals the exact
 //! skyline; with a tiny budget the confirmed sets are small but never
-//! wrong. Candidate dominators are pruned with the Algorithm 5 window query
-//! and processed cheapest-pair-first (the Section 3.4 global optimization),
-//! which front-loads decisions per unit of work.
+//! wrong. It computes every SQL aggregate skyline, plain and durable.
+//!
+//! Every run visits the groups in one order: ascending size (the Section
+//! 3.4 global optimization, cheap pairs first), then descending min-corner
+//! coordinate sum (Algorithm 4's sorted access, likely dominators first),
+//! then id. Each open group keeps a cursor into that order and draws its
+//! candidate dominators lazily: the cursor stops only at groups whose max
+//! corner lies in the group's Algorithm 5 window (`s.max ≥ g.min` in every
+//! dimension), tested in O(d) over one flat array of max corners. A heap
+//! holds one entry per open group, keyed by the cost `|g|·|s|` of its next
+//! pair, so the run compares cheapest pair first and touches only the
+//! pairs it reaches.
 //!
 //! Every group pair is counted by one [`Kernel`] over a columnar
 //! preparation ([`KernelConfig::columnar`], AVX2 when the CPU has it), the
@@ -17,26 +26,28 @@
 //! comparison inside a straddling block pair; block pairs decided by their
 //! corners are free. Verdicts are bit-identical to the paper's exhaustive
 //! loop, so the partition, and with it the checkpoint, does not depend on
-//! the kernel. The public entry points build the kernel per call; the
-//! durable driver ([`crate::checkpoint_step_with`]) takes one from its
-//! caller, so a statement re-issued over unchanged data prepares its input
-//! once.
+//! the kernel. The public entry points build the kernel per call;
+//! [`anytime_skyline_with`] and [`crate::checkpoint_step_with`] take one
+//! from their caller, so a statement run again over unchanged data
+//! prepares its input once.
 //!
-//! An incomplete result carries an [`AnytimeCheckpoint`] — the open groups'
-//! not-yet-compared candidate lists — so [`anytime_resume`] continues where
-//! the budget ran out instead of restarting: repeated resumption with any
-//! per-step budget converges to the same partition as one unlimited run.
+//! An incomplete result carries an [`AnytimeCheckpoint`] — each open
+//! group's cursor and the positions ahead of it that a mirror comparison
+//! already settled — so [`anytime_resume`] continues where the budget ran
+//! out instead of restarting: repeated resumption with any per-step budget
+//! converges to the same partition and the same `Stats` as one unlimited
+//! run.
 
 use crate::algorithms::{end_prepare_span, kernel_boxes, PairDeltas, PairDists};
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
 use crate::kernel::{Kernel, KernelConfig};
+use crate::mbb::Mbb;
 use crate::paircount::PairOptions;
-use crate::runctx::RunContext;
+use crate::runctx::{InterruptReason, RunContext};
 use crate::stats::Stats;
 use aggsky_obs::Stamp;
-use aggsky_spatial::{Aabb, RTree};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -66,19 +77,87 @@ impl AnytimeResult {
     pub fn is_complete(&self) -> bool {
         self.undecided.is_empty()
     }
+
+    /// Why a run under `ctx` stopped short of this partition's completion:
+    /// `None` when it is complete, else cancellation when `ctx` was
+    /// cancelled and the tick budget otherwise.
+    pub fn interrupt(&self, ctx: &RunContext) -> Option<InterruptReason> {
+        if self.is_complete() {
+            None
+        } else if ctx.cancel_token().is_cancelled() {
+            Some(InterruptReason::Cancelled)
+        } else {
+            Some(InterruptReason::BudgetExhausted)
+        }
+    }
 }
 
-/// The resume state of an incomplete anytime run: for every still-open
-/// group, the candidate dominators it has not yet been compared against.
-/// Everything else (confirmed sets) lives in the carrying
-/// [`AnytimeResult`].
+/// The resume state of an incomplete anytime run: where each still-open
+/// group's cursor stands in the run's visiting order. Everything else
+/// (confirmed sets) lives in the carrying [`AnytimeResult`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnytimeCheckpoint {
-    /// `(group, remaining candidate dominators)` for each undecided group,
-    /// ascending by group. The engine leaves each list in its visiting
-    /// order, ascending by `(|s|, s)`; a list in any other order is sorted
-    /// on resume.
-    pub remaining: Vec<(GroupId, Vec<GroupId>)>,
+    /// One cursor per undecided group, ascending by group.
+    pub open: Vec<GroupCursor>,
+}
+
+/// One undecided group's place in the visiting order. Positions index the
+/// order the engine derives from the dataset (sizes and min corners), so a
+/// cursor is only meaningful against the dataset it was taken on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupCursor {
+    /// The group.
+    pub group: GroupId,
+    /// Position of the group's next candidate dominator.
+    pub cursor: usize,
+    /// Positions above `cursor` whose pair with this group the mirror
+    /// comparison already counted, ascending.
+    pub settled: Vec<usize>,
+}
+
+impl AnytimeCheckpoint {
+    /// Checks the checkpoint against a dataset of `n` groups: groups
+    /// strictly ascending and below `n`, each cursor below `n`, and each
+    /// settled list strictly ascending, above its cursor and below `n`.
+    /// Violations are typed [`Error::CorruptCheckpoint`]s, so a corrupted
+    /// or mismatched resume state can never be silently replayed.
+    pub(crate) fn validate(&self, n: usize) -> Result<()> {
+        let corrupt = |msg: String| Err(Error::CorruptCheckpoint(msg));
+        let mut prev_group = None;
+        for c in &self.open {
+            if c.group >= n {
+                return corrupt(format!(
+                    "checkpoint mentions group {}, but the dataset has only {n} groups",
+                    c.group
+                ));
+            }
+            if prev_group.is_some_and(|p| c.group <= p) {
+                return corrupt(format!(
+                    "checkpoint group {} is not above the group before it",
+                    c.group
+                ));
+            }
+            prev_group = Some(c.group);
+            if c.cursor >= n {
+                return corrupt(format!(
+                    "cursor {} of group {} is not a position among {n} groups",
+                    c.cursor, c.group
+                ));
+            }
+            let mut prev = c.cursor;
+            for &p in &c.settled {
+                if p <= prev || p >= n {
+                    return corrupt(format!(
+                        "settled position {p} of group {} is not ascending above cursor {} \
+                         and below {n}",
+                        c.group, c.cursor
+                    ));
+                }
+                prev = p;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Runs the aggregate skyline until done or until roughly
@@ -99,6 +178,14 @@ pub fn anytime_skyline_ctx(ds: &GroupedDataset, gamma: Gamma, ctx: &RunContext) 
     engine(&anytime_kernel(ds), gamma, ctx, None)
 }
 
+/// [`anytime_skyline_ctx`] over a caller-built kernel, such as one over a
+/// kept [`crate::PreparedDataset`] ([`Kernel::with_prepared`]). The kernel
+/// should be the columnar one every anytime run counts with, or the tick
+/// totals differ.
+pub fn anytime_skyline_with(kernel: &Kernel<'_>, gamma: Gamma, ctx: &RunContext) -> AnytimeResult {
+    engine(kernel, gamma, ctx, None)
+}
+
 /// The kernel every anytime run counts with: columnar at the default block
 /// size. That block size fits every dataset and a lane, so the exhaustive
 /// fallback never runs; it keeps the entry points infallible.
@@ -109,11 +196,12 @@ pub(crate) fn anytime_kernel(ds: &GroupedDataset) -> Kernel<'_> {
 /// Continues an earlier run from its checkpoint, spending at most `budget`
 /// further ticks. A complete `prev` is returned unchanged; a
 /// `prev` *without* a checkpoint (produced by an interrupted one-shot
-/// algorithm) falls back to a fresh run. A `prev` whose checkpoint
-/// mentions ids outside `ds` — the signature of resuming against the
-/// wrong dataset, or of a corrupted frame read from disk — is refused
-/// with a typed [`Error::CorruptCheckpoint`] instead of being silently
-/// replayed or discarded.
+/// algorithm) falls back to a fresh run. A `prev` whose checkpoint does not
+/// fit `ds` ([`AnytimeCheckpoint::validate`], or a confirmed-out id outside
+/// it) — the signature of resuming against the wrong dataset, or of a
+/// corrupted frame read from disk — is refused with a typed
+/// [`Error::CorruptCheckpoint`] instead of being silently replayed or
+/// discarded.
 pub fn anytime_resume(
     ds: &GroupedDataset,
     gamma: Gamma,
@@ -137,17 +225,8 @@ pub fn anytime_resume_ctx(
     anytime_resume_on(&anytime_kernel(ds), gamma, ctx, prev.clone())
 }
 
-/// [`anytime_skyline_ctx`] over a caller-built kernel.
-pub(crate) fn anytime_skyline_on(
-    kernel: &Kernel<'_>,
-    gamma: Gamma,
-    ctx: &RunContext,
-) -> AnytimeResult {
-    engine(kernel, gamma, ctx, None)
-}
-
 /// [`anytime_resume_ctx`] over a caller-built kernel, taking the earlier
-/// partition by value so its candidate lists move into the engine.
+/// partition by value so its cursors move into the engine.
 pub(crate) fn anytime_resume_on(
     kernel: &Kernel<'_>,
     gamma: Gamma,
@@ -157,102 +236,150 @@ pub(crate) fn anytime_resume_on(
     if prev.is_complete() {
         return Ok(prev);
     }
-    match &prev.checkpoint {
-        Some(cp) => {
-            validate_checkpoint(&prev, cp, kernel.dataset().n_groups())?;
-            Ok(engine(kernel, gamma, ctx, Some(prev)))
-        }
-        None => Ok(engine(kernel, gamma, ctx, None)),
-    }
-}
-
-/// A checkpoint is only replayable when every id it mentions exists in the
-/// dataset. Violations are typed errors naming the offending id, so a
-/// corrupted or mismatched resume state can never be silently replayed.
-fn validate_checkpoint(prev: &AnytimeResult, cp: &AnytimeCheckpoint, n: usize) -> Result<()> {
-    let oob = |what: &str, g: GroupId| {
-        Error::CorruptCheckpoint(format!(
-            "{what} mentions group {g}, but the dataset has only {n} groups"
-        ))
+    let Some(cp) = &prev.checkpoint else {
+        return Ok(engine(kernel, gamma, ctx, None));
     };
-    for &g in &prev.confirmed_out {
-        if g >= n {
-            return Err(oob("confirmed-out set", g));
-        }
+    let n = kernel.dataset().n_groups();
+    cp.validate(n)?;
+    if let Some(&g) = prev.confirmed_out.iter().find(|&&g| g >= n) {
+        return Err(Error::CorruptCheckpoint(format!(
+            "confirmed-out set mentions group {g}, but the dataset has only {n} groups"
+        )));
     }
-    for (g, cands) in &cp.remaining {
-        if *g >= n {
-            return Err(oob("checkpoint remaining list", *g));
-        }
-        for &s in cands {
-            if s >= n {
-                return Err(oob("checkpoint candidate list", s));
-            }
-        }
-    }
-    Ok(())
+    Ok(engine(kernel, gamma, ctx, Some(prev)))
 }
 
-/// One open group's candidate dominators, ascending by the rank of
-/// `(|s|, s)`, so for a fixed group they come out in the engine's
-/// `(|g|·|s|, s)` cost order.
-#[derive(Default)]
-struct Candidates {
-    /// The candidates, ascending by rank; never reordered once sorted.
-    list: Vec<GroupId>,
-    /// Index in `list` of the next candidate to compare.
-    next: usize,
-    /// `done[j]`: the mirror comparison already settled `list[j]`. Empty
-    /// until the first such strike.
-    done: Vec<bool>,
+/// The visiting order of a run: groups ascending by `(|s|, min-corner
+/// coordinate sum descending, id)`, with every group's max corner laid out
+/// flat in that order for the window test. The coordinate sum, not
+/// [`Mbb::min_corner_norm`]: data is canonicalised to MAX preference, and a
+/// norm misorders negated MIN columns.
+struct Order {
+    dim: usize,
+    /// `groups[p]`: the group at position `p`.
+    groups: Vec<GroupId>,
+    /// `pos[g]`: the position of group `g`.
+    pos: Vec<usize>,
+    /// Max corners, `dim` values per position.
+    maxs: Vec<f64>,
 }
 
-impl Candidates {
-    /// The next candidate still to compare, advancing past settled ones.
-    fn peek(&mut self) -> Option<GroupId> {
-        loop {
-            let s = *self.list.get(self.next)?;
-            if !self.done.get(self.next).copied().unwrap_or(false) {
-                return Some(s);
-            }
-            self.next += 1;
-        }
-    }
-
-    /// Marks `s` settled, finding it by binary search on its `rank`.
-    fn strike(&mut self, s: GroupId, rank: impl Fn(&GroupId) -> usize) {
-        let Ok(j) = self.list.binary_search_by_key(&rank(&s), &rank) else { return };
-        if self.done.is_empty() {
-            self.done = vec![false; self.list.len()];
-        }
-        if let Some(d) = self.done.get_mut(j) {
-            *d = true;
-        }
-    }
-
-    /// What is left to compare, in rank order.
-    fn into_remaining(self) -> Vec<GroupId> {
-        let Candidates { mut list, next, done } = self;
-        let mut j = 0;
-        list.retain(|_| {
-            let keep = j >= next && !done.get(j).copied().unwrap_or(false);
-            j += 1;
-            keep
+impl Order {
+    fn new(ds: &GroupedDataset, boxes: &[Mbb]) -> Order {
+        let sums: Vec<f64> = boxes.iter().map(|b| b.min.iter().sum()).collect();
+        let sum = |g: GroupId| sums.get(g).copied().unwrap_or(0.0);
+        let mut groups: Vec<GroupId> = ds.group_ids().collect();
+        groups.sort_unstable_by(|&a, &b| {
+            ds.group_len(a)
+                .cmp(&ds.group_len(b))
+                .then_with(|| sum(b).total_cmp(&sum(a)))
+                .then(a.cmp(&b))
         });
-        list
+        let mut pos = vec![0; groups.len()];
+        for (p, &g) in groups.iter().enumerate() {
+            if let Some(slot) = pos.get_mut(g) {
+                *slot = p;
+            }
+        }
+        let maxs = groups
+            .iter()
+            .filter_map(|&g| boxes.get(g))
+            .flat_map(|b| b.max.iter().copied())
+            .collect();
+        Order { dim: ds.dim(), groups, pos, maxs }
+    }
+
+    fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// The first position at or after `from`, other than `me`, whose max
+    /// corner lies in the window of `min`; `len()` if none.
+    fn next_in_window(&self, from: usize, me: usize, min: &[f64]) -> usize {
+        self.maxs
+            .chunks_exact(self.dim.max(1))
+            .enumerate()
+            .skip(from)
+            .find(|(p, max)| *p != me && in_window(max, min))
+            .map_or(self.len(), |(p, _)| p)
+    }
+
+    /// Whether the group at position `p` lies in the window of `min`.
+    fn in_window(&self, p: usize, min: &[f64]) -> bool {
+        let d = self.dim;
+        self.maxs.get(p * d..p * d + d).is_some_and(|max| in_window(max, min))
     }
 }
 
-/// The shared engine behind fresh and resumed runs. State is one candidate
-/// list per group (dominators not yet compared against); a group is
-/// confirmed in when its list drains, confirmed out when a comparison
-/// finds a dominator.
+/// Algorithm 5's window: a group whose max corner is at least `min` in
+/// every dimension may dominate a group with min corner `min`.
+fn in_window(max: &[f64], min: &[f64]) -> bool {
+    max.iter().zip(min).all(|(s, g)| s >= g)
+}
+
+/// One open group's progress through the visiting order.
+struct Cursor<'a> {
+    /// The group's own position, never its own candidate.
+    me: usize,
+    /// The group's min corner: its window's lower bound.
+    min: &'a [f64],
+    /// Position of the next candidate still to compare; `order.len()` once
+    /// every candidate is refuted.
+    next: usize,
+    /// Positions the mirror comparison settled, ascending; those from
+    /// `head` on lie above `next`.
+    settled: Vec<usize>,
+    head: usize,
+}
+
+impl Cursor<'_> {
+    /// Moves `next` to the first candidate at or after it that is not
+    /// settled, passing (and counting) the settled ones.
+    fn seek(&mut self, order: &Order, stats: &mut Stats) {
+        loop {
+            self.next = order.next_in_window(self.next, self.me, self.min);
+            while self.settled.get(self.head).is_some_and(|&p| p < self.next) {
+                self.head += 1;
+            }
+            if self.settled.get(self.head) != Some(&self.next) {
+                return;
+            }
+            self.head += 1;
+            self.next += 1;
+            stats.index_candidates += 1;
+        }
+    }
+
+    /// Moves past the candidate at `next`, now compared.
+    fn pass(&mut self, order: &Order, stats: &mut Stats) {
+        self.next += 1;
+        stats.index_candidates += 1;
+        self.seek(order, stats);
+    }
+
+    /// Records that the pair with the candidate at position `p` was counted
+    /// from the other side, so this cursor never counts it again.
+    fn settle(&mut self, p: usize, order: &Order, stats: &mut Stats) {
+        if p == self.next {
+            self.pass(order, stats);
+        } else if p > self.next && order.in_window(p, self.min) {
+            let at = self.head
+                + self.settled.get(self.head..).map_or(0, |s| s.partition_point(|&q| q < p));
+            self.settled.insert(at, p);
+        }
+    }
+}
+
+/// The shared engine behind fresh and resumed runs. A group is confirmed
+/// in when its cursor runs off the end of the order, confirmed out when a
+/// comparison finds a dominator.
 ///
-/// Work is visited cheapest pair first, in the global `(|g|·|s|, g, s)`
-/// order — the same deterministic order whether the run is fresh or
-/// resumed, which is why chunked resumption converges to the one-shot
-/// partition. A heap holds one entry per open group, its next candidate,
-/// so a chunk touches only the pairs it reaches.
+/// Work is visited cheapest pair first, in the global `(|g|·|s|, position
+/// of g, position of s)` order — the same deterministic order whether the
+/// run is fresh or resumed, which is why chunked resumption converges to
+/// the one-shot partition and `Stats`. A comparison resolves both
+/// directions, so it settles its mirror pair in the candidate's cursor:
+/// no pair is counted twice.
 fn engine(
     kernel: &Kernel<'_>,
     gamma: Gamma,
@@ -268,137 +395,112 @@ fn engine(
     let boxes = kernel_boxes(kernel, &mut owned_boxes);
     let mut stats = Stats::default();
     let mut dists = PairDists::new(ctx);
-
-    // rank[s] orders groups by (|s|, s): for a fixed g it is the cost order.
-    let mut by_size: Vec<GroupId> = ds.group_ids().collect();
-    by_size.sort_unstable_by_key(|&g| (ds.group_len(g), g));
-    let mut rank = vec![0usize; n];
-    for (r, &g) in by_size.iter().enumerate() {
-        if let Some(slot) = rank.get_mut(g) {
-            *slot = r;
-        }
-    }
-    let by_rank = |x: &GroupId| rank.get(*x).copied().unwrap_or(usize::MAX);
+    let order = Order::new(ds, boxes);
 
     let mut out = vec![false; n];
-    let mut cands: Vec<Candidates> = std::iter::repeat_with(Candidates::default).take(n).collect();
+    let mut cursors: Vec<Cursor<'_>> = boxes
+        .iter()
+        .zip(&order.pos)
+        .map(|(b, &me)| Cursor { me, min: &b.min, next: 0, settled: Vec::new(), head: 0 })
+        .collect();
     match resume {
-        None => {
-            let index_span =
-                ctx.obs().map_or(0, |rec| rec.span_start("index_build", 0, Stamp::ZERO));
-            let tree = RTree::bulk_load(
-                ds.dim(),
-                boxes.iter().enumerate().map(|(g, b)| (Aabb::point(&b.max), g)).collect(),
-            );
-            if let Some(rec) = ctx.obs() {
-                rec.span_end(index_span, Stamp::ZERO, &[("entries", crate::num::wide(n))]);
-            }
-            for ((g, b), c) in boxes.iter().enumerate().zip(cands.iter_mut()) {
-                let mut list = tree.window_query(&Aabb::at_least(&b.min));
-                list.retain(|&s| s != g);
-                stats.index_candidates += crate::num::wide(list.len());
-                list.sort_unstable_by_key(by_rank);
-                c.list = list;
-            }
-        }
+        None => cursors.iter_mut().for_each(|c| c.seek(&order, &mut stats)),
         Some(prev) => {
             // Confirmed-out groups stay out (their dominators are real);
-            // confirmed-in groups have no remaining candidates and are
-            // re-derived as in; undecided groups resume their lists, which
-            // a frame stores already in rank order.
+            // confirmed-in groups have refuted every candidate; undecided
+            // groups resume at their cursors.
             for g in prev.confirmed_out {
                 if let Some(o) = out.get_mut(g) {
                     *o = true;
                 }
             }
-            for (g, mut list) in prev.checkpoint.map(|cp| cp.remaining).unwrap_or_default() {
-                let sorted =
-                    list.iter().zip(list.iter().skip(1)).all(|(a, b)| by_rank(a) < by_rank(b));
-                if !sorted {
-                    list.sort_unstable_by_key(by_rank);
-                }
-                if let Some(c) = cands.get_mut(g) {
-                    *c = Candidates { list, ..Candidates::default() };
+            cursors.iter_mut().for_each(|c| c.next = order.len());
+            for open in prev.checkpoint.map(|cp| cp.open).unwrap_or_default() {
+                if let Some(c) = cursors.get_mut(open.group) {
+                    c.next = open.cursor;
+                    c.settled = open.settled;
+                    c.seek(&order, &mut stats);
                 }
             }
         }
     }
 
-    let cost = |g: GroupId, s: GroupId| crate::num::pair_product(ds.group_len(g), ds.group_len(s));
-    let mut heap: BinaryHeap<Reverse<(u64, GroupId, GroupId)>> = BinaryHeap::with_capacity(n);
-    for (g, (c, &o)) in cands.iter_mut().zip(&out).enumerate() {
-        if let (false, Some(s)) = (o, c.peek()) {
-            heap.push(Reverse((cost(g, s), g, s)));
-        }
-    }
+    let len = |g: GroupId| ds.group_len(g);
+    let cost = |g: GroupId, s: usize| {
+        crate::num::pair_product(len(g), order.groups.get(s).map_or(0, |&s| len(s)))
+    };
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = cursors
+        .iter()
+        .enumerate()
+        .filter(|&(g, c)| c.next < order.len() && !out.get(g).copied().unwrap_or(true))
+        .map(|(g, c)| Reverse((cost(g, c.next), c.me)))
+        .collect();
 
     let pair_opts = PairOptions { stop_rule: true, need_bar: false };
-    while let Some(Reverse((_, g, s))) = heap.pop() {
+    while let Some(Reverse((key, me))) = heap.pop() {
+        let Some(&g) = order.groups.get(me) else { continue };
         // A group confirmed out leaves the heap: its other candidates are
         // moot.
         if out.get(g).copied().unwrap_or(true) {
             continue;
         }
-        let Some(c) = cands.get_mut(g) else { continue };
-        // The mirror of an earlier comparison may have settled the entry's
-        // candidate since it was pushed: requeue at the next one.
-        match c.peek() {
-            None => continue,
-            Some(t) if t != s => {
-                heap.push(Reverse((cost(g, t), g, t)));
-                continue;
-            }
-            Some(_) => {}
+        let Some(c) = cursors.get_mut(g) else { continue };
+        let Some(&s) = order.groups.get(c.next) else { continue };
+        // A mirror comparison may have moved the cursor on since the entry
+        // was pushed: requeue at the next candidate's cost.
+        let now = cost(g, c.next);
+        if now != key {
+            heap.push(Reverse((now, me)));
+            continue;
         }
         if ctx.poll(stats.record_pairs).is_some() {
             break;
         }
-        c.next += 1;
         let before = PairDeltas::before(&stats);
         let mut verdict =
             kernel.compare(s, g, gamma, boxes.get(s).zip(boxes.get(g)), pair_opts, &mut stats);
         ctx.corrupt_verdict(&mut verdict, stats.record_pairs);
         dists.observe(&before, &stats);
-        let g_out = verdict.forward.dominates();
-        if g_out {
+        if verdict.forward.dominates() {
             if let Some(o) = out.get_mut(g) {
                 *o = true;
             }
-        } else if let Some(t) = c.peek() {
-            heap.push(Reverse((cost(g, t), g, t)));
-        }
-        // The comparison resolved BOTH directions, so the mirror item
-        // (s, g) — pending whenever the boxes overlap both ways — is free
-        // information: settle it in s's list so its record pairs are never
-        // recounted, and apply the reverse domination if any.
-        if let Some(cs) = cands.get_mut(s) {
-            cs.strike(g, by_rank);
-        }
-        if verdict.backward.dominates() {
-            if let Some(o) = out.get_mut(s) {
-                *o = true;
+        } else {
+            c.pass(&order, &mut stats);
+            if c.next < order.len() {
+                heap.push(Reverse((cost(g, c.next), me)));
             }
+        }
+        // The comparison resolved BOTH directions: apply the reverse
+        // domination, or settle the mirror pair in an open s's cursor so its
+        // record pairs are never recounted.
+        match out.get_mut(s) {
+            Some(o) if verdict.backward.dominates() => *o = true,
+            Some(false) => {
+                if let Some(cs) = cursors.get_mut(s) {
+                    cs.settle(me, &order, &mut stats);
+                }
+            }
+            _ => {}
         }
     }
 
     let mut confirmed_in = Vec::new();
     let mut confirmed_out = Vec::new();
     let mut undecided = Vec::new();
-    let mut remaining = Vec::new();
-    for (g, (c, o)) in cands.into_iter().zip(out).enumerate() {
+    let mut open = Vec::new();
+    for (g, (c, o)) in cursors.into_iter().zip(out).enumerate() {
         if o {
             confirmed_out.push(g);
-            continue;
-        }
-        let left = c.into_remaining();
-        if left.is_empty() {
+        } else if c.next >= order.len() {
             confirmed_in.push(g);
         } else {
             undecided.push(g);
-            remaining.push((g, left));
+            let settled = c.settled.get(c.head..).map(<[usize]>::to_vec).unwrap_or_default();
+            open.push(GroupCursor { group: g, cursor: c.next, settled });
         }
     }
-    let checkpoint = (!undecided.is_empty()).then_some(AnytimeCheckpoint { remaining });
+    let checkpoint = (!undecided.is_empty()).then_some(AnytimeCheckpoint { open });
     // The anytime engine bypasses `run_on`, so it dumps its own counters.
     if let Some(rec) = ctx.obs() {
         stats.record_to(rec);
@@ -499,6 +601,27 @@ mod tests {
         assert!(r.undecided.contains(&0), "challenged group undecided at zero budget");
     }
 
+    #[test]
+    fn visiting_order_is_size_then_min_corner_sum_descending() {
+        use crate::dominance::Direction;
+        // Raw values, the second column under MIN preference: canonically
+        // negated, so "close" (min corner sum -1) comes before "far" (-9).
+        // A Euclidean norm (1.0 against 9.0) would put "far" first.
+        let mut b = crate::dataset::GroupedDatasetBuilder::with_directions(vec![
+            Direction::Max,
+            Direction::Min,
+        ]);
+        b.push_group("far", &[vec![0.0, 9.0], vec![0.0, 9.0]]).unwrap();
+        b.push_group("close", &[vec![0.0, 1.0], vec![0.0, 1.0]]).unwrap();
+        b.push_group("small", &[vec![0.0, 50.0]]).unwrap();
+        b.push_group("tie", &[vec![0.0, 1.0], vec![0.0, 1.0]]).unwrap();
+        let ds = b.build().unwrap();
+        let order = Order::new(&ds, &Mbb::of_all_groups(&ds));
+        // Smaller groups first; equal sums fall back to id order.
+        assert_eq!(order.groups, vec![2, 1, 3, 0]);
+        assert_eq!(order.pos, vec![3, 1, 0, 2]);
+    }
+
     /// `n_groups` groups of `dim`-dimensional records around random
     /// centres, all of `len` records (uniform) or of Zipf-like sizes
     /// `4·len/(g+1)`.
@@ -523,15 +646,11 @@ mod tests {
 
     /// Runs `ds` in chunks of `budget` ticks to completion; returns the
     /// final partition, the chunks' merged `Stats` and the chunk count.
-    /// With `reverse`, every checkpoint list is reversed before it resumes.
-    fn chain(ds: &GroupedDataset, budget: u64, reverse: bool) -> (AnytimeResult, Stats, usize) {
+    fn chain(ds: &GroupedDataset, budget: u64) -> (AnytimeResult, Stats, usize) {
         let mut r = anytime_skyline(ds, Gamma::DEFAULT, budget);
         let mut merged = r.stats;
         let mut chunks = 1;
         while !r.is_complete() {
-            if let (true, Some(cp)) = (reverse, &mut r.checkpoint) {
-                cp.remaining.iter_mut().for_each(|(_, cands)| cands.reverse());
-            }
             r = anytime_resume(ds, Gamma::DEFAULT, budget, &r).unwrap();
             merged.merge(&r.stats);
             chunks += 1;
@@ -555,7 +674,7 @@ mod tests {
             let full = anytime_skyline(ds, Gamma::DEFAULT, u64::MAX);
             let total = full.stats.record_pairs;
             for budget in [1u64, 37, 500, total / 3 + 1] {
-                let (r, merged, chunks) = chain(ds, budget, false);
+                let (r, merged, chunks) = chain(ds, budget);
                 let at = format!("dataset {i} budget {budget} ({chunks} chunks)");
                 assert_eq!(r.confirmed_in, full.confirmed_in, "{at}");
                 assert_eq!(r.confirmed_out, full.confirmed_out, "{at}");
@@ -563,8 +682,6 @@ mod tests {
                 // the unlimited run's order.
                 assert_eq!(merged, full.stats, "{at}");
             }
-            // A checkpoint list in any order resumes in the same order.
-            assert_eq!(chain(ds, 37, true), chain(ds, 37, false), "dataset {i}, reversed lists");
         }
     }
 
@@ -586,16 +703,16 @@ mod tests {
         let cases = [
             (
                 sized_dataset(16, 24, 2, false, 9301),
-                Stats { blocks_full: 3, blocks_skipped: 1, ..golden(35, 15_079, 0, 30, 159) },
-                23,
+                Stats { blocks_full: 3, ..golden(18, 5_888, 4, 12, 9) },
+                10,
             ),
-            (sized_dataset(20, 12, 3, true, 9302), golden(45, 1_109, 2, 1, 129), 2),
-            (random_dataset(24, 40, 4, 9303), golden(276, 94_484, 0, 216, 551), 144),
+            (sized_dataset(20, 12, 3, true, 9302), golden(43, 913, 4, 2, 30), 2),
+            (random_dataset(24, 40, 4, 9303), golden(276, 95_796, 0, 216, 551), 148),
         ];
         for (i, (ds, stats, chunks)) in cases.iter().enumerate() {
             let full = anytime_skyline(ds, Gamma::DEFAULT, u64::MAX);
             assert_eq!(full.stats, *stats, "case {i}");
-            assert_eq!(chain(ds, 500, false).2, *chunks, "case {i}");
+            assert_eq!(chain(ds, 500).2, *chunks, "case {i}");
         }
     }
 
@@ -645,33 +762,50 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_checkpoint_ids_are_typed_errors() {
+    fn malformed_checkpoints_are_typed_errors() {
         use crate::error::Error;
         let ds = movie_directors();
         let base = anytime_skyline(&ds, Gamma::DEFAULT, 1);
         assert!(!base.is_complete());
         let n = ds.n_groups();
-        // A candidate id beyond the dataset.
-        let mut r = base.clone();
-        if let Some(cp) = &mut r.checkpoint {
-            if let Some((_, cands)) = cp.remaining.first_mut() {
-                cands.push(n + 3);
-            }
+        let tampered = |edit: &dyn Fn(&mut AnytimeResult)| {
+            let mut r = base.clone();
+            edit(&mut r);
+            anytime_resume(&ds, Gamma::DEFAULT, u64::MAX, &r).unwrap_err()
+        };
+        fn first(r: &mut AnytimeResult) -> &mut GroupCursor {
+            r.checkpoint.as_mut().and_then(|cp| cp.open.first_mut()).unwrap()
         }
-        let err = anytime_resume(&ds, Gamma::DEFAULT, u64::MAX, &r).unwrap_err();
-        assert!(matches!(err, Error::CorruptCheckpoint(_)), "{err}");
-        // An undecided group id beyond the dataset.
-        let mut r = base.clone();
-        if let Some(cp) = &mut r.checkpoint {
-            cp.remaining.push((n, vec![0]));
+        let errors = [
+            // A cursor, a settled position and a group beyond the dataset.
+            tampered(&|r| first(r).cursor = n),
+            tampered(&|r| first(r).settled.push(n + 3)),
+            tampered(&|r| {
+                let cp = r.checkpoint.as_mut().unwrap();
+                cp.open.push(GroupCursor { group: n, cursor: 0, settled: Vec::new() });
+            }),
+            // A settled position at the cursor, and one out of order.
+            tampered(&|r| {
+                let c = first(r);
+                c.settled = vec![c.cursor];
+            }),
+            tampered(&|r| {
+                let c = first(r);
+                c.cursor = 0;
+                c.settled = vec![2, 1];
+            }),
+            // A group repeated.
+            tampered(&|r| {
+                let cp = r.checkpoint.as_mut().unwrap();
+                let again = cp.open.first().unwrap().clone();
+                cp.open.push(again);
+            }),
+            // A confirmed-out id beyond the dataset.
+            tampered(&|r| r.confirmed_out.push(n + 1)),
+        ];
+        for err in errors {
+            assert!(matches!(err, Error::CorruptCheckpoint(_)), "{err}");
         }
-        let err = anytime_resume(&ds, Gamma::DEFAULT, u64::MAX, &r).unwrap_err();
-        assert!(matches!(err, Error::CorruptCheckpoint(_)), "{err}");
-        // A confirmed-out id beyond the dataset.
-        let mut r = base.clone();
-        r.confirmed_out.push(n + 1);
-        let err = anytime_resume(&ds, Gamma::DEFAULT, u64::MAX, &r).unwrap_err();
-        assert!(matches!(err, Error::CorruptCheckpoint(_)), "{err}");
         // The untampered checkpoint still resumes fine.
         assert!(anytime_resume(&ds, Gamma::DEFAULT, u64::MAX, &base).is_ok());
     }

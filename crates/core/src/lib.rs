@@ -114,8 +114,8 @@ pub use algorithms::{
     SkylineResult, SortStrategy,
 };
 pub use anytime::{
-    anytime_resume, anytime_resume_ctx, anytime_skyline, anytime_skyline_ctx, AnytimeCheckpoint,
-    AnytimeResult,
+    anytime_resume, anytime_resume_ctx, anytime_skyline, anytime_skyline_ctx, anytime_skyline_with,
+    AnytimeCheckpoint, AnytimeResult, GroupCursor,
 };
 pub use dataset::{GroupId, GroupedDataset, GroupedDatasetBuilder};
 pub use dominance::{compare, dominates, Direction, DomRelation};

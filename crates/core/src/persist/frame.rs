@@ -19,14 +19,15 @@
 //! can reject a frame from the wrong dataset without parsing the rest.
 //! Integers are little-endian `u64` (group ids go through the sanctioned
 //! [`crate::num`] conversions), floats travel as IEEE-754 bit patterns so
-//! the round-trip is bit-exact. The one exception is the bulk of a resume
-//! state, the undecided groups' candidate lists: checkpoint tag 2 stores
-//! them as LEB128 varints (one to two bytes per id on datasets of up to
-//! 16 384 groups). Tag 1, the earlier fixed-width layout, is no longer
-//! read: such a frame fails to decode, so the store skips it and the run
-//! restarts cold.
+//! the round-trip is bit-exact. The one exception is the resume state:
+//! checkpoint tag 3 stores each undecided group's id, its cursor into the
+//! engine's visiting order and the settled positions ahead of it as LEB128
+//! varints (one to two bytes each on datasets of up to 16 384 groups).
+//! Tags 1 and 2, the earlier candidate-list layouts, are no longer read:
+//! such a frame fails to decode with [`Error::UnsupportedCheckpoint`], so
+//! the store skips it and the run restarts cold.
 
-use crate::anytime::{AnytimeCheckpoint, AnytimeResult};
+use crate::anytime::{AnytimeCheckpoint, AnytimeResult, GroupCursor};
 use crate::dataset::GroupId;
 use crate::error::{Error, Result};
 use crate::paircache::CachedTally;
@@ -341,11 +342,12 @@ fn low_byte(v: u64) -> u8 {
 
 /// Checkpoint tag of a partition with no resume state.
 const NO_CHECKPOINT: u8 = 0;
-/// Checkpoint tag of the earlier layout (`u64` ids), no longer read.
-const CHECKPOINT_FIXED: u8 = 1;
-/// Checkpoint tag of the current layout: varint group ids, every list in
-/// the order the engine left it (rank order).
-const CHECKPOINT_VARINT: u8 = 2;
+/// Checkpoint tags of the earlier candidate-list layouts (`u64` ids, then
+/// varint ids), no longer read.
+const CHECKPOINT_LISTS: [u8; 2] = [1, 2];
+/// Checkpoint tag of the current layout: per undecided group, its id, its
+/// cursor and its settled positions, all varints.
+const CHECKPOINT_CURSORS: u8 = 3;
 
 fn encode_partition(w: &mut ByteWriter, p: &AnytimeResult) {
     w.ids(&p.confirmed_in);
@@ -355,51 +357,56 @@ fn encode_partition(w: &mut ByteWriter, p: &AnytimeResult) {
     match &p.checkpoint {
         None => w.u8(NO_CHECKPOINT),
         Some(cp) => {
-            w.u8(CHECKPOINT_VARINT);
-            w.varint(cp.remaining.len());
-            for (g, cands) in &cp.remaining {
-                w.varint(*g);
-                w.varint(cands.len());
-                for &s in cands {
-                    w.varint(s);
+            w.u8(CHECKPOINT_CURSORS);
+            w.varint(cp.open.len());
+            for c in &cp.open {
+                w.varint(c.group);
+                w.varint(c.cursor);
+                w.varint(c.settled.len());
+                for &p in &c.settled {
+                    w.varint(p);
                 }
             }
         }
     }
 }
 
-fn decode_partition(r: &mut ByteReader<'_>) -> Result<AnytimeResult> {
+/// Decodes a partition of a dataset of `n_groups` groups; its checkpoint
+/// must fit them ([`AnytimeCheckpoint::validate`]).
+fn decode_partition(r: &mut ByteReader<'_>, n_groups: u64) -> Result<AnytimeResult> {
     let confirmed_in = r.ids("confirmed_in")?;
     let confirmed_out = r.ids("confirmed_out")?;
     let undecided = r.ids("undecided")?;
     let stats = decode_stats(r)?;
     let checkpoint = match r.u8("checkpoint tag")? {
         NO_CHECKPOINT => None,
-        CHECKPOINT_VARINT => {
-            // Each group needs at least its id and its list length.
-            let n = r.varint_len(2, "checkpoint group count")?;
-            let mut remaining = Vec::with_capacity(n);
+        CHECKPOINT_CURSORS => {
+            // Each group needs at least its id, cursor and settled count.
+            let n = r.varint_len(3, "checkpoint group count")?;
+            let mut open = Vec::with_capacity(n);
             for _ in 0..n {
-                let g = r.varint("checkpoint group id")?;
-                let len = r.varint_len(1, "checkpoint candidate count")?;
-                let mut cands = Vec::with_capacity(len);
+                let group = r.varint("checkpoint group id")?;
+                let cursor = r.varint("checkpoint cursor")?;
+                let len = r.varint_len(1, "checkpoint settled count")?;
+                let mut settled = Vec::with_capacity(len);
                 for _ in 0..len {
-                    cands.push(r.varint("checkpoint candidate id")?);
+                    settled.push(r.varint("checkpoint settled position")?);
                 }
-                remaining.push((g, cands));
+                open.push(GroupCursor { group, cursor, settled });
             }
-            Some(AnytimeCheckpoint { remaining })
+            let cp = AnytimeCheckpoint { open };
+            cp.validate(crate::num::narrow(n_groups).unwrap_or(usize::MAX))?;
+            Some(cp)
         }
-        CHECKPOINT_FIXED => {
-            return Err(Error::UnsupportedCheckpoint(
-                "checkpoint tag 1 (fixed-width candidate ids, written by an earlier version); \
-                 the run restarts cold"
-                    .into(),
-            ))
+        tag if CHECKPOINT_LISTS.contains(&tag) => {
+            return Err(Error::UnsupportedCheckpoint(format!(
+                "checkpoint tag {tag} (candidate lists, written by an earlier version); the run \
+                 restarts cold"
+            )))
         }
         other => {
             return Err(Error::CorruptCheckpoint(format!(
-                "checkpoint tag must be 0 or 2, found {other}"
+                "checkpoint tag must be 0 or {CHECKPOINT_CURSORS}, found {other}"
             )))
         }
     };
@@ -437,7 +444,7 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<Snapshot> {
     let fingerprint = decode_fingerprint(&mut r)?;
     let partition = match r.u8("partition flag")? {
         0 => None,
-        1 => Some(decode_partition(&mut r)?),
+        1 => Some(decode_partition(&mut r, fingerprint.n_groups)?),
         other => {
             return Err(Error::CorruptCheckpoint(format!(
                 "partition flag must be 0 or 1, found {other}"
@@ -491,7 +498,9 @@ mod tests {
                 confirmed_out: vec![3],
                 undecided: vec![1],
                 stats: Stats { record_pairs: 42, group_pairs: 5, ..Stats::default() },
-                checkpoint: Some(AnytimeCheckpoint { remaining: vec![(1, vec![0, 3])] }),
+                checkpoint: Some(AnytimeCheckpoint {
+                    open: vec![GroupCursor { group: 1, cursor: 0, settled: vec![3] }],
+                }),
             }),
             pairs: vec![PairEntry {
                 lo: 0,
@@ -613,16 +622,21 @@ mod tests {
     }
 
     #[test]
-    fn varint_ids_round_trip_at_every_width() {
-        let ids = vec![0, 127, 128, 1 << 32, usize::MAX];
+    fn cursor_checkpoint_round_trips_at_every_width() {
         let mut snap = sample_snapshot();
+        snap.fingerprint.n_groups = 300;
         if let Some(p) = &mut snap.partition {
             p.checkpoint = Some(AnytimeCheckpoint {
-                remaining: vec![(usize::MAX, ids.clone()), (128, Vec::new()), (0, vec![127])],
+                open: vec![
+                    GroupCursor { group: 0, cursor: 0, settled: vec![127, 128, 299] },
+                    GroupCursor { group: 127, cursor: 128, settled: Vec::new() },
+                    GroupCursor { group: 128, cursor: 127, settled: vec![128] },
+                    GroupCursor { group: 299, cursor: 299, settled: Vec::new() },
+                ],
             });
         }
-        let payload = encode_snapshot(&snap);
-        assert_eq!(decode_snapshot(&payload).unwrap(), snap);
+        let frame = encode_frame(&encode_snapshot(&snap));
+        assert_eq!(decode_snapshot(decode_frame(&frame).unwrap()).unwrap(), snap);
         // One byte below 128, two from 128, ten for usize::MAX on 64 bits.
         let mut w = ByteWriter::new();
         for (v, bytes) in [(0usize, 1usize), (127, 1), (128, 2), (1 << 32, 5), (usize::MAX, 10)] {
@@ -633,51 +647,65 @@ mod tests {
     }
 
     #[test]
-    fn malformed_varint_sections_are_rejected() {
-        let finish = |mut w: ByteWriter| {
+    fn malformed_cursor_sections_are_rejected() {
+        // `sample_snapshot` has 4 groups; a section is the group count,
+        // then per group its id, cursor, settled count and positions.
+        let decode = |section: &[u8]| {
+            let mut w = payload_up_to_checkpoint_tag(CHECKPOINT_CURSORS);
+            w.buf.extend_from_slice(section);
             w.u64(0); // no pair entries
             decode_snapshot(&w.buf)
         };
-        // A well-formed section decodes.
-        let mut w = payload_up_to_checkpoint_tag(2);
-        w.buf.extend_from_slice(&[1, 5, 2, 0, 3]);
-        assert!(finish(w).is_ok());
-        // A varint longer than 10 bytes.
-        let mut w = payload_up_to_checkpoint_tag(2);
-        w.buf.extend_from_slice(&[1, 5, 1]);
-        w.buf.extend_from_slice(&[0x80; 10]);
-        w.buf.push(0);
-        let err = finish(w).unwrap_err();
-        assert!(matches!(err, Error::CorruptCheckpoint(ref m) if m.contains("10 bytes")), "{err}");
-        // A tenth byte carrying more than bit 63.
-        let mut w = payload_up_to_checkpoint_tag(2);
-        w.buf.extend_from_slice(&[1, 5, 1]);
-        w.buf.extend_from_slice(&[0xFF; 9]);
-        w.buf.push(0x02);
-        let err = finish(w).unwrap_err();
-        assert!(matches!(err, Error::CorruptCheckpoint(ref m) if m.contains("64 bits")), "{err}");
-        // Counts larger than the bytes that remain: groups, then candidates.
-        let mut w = payload_up_to_checkpoint_tag(2);
-        w.buf.extend_from_slice(&[0x90, 0x4E]); // 10 000 groups
-        let err = finish(w).unwrap_err();
-        assert!(matches!(err, Error::CorruptCheckpoint(ref m) if m.contains("group count")));
-        let mut w = payload_up_to_checkpoint_tag(2);
-        w.buf.extend_from_slice(&[1, 5, 50, 0, 3]);
-        let err = finish(w).unwrap_err();
-        assert!(matches!(err, Error::CorruptCheckpoint(ref m) if m.contains("candidate count")));
+        let corrupt = |section: &[u8], what: &str| {
+            let err = decode(section).unwrap_err();
+            assert!(
+                matches!(err, Error::CorruptCheckpoint(ref m) if m.contains(what)),
+                "{section:?}: {err}"
+            );
+        };
+        // Well-formed sections decode.
+        assert!(decode(&[1, 1, 0, 2, 2, 3]).is_ok());
+        assert!(decode(&[2, 0, 3, 0, 2, 1, 0]).is_ok());
+        // A varint longer than 10 bytes, and a tenth byte carrying more
+        // than bit 63.
+        let mut long = vec![1, 1, 0, 1];
+        long.extend_from_slice(&[0x80; 10]);
+        long.push(0);
+        corrupt(&long, "10 bytes");
+        let mut wide = vec![1, 1, 0, 1];
+        wide.extend_from_slice(&[0xFF; 9]);
+        wide.push(0x02);
+        corrupt(&wide, "64 bits");
+        // Counts larger than the bytes that remain: groups, then settled.
+        corrupt(&[0x90, 0x4E], "group count"); // 10 000 groups
+        corrupt(&[1, 1, 0, 50, 3], "settled count");
+        // A cursor past the last position.
+        corrupt(&[1, 1, 4, 0], "cursor 4");
+        // Settled positions at or below the cursor, descending, or past
+        // the last position.
+        corrupt(&[1, 1, 2, 1, 2], "settled position 2");
+        corrupt(&[1, 1, 2, 1, 1], "settled position 1");
+        corrupt(&[1, 1, 0, 2, 3, 2], "settled position 2");
+        corrupt(&[1, 1, 0, 1, 4], "settled position 4");
+        // Group ids descending, repeated, or past the last group.
+        corrupt(&[2, 2, 0, 0, 1, 0, 0], "group 1");
+        corrupt(&[2, 1, 0, 0, 1, 0, 0], "group 1");
+        corrupt(&[1, 4, 0, 0], "group 4");
         // Trailing bytes after the snapshot.
-        let mut w = payload_up_to_checkpoint_tag(2);
-        w.buf.extend_from_slice(&[1, 5, 2, 0, 3]);
+        let mut w = payload_up_to_checkpoint_tag(CHECKPOINT_CURSORS);
+        w.buf.extend_from_slice(&[1, 1, 0, 0]);
         w.u64(0);
         w.u8(7);
         assert!(matches!(decode_snapshot(&w.buf), Err(Error::CorruptCheckpoint(_))));
         // An unknown tag.
-        let w = payload_up_to_checkpoint_tag(3);
-        assert!(matches!(finish(w), Err(Error::CorruptCheckpoint(_))));
+        let mut w = payload_up_to_checkpoint_tag(4);
+        w.u64(0);
+        let err = decode_snapshot(&w.buf).unwrap_err();
+        assert!(matches!(err, Error::CorruptCheckpoint(ref m) if m.contains("found 4")), "{err}");
     }
 
     #[test]
-    fn fixed_width_checkpoint_tag_is_refused_with_its_own_error() {
+    fn candidate_list_checkpoint_tags_are_refused_with_their_own_error() {
         // Tag 1: a u64 group count, then per group a u64 id and a
         // length-prefixed list of u64 candidate ids.
         let mut w = payload_up_to_checkpoint_tag(1);
@@ -687,5 +715,11 @@ mod tests {
         w.u64(0);
         let err = decode_snapshot(&w.buf).unwrap_err();
         assert!(matches!(err, Error::UnsupportedCheckpoint(ref m) if m.contains("tag 1")), "{err}");
+        // Tag 2: the same as varints.
+        let mut w = payload_up_to_checkpoint_tag(2);
+        w.buf.extend_from_slice(&[1, 1, 2, 0, 3]);
+        w.u64(0);
+        let err = decode_snapshot(&w.buf).unwrap_err();
+        assert!(matches!(err, Error::UnsupportedCheckpoint(ref m) if m.contains("tag 2")), "{err}");
     }
 }

@@ -33,7 +33,7 @@ pub use store::{CheckpointStore, Recovery, SaveReceipt, SkippedFrame};
 #[cfg(feature = "chaos")]
 pub use store::{IoFaultKind, IoFaultPlan};
 
-use crate::anytime::{anytime_kernel, anytime_resume_on, anytime_skyline_on, AnytimeResult};
+use crate::anytime::{anytime_kernel, anytime_resume_on, anytime_skyline_with, AnytimeResult};
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
@@ -261,7 +261,7 @@ pub fn checkpoint_step_with(
 
     let recovered_stats = prev.as_ref().map_or_else(Stats::default, |p| p.stats);
     let chunk = match prev {
-        None => anytime_skyline_on(kernel, gamma, ctx),
+        None => anytime_skyline_with(kernel, gamma, ctx),
         Some(p) => anytime_resume_on(kernel, gamma, ctx, p)?,
     };
 
@@ -272,13 +272,7 @@ pub fn checkpoint_step_with(
     let mut partition = chunk;
     partition.stats = cumulative;
 
-    let interrupt = if partition.is_complete() {
-        None
-    } else if ctx.cancel_token().is_cancelled() {
-        Some(InterruptReason::Cancelled)
-    } else {
-        Some(InterruptReason::BudgetExhausted)
-    };
+    let interrupt = partition.interrupt(ctx);
 
     let snap = Snapshot { fingerprint: *fp, partition: Some(partition.clone()), pairs: Vec::new() };
     let clock = WallClock::start();

@@ -26,7 +26,9 @@ pub struct Stats {
     /// dominated (weak-transitivity pruning, Algorithm 3).
     pub transitive_skips: u64,
     /// Candidate groups returned by spatial-index window queries
-    /// (Algorithm 5); group pairs never returned were pruned for free.
+    /// (Algorithm 5); group pairs never returned were pruned for free. The
+    /// anytime engine counts the window candidates its cursors move past,
+    /// compared or settled by a mirror comparison.
     pub index_candidates: u64,
     /// Block pairs the prepared kernel resolved as *fully dominating* in
     /// O(1) (one block's MBB min corner dominates the other's max corner:

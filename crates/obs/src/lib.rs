@@ -54,7 +54,8 @@ pub use metrics::{
 pub use prom::{export_prometheus, validate_prometheus};
 pub use querylog::{query_id, QueryJournal, QueryRecord};
 pub use recorder::{
-    Args, EventRec, NoopRecorder, Recorder, SpanId, SpanRec, TraceRecorder, TraceSnapshot, NOOP,
+    Args, CounterSink, EventRec, NoopRecorder, Recorder, SpanId, SpanRec, TraceRecorder,
+    TraceSnapshot, NOOP,
 };
 pub use sketch::{
     sketch_bucket_of, sketch_value_of, SketchSnapshot, SKETCH_BUCKETS, SKETCH_LINEAR_BITS,

@@ -320,13 +320,41 @@ impl HistBatch {
     }
 }
 
+/// Every [`Counter`] as a lock-free atomic: the counter half of a
+/// [`MetricsRegistry`], and all a [`crate::CounterSink`] keeps.
+#[derive(Debug)]
+pub(crate) struct CounterSet([AtomicU64; Counter::ALL.len()]);
+
+impl CounterSet {
+    /// Every counter at zero.
+    pub(crate) fn new() -> CounterSet {
+        CounterSet(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+
+    /// Adds `delta` to a counter.
+    pub(crate) fn add(&self, counter: Counter, delta: u64) {
+        if let Some(c) = self.0.get(counter.index()) {
+            c.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+
+    /// Current value of one counter.
+    pub(crate) fn get(&self, counter: Counter) -> u64 {
+        self.0.get(counter.index()).map_or(0, |c| c.load(Ordering::Relaxed))
+    }
+
+    fn values(&self) -> [u64; Counter::ALL.len()] {
+        std::array::from_fn(|i| self.0.get(i).map_or(0, |c| c.load(Ordering::Relaxed)))
+    }
+}
+
 /// Storage for every [`Counter`] and [`Hist`]. Shared by reference between
 /// the recorder and any number of worker threads. Counters are lock-free
 /// atomics; each distribution's sketch sits behind its own mutex, taken
 /// once per checkpoint save or per run-local [`HistBatch`] merge, never
 /// per group pair or record pair.
 pub struct MetricsRegistry {
-    counters: [AtomicU64; Counter::ALL.len()],
+    counters: CounterSet,
     hists: [Mutex<SketchSnapshot>; Hist::ALL.len()],
 }
 
@@ -334,16 +362,14 @@ impl MetricsRegistry {
     /// A registry with every metric at zero.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            counters: CounterSet::new(),
             hists: std::array::from_fn(|_| Mutex::new(SketchSnapshot::EMPTY)),
         }
     }
 
     /// Adds `delta` to a counter.
     pub fn add(&self, counter: Counter, delta: u64) {
-        if let Some(c) = self.counters.get(counter.index()) {
-            c.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.counters.add(counter, delta);
     }
 
     /// Records one observation of a distribution.
@@ -363,15 +389,13 @@ impl MetricsRegistry {
 
     /// Current value of one counter.
     pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters.get(counter.index()).map_or(0, |c| c.load(Ordering::Relaxed))
+        self.counters.get(counter)
     }
 
     /// Copies every metric out into an immutable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: std::array::from_fn(|i| {
-                self.counters.get(i).map_or(0, |c| c.load(Ordering::Relaxed))
-            }),
+            counters: self.counters.values(),
             hists: std::array::from_fn(|i| {
                 self.hists.get(i).map_or_else(SketchSnapshot::default, |s| lock(s).clone())
             }),

@@ -1,4 +1,4 @@
-//! The [`Recorder`] trait and its two implementations.
+//! The [`Recorder`] trait and its three implementations.
 //!
 //! [`NoopRecorder`] is a zero-sized unit type; every method is an empty
 //! body, so a call through `&NOOP` compiles to (at most) one virtual
@@ -11,11 +11,14 @@
 //! buffers and metrics into the [`MetricsRegistry`]. Span and
 //! event identities are assigned in arrival order; combined with tick-domain
 //! stamps, a sequential run produces a byte-identical export every time.
+//!
+//! [`CounterSink`] keeps counters and notes whether one named span opened,
+//! and drops everything else: what a statement log needs, without a trace.
 
 use crate::clock::Stamp;
-use crate::metrics::{Counter, Hist, HistBatch, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{Counter, CounterSet, Hist, HistBatch, MetricsRegistry, MetricsSnapshot};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Identifier of an open or finished span. `0` means "no span" (the noop
 /// recorder returns it, and it is the parent id of root spans).
@@ -52,6 +55,13 @@ pub trait Recorder: Send + Sync {
     /// per-pair hot loops observe locally and merge here, beside the run's
     /// counter dump).
     fn observe_batch(&self, batch: &HistBatch);
+
+    /// `false` when the recorder drops every distribution observation, so
+    /// hot loops need not accumulate a [`HistBatch`] for it. Defaults to
+    /// [`Recorder::is_enabled`].
+    fn keeps_distributions(&self) -> bool {
+        self.is_enabled()
+    }
 
     /// Asks the recorder to persist a black-box snapshot of recent
     /// activity, tagged with the failure `reason` (`"budget_exhausted"`,
@@ -205,6 +215,62 @@ impl Recorder for TraceRecorder {
     }
 }
 
+/// A recorder that keeps only counters, and whether a span of one name
+/// opened. Spans, events and distributions are dropped on arrival, so a
+/// run under it pays for neither a trace nor per-pair distributions.
+#[derive(Debug)]
+pub struct CounterSink {
+    counters: CounterSet,
+    watched: &'static str,
+    opened: OnceLock<()>,
+}
+
+impl CounterSink {
+    /// A sink with every counter at zero that notes spans named `span`.
+    pub fn watching(span: &'static str) -> CounterSink {
+        CounterSink { counters: CounterSet::new(), watched: span, opened: OnceLock::new() }
+    }
+
+    /// A counter's current value.
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters.get(counter)
+    }
+
+    /// Whether a span of the watched name opened.
+    pub fn opened(&self) -> bool {
+        self.opened.get().is_some()
+    }
+}
+
+impl Recorder for CounterSink {
+    fn is_enabled(&self) -> bool {
+        true
+    }
+
+    fn span_start(&self, name: &'static str, _track: u32, _at: Stamp) -> SpanId {
+        if name == self.watched {
+            self.opened.get_or_init(|| ());
+        }
+        0
+    }
+
+    fn span_end(&self, _id: SpanId, _at: Stamp, _args: &[(&'static str, u64)]) {}
+
+    fn event(&self, _name: &'static str, _track: u32, _at: Stamp, _args: &[(&'static str, u64)]) {}
+
+    fn add(&self, counter: Counter, delta: u64) {
+        self.counters.add(counter, delta);
+    }
+
+    fn observe(&self, _hist: Hist, _value: u64) {}
+
+    fn observe_batch(&self, _batch: &HistBatch) {}
+
+    fn keeps_distributions(&self) -> bool {
+        false
+    }
+}
+
 /// Everything a [`TraceRecorder`] captured, frozen for export.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSnapshot {
@@ -269,6 +335,30 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(snap.events[1].args, vec![("n", 9)]);
+    }
+
+    #[test]
+    fn counter_sink_keeps_the_counters_a_trace_would() {
+        let sink = CounterSink::watching("skyline");
+        let rec = TraceRecorder::new();
+        for r in [&sink as &dyn Recorder, &rec] {
+            let outer = r.span_start("select", 0, Stamp::ZERO);
+            r.add(Counter::SqlRowsScanned, 40);
+            let inner = r.span_start("skyline", 0, Stamp::ZERO);
+            r.add(Counter::RecordPairs, 7);
+            r.add(Counter::RecordPairs, 5);
+            r.observe(Hist::BatchBlockPairs, 3);
+            r.span_end(inner, Stamp::tick(12), &[]);
+            r.span_end(outer, Stamp::tick(12), &[]);
+        }
+        let snap = rec.snapshot();
+        for c in Counter::ALL {
+            assert_eq!(sink.counter(c), snap.metrics.counter(c), "{c:?}");
+        }
+        assert!(sink.opened());
+        assert!(!CounterSink::watching("anytime").opened());
+        assert!(!sink.keeps_distributions() && rec.keeps_distributions());
+        assert!(!NOOP.keeps_distributions());
     }
 
     #[test]

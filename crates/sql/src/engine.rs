@@ -9,7 +9,7 @@ use crate::plan::{eval, RExpr};
 use crate::value::Value;
 use aggsky_core::service::{Epoch, EpochReceipt, SkylineService, WriteBatch};
 use aggsky_core::{Gamma, RunContext};
-use aggsky_obs::{query_id, Counter, QueryJournal, QueryRecord, TraceRecorder, WallClock};
+use aggsky_obs::{query_id, Counter, CounterSink, QueryJournal, QueryRecord, WallClock};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -93,6 +93,10 @@ pub struct Database {
     /// next SELECT that asks for the same input over the same catalog
     /// version (DESIGN.md §19).
     kept: KeptInput,
+    /// Runs each SELECT under a full trace recorder instead of the
+    /// counters-only sink, for tests that compare the two journals.
+    #[cfg(test)]
+    trace_selects: bool,
 }
 
 impl Clone for Database {
@@ -113,6 +117,8 @@ impl Clone for Database {
             record_wall_time: self.record_wall_time,
             services: HashMap::new(),
             kept: KeptInput::default(),
+            #[cfg(test)]
+            trace_selects: self.trace_selects,
         }
     }
 }
@@ -284,8 +290,24 @@ impl Database {
                 record.kind = "select";
                 record.plan = plan_shape(&stmt);
                 record.gamma_permille = gamma_permille(&stmt);
-                let rec = Arc::new(TraceRecorder::new());
-                let ctx = self.run_context().with_recorder(rec.clone());
+                #[cfg(test)]
+                if self.trace_selects {
+                    let rec = Arc::new(aggsky_obs::TraceRecorder::new());
+                    let ctx = self.run_context().with_recorder(rec.clone());
+                    let result = crate::exec::execute_select_with(
+                        &self.catalog,
+                        &stmt,
+                        &ctx,
+                        self.checkpoint_dir.as_deref(),
+                        Some(&mut self.kept),
+                    )?;
+                    harvest_trace(record, &rec.snapshot());
+                    return Ok(result);
+                }
+                // The journal needs the counters and whether the aggregate
+                // skyline ran, not a trace.
+                let sink = Arc::new(CounterSink::watching("skyline"));
+                let ctx = self.run_context().with_recorder(sink.clone());
                 let result = crate::exec::execute_select_with(
                     &self.catalog,
                     &stmt,
@@ -293,7 +315,7 @@ impl Database {
                     self.checkpoint_dir.as_deref(),
                     Some(&mut self.kept),
                 )?;
-                harvest_counters(record, &rec.snapshot());
+                harvest_counters(record, |c| sink.counter(c), sink.opened());
                 Ok(result)
             }
             Statement::Explain { analyze, stmt } => {
@@ -306,7 +328,7 @@ impl Database {
                         &stmt,
                         &self.run_context(),
                     )?;
-                    harvest_counters(record, &snap);
+                    harvest_trace(record, &snap);
                     Ok(result)
                 } else {
                     record.kind = "explain";
@@ -735,10 +757,9 @@ fn gamma_permille(stmt: &SelectStmt) -> Option<u64> {
     Some(u64::try_from(aggsky_core::num::floor_usize(g * 1000.0 + 0.5)).unwrap_or(u64::MAX))
 }
 
-/// Copies the counters a query record self-describes with, and the kernel
-/// when the aggregate skyline ran, out of the statement's trace snapshot.
-fn harvest_counters(record: &mut QueryRecord, snap: &aggsky_obs::TraceSnapshot) {
-    let c = |counter| snap.metrics.counter(counter);
+/// Copies the counters a query record self-describes with into it, and
+/// the kernel when the aggregate skyline ran (`skyline_ran`).
+fn harvest_counters(record: &mut QueryRecord, c: impl Fn(Counter) -> u64, skyline_ran: bool) {
     record.ticks = c(Counter::RecordPairs);
     record.cache_hits = c(Counter::CacheHits);
     record.cache_misses = c(Counter::CacheMisses);
@@ -749,9 +770,15 @@ fn harvest_counters(record: &mut QueryRecord, snap: &aggsky_obs::TraceSnapshot) 
     record.input_reused = c(Counter::SqlInputReused) > 0;
     record.frames_skipped = c(Counter::CheckpointFramesSkipped);
     // Only a statement whose aggregate skyline ran counted with a kernel.
-    if snap.spans.iter().any(|s| s.name == "skyline") {
+    if skyline_ran {
         record.kernel = crate::exec::skyline_kernel_name().to_string();
     }
+}
+
+/// [`harvest_counters`] from a statement's trace snapshot.
+fn harvest_trace(record: &mut QueryRecord, snap: &aggsky_obs::TraceSnapshot) {
+    let skyline_ran = snap.spans.iter().any(|s| s.name == "skyline");
+    harvest_counters(record, |c| snap.metrics.counter(c), skyline_ran);
 }
 
 #[cfg(test)]
@@ -853,6 +880,33 @@ mod journal_tests {
     }
 
     #[test]
+    fn counters_only_sink_journals_what_a_full_trace_does() {
+        let dir = std::env::temp_dir().join(format!("aggsky-journal-sink-{}", std::process::id()));
+        let run = |trace_selects: bool| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut db = movie_db();
+            db.trace_selects = trace_selects;
+            db.execute(SKYLINE).unwrap();
+            db.execute("INSERT INTO movie VALUES ('K', 100, 9.5), ('W', 900, 1.0)").unwrap();
+            db.execute("SET TIMEOUT 1").unwrap();
+            let cut = db.execute(SKYLINE).unwrap();
+            db.execute(&format!("SET CHECKPOINT '{}'", dir.display())).unwrap();
+            while db.execute(SKYLINE).unwrap().interrupted.is_some() {}
+            db.execute("SET TIMEOUT 0").unwrap();
+            db.execute("SELECT director FROM movie WHERE pop > 100").unwrap();
+            db.execute(&format!("EXPLAIN {SKYLINE}")).unwrap();
+            db.execute(&format!("EXPLAIN ANALYZE {SKYLINE}")).unwrap();
+            (cut.interrupted.is_some(), db.journal().export_jsonl())
+        };
+        let (cut, sink) = run(false);
+        assert!(cut, "one tick must interrupt the plain statement");
+        assert_eq!(sink, run(true).1);
+        assert!(sink.lines().count() > 10, "{sink}");
+        assert!(sink.contains("\"interrupted\":true"), "{sink}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn journal_and_explain_name_the_kernel_the_skyline_counted_with() {
         let kernel =
             if aggsky_core::cpu::simd_active() { "columnar-avx2" } else { "columnar-scalar" };
@@ -874,7 +928,10 @@ mod journal_tests {
         );
         assert!(db.journal().export_jsonl().contains(&format!("\"kernel\":\"{kernel}\"")));
         let plan = db.explain(SKYLINE).unwrap();
-        assert!(plan.contains(&format!("(indexed, exact pruning, {kernel} kernel)")), "{plan}");
+        assert!(
+            plan.contains(&format!("(anytime engine, dominators first, {kernel} kernel)")),
+            "{plan}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,7 +6,8 @@
 //! WHERE, then either emits rows directly or folds them into group states
 //! for GROUP BY / aggregate queries. `SKYLINE OF` is executed natively: the
 //! record form through the BNL skyline of `aggsky-core`, the aggregate form
-//! (with GROUP BY) through the exact indexed aggregate-skyline algorithm.
+//! (with GROUP BY) through its exact anytime engine, which compares cheap
+//! pairs and likely dominators first.
 //!
 //! An aggregate skyline runs in two steps: [`gather`] builds its input (the
 //! surviving groups, their dataset and its columnar preparation), and
@@ -22,8 +23,8 @@ use crate::plan::{eval, AggCall, Compiler, RExpr, Schema};
 use crate::pushdown::ScanPlan;
 use crate::value::Value;
 use aggsky_core::{
-    checkpoint_step_with, AlgoOptions, Algorithm, CheckpointStore, Fingerprint, Gamma,
-    GroupedDataset, InterruptReason, Kernel, Outcome, PreparedDataset, RunContext,
+    anytime_skyline_with, checkpoint_step_with, CheckpointStore, Fingerprint, Gamma,
+    GroupedDataset, InterruptReason, Kernel, PreparedDataset, RunContext,
 };
 use aggsky_obs::{render_summary, Counter, Stamp, TraceRecorder};
 use std::collections::{HashMap, HashSet};
@@ -305,8 +306,8 @@ pub(crate) fn execute_select_with(
 }
 
 /// The record loop every aggregate-skyline step counts with, plain or
-/// durable: the columnar kernel of `AlgoOptions::exact`, which the anytime
-/// engine shares, on AVX2 when the CPU has it.
+/// durable: the anytime engine's columnar kernel, on AVX2 when the CPU has
+/// it.
 pub(crate) fn skyline_kernel_name() -> &'static str {
     if aggsky_core::cpu::simd_active() {
         "columnar-avx2"
@@ -409,8 +410,8 @@ pub fn explain_select(cat: &Catalog, stmt: &SelectStmt) -> Result<String> {
             out.push_str(&format!("RECORD SKYLINE: {} attribute(s) (BNL)\n", sky.items.len()));
         } else {
             out.push_str(&format!(
-                "AGGREGATE SKYLINE: {} attribute(s), gamma = {} (indexed, exact pruning, {} \
-                 kernel)\n",
+                "AGGREGATE SKYLINE: {} attribute(s), gamma = {} (anytime engine, dominators \
+                 first, {} kernel)\n",
                 sky.items.len(),
                 sky.gamma.unwrap_or(0.5),
                 skyline_kernel_name()
@@ -899,10 +900,10 @@ fn skyline_rows(
     };
     let sky_span = ctx.obs().map_or(0, |rec| rec.span_start("skyline", 0, Stamp::ZERO));
     let kernel = Kernel::with_prepared(ds, prep);
-    // A budget-exhausted (or cancelled) run degrades gracefully: keep only
-    // the groups proven to belong to the skyline and record the
-    // interruption instead of failing the query.
-    let (members, interrupted) = if let Some(dir) = checkpoint {
+    // Both paths run the anytime engine. A budget-exhausted (or cancelled)
+    // run degrades gracefully: keep only the groups proven to belong to the
+    // skyline and record the interruption instead of failing the query.
+    let (result, interrupt) = if let Some(dir) = checkpoint {
         // Durable path (`SET CHECKPOINT`): persist the partition as a
         // crash-consistent frame and resume from the newest valid one. A
         // mismatched fingerprint (different data/γ in the same directory)
@@ -912,20 +913,15 @@ fn skyline_rows(
         let fp = Fingerprint { gamma_bits: gamma.value().to_bits(), ..fp };
         let store = CheckpointStore::open(std::path::Path::new(dir)).map_err(eval_error)?;
         let out = checkpoint_step_with(&kernel, gamma, ctx, &store, &fp).map_err(eval_error)?;
-        let undecided_groups = out.result.undecided.len();
-        (
-            out.result.confirmed_in,
-            out.interrupt.map(|reason| Interruption { reason, undecided_groups }),
-        )
+        (out.result, out.interrupt)
     } else {
-        match Algorithm::Indexed.run_prepared_ctx(ds, prep, AlgoOptions::exact(gamma), ctx) {
-            Outcome::Complete(result) => (result.skyline, None),
-            Outcome::Interrupted { reason, partial } => (
-                partial.confirmed_in,
-                Some(Interruption { reason, undecided_groups: partial.undecided.len() }),
-            ),
-        }
+        let result = anytime_skyline_with(&kernel, gamma, ctx);
+        let interrupt = result.interrupt(ctx);
+        (result, interrupt)
     };
+    let undecided_groups = result.undecided.len();
+    let interrupted = interrupt.map(|reason| Interruption { reason, undecided_groups });
+    let members = result.confirmed_in;
     let mut keep = vec![false; survivors.len()];
     for g in members {
         if let Some(k) = keep.get_mut(g) {

@@ -225,7 +225,10 @@ impl<'a> Compiler<'a> {
 /// results (empty until grouping has run).
 pub fn eval(expr: &RExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
     match expr {
-        RExpr::Col(i) => Ok(row[*i].clone()),
+        RExpr::Col(i) => row
+            .get(*i)
+            .cloned()
+            .ok_or_else(|| SqlError::Eval(format!("column {i} is outside the row"))),
         RExpr::Lit(v) => Ok(v.clone()),
         RExpr::Agg(i) => aggs
             .get(*i)
@@ -335,13 +338,16 @@ pub fn eval(expr: &RExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
             let numeric = |v: &Value, what: &str| {
                 v.as_f64().ok_or_else(|| SqlError::Eval(format!("{what} expects a number")))
             };
+            let arg = vals
+                .first()
+                .ok_or_else(|| SqlError::Eval(format!("{func:?} expects an argument")))?;
             Ok(match func {
-                F::Abs => match &vals[0] {
+                F::Abs => match arg {
                     Value::Int(i) => Value::Int(i.abs()),
                     other => Value::Float(numeric(other, "ABS")?.abs()),
                 },
                 F::Round => {
-                    let x = numeric(&vals[0], "ROUND")?;
+                    let x = numeric(arg, "ROUND")?;
                     // Clamp to the range where the scale factor stays
                     // finite and meaningful for f64 (±18 covers every
                     // representable decimal position).
@@ -354,17 +360,17 @@ pub fn eval(expr: &RExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
                     let scale = 10f64.powi(digits);
                     Value::Float((x * scale).round() / scale)
                 }
-                F::Floor => Value::Float(numeric(&vals[0], "FLOOR")?.floor()),
-                F::Ceil => Value::Float(numeric(&vals[0], "CEIL")?.ceil()),
+                F::Floor => Value::Float(numeric(arg, "FLOOR")?.floor()),
+                F::Ceil => Value::Float(numeric(arg, "CEIL")?.ceil()),
                 F::Sqrt => {
-                    let x = numeric(&vals[0], "SQRT")?;
+                    let x = numeric(arg, "SQRT")?;
                     if aggsky_core::ord::lt(x, 0.0) {
                         Value::Null
                     } else {
                         Value::Float(x.sqrt())
                     }
                 }
-                F::Lower | F::Upper | F::Length => match &vals[0] {
+                F::Lower | F::Upper | F::Length => match arg {
                     Value::Str(s) => match func {
                         F::Lower => Value::Str(s.to_lowercase()),
                         F::Upper => Value::Str(s.to_uppercase()),
@@ -411,24 +417,29 @@ fn like_match(s: &[u8], p: &[u8]) -> bool {
     let (mut si, mut pi) = (0usize, 0usize);
     let mut star: Option<usize> = None;
     let mut mark = 0usize;
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == b'_' || (p[pi] != b'%' && p[pi] == s[si])) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == b'%' {
-            star = Some(pi);
-            mark = si;
-            pi += 1;
-        } else if let Some(sp) = star {
+    while let Some(&c) = s.get(si) {
+        match p.get(pi) {
+            Some(b'%') => {
+                star = Some(pi);
+                mark = si;
+                pi += 1;
+            }
+            Some(&q) if q == b'_' || q == c => {
+                si += 1;
+                pi += 1;
+            }
             // Backtrack: let the last '%' absorb one more byte.
-            pi = sp + 1;
-            mark += 1;
-            si = mark;
-        } else {
-            return false;
+            _ => match star {
+                Some(sp) => {
+                    pi = sp + 1;
+                    mark += 1;
+                    si = mark;
+                }
+                None => return false,
+            },
         }
     }
-    while pi < p.len() && p[pi] == b'%' {
+    while p.get(pi) == Some(&b'%') {
         pi += 1;
     }
     pi == p.len()
@@ -494,6 +505,35 @@ mod tests {
         assert_eq!(s.resolve(Some("T"), "A").unwrap(), 0, "case-insensitive");
         assert!(matches!(s.resolve(None, "a"), Err(SqlError::UnknownColumn(_))), "ambiguous");
         assert!(s.resolve(None, "zzz").is_err());
+    }
+
+    #[test]
+    fn like_matches_wildcards_and_rejects_without_indexing_past_either_end() {
+        let cases = [
+            ("", "", true),
+            ("", "%", true),
+            ("", "_", false),
+            ("abc", "abc", true),
+            ("abc", "a_c", true),
+            ("abc", "%c", true),
+            ("abc", "a%", true),
+            ("abc", "%b%", true),
+            ("abc", "%%%", true),
+            ("abc", "ab", false),
+            ("ab", "abc", false),
+            ("abc", "%d", false),
+            ("a%c", "a%c", true),
+            ("aaaaaaaaaaaaaaaaaaaa", "%%%%%%%%z", false),
+            ("mississippi", "m%iss%pi", true),
+        ];
+        for (text, pattern, want) in cases {
+            assert_eq!(like_match(text.as_bytes(), pattern.as_bytes()), want, "{text} {pattern}");
+        }
+    }
+
+    #[test]
+    fn a_column_outside_the_row_is_an_error() {
+        assert!(matches!(eval(&RExpr::Col(3), &[Value::Int(1)], &[]), Err(SqlError::Eval(_))));
     }
 
     #[test]

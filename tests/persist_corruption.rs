@@ -196,10 +196,20 @@ fn pair_cache_tallies_round_trip_through_a_frame() {
     assert_eq!(restored.export(), entries, "ingested tallies diverged from the originals");
 }
 
-/// `snap` in the earlier frame layout: checkpoint tag 1, every id a `u64`.
-fn encode_fixed_width_frame(snap: &Snapshot) -> Vec<u8> {
+/// `snap` in an earlier frame layout: every id a `u64`, and the checkpoint
+/// as candidate lists under `tag` — tag 1 (`u64` ids) or tag 2 (varints).
+/// Each undecided group lists the positions from its cursor on; a reader
+/// refuses both tags before it looks at the lists.
+fn encode_candidate_list_frame(snap: &Snapshot, tag: u8) -> Vec<u8> {
     let mut out = Vec::new();
     let put = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
+    let varint = |out: &mut Vec<u8>, mut v: u64| {
+        while v >= 0x80 {
+            out.push((v & 0x7F) as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    };
     let fp = &snap.fingerprint;
     for v in [fp.n_groups, fp.n_records, fp.dim, fp.gamma_bits, fp.block_size] {
         put(&mut out, v);
@@ -236,13 +246,15 @@ fn encode_fixed_width_frame(snap: &Snapshot) -> Vec<u8> {
         put(&mut out, v);
     }
     let cp = p.checkpoint.as_ref().expect("an incomplete partition carries a checkpoint");
-    out.push(1);
-    put(&mut out, cp.remaining.len() as u64);
-    for (g, cands) in &cp.remaining {
-        put(&mut out, *g as u64);
-        put(&mut out, cands.len() as u64);
-        for &s in cands {
-            put(&mut out, s as u64);
+    let id: &dyn Fn(&mut Vec<u8>, u64) = if tag == 1 { &put } else { &varint };
+    out.push(tag);
+    id(&mut out, cp.open.len() as u64);
+    for c in &cp.open {
+        let cands: Vec<u64> = (c.cursor as u64..fp.n_groups).collect();
+        id(&mut out, c.group as u64);
+        id(&mut out, cands.len() as u64);
+        for s in cands {
+            id(&mut out, s);
         }
     }
     assert!(snap.pairs.is_empty());
@@ -250,16 +262,29 @@ fn encode_fixed_width_frame(snap: &Snapshot) -> Vec<u8> {
     frame::encode_frame(&out)
 }
 
-/// Rewrites the newest frame of `dir` in the earlier layout.
-fn downgrade_newest_frame(dir: &std::path::Path) {
+/// Rewrites the newest frame of `dir` in an earlier layout.
+fn downgrade_newest_frame(dir: &std::path::Path, tag: u8) {
     let path = newest_frame(dir);
     let bytes = std::fs::read(&path).unwrap();
     let snap = frame::decode_snapshot(frame::decode_frame(&bytes).unwrap()).unwrap();
-    std::fs::write(&path, encode_fixed_width_frame(&snap)).unwrap();
+    std::fs::write(&path, encode_candidate_list_frame(&snap, tag)).unwrap();
 }
 
 #[test]
 fn frame_in_the_fixed_width_layout_is_skipped_and_the_run_restarts_cold() {
+    candidate_list_frame_is_skipped_and_the_run_restarts_cold(1);
+}
+
+#[test]
+fn frame_in_the_varint_list_layout_is_skipped_and_the_run_restarts_cold() {
+    candidate_list_frame_is_skipped_and_the_run_restarts_cold(2);
+}
+
+/// A frame in the candidate-list layout `tag` is skipped with
+/// `UnsupportedCheckpoint`, and both `checkpoint_step` and a repeated SQL
+/// statement under `SET CHECKPOINT` restart cold and end at the oracle's
+/// skyline.
+fn candidate_list_frame_is_skipped_and_the_run_restarts_cold(tag: u8) {
     use aggsky::core::persist::checkpoint_step;
     use aggsky::core::{naive_skyline, RunContext};
     let ds = dataset(13);
@@ -267,18 +292,20 @@ fn frame_in_the_fixed_width_layout_is_skipped_and_the_run_restarts_cold() {
     let oracle = naive_skyline(&ds, gamma).skyline;
     let total = anytime_skyline(&ds, gamma, u64::MAX).stats.record_pairs;
     let budget = total / 4 + 1;
-    let dir = tmpdir("fixed-width");
+    let dir = tmpdir(&format!("list-tag-{tag}"));
     let store = CheckpointStore::open(&dir).unwrap();
     let step = |store: &CheckpointStore| {
         checkpoint_step(&ds, gamma, &RunContext::with_budget(budget), store).unwrap()
     };
     let first = step(&store);
     assert!(!first.is_complete(), "a quarter of the ticks must not finish the run");
-    downgrade_newest_frame(&dir);
+    downgrade_newest_frame(&dir, tag);
     let recovery = store.load().unwrap();
     assert!(recovery.snapshot.is_none());
     assert_eq!(recovery.skipped.len(), 1);
-    assert!(recovery.skipped[0].reason.contains("no longer read"), "{:?}", recovery.skipped);
+    let reason = &recovery.skipped[0].reason;
+    assert!(reason.contains("no longer read"), "{:?}", recovery.skipped);
+    assert!(reason.contains(&format!("tag {tag}")), "{:?}", recovery.skipped);
 
     // The re-issue reports the frame skipped and redoes the first chunk.
     let mut out = step(&store);
@@ -307,13 +334,13 @@ fn frame_in_the_fixed_width_layout_is_skipped_and_the_run_restarts_cold() {
     }
     let sky: Vec<String> = dims.iter().map(|d| format!("{d} MAX")).collect();
     let sql = format!("SELECT g FROM t GROUP BY g SKYLINE OF {} GAMMA 0.5", sky.join(", "));
-    let sql_dir = tmpdir("fixed-width-sql");
+    let sql_dir = tmpdir(&format!("list-tag-{tag}-sql"));
     db.execute(&format!("SET CHECKPOINT '{}'", sql_dir.display())).unwrap();
     db.execute(&format!("SET TIMEOUT {budget}")).unwrap();
     let first = db.execute(&sql).unwrap();
     assert!(first.interrupted.is_some());
     let first_ticks = db.journal().records().last().unwrap().ticks;
-    downgrade_newest_frame(&sql_dir);
+    downgrade_newest_frame(&sql_dir, tag);
     let mut r = db.execute(&sql).unwrap();
     let log = db.journal().records().last().unwrap().clone();
     assert_eq!(log.frames_skipped, 1);

@@ -4,7 +4,7 @@
 //! grouped data.
 
 use aggsky::core::record_skyline::bnl;
-use aggsky::core::{AlgoOptions, Algorithm, RunContext};
+use aggsky::core::{anytime_skyline_ctx, RunContext};
 use aggsky::datagen::Rng64;
 use aggsky::sql::{ColumnType, Database, Value};
 use aggsky::{naive_skyline, Gamma, GroupedDataset, GroupedDatasetBuilder};
@@ -271,7 +271,7 @@ fn explain_analyze_totals_equal_plain_run_stats() {
     // The SQL executor builds its grouped dataset in group-discovery order,
     // which for `load` equals the core dataset's group order — so the
     // skyline step inside EXPLAIN ANALYZE performs exactly the work of the
-    // same algorithm run directly, and the trace counters must match its
+    // anytime engine run directly, and the trace counters must match its
     // `Stats` field for field.
     for seed in 400..410 {
         let ds = random_dataset(seed, 9, 5);
@@ -286,10 +286,7 @@ fn explain_analyze_totals_equal_plain_run_stats() {
             .into_iter()
             .map(|r| format!("{}\n", r[0]))
             .collect();
-        let outcome = Algorithm::Indexed
-            .run_ctx(&ds, AlgoOptions::exact(Gamma::DEFAULT), &RunContext::unlimited())
-            .unwrap();
-        let stats = *outcome.stats();
+        let stats = anytime_skyline_ctx(&ds, Gamma::DEFAULT, &RunContext::unlimited()).stats;
         assert_eq!(
             counter_of(&report, "aggsky_group_pairs_total"),
             stats.group_pairs,
