@@ -124,7 +124,7 @@ pub fn generate_nba(n_records: usize, seed: u64) -> Vec<NbaRecord> {
         let base: f64 = (rng.f64() + rng.f64() + rng.f64()) / 3.0;
         let skill = (base * base * 1.6).min(1.0);
         let length = career.sample(&mut rng);
-        let start = years[rng.index(years.len())];
+        let start = years.get(rng.index(years.len())).copied().unwrap_or(1979);
         let mut team: u16 = rng.index(30) as u16;
         for s in 0..length {
             if records.len() >= n_records {
@@ -141,13 +141,10 @@ pub fn generate_nba(n_records: usize, seed: u64) -> Vec<NbaRecord> {
             // Career arc: ramp up, peak mid-career, decline.
             let arc = 1.0 - ((s as f64 - length as f64 / 2.0) / length as f64).powi(2);
             let mut stats = [0.0f64; 8];
-            for (i, stat) in stats.iter_mut().enumerate() {
+            let profile = POSITION_PROFILE.get(usize::from(position)).copied().unwrap_or_default();
+            for ((stat, base), weight) in stats.iter_mut().zip(STAT_BASE).zip(profile) {
                 let noise = 0.75 + rng.f64() * 0.5;
-                *stat = STAT_BASE[i]
-                    * POSITION_PROFILE[position as usize][i]
-                    * (0.35 + 1.9 * skill)
-                    * arc
-                    * noise;
+                *stat = base * weight * (0.35 + 1.9 * skill) * arc * noise;
                 *stat = (*stat * 10.0).round() / 10.0; // one decimal, like box scores
             }
             records.push(NbaRecord { player, team, year, position, stats });
@@ -162,20 +159,21 @@ pub fn generate_nba(n_records: usize, seed: u64) -> Vec<NbaRecord> {
 pub fn nba_dataset(records: &[NbaRecord], grouping: NbaGrouping, n_attrs: usize) -> GroupedDataset {
     assert!((1..=8).contains(&n_attrs), "1..=8 skyline attributes");
     // Stable insertion-ordered grouping.
-    let mut order: Vec<String> = Vec::new();
-    let mut buckets: std::collections::HashMap<String, Vec<Vec<f64>>> =
-        std::collections::HashMap::new();
+    let mut groups: Vec<(String, Vec<Vec<f64>>)> = Vec::new();
+    let mut index: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
     for r in records {
         let key = grouping.key(r);
-        let rows = buckets.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Vec::new()
+        let g = *index.entry(key.clone()).or_insert_with(|| {
+            groups.push((key, Vec::new()));
+            groups.len() - 1
         });
-        rows.push(r.stats[..n_attrs].to_vec());
+        if let Some((_, rows)) = groups.get_mut(g) {
+            rows.push(r.stats.iter().take(n_attrs).copied().collect());
+        }
     }
     let mut b = GroupedDatasetBuilder::new(n_attrs).trusted_labels();
-    for key in order {
-        b.push_group(&key[..], &buckets[&key]).expect("generated rows are well-formed");
+    for (key, rows) in &groups {
+        b.push_group(key.as_str(), rows).expect("generated rows are well-formed");
     }
     b.build().expect("generated dataset is well-formed")
 }

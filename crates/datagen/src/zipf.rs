@@ -57,7 +57,9 @@ impl Zipf {
         let mut assigned: usize = sizes.iter().sum();
         let mut k = 0;
         while assigned < total {
-            sizes[k % parts] += 1;
+            if let Some(size) = sizes.get_mut(k % parts) {
+                *size += 1;
+            }
             assigned += 1;
             k += 1;
         }

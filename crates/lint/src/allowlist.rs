@@ -13,6 +13,11 @@
 //! * `* crates/core/src/testdata.rs` — every rule in the file (for modules
 //!   compiled only under `cfg(test)` at the crate root).
 //!
+//! A file-wide entry that covers L1 (`L1-*` or `*`) is accepted only under
+//! `crates/core/`, where the `invariants` build re-checks the bounds it
+//! relies on. Anywhere else it would absorb every new panic site of the
+//! file unseen, so such sites are pinned line by line.
+//!
 //! Line-pinned entries are intentionally brittle: editing an allowlisted
 //! region forces the author to re-justify the suppression.
 
@@ -41,9 +46,12 @@ impl Entry {
     }
 }
 
-/// Parses allowlist text. Malformed lines are returned as errors with their
-/// line numbers; a missing file should be treated as an empty allowlist by
-/// the caller.
+/// The only tree where a file-wide entry may cover L1.
+pub const FILE_WIDE_L1_ROOT: &str = "crates/core/";
+
+/// Parses allowlist text. Malformed lines, and file-wide L1 entries outside
+/// [`FILE_WIDE_L1_ROOT`], are returned as errors with their line numbers; a
+/// missing file should be treated as an empty allowlist by the caller.
 pub fn parse(text: &str) -> Result<Vec<Entry>, String> {
     let mut entries = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -65,6 +73,13 @@ pub fn parse(text: &str) -> Result<Vec<Entry>, String> {
             }
             None => (target.to_string(), None),
         };
+        let covers_l1 = rule == "*" || rule.starts_with("L1-");
+        if covers_l1 && line_pin.is_none() && !path.starts_with(FILE_WIDE_L1_ROOT) {
+            return Err(format!(
+                "allowlist line {line_no}: a file-wide {rule} entry is allowed only under \
+                 {FILE_WIDE_L1_ROOT}; pin {path}'s sites line by line"
+            ));
+        }
         entries.push(Entry { rule: rule.to_string(), path, line: line_pin, source_line: line_no });
     }
     Ok(entries)
@@ -104,15 +119,15 @@ mod tests {
     #[test]
     fn parse_and_match() {
         let entries = parse(
-            "# comment\nL1-panic crates/a.rs:7\nL1-index crates/b.rs\n* crates/t.rs # trailing\n",
+            "# comment\nL1-panic crates/a.rs:7\nL1-index crates/core/b.rs\n* crates/core/t.rs # trailing\n",
         )
         .unwrap();
         assert_eq!(entries.len(), 3);
         assert!(entries[0].covers(&finding("L1-panic", "crates/a.rs", 7)));
         assert!(!entries[0].covers(&finding("L1-panic", "crates/a.rs", 8)));
-        assert!(entries[1].covers(&finding("L1-index", "crates/b.rs", 99)));
-        assert!(!entries[1].covers(&finding("L1-panic", "crates/b.rs", 99)));
-        assert!(entries[2].covers(&finding("L5-determinism", "crates/t.rs", 3)));
+        assert!(entries[1].covers(&finding("L1-index", "crates/core/b.rs", 99)));
+        assert!(!entries[1].covers(&finding("L1-panic", "crates/core/b.rs", 99)));
+        assert!(entries[2].covers(&finding("L5-determinism", "crates/core/t.rs", 3)));
     }
 
     #[test]

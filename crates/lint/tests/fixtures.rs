@@ -233,6 +233,38 @@ fn allowlist_suppresses_pinned_and_file_wide_entries() {
 }
 
 #[test]
+fn file_wide_l1_entries_are_rejected_outside_core() {
+    for entry in [
+        "L1-index crates/spatial/src/rtree.rs",
+        "L1-panic crates/datagen/src/nba.rs",
+        "* crates/sql/src/exec.rs",
+    ] {
+        let err = allowlist::parse(&format!("# justified\n{entry}\n")).unwrap_err();
+        assert!(err.contains("allowlist line 2") && err.contains("crates/core/"), "{entry}: {err}");
+    }
+    let ok = allowlist::parse(
+        "L1-index crates/core/src/kernel.rs\n\
+         * crates/core/src/testdata.rs\n\
+         L1-index crates/spatial/src/rtree.rs:236\n\
+         L11-silent-drop crates/sql/src/dump.rs\n",
+    )
+    .unwrap();
+    assert_eq!(ok.len(), 4, "core file-wide, pinned sites and other rules stay accepted");
+    // The fixture corpus itself: an L1 fixture under another crate can be
+    // suppressed only site by site.
+    let found = rules::analyze(
+        "crates/spatial/src/fixture_l1.rs",
+        include_str!("../fixtures/l1_panics.rs"),
+    );
+    assert!(allowlist::parse("L1-panic crates/spatial/src/fixture_l1.rs").is_err());
+    let pins: String =
+        found.iter().map(|f| format!("{} {}:{}\n", f.rule, f.path, f.line)).collect();
+    let (active, suppressed, stale) = allowlist::apply(found, &allowlist::parse(&pins).unwrap());
+    assert!(active.is_empty() && stale.is_empty(), "{active:?} {stale:?}");
+    assert_eq!(suppressed.len(), 5);
+}
+
+#[test]
 fn workspace_is_clean_under_committed_allowlist() {
     let root = workspace_root();
     let allow =

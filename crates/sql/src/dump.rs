@@ -32,12 +32,14 @@ impl Database {
             }
             out.push_str(");\n");
             // Batch inserts to keep the dump compact and the restore fast.
-            for chunk in table.rows.chunks(256) {
+            let mut row = vec![Value::Null; table.columns.len()];
+            for start in (0..table.len()).step_by(256) {
                 let _ = write!(out, "INSERT INTO {} VALUES ", table.name);
-                for (i, row) in chunk.iter().enumerate() {
-                    if i > 0 {
+                for id in start..table.len().min(start + 256) {
+                    if id > start {
                         out.push_str(", ");
                     }
+                    table.read_row(id, &mut row);
                     out.push('(');
                     for (j, v) in row.iter().enumerate() {
                         if j > 0 {
@@ -67,6 +69,9 @@ impl Database {
 fn render_literal(v: &Value) -> String {
     match v {
         Value::Null => "NULL".to_string(),
+        // `-9223372036854775808` lexes as a minus and an integer one past
+        // i64::MAX, so the minimum is written as an expression.
+        Value::Int(i64::MIN) => format!("({} - 1)", i64::MIN + 1),
         Value::Int(i) => i.to_string(),
         Value::Float(f) => {
             if f.is_finite() {
@@ -140,7 +145,7 @@ mod tests {
         for name in db.table_names() {
             let a = db.table(name).unwrap();
             let b = restored.table(name).unwrap();
-            assert_eq!(a.rows, b.rows, "table {name}");
+            assert_eq!(a.rows(), b.rows(), "table {name}");
             assert_eq!(a.columns.len(), b.columns.len());
         }
     }
@@ -164,8 +169,8 @@ mod tests {
         }
         let mut restored = Database::new();
         restored.restore(&db.dump()).unwrap();
-        let a = &db.table("t").unwrap().rows;
-        let b = &restored.table("t").unwrap().rows;
+        let a = &db.table("t").unwrap().rows();
+        let b = &restored.table("t").unwrap().rows();
         for (x, y) in a.iter().zip(b.iter()) {
             let (Value::Float(x), Value::Float(y)) = (&x[0], &y[0]) else { panic!() };
             assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
@@ -187,7 +192,7 @@ mod tests {
         .unwrap();
         let mut restored = Database::new();
         restored.restore(&db.dump()).unwrap();
-        let rows = &restored.table("t").unwrap().rows;
+        let rows = &restored.table("t").unwrap().rows();
         let get = |i: usize| match rows[i][0] {
             Value::Float(f) => f,
             _ => panic!(),
@@ -195,6 +200,16 @@ mod tests {
         assert_eq!(get(0), f64::INFINITY);
         assert_eq!(get(1), f64::NEG_INFINITY);
         assert!(get(2).is_nan(), "NaN restored as {}", get(2));
+    }
+
+    #[test]
+    fn integer_extremes_round_trip() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (a INT)").unwrap();
+        db.insert_rows("t", vec![vec![Value::Int(i64::MAX)], vec![Value::Int(i64::MIN)]]).unwrap();
+        let mut restored = Database::new();
+        restored.restore(&db.dump()).unwrap();
+        assert_eq!(restored.table("t").unwrap().rows(), db.table("t").unwrap().rows());
     }
 
     #[test]

@@ -198,8 +198,10 @@ impl Database {
         // Seed epoch 0 from the rows already in the table; any invalid row
         // fails the whole bind before the binding is installed.
         let mut batch = WriteBatch::new();
-        for row in &t.rows {
-            let (label, record) = binding.row_parts(row)?;
+        let mut row = vec![Value::Null; t.columns.len()];
+        for id in 0..t.len() {
+            t.read_row(id, &mut row);
+            let (label, record) = binding.row_parts(&row)?;
             batch = batch.insert(label, &record);
         }
         binding
@@ -388,14 +390,15 @@ impl Database {
                 };
                 let receipt = if self.services.contains_key(&table.to_ascii_lowercase()) {
                     let t = self.catalog.get(&table)?;
-                    let start = t.rows.len().saturating_sub(n);
-                    let inserted = t.rows.get(start..).map(<[_]>::to_vec).unwrap_or_default();
+                    let start = t.len().saturating_sub(n);
+                    let inserted: Vec<Vec<Value>> =
+                        (start..t.len()).filter_map(|id| t.row(id)).collect();
                     match self.route_serving(&table, &inserted, false, record) {
                         Ok(receipt) => receipt,
                         Err(e) => {
                             // Roll the rows back out so the table stays in
                             // lock-step with the serving state.
-                            self.catalog.get_mut(&table)?.rows.truncate(start);
+                            self.catalog.get_mut(&table)?.truncate(start);
                             return Err(e);
                         }
                     }
@@ -420,10 +423,7 @@ impl Database {
                         // Splice the rows back at their original positions
                         // so the table stays in lock-step with the serving
                         // state (mirrors the INSERT rollback).
-                        let t = self.catalog.get_mut(&table)?;
-                        for (&pos, row) in positions.iter().zip(removed) {
-                            t.rows.insert(pos, row);
-                        }
+                        self.catalog.get_mut(&table)?.reinsert(&positions, removed)?;
                         return Err(e);
                     }
                 };
@@ -480,11 +480,10 @@ impl Database {
     }
 
     /// Deletes matching rows and returns them alongside their original
-    /// table positions (both in table order; re-inserting each row at its
-    /// position in ascending order restores the table exactly). The delete
-    /// is all-or-nothing: the predicate is evaluated over every row before
-    /// anything is removed, so an evaluation error leaves the table — and
-    /// any serving binding mirroring it — untouched.
+    /// table positions (both in table order; `Table::reinsert` puts them
+    /// back). The delete is all-or-nothing: the predicate is evaluated over
+    /// every row before anything is removed, so an evaluation error leaves
+    /// the table — and any serving binding mirroring it — untouched.
     fn delete_rows(
         &mut self,
         table: &str,
@@ -492,37 +491,28 @@ impl Database {
     ) -> Result<(Vec<Vec<Value>>, Vec<usize>)> {
         let t = self.catalog.get(table)?;
         let predicate = where_clause.map(|e| Self::compile_row_expr(t, e)).transpose()?;
-        let t = self.catalog.get_mut(table)?;
-        match predicate {
-            None => {
-                let rows = std::mem::take(&mut t.rows);
-                let positions = (0..rows.len()).collect();
-                Ok((rows, positions))
-            }
-            Some(p) => {
-                let mut hit = Vec::with_capacity(t.rows.len());
-                for row in &t.rows {
-                    hit.push(eval(&p, row, &[])?.is_truthy());
-                }
-                let mut removed = Vec::new();
-                let mut positions = Vec::new();
-                let mut kept = Vec::with_capacity(t.rows.len());
-                for (pos, (row, hit)) in
-                    std::mem::take(&mut t.rows).into_iter().zip(hit).enumerate()
-                {
-                    if hit {
-                        removed.push(row);
-                        positions.push(pos);
-                    } else {
-                        kept.push(row);
-                    }
-                }
-                t.rows = kept;
-                Ok((removed, positions))
+        let mut keep = Vec::with_capacity(t.len());
+        let (mut removed, mut positions) = (Vec::new(), Vec::new());
+        let mut row = vec![Value::Null; t.columns.len()];
+        for id in 0..t.len() {
+            t.read_row(id, &mut row);
+            let hit = match &predicate {
+                None => true,
+                Some(p) => eval(p, &row, &[])?.is_truthy(),
+            };
+            keep.push(!hit);
+            if hit {
+                removed.push(row.clone());
+                positions.push(id);
             }
         }
+        self.catalog.get_mut(table)?.retain(&keep);
+        Ok((removed, positions))
     }
 
+    /// Updates matching rows. All or nothing: the predicate and every SET
+    /// expression are evaluated over every row before any value is
+    /// written, so an evaluation error leaves the table untouched.
     fn update_rows(
         &mut self,
         table: &str,
@@ -536,36 +526,30 @@ impl Database {
             let idx = t.column_index(col).ok_or_else(|| SqlError::UnknownColumn(col.clone()))?;
             compiled_sets.push((idx, Self::compile_row_expr(t, expr)?));
         }
-        let float_cols: Vec<bool> = t.columns.iter().map(|c| c.ty == ColumnType::Float).collect();
-        let t = self.catalog.get_mut(table)?;
-        let mut updated = 0usize;
-        for row in &mut t.rows {
+        let mut hits = Vec::new();
+        // Per SET item, its new value for each hit row, evaluated against
+        // the pre-update row.
+        let mut new_values: Vec<Vec<Value>> = vec![Vec::new(); compiled_sets.len()];
+        let mut row = vec![Value::Null; t.columns.len()];
+        for id in 0..t.len() {
+            t.read_row(id, &mut row);
             let hit = match &predicate {
                 None => true,
-                Some(p) => eval(p, row, &[])?.is_truthy(),
+                Some(p) => eval(p, &row, &[])?.is_truthy(),
             };
             if !hit {
                 continue;
             }
-            // Evaluate every right-hand side against the pre-update row.
-            let mut new_values = Vec::with_capacity(compiled_sets.len());
-            for (idx, rhs) in &compiled_sets {
-                let mut v = eval(rhs, row, &[])?;
-                if float_cols.get(*idx) == Some(&true) {
-                    if let Value::Int(i) = v {
-                        v = Value::Float(i as f64);
-                    }
-                }
-                new_values.push((*idx, v));
+            for ((_, rhs), values) in compiled_sets.iter().zip(&mut new_values) {
+                values.push(eval(rhs, &row, &[])?);
             }
-            for (idx, v) in new_values {
-                if let Some(slot) = row.get_mut(idx) {
-                    *slot = v;
-                }
-            }
-            updated += 1;
+            hits.push(id);
         }
-        Ok(updated)
+        let t = self.catalog.get_mut(table)?;
+        for ((idx, _), values) in compiled_sets.iter().zip(new_values) {
+            t.update_column(*idx, &hits, values);
+        }
+        Ok(hits.len())
     }
 
     fn insert_ast_rows(
@@ -627,10 +611,10 @@ impl Database {
             .collect::<Result<Vec<Vec<Value>>>>()?;
         let n = shaped.len();
         let t = self.catalog.get_mut(table)?;
-        let start = t.rows.len();
+        let start = t.len();
         for vals in shaped {
             if let Err(e) = t.push_row(vals) {
-                t.rows.truncate(start);
+                t.truncate(start);
                 return Err(e);
             }
         }
@@ -679,7 +663,7 @@ impl Database {
 
     /// Number of rows in a table.
     pub fn table_len(&self, name: &str) -> Result<usize> {
-        Ok(self.catalog.get(name)?.rows.len())
+        Ok(self.catalog.get(name)?.len())
     }
 
     /// Read access to a table's definition and rows.
@@ -841,7 +825,7 @@ mod journal_tests {
         }
         db.execute("INSERT INTO t (b, g, a) VALUES (3, 'z', 2)").unwrap();
         assert_eq!(
-            db.table("t").unwrap().rows,
+            db.table("t").unwrap().rows(),
             vec![vec![Value::Str("z".into()), Value::Float(2.0), Value::Float(3.0)]]
         );
     }
@@ -1004,6 +988,47 @@ mod journal_tests {
 }
 
 #[cfg(test)]
+mod dml_tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_update_changes_no_row() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (a TEXT, b FLOAT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 1.0), ('x', 2.0), (3, 3.0)").unwrap();
+        let before = db.execute("SELECT a, b FROM t").unwrap();
+        let err = db.execute("UPDATE t SET a = -a").unwrap_err();
+        assert!(err.to_string().contains("cannot negate a string"), "{err}");
+        assert_eq!(db.execute("SELECT a, b FROM t").unwrap(), before);
+        db.execute("UPDATE t SET b = b * 2 WHERE b > 1").unwrap();
+        let after = db.execute("SELECT b FROM t").unwrap();
+        assert_eq!(after.rows, [[Value::Float(1.0)], [Value::Float(4.0)], [Value::Float(6.0)]]);
+    }
+
+    #[test]
+    fn integer_overflow_in_a_statement_is_an_eval_error() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (a INT)").unwrap();
+        db.execute("INSERT INTO t VALUES (9223372036854775807), (-9223372036854775807 - 1)")
+            .unwrap();
+        for sql in [
+            "SELECT a + 1 FROM t",
+            "SELECT a * 2 FROM t",
+            "SELECT a - 1 FROM t WHERE a < 0",
+            "SELECT -a FROM t WHERE a < 0",
+            "UPDATE t SET a = a + 1",
+        ] {
+            match db.execute(sql) {
+                Err(SqlError::Eval(m)) => assert!(m.starts_with("integer overflow"), "{sql}: {m}"),
+                other => panic!("{sql} gave {other:?}"),
+            }
+        }
+        let r = db.execute("SELECT a FROM t").unwrap();
+        assert_eq!(r.rows, [[Value::Int(i64::MAX)], [Value::Int(i64::MIN)]]);
+    }
+}
+
+#[cfg(test)]
 mod serving_tests {
     use super::*;
 
@@ -1118,11 +1143,11 @@ mod serving_tests {
         // next routed DELETE of that row then fails inside the service.
         let svc = db.skyline_service("movie").unwrap().clone();
         svc.apply(&WriteBatch::new().delete("K", &[362.0, 8.8])).unwrap();
-        let before = db.table("movie").unwrap().rows.clone();
+        let before = db.table("movie").unwrap().rows();
         let err = db.execute("DELETE FROM movie WHERE director = 'K'").unwrap_err();
         assert!(matches!(err, SqlError::Eval(_)), "{err}");
         assert_eq!(
-            db.table("movie").unwrap().rows,
+            db.table("movie").unwrap().rows(),
             before,
             "removed rows restored at their original positions"
         );
@@ -1131,7 +1156,7 @@ mod serving_tests {
     #[test]
     fn wrong_arity_inserts_store_and_publish_nothing() {
         let mut db = bound_db();
-        let before = db.table("movie").unwrap().rows.clone();
+        let before = db.table("movie").unwrap().rows();
         for bad in [
             "INSERT INTO movie (director, pop, qual) VALUES ('X', 1)",
             "INSERT INTO movie (director, pop, qual) VALUES ('X', 1, 2, 3)",
@@ -1139,7 +1164,7 @@ mod serving_tests {
         ] {
             let err = db.execute(bad).unwrap_err();
             assert!(matches!(err, SqlError::Eval(_)), "{bad}: {err}");
-            assert_eq!(db.table("movie").unwrap().rows, before, "{bad} stored a row");
+            assert_eq!(db.table("movie").unwrap().rows(), before, "{bad} stored a row");
             assert_eq!(db.serving_epoch("movie").unwrap().id(), 1, "{bad} published");
         }
     }

@@ -17,11 +17,11 @@
 //! count.
 
 use crate::ast::{AggFunc, Expr, SelectItem, SelectStmt, SkyDir, SortDir};
-use crate::catalog::{Catalog, Table};
+use crate::catalog::{Catalog, Cells, Table};
 use crate::error::{Result, SqlError};
 use crate::plan::{eval, AggCall, Compiler, RExpr, Schema};
-use crate::pushdown::ScanPlan;
-use crate::value::Value;
+use crate::pushdown::{columns_used, ScanPlan};
+use crate::value::{Key, Value};
 use aggsky_core::{
     anytime_skyline_with, checkpoint_step_with, CheckpointStore, Fingerprint, Gamma,
     GroupedDataset, InterruptReason, Kernel, PreparedDataset, RunContext,
@@ -156,7 +156,7 @@ pub(crate) fn execute_select_with(
     }
 
     // ---- compile expressions ----
-    let run_subquery = |sub: &SelectStmt| -> Result<HashSet<String>> {
+    let run_subquery = |sub: &SelectStmt| -> Result<HashSet<Key<'static>>> {
         let result = execute_select(cat, sub)?;
         if result.columns.len() != 1 {
             return Err(SqlError::Eval(format!(
@@ -164,7 +164,7 @@ pub(crate) fn execute_select_with(
                 result.columns.len()
             )));
         }
-        Ok(result.rows.into_iter().filter_map(|mut r| r.pop().map(|v| v.group_key())).collect())
+        Ok(result.rows.iter().filter_map(|r| r.first()).map(|v| Key::of(v).into_owned()).collect())
     };
     let mut compiler = Compiler::new(&schema, &run_subquery);
 
@@ -241,10 +241,8 @@ pub(crate) fn execute_select_with(
             // Aggregates over an empty input still produce one group; keep
             // the parts' widths so the implicit group's NULL row has the
             // right shape, but drop every row.
-            let empty_parts: Vec<Part<'_>> = widths
-                .iter()
-                .map(|&width| Part { rows: PartRows::Owned(Vec::new()), width })
-                .collect();
+            let empty_parts: Vec<Part<'_>> =
+                tables.iter().map(|&table| Part { table, ids: Some(Vec::new()) }).collect();
             let input = gather(&empty_parts, None, &grouping, ctx)?;
             (project(input.survivors.iter(), &proj_exprs, &order_exprs)?, None)
         } else {
@@ -275,11 +273,12 @@ pub(crate) fn execute_select_with(
 
     // ---- distinct / order / limit ----
     if stmt.distinct {
-        let mut seen: HashSet<String> = HashSet::new();
-        out.retain(|(row, _)| {
-            let key: String = row.iter().map(Value::group_key).collect();
-            seen.insert(key)
-        });
+        let mut seen: HashSet<Vec<Key<'_>>> = HashSet::new();
+        let first: Vec<bool> =
+            out.iter().map(|(row, _)| seen.insert(row.iter().map(Key::of).collect())).collect();
+        drop(seen);
+        let mut first = first.into_iter();
+        out.retain(|_| first.next().unwrap_or(true));
     }
     if !order_exprs.is_empty() {
         out.sort_by(|(_, ka), (_, kb)| {
@@ -382,9 +381,9 @@ pub fn explain_select(cat: &Catalog, stmt: &SelectStmt) -> Result<String> {
         });
         tables.push(table);
     }
-    let run_subquery = |_: &SelectStmt| -> Result<std::collections::HashSet<String>> {
+    let run_subquery = |_: &SelectStmt| -> Result<HashSet<Key<'static>>> {
         // EXPLAIN must not execute subqueries; membership sets are opaque.
-        Ok(std::collections::HashSet::new())
+        Ok(HashSet::new())
     };
     let mut compiler = Compiler::new(&schema, &run_subquery);
     let where_expr = stmt.where_clause.as_ref().map(|e| compiler.compile(e)).transpose()?;
@@ -469,78 +468,107 @@ fn render_name(expr: &Expr) -> String {
     }
 }
 
-/// Rows of one FROM entry, possibly pre-filtered by a pushed-down
-/// predicate.
-enum PartRows<'a> {
-    Borrowed(&'a [Vec<Value>]),
-    Owned(Vec<Vec<Value>>),
-}
-
-/// One FROM entry prepared for scanning.
+/// One FROM entry prepared for scanning: its table and the rows that
+/// passed the predicate pushed down to it.
 struct Part<'a> {
-    rows: PartRows<'a>,
-    width: usize,
+    table: &'a Table,
+    /// Ids of the rows that passed, ascending; `None` when no predicate was
+    /// pushed down to this entry.
+    ids: Option<Vec<usize>>,
 }
 
 impl Part<'_> {
-    fn rows(&self) -> &[Vec<Value>] {
-        match &self.rows {
-            PartRows::Borrowed(r) => r,
-            PartRows::Owned(r) => r,
+    /// Number of selected rows.
+    fn len(&self) -> usize {
+        self.ids.as_ref().map_or(self.table.len(), Vec::len)
+    }
+
+    fn width(&self) -> usize {
+        self.table.columns.len()
+    }
+
+    /// The table row id of the `k`-th selected row.
+    fn id(&self, k: usize) -> Option<usize> {
+        match &self.ids {
+            Some(ids) => ids.get(k).copied(),
+            None => (k < self.table.len()).then_some(k),
+        }
+    }
+
+    /// The selected row ids, in order.
+    fn row_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        let all = self.ids.is_none().then(|| 0..self.table.len());
+        self.ids.iter().flatten().copied().chain(all.into_iter().flatten())
+    }
+
+    /// Reads the `k`-th selected row into the `[start, end)` segment of a
+    /// joined row.
+    fn read(&self, k: usize, buf: &mut [Value], (start, end): (usize, usize)) {
+        if let (Some(id), Some(slots)) = (self.id(k), buf.get_mut(start..end)) {
+            self.table.read_row(id, slots);
         }
     }
 }
 
-/// Each FROM entry's rows, filtered by the predicate the plan pushed down
-/// to it, if any.
+/// Each FROM entry's selection: the ids of the rows that pass the predicate
+/// the plan pushed down to it, if any. The predicate reads only the
+/// columns it names.
 fn push_down<'a>(tables: &[&'a Table], plan: &ScanPlan) -> Result<Vec<Part<'a>>> {
     tables
         .iter()
         .zip(plan.per_table.iter())
-        .map(|(table, pred)| {
-            let rows = match pred {
-                None => PartRows::Borrowed(&table.rows),
-                Some(p) => {
-                    let mut kept = Vec::new();
-                    for row in &table.rows {
-                        if eval(p, row, &[])?.is_truthy() {
-                            kept.push(row.clone());
-                        }
+        .map(|(&table, pred)| {
+            let Some(p) = pred else { return Ok(Part { table, ids: None }) };
+            let mut used = Vec::new();
+            columns_used(p, &mut used);
+            used.sort_unstable();
+            used.dedup();
+            let cells: Vec<(usize, &Cells)> =
+                used.iter().filter_map(|&c| Some((c, table.cells(c)?))).collect();
+            let mut row = vec![Value::Null; table.columns.len()];
+            let mut kept = Vec::new();
+            for id in 0..table.len() {
+                for &(c, col) in &cells {
+                    if let Some(slot) = row.get_mut(c) {
+                        col.read(id, slot);
                     }
-                    PartRows::Owned(kept)
                 }
-            };
-            Ok(Part { rows, width: table.columns.len() })
+                if eval(p, &row, &[])?.is_truthy() {
+                    kept.push(id);
+                }
+            }
+            Ok(Part { table, ids: Some(kept) })
         })
         .collect()
 }
 
 /// Streams the cross product of the prepared parts, invoking `on_row` for
-/// each combined row that passes the residual predicate.
+/// each combined row that passes the residual predicate. The joined row is
+/// one buffer: advancing a part reads its next selected row into its
+/// segment.
 fn stream_product(
     parts: &[Part<'_>],
     residual: Option<&RExpr>,
     mut on_row: impl FnMut(&[Value]) -> Result<()>,
 ) -> Result<()> {
-    let rows: Vec<&[Vec<Value>]> = parts.iter().map(Part::rows).collect();
-    if rows.is_empty() || rows.iter().any(|r| r.is_empty()) {
+    if parts.is_empty() || parts.iter().any(|p| p.len() == 0) {
         return Ok(());
     }
-    let total_width: usize = parts.iter().map(|p| p.width).sum();
+    let total_width: usize = parts.iter().map(Part::width).sum();
     let mut row_buf: Vec<Value> = vec![Value::Null; total_width];
     // Each part's `[start, end)` segment of the joined row.
     let segments: Vec<(usize, usize)> = parts
         .iter()
         .scan(0usize, |acc, p| {
             let start = *acc;
-            *acc += p.width;
+            *acc += p.width();
             Some((start, *acc))
         })
         .collect();
-    let mut idx = vec![0usize; rows.len()];
+    let mut idx = vec![0usize; parts.len()];
     // Prime every segment.
-    for (part_rows, &segment) in rows.iter().zip(&segments) {
-        refresh_segment(&mut row_buf, segment, part_rows.first());
+    for (part, &segment) in parts.iter().zip(&segments) {
+        part.read(0, &mut row_buf, segment);
     }
     loop {
         let passes = match residual {
@@ -553,30 +581,19 @@ fn stream_product(
         // Odometer advance (last table spins fastest): a part that runs
         // out wraps to its first row and carries into the part before it.
         let mut carried = true;
-        for ((i, part_rows), &segment) in idx.iter_mut().zip(&rows).zip(&segments).rev() {
-            *i += 1;
-            let next = part_rows.get(*i);
-            carried = next.is_none();
+        for ((k, part), &segment) in idx.iter_mut().zip(parts).zip(&segments).rev() {
+            *k += 1;
+            carried = *k >= part.len();
             if carried {
-                *i = 0;
+                *k = 0;
             }
-            refresh_segment(&mut row_buf, segment, next.or_else(|| part_rows.first()));
+            part.read(*k, &mut row_buf, segment);
             if !carried {
                 break;
             }
         }
         if carried {
             return Ok(());
-        }
-    }
-}
-
-/// Copies `row` into the `[start, end)` segment of the joined row.
-#[inline]
-fn refresh_segment(buf: &mut [Value], (start, end): (usize, usize), row: Option<&Vec<Value>>) {
-    if let (Some(slots), Some(row)) = (buf.get_mut(start..end), row) {
-        for (slot, v) in slots.iter_mut().zip(row) {
-            slot.clone_from(v);
         }
     }
 }
@@ -634,13 +651,20 @@ fn scan_plain(
 
 /// One SKYLINE OF attribute of a row, negated for MIN so larger is better.
 fn sky_value(e: &RExpr, dir: SkyDir, row: &[Value]) -> Result<f64> {
-    let v = eval(e, row, &[])?
-        .as_f64()
-        .ok_or_else(|| SqlError::Eval("SKYLINE OF attribute must be numeric".into()))?;
-    Ok(match dir {
+    Ok(directed(sky_number(&eval(e, row, &[])?)?, dir))
+}
+
+/// A SKYLINE OF value as a number.
+fn sky_number(v: &Value) -> Result<f64> {
+    v.as_f64().ok_or_else(|| SqlError::Eval("SKYLINE OF attribute must be numeric".into()))
+}
+
+/// Negates a MIN attribute so larger is better.
+fn directed(v: f64, dir: SkyDir) -> f64 {
+    match dir {
         SkyDir::Max => v,
         SkyDir::Min => -v,
-    })
+    }
 }
 
 /// One aggregate accumulator.
@@ -664,7 +688,7 @@ impl Acc {
         }
     }
 
-    fn update(&mut self, v: Option<Value>) -> Result<()> {
+    fn update(&mut self, v: Option<&Value>) -> Result<()> {
         match self {
             Acc::Count(c) => {
                 // `v = None` encodes COUNT(*): count unconditionally.
@@ -702,7 +726,7 @@ impl Acc {
                             Some(c) => matches!(val.sql_cmp(c), Some(std::cmp::Ordering::Less)),
                         };
                         if replace {
-                            *cur = Some(val);
+                            *cur = Some(val.clone());
                         }
                     }
                 }
@@ -715,7 +739,7 @@ impl Acc {
                             Some(c) => matches!(val.sql_cmp(c), Some(std::cmp::Ordering::Greater)),
                         };
                         if replace {
-                            *cur = Some(val);
+                            *cur = Some(val.clone());
                         }
                     }
                 }
@@ -748,14 +772,19 @@ impl Acc {
 
 /// A group being folded by the grouped scan.
 struct GroupState {
-    /// Position in order of first appearance; the group's dataset label.
-    order: usize,
     /// First row of the group (resolves bare column references, SQLite
     /// style).
     repr: Vec<Value>,
     accs: Vec<Acc>,
     /// Flat skyline-attribute rows of the group's records.
     sky: Vec<f64>,
+}
+
+impl GroupState {
+    fn new(repr: Vec<Value>, grouping: &Grouping<'_>) -> GroupState {
+        let accs = grouping.aggs.iter().map(|a| Acc::new(a.func)).collect();
+        GroupState { repr, accs, sky: Vec::new() }
+    }
 }
 
 /// What a grouped statement folds its rows by: the compiled GROUP BY keys,
@@ -787,48 +816,26 @@ struct SkylineInput {
     fingerprint: Option<Fingerprint>,
 }
 
-/// Gathers a grouped statement's input: streams the product, folds rows
-/// into groups, finishes the aggregates, applies HAVING and, for an
-/// aggregate skyline over two or more surviving groups, builds their
-/// dataset and its columnar preparation.
+/// Gathers a grouped statement's input: folds the selected rows into
+/// groups, finishes the aggregates, applies HAVING and, for an aggregate
+/// skyline over two or more surviving groups, builds their dataset and its
+/// columnar preparation. One FROM table folds column by column; a join
+/// folds its streamed product row by row.
 fn gather(
     parts: &[Part<'_>],
     residual: Option<&RExpr>,
     grouping: &Grouping<'_>,
     ctx: &RunContext,
 ) -> Result<SkylineInput> {
-    let new_accs = || grouping.aggs.iter().map(|a| Acc::new(a.func)).collect::<Vec<Acc>>();
-    let mut by_key: HashMap<String, GroupState> = HashMap::new();
     let scan_span = ctx.obs().map_or(0, |rec| rec.span_start("scan", 0, Stamp::ZERO));
-    let mut scanned = 0u64;
-    stream_product(parts, residual, |row| {
-        scanned = scanned.saturating_add(1);
-        let mut key = String::new();
-        for e in grouping.exprs {
-            key.push_str(&eval(e, row, &[])?.group_key());
-            key.push('\u{1}');
+    let (mut groups, scanned) = match (parts, residual) {
+        // An error is reported as the row fold reports it, so it names the
+        // first failing row's first failing expression.
+        ([part], None) => {
+            fold_columns(part, grouping).or_else(|_| fold_rows(parts, residual, grouping))?
         }
-        let order = by_key.len();
-        let state = by_key.entry(key).or_insert_with(|| GroupState {
-            order,
-            repr: row.to_vec(),
-            accs: new_accs(),
-            sky: Vec::new(),
-        });
-        for (acc, call) in state.accs.iter_mut().zip(grouping.aggs) {
-            let v = match &call.arg {
-                Some(a) => Some(eval(a, row, &[])?),
-                None => None,
-            };
-            acc.update(v)?;
-        }
-        for (e, dir) in grouping.sky {
-            state.sky.push(sky_value(e, *dir, row)?);
-        }
-        Ok(())
-    })?;
-    let mut groups: Vec<GroupState> = by_key.into_values().collect();
-    groups.sort_unstable_by_key(|g| g.order);
+        _ => fold_rows(parts, residual, grouping)?,
+    };
     if let Some(rec) = ctx.obs() {
         rec.add(Counter::SqlRowsScanned, scanned);
         rec.add(Counter::SqlGroupsBuilt, wide(groups.len()));
@@ -838,19 +845,14 @@ fn gather(
     // Aggregate-less GROUP BY-less aggregate query (e.g. SELECT count(*)):
     // one implicit group even over an empty input.
     if groups.is_empty() && grouping.exprs.is_empty() {
-        let width: usize = parts.iter().map(|p| p.width).sum();
-        groups.push(GroupState {
-            order: 0,
-            repr: vec![Value::Null; width],
-            accs: new_accs(),
-            sky: Vec::new(),
-        });
+        let width: usize = parts.iter().map(Part::width).sum();
+        groups.push(GroupState::new(vec![Value::Null; width], grouping));
     }
 
     // Finalize aggregates and apply HAVING.
     let mut survivors: Vec<Survivor> = Vec::new();
     let mut skies: Vec<(usize, Vec<f64>)> = Vec::new();
-    for g in groups {
+    for (order, g) in groups.into_iter().enumerate() {
         let agg_values: Vec<Value> = g.accs.iter().map(Acc::finish).collect();
         let keep = match grouping.having {
             Some(h) => eval(h, &g.repr, &agg_values)?.is_truthy(),
@@ -858,7 +860,7 @@ fn gather(
         };
         if keep {
             survivors.push((g.repr, agg_values));
-            skies.push((g.order, g.sky));
+            skies.push((order, g.sky));
         }
     }
 
@@ -877,6 +879,200 @@ fn gather(
         None
     };
     Ok(SkylineInput { survivors, data, fingerprint: None })
+}
+
+/// Groups in order of first appearance, and the number of rows folded.
+type Folded = (Vec<GroupState>, u64);
+
+/// Folds the streamed product row by row: every key, aggregate argument
+/// and SKYLINE OF attribute is evaluated on the joined row.
+fn fold_rows(
+    parts: &[Part<'_>],
+    residual: Option<&RExpr>,
+    grouping: &Grouping<'_>,
+) -> Result<Folded> {
+    let mut index: HashMap<Vec<Key<'static>>, usize> = HashMap::new();
+    let mut groups: Vec<GroupState> = Vec::new();
+    let mut key: Vec<Key<'static>> = Vec::with_capacity(grouping.exprs.len());
+    let mut scanned = 0u64;
+    stream_product(parts, residual, |row| {
+        scanned = scanned.saturating_add(1);
+        key.clear();
+        for e in grouping.exprs {
+            key.push(Key::of(&eval(e, row, &[])?).into_owned());
+        }
+        let g = match index.get(key.as_slice()) {
+            Some(&g) => g,
+            None => {
+                index.insert(key.clone(), groups.len());
+                groups.push(GroupState::new(row.to_vec(), grouping));
+                groups.len() - 1
+            }
+        };
+        let Some(state) = groups.get_mut(g) else { return Ok(()) };
+        for (acc, call) in state.accs.iter_mut().zip(grouping.aggs) {
+            match &call.arg {
+                Some(a) => acc.update(Some(&eval(a, row, &[])?))?,
+                None => acc.update(None)?,
+            }
+        }
+        for (e, dir) in grouping.sky {
+            state.sky.push(sky_value(e, *dir, row)?);
+        }
+        Ok(())
+    })?;
+    Ok((groups, scanned))
+}
+
+/// How the column fold reads one expression: straight from the cells of a
+/// plain column reference, or by evaluating it on the row.
+enum Operand<'a> {
+    Cells(&'a Cells),
+    Expr(&'a RExpr),
+}
+
+impl<'a> Operand<'a> {
+    fn of(table: &'a Table, e: &'a RExpr) -> Operand<'a> {
+        match e {
+            RExpr::Col(c) => table.cells(*c).map_or(Operand::Expr(e), Operand::Cells),
+            e => Operand::Expr(e),
+        }
+    }
+
+    /// The operand's value at row `id`, read into `slot`; `row` is a
+    /// scratch buffer for evaluated expressions.
+    fn read(&self, table: &Table, id: usize, row: &mut [Value], slot: &mut Value) -> Result<()> {
+        match self {
+            Operand::Cells(cells) => cells.read(id, slot),
+            Operand::Expr(e) => {
+                table.read_row(id, row);
+                *slot = eval(e, row, &[])?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Folds one FROM table column by column: first the group of every
+/// selected row, then each aggregate, then each SKYLINE OF attribute
+/// scattered into its groups' flat rows. Plain column references read the
+/// cells; any other expression is evaluated on the row.
+fn fold_columns(part: &Part<'_>, grouping: &Grouping<'_>) -> Result<Folded> {
+    let table = part.table;
+    let mut row = vec![Value::Null; table.columns.len()];
+    let (of_row, mut groups) = assign_groups(part, grouping, &mut row)?;
+    let mut slot = Value::Null;
+    for (a, call) in grouping.aggs.iter().enumerate() {
+        let arg = call.arg.as_ref().map(|e| Operand::of(table, e));
+        for (id, &g) in part.row_ids().zip(&of_row) {
+            let acc = groups.get_mut(g).and_then(|s| s.accs.get_mut(a)).ok_or_else(out_of_step)?;
+            match &arg {
+                None => acc.update(None)?,
+                Some(arg) => {
+                    arg.read(table, id, &mut row, &mut slot)?;
+                    acc.update(Some(&slot))?;
+                }
+            }
+        }
+    }
+    let dim = grouping.sky.len();
+    if dim > 0 {
+        // Each row's position inside its group, and the groups' sizes.
+        let mut sizes = vec![0usize; groups.len()];
+        let mut at = Vec::with_capacity(of_row.len());
+        for &g in &of_row {
+            let n = sizes.get_mut(g).ok_or_else(out_of_step)?;
+            at.push(*n);
+            *n += 1;
+        }
+        for (state, n) in groups.iter_mut().zip(sizes) {
+            state.sky = vec![0.0; n * dim];
+        }
+        for (j, (e, dir)) in grouping.sky.iter().enumerate() {
+            let arg = Operand::of(table, e);
+            for ((id, &g), &k) in part.row_ids().zip(&of_row).zip(&at) {
+                let v = match arg {
+                    Operand::Cells(Cells::Float(col)) => col.get(id).copied(),
+                    Operand::Cells(Cells::Int(col)) => col.get(id).map(|&x| x as f64),
+                    _ => {
+                        arg.read(table, id, &mut row, &mut slot)?;
+                        Some(sky_number(&slot)?)
+                    }
+                };
+                let cell = groups.get_mut(g).and_then(|s| s.sky.get_mut(k * dim + j));
+                match (cell, v) {
+                    (Some(cell), Some(v)) => *cell = directed(v, *dir),
+                    _ => return Err(out_of_step()),
+                }
+            }
+        }
+    }
+    Ok((groups, wide(of_row.len())))
+}
+
+/// The column fold lost track of a row: never expected, and answered by the
+/// row fold, as every column-fold error is.
+fn out_of_step() -> SqlError {
+    SqlError::Eval("the column fold lost a row".into())
+}
+
+/// The group of every selected row, and the groups in order of first
+/// appearance, each with its first row. One TEXT key column maps its
+/// dictionary codes to groups through a dense array; other keys hash.
+fn assign_groups(
+    part: &Part<'_>,
+    grouping: &Grouping<'_>,
+    row: &mut [Value],
+) -> Result<(Vec<usize>, Vec<GroupState>)> {
+    let table = part.table;
+    let mut of_row = Vec::with_capacity(part.len());
+    let mut groups = Vec::new();
+    let first_row = |id: usize| table.row(id).unwrap_or_default();
+    let text_key = match grouping.exprs {
+        [RExpr::Col(c)] => match table.cells(*c) {
+            Some(Cells::Text(text)) => Some(text),
+            _ => None,
+        },
+        _ => None,
+    };
+    if let Some(text) = text_key {
+        let mut group_of_code = vec![usize::MAX; text.dict.len()];
+        for id in part.row_ids() {
+            let code = text.codes.get(id).and_then(|&c| usize::try_from(c).ok());
+            let g = code.and_then(|c| group_of_code.get_mut(c)).ok_or_else(out_of_step)?;
+            if *g == usize::MAX {
+                *g = groups.len();
+                groups.push(GroupState::new(first_row(id), grouping));
+            }
+            of_row.push(*g);
+        }
+        return Ok((of_row, groups));
+    }
+    let keys: Vec<Operand<'_>> = grouping.exprs.iter().map(|e| Operand::of(table, e)).collect();
+    let mut index: HashMap<Vec<Key<'_>>, usize> = HashMap::new();
+    let mut key: Vec<Key<'_>> = Vec::with_capacity(keys.len());
+    for id in part.row_ids() {
+        key.clear();
+        for op in &keys {
+            key.push(match op {
+                Operand::Cells(cells) => cells.key(id),
+                Operand::Expr(e) => {
+                    table.read_row(id, row);
+                    Key::of(&eval(e, row, &[])?).into_owned()
+                }
+            });
+        }
+        let g = match index.get(key.as_slice()) {
+            Some(&g) => g,
+            None => {
+                index.insert(key.clone(), groups.len());
+                groups.push(GroupState::new(first_row(id), grouping));
+                groups.len() - 1
+            }
+        };
+        of_row.push(g);
+    }
+    Ok((of_row, groups))
 }
 
 /// Counts the aggregate skyline over a gathered input (Example 3

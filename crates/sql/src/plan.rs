@@ -7,7 +7,7 @@
 
 use crate::ast::{AggFunc, BinOp, Expr};
 use crate::error::{Result, SqlError};
-use crate::value::Value;
+use crate::value::{Key, Value};
 use std::collections::HashSet;
 
 /// The schema of a joined row: one entry per flat column position.
@@ -93,8 +93,8 @@ pub enum RExpr {
     InSet {
         /// Tested expression.
         expr: Box<RExpr>,
-        /// Normalized keys of the set elements.
-        set: HashSet<String>,
+        /// Keys of the set elements.
+        set: HashSet<Key<'static>>,
         /// True for `NOT IN`.
         negated: bool,
     },
@@ -136,16 +136,16 @@ pub struct Compiler<'a> {
     pub schema: &'a Schema,
     /// Deduplicated aggregate calls collected so far.
     pub aggs: Vec<AggCall>,
-    /// Executes an uncorrelated subquery, returning the normalized keys of
-    /// its single output column.
-    pub run_subquery: &'a dyn Fn(&crate::ast::SelectStmt) -> Result<HashSet<String>>,
+    /// Executes an uncorrelated subquery, returning the keys of its single
+    /// output column.
+    pub run_subquery: &'a dyn Fn(&crate::ast::SelectStmt) -> Result<HashSet<Key<'static>>>,
 }
 
 impl<'a> Compiler<'a> {
     /// Creates a compiler for a schema.
     pub fn new(
         schema: &'a Schema,
-        run_subquery: &'a dyn Fn(&crate::ast::SelectStmt) -> Result<HashSet<String>>,
+        run_subquery: &'a dyn Fn(&crate::ast::SelectStmt) -> Result<HashSet<Key<'static>>>,
     ) -> Self {
         Compiler { schema, aggs: Vec::new(), run_subquery }
     }
@@ -193,7 +193,7 @@ impl<'a> Compiler<'a> {
                     let set = list
                         .iter()
                         .map(|e| match e {
-                            Expr::Literal(v) => v.group_key(),
+                            Expr::Literal(v) => Key::of(v).into_owned(),
                             _ => unreachable!(),
                         })
                         .collect();
@@ -235,7 +235,9 @@ pub fn eval(expr: &RExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
             .cloned()
             .ok_or_else(|| SqlError::Eval("aggregate used outside GROUP BY context".into())),
         RExpr::Neg(e) => match eval(e, row, aggs)? {
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => {
+                i.checked_neg().map(Value::Int).ok_or_else(|| overflow(format!("-({i})")))
+            }
             Value::Float(f) => Ok(Value::Float(-f)),
             Value::Null => Ok(Value::Null),
             Value::Str(_) => Err(SqlError::Eval("cannot negate a string".into())),
@@ -310,7 +312,10 @@ pub fn eval(expr: &RExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let member = set.contains(&v.group_key());
+            // A set of owned keys takes a borrowed key (`HashSet` is
+            // covariant), so membership copies no string.
+            let set: &HashSet<Key<'_>> = set;
+            let member = set.contains(&Key::of(&v));
             Ok(Value::Int(i64::from(member != *negated)))
         }
         RExpr::InList { expr, list, negated } => {
@@ -343,7 +348,9 @@ pub fn eval(expr: &RExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
                 .ok_or_else(|| SqlError::Eval(format!("{func:?} expects an argument")))?;
             Ok(match func {
                 F::Abs => match arg {
-                    Value::Int(i) => Value::Int(i.abs()),
+                    Value::Int(i) => {
+                        Value::Int(i.checked_abs().ok_or_else(|| overflow(format!("ABS({i})")))?)
+                    }
                     other => Value::Float(numeric(other, "ABS")?.abs()),
                 },
                 F::Round => {
@@ -445,25 +452,29 @@ fn like_match(s: &[u8], p: &[u8]) -> bool {
     pi == p.len()
 }
 
+/// The error of an integer result outside i64.
+fn overflow(what: String) -> SqlError {
+    SqlError::Eval(format!("integer overflow: {what}"))
+}
+
 fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     // Integer arithmetic stays integral except division, which is float
     // (the paper's `1.0*count(*)/(x.num*y.num)` relies on float division;
     // making `/` always float avoids the classic integer-division trap
     // without changing that query's result).
+    // Integer `+`, `-` and `*` are checked: a result outside i64 is an
+    // error, not a wrapped or panicking one.
     if let (Value::Int(a), Value::Int(b)) = (l, r) {
-        return Ok(match op {
-            BinOp::Add => Value::Int(a + b),
-            BinOp::Sub => Value::Int(a - b),
-            BinOp::Mul => Value::Int(a * b),
+        let (result, symbol) = match op {
+            BinOp::Add => (a.checked_add(*b), '+'),
+            BinOp::Sub => (a.checked_sub(*b), '-'),
+            BinOp::Mul => (a.checked_mul(*b), '*'),
             BinOp::Div => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(*a as f64 / *b as f64)
-                }
+                return Ok(if *b == 0 { Value::Null } else { Value::Float(*a as f64 / *b as f64) })
             }
             _ => unreachable!(),
-        });
+        };
+        return result.map(Value::Int).ok_or_else(|| overflow(format!("{a} {symbol} {b}")));
     }
     let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
         return Err(SqlError::Eval(format!("arithmetic on non-numeric values {l} and {r}")));
@@ -539,7 +550,8 @@ mod tests {
     #[test]
     fn eval_arithmetic_and_logic() {
         let row = vec![Value::Int(3), Value::Float(2.0), Value::Int(10)];
-        let no_sub = |_: &crate::ast::SelectStmt| -> Result<HashSet<String>> { unreachable!() };
+        let no_sub =
+            |_: &crate::ast::SelectStmt| -> Result<HashSet<Key<'static>>> { unreachable!() };
         let s = schema();
         let mut c = Compiler::new(&s, &no_sub);
         let e = crate::parser_test_expr("t.a * b + 1");
@@ -571,9 +583,39 @@ mod tests {
     }
 
     #[test]
+    fn integer_overflow_is_an_error_in_every_build() {
+        use BinOp::{Add, Mul, Sub};
+        let (max, min) = (i64::MAX, i64::MIN);
+        let lit = |i: i64| Box::new(RExpr::Lit(Value::Int(i)));
+        let bin = |op, a, b| RExpr::Binary { op, left: lit(a), right: lit(b) };
+        let abs = |i| RExpr::Scalar { func: crate::ast::ScalarFunc::Abs, args: vec![*lit(i)] };
+        for e in [
+            bin(Add, max, 1),
+            bin(Add, min, -1),
+            bin(Sub, min, 1),
+            bin(Sub, max, -1),
+            bin(Mul, max, 2),
+            bin(Mul, min, -1),
+            RExpr::Neg(lit(min)),
+            abs(min),
+        ] {
+            match eval(&e, &[], &[]) {
+                Err(SqlError::Eval(m)) => assert!(m.starts_with("integer overflow"), "{m}"),
+                other => panic!("{e:?} gave {other:?}"),
+            }
+        }
+        // Results at the edges still compute.
+        assert_eq!(eval(&bin(Add, max - 1, 1), &[], &[]).unwrap(), Value::Int(max));
+        assert_eq!(eval(&bin(Sub, min + 1, 1), &[], &[]).unwrap(), Value::Int(min));
+        assert_eq!(eval(&RExpr::Neg(lit(max)), &[], &[]).unwrap(), Value::Int(-max));
+        assert_eq!(eval(&abs(min + 1), &[], &[]).unwrap(), Value::Int(max));
+    }
+
+    #[test]
     fn aggregates_are_deduplicated() {
         let s = schema();
-        let no_sub = |_: &crate::ast::SelectStmt| -> Result<HashSet<String>> { unreachable!() };
+        let no_sub =
+            |_: &crate::ast::SelectStmt| -> Result<HashSet<Key<'static>>> { unreachable!() };
         let mut c = Compiler::new(&s, &no_sub);
         let e1 = crate::parser_test_expr("count(*)");
         let e2 = crate::parser_test_expr("count(*) + max(t.a)");

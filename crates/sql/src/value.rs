@@ -1,5 +1,6 @@
 //! Runtime values of the mini SQL engine.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -62,49 +63,62 @@ impl Value {
         }
     }
 
-    /// Equality for DISTINCT / GROUP BY keys / IN lists: NULLs group
-    /// together (like GROUP BY in standard engines), numbers compare
-    /// numerically. Int/Int comparisons are exact (no f64 round-trip, so
-    /// values beyond 2⁵³ stay distinct).
+    /// Equality for DISTINCT / GROUP BY keys / IN lists: the equality of
+    /// [`Key`]. NULLs group together (like GROUP BY in standard engines),
+    /// numbers compare numerically, Int/Int exactly.
     pub fn key_eq(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Str(a), Value::Str(b)) => a == b,
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Float(a), Value::Float(b)) => aggsky_core::ord::eq(*a, *b),
-            (Value::Int(i), Value::Float(f)) | (Value::Float(f), Value::Int(i)) => {
-                int_float_eq(*i, *f)
-            }
-            _ => false,
-        }
-    }
-
-    /// A hashable, normalized key representation for grouping.
-    ///
-    /// Properties the executor relies on:
-    /// * `key_eq(a, b) ⟺ a.group_key() == b.group_key()` (integral floats
-    ///   share the integer form; big i64s keep exact text),
-    /// * concatenations of keys are unambiguous: strings are length-
-    ///   prefixed, so no embedded byte sequence can collide with a
-    ///   following key's tag.
-    pub fn group_key(&self) -> String {
-        match self {
-            Value::Null => "\u{0}N".to_string(),
-            Value::Int(i) => format!("\u{0}n{i}"),
-            Value::Float(f) => match aggsky_core::num::exact_int(*f) {
-                Some(i) => format!("\u{0}n{i}"),
-                None => format!("\u{0}f{f}"),
-            },
-            Value::Str(s) => format!("\u{0}s{}\u{0}{s}", s.len()),
-        }
+        Key::of(self) == Key::of(other)
     }
 }
 
-/// Exact Int/Float key equality, consistent with [`Value::group_key`]:
-/// a float only equals an int when it is integral, within the exactly-
-/// representable range, and converts back to the same i64.
-fn int_float_eq(i: i64, f: f64) -> bool {
-    aggsky_core::num::exact_int(f) == Some(i)
+/// The one grouping key of GROUP BY, DISTINCT and IN sets: a value
+/// normalized so that hashing and `==` give the key equalities. An
+/// integral float within ±2⁵³ takes the integer form (`Float(3.0)` is
+/// `Int(3)`, `-0.0` is `0`), every NaN is one key, and strings keep their
+/// bytes whole, so no string can join or split two keys of a row. A key
+/// borrows its string from the value or column it was read from; an owned
+/// key (`Key<'static>`) outlives them.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Key<'a> {
+    /// NULL.
+    Null,
+    /// An integer, or a float that equals one exactly.
+    Int(i64),
+    /// The bits of any other float (NaN canonicalized).
+    Float(u64),
+    /// A string.
+    Str(Cow<'a, str>),
+}
+
+impl<'a> Key<'a> {
+    /// The key of a value, borrowing its string.
+    pub fn of(v: &'a Value) -> Key<'a> {
+        match v {
+            Value::Null => Key::Null,
+            Value::Int(i) => Key::Int(*i),
+            Value::Float(f) => Key::of_f64(*f),
+            Value::Str(s) => Key::Str(Cow::Borrowed(s)),
+        }
+    }
+
+    /// The key of a float.
+    pub fn of_f64(f: f64) -> Key<'static> {
+        match aggsky_core::num::exact_int(f) {
+            Some(i) => Key::Int(i),
+            None if f.is_nan() => Key::Float(f64::NAN.to_bits()),
+            None => Key::Float(f.to_bits()),
+        }
+    }
+
+    /// The key with its string copied, so it outlives its source.
+    pub fn into_owned(self) -> Key<'static> {
+        match self {
+            Key::Null => Key::Null,
+            Key::Int(i) => Key::Int(i),
+            Key::Float(b) => Key::Float(b),
+            Key::Str(s) => Key::Str(Cow::Owned(s.into_owned())),
+        }
+    }
 }
 
 impl fmt::Display for Value {
@@ -176,7 +190,7 @@ mod tests {
         assert!(Value::Null.key_eq(&Value::Null));
         assert!(Value::Int(1).key_eq(&Value::Float(1.0)));
         assert!(!Value::Str("1".into()).key_eq(&Value::Int(1)));
-        assert_eq!(Value::Int(1).group_key(), Value::Float(1.0).group_key());
+        assert_eq!(Key::of(&Value::Int(1)), Key::of(&Value::Float(1.0)));
     }
 
     #[test]
@@ -184,7 +198,7 @@ mod tests {
         let a = Value::Int((1i64 << 53) + 1);
         let b = Value::Int(1i64 << 53);
         assert!(!a.key_eq(&b));
-        assert_ne!(a.group_key(), b.group_key());
+        assert_ne!(Key::of(&a), Key::of(&b));
         // A float cannot represent 2^53 + 1; it must not key-match it.
         assert!(!a.key_eq(&Value::Float(9_007_199_254_740_992.0)));
         assert!(b.key_eq(&Value::Float(9_007_199_254_740_992.0)));
@@ -192,11 +206,33 @@ mod tests {
 
     #[test]
     fn concatenated_keys_are_unambiguous() {
-        // Without length prefixes these two rows collided.
+        // Joined into one string, these two rows' keys once collided.
         let row1 = [Value::Str("a\u{0}sb".into()), Value::Str("c".into())];
         let row2 = [Value::Str("a".into()), Value::Str("b\u{0}sc".into())];
-        let key = |row: &[Value]| row.iter().map(Value::group_key).collect::<String>();
+        let key = |row: &[Value]| row.iter().map(|v| Key::of(v).into_owned()).collect::<Vec<_>>();
         assert_ne!(key(&row1), key(&row2));
+    }
+
+    #[test]
+    fn key_equalities_are_pinned() {
+        let key = |v: Value| Key::of(&v).into_owned();
+        assert_eq!(key(Value::Int(3)), key(Value::Float(3.0)));
+        assert_eq!(key(Value::Float(-0.0)), key(Value::Float(0.0)));
+        assert_eq!(key(Value::Float(-0.0)), key(Value::Int(0)));
+        assert_eq!(key(Value::Float(f64::NAN)), key(Value::Float(-f64::NAN)));
+        assert_eq!(
+            key(Value::Float(f64::NAN)),
+            key(Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)))
+        );
+        let big = (1i64 << 53) + 2;
+        assert_ne!(key(Value::Float(big as f64)), key(Value::Int(big)));
+        assert_ne!(key(Value::Float(0.5)), key(Value::Float(0.25)));
+        assert_ne!(key(Value::Null), key(Value::Int(0)));
+        assert_ne!(key(Value::Str("0".into())), key(Value::Int(0)));
+        // A NUL byte inside a string cannot make two rows' keys equal.
+        let row = |a: &str, b: &str| vec![key(Value::Str(a.into())), key(Value::Str(b.into()))];
+        assert_ne!(row("a\u{0}", "b"), row("a", "\u{0}b"));
+        assert_ne!(row("a\u{0}\u{1}b", ""), row("a", "b"));
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn oracle(db: &Database, q: &Query) -> Vec<String> {
         Filter::InU { w_above, .. } => db
             .table("u")
             .unwrap()
-            .rows
+            .rows()
             .iter()
             .filter(|r| num(&r[1]) > w_above as f64)
             .map(|r| text(&r[0]))
@@ -135,7 +135,7 @@ fn oracle(db: &Database, q: &Query) -> Vec<String> {
         _ => HashSet::new(),
     };
     let mut groups: Vec<(String, Vec<Vec<f64>>)> = Vec::new();
-    for row in &db.table(q.table).unwrap().rows {
+    for row in &db.table(q.table).unwrap().rows() {
         let keep = match q.filter {
             Filter::All => true,
             Filter::AAbove(x) => num(&row[1]) > x as f64,
