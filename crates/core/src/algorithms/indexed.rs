@@ -3,8 +3,8 @@
 
 use super::nested_loop::split_two;
 use super::{
-    apply_verdict, build_order, collect_result, interrupted, kernel_boxes, AlgoOptions, PairDeltas,
-    PairDists, Pruning, SkylineResult, Status,
+    apply_verdict, build_order, collect_result, interrupted, AlgoOptions, PairDeltas, PairDists,
+    Pruning, SkylineResult, Status,
 };
 use crate::dataset::GroupedDataset;
 use crate::error::Result;
@@ -36,16 +36,15 @@ pub(super) fn indexed_on(
     mut cache: Option<&mut PairCache>,
     dists: &mut PairDists,
 ) -> Outcome {
-    let ds = kernel.dataset();
-    let n = ds.n_groups();
+    let n = kernel.n_groups();
     let mut statuses = vec![Status::Live; n];
     let mut stats = Stats::default();
     let mut owned_boxes = None;
-    let boxes = kernel_boxes(kernel, &mut owned_boxes);
-    let order = build_order(ds, boxes, opts.sort);
+    let boxes = kernel.boxes(&mut owned_boxes);
+    let order = build_order(kernel, boxes, opts.sort);
     let index_span = ctx.obs().map_or(0, |rec| rec.span_start("index_build", 0, Stamp::ZERO));
     let tree = RTree::bulk_load(
-        ds.dim(),
+        kernel.dim(),
         boxes.iter().enumerate().map(|(g, b)| (Aabb::point(&b.max), g)).collect(),
     );
     if let Some(rec) = ctx.obs() {

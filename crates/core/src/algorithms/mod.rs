@@ -291,6 +291,18 @@ impl Algorithm {
         self.run_on(&Kernel::with_prepared(ds, prep), opts, ctx, Some(cache))
     }
 
+    /// [`Algorithm::run_cached_ctx`] over a preparation with no dataset
+    /// behind it ([`Kernel::over_prepared`]): a served epoch's reads.
+    pub(crate) fn run_cached_over(
+        self,
+        prep: &crate::prepared::PreparedDataset,
+        opts: AlgoOptions,
+        cache: &mut PairCache,
+        ctx: &RunContext,
+    ) -> Outcome {
+        self.run_on(&Kernel::over_prepared(prep), opts, ctx, Some(cache))
+    }
+
     fn run_on(
         self,
         kernel: &Kernel<'_>,
@@ -302,7 +314,7 @@ impl Algorithm {
         let mut dists = PairDists::new(ctx);
         let d = &mut dists;
         let outcome = match self {
-            Algorithm::Naive => naive::naive_skyline_ctx(kernel.dataset(), opts.gamma, ctx),
+            Algorithm::Naive => naive::naive_on(kernel, opts.gamma, ctx),
             Algorithm::NestedLoop => nested_loop::nested_loop_on(kernel, &opts, ctx, cache, d),
             Algorithm::Transitive => transitive::transitive_on(kernel, &opts, ctx, cache, d),
             Algorithm::Sorted => transitive::sorted_on(kernel, &opts, ctx, cache, d),
@@ -342,13 +354,12 @@ impl Algorithm {
 /// the tree shape, not for duration.
 pub(crate) fn end_prepare_span(span: aggsky_obs::SpanId, kernel: &Kernel<'_>, ctx: &RunContext) {
     let Some(rec) = ctx.obs() else { return };
-    let ds = kernel.dataset();
     let mut args = vec![
-        ("groups", crate::num::wide(ds.n_groups())),
-        ("records", crate::num::wide(ds.n_records())),
+        ("groups", crate::num::wide(kernel.n_groups())),
+        ("records", crate::num::wide(kernel.n_records())),
     ];
     if let Some(prep) = kernel.prepared() {
-        let blocks: usize = ds.group_ids().map(|g| prep.n_blocks(g)).sum();
+        let blocks: usize = (0..prep.n_groups()).map(|g| prep.n_blocks(g)).sum();
         args.push(("blocks", crate::num::wide(blocks)));
         args.push(("block_size", crate::num::wide(prep.block_size())));
     }
@@ -478,26 +489,13 @@ pub(crate) fn collect_result(statuses: &[Status], stats: Stats) -> SkylineResult
     SkylineResult { skyline, stats }
 }
 
-/// Group bounding boxes for an algorithm run: reuses the ones the kernel's
-/// preparation already computed, falling back to a fresh
-/// [`Mbb::of_all_groups`] pass in exhaustive mode (stored in `owned`).
-pub(crate) fn kernel_boxes<'a>(
-    kernel: &'a Kernel<'_>,
-    owned: &'a mut Option<Vec<Mbb>>,
-) -> &'a [Mbb] {
-    match kernel.group_mbbs() {
-        Some(b) => b,
-        None => owned.insert(Mbb::of_all_groups(kernel.dataset())),
-    }
-}
-
 /// Computes the outer-loop visiting order for a sort strategy.
 pub(crate) fn build_order(
-    ds: &GroupedDataset,
+    kernel: &Kernel<'_>,
     boxes: &[Mbb],
     strategy: SortStrategy,
 ) -> Vec<GroupId> {
-    let mut order: Vec<GroupId> = ds.group_ids().collect();
+    let mut order: Vec<GroupId> = (0..kernel.n_groups()).collect();
     match strategy {
         SortStrategy::InsertionOrder => {}
         SortStrategy::CornerDistance => {
@@ -507,7 +505,10 @@ pub(crate) fn build_order(
         SortStrategy::SizeThenDistance => {
             let key: Vec<f64> = boxes.iter().map(Mbb::min_corner_norm).collect();
             order.sort_by(|&a, &b| {
-                ds.group_len(a).cmp(&ds.group_len(b)).then_with(|| key[b].total_cmp(&key[a]))
+                kernel
+                    .group_len(a)
+                    .cmp(&kernel.group_len(b))
+                    .then_with(|| key[b].total_cmp(&key[a]))
             });
         }
     }

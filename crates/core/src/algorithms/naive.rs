@@ -3,7 +3,8 @@
 
 use super::{collect_result, interrupted, SkylineResult, Status};
 use crate::dataset::GroupedDataset;
-use crate::gamma::{domination_probability, Gamma};
+use crate::gamma::Gamma;
+use crate::kernel::Kernel;
 use crate::runctx::{Outcome, RunContext};
 use crate::stats::Stats;
 
@@ -12,15 +13,16 @@ use crate::stats::Stats;
 /// literally). `O(n² · m²)` record comparisons for `n` groups of `m`
 /// records; used as the correctness oracle for every optimized algorithm.
 pub fn naive_skyline(ds: &GroupedDataset, gamma: Gamma) -> SkylineResult {
-    naive_skyline_ctx(ds, gamma, &RunContext::unlimited()).unwrap_or_partial()
+    naive_on(&Kernel::exhaustive(ds), gamma, &RunContext::unlimited()).unwrap_or_partial()
 }
 
-/// [`naive_skyline`] under an execution-control context. The oracle visits
-/// *dominators* in its outer loop, so no group's dominator scan is complete
-/// before the whole run is: an interrupted naive run confirms groups out
-/// (found dominators are real) but never in.
-pub(super) fn naive_skyline_ctx(ds: &GroupedDataset, gamma: Gamma, ctx: &RunContext) -> Outcome {
-    let n = ds.n_groups();
+/// [`naive_skyline`] over a kernel's exact counts
+/// ([`Kernel::domination_count`]), under an execution-control context. The
+/// oracle visits *dominators* in its outer loop, so no group's dominator
+/// scan is complete before the whole run is: an interrupted naive run
+/// confirms groups out (found dominators are real) but never in.
+pub(super) fn naive_on(kernel: &Kernel<'_>, gamma: Gamma, ctx: &RunContext) -> Outcome {
+    let n = kernel.n_groups();
     let mut statuses = vec![Status::Live; n];
     let mut stats = Stats::default();
     for s in 0..n {
@@ -32,9 +34,9 @@ pub(super) fn naive_skyline_ctx(ds: &GroupedDataset, gamma: Gamma, ctx: &RunCont
                 return interrupted(&statuses, |_| false, stats, reason);
             }
             stats.group_pairs += 1;
-            stats.record_pairs += crate::num::pair_product(ds.group_len(s), ds.group_len(r));
-            let p = domination_probability(ds, s, r);
-            if gamma.dominated(p) {
+            let total = crate::num::pair_product(kernel.group_len(s), kernel.group_len(r));
+            stats.record_pairs += total;
+            if gamma.dominated(kernel.domination_count(s, r) as f64 / total as f64) {
                 if let Some(status) = statuses.get_mut(r) {
                     status.raise(Status::Dominated);
                 }

@@ -2,8 +2,8 @@
 //! condition.
 
 use super::{
-    apply_verdict, collect_result, interrupted, kernel_boxes, AlgoOptions, PairDeltas, PairDists,
-    Pruning, SkylineResult, Status,
+    apply_verdict, collect_result, interrupted, AlgoOptions, PairDeltas, PairDists, Pruning,
+    SkylineResult, Status,
 };
 use crate::dataset::GroupedDataset;
 use crate::error::Result;
@@ -34,11 +34,11 @@ pub(super) fn nested_loop_on(
     mut cache: Option<&mut PairCache>,
     dists: &mut PairDists,
 ) -> Outcome {
-    let n = kernel.dataset().n_groups();
+    let n = kernel.n_groups();
     let mut statuses = vec![Status::Live; n];
     let mut stats = Stats::default();
     let mut owned_boxes = None;
-    let boxes = opts.bbox_prune.then(|| kernel_boxes(kernel, &mut owned_boxes));
+    let boxes = opts.bbox_prune.then(|| kernel.boxes(&mut owned_boxes));
     // NL never acts on strong (γ̄) marks, so the cheaper γ-only counting
     // mode is used: the stop rule fires as soon as the γ question settles.
     let pair_opts = PairOptions { stop_rule: opts.stop_rule, need_bar: false };

@@ -282,15 +282,14 @@ fn run_stealing(
     threads: usize,
     ctx: &RunContext,
 ) -> Result<Outcome> {
-    let ds = kernel.dataset();
     let threads = threads.max(1);
-    let n = ds.n_groups();
+    let n = kernel.n_groups();
     let parallel_span = ctx.obs().map_or(0, |rec| rec.span_start("parallel", 0, Stamp::ZERO));
     let mut owned_boxes = None;
-    let boxes = super::kernel_boxes(kernel, &mut owned_boxes);
+    let boxes = kernel.boxes(&mut owned_boxes);
     let index_span = ctx.obs().map_or(0, |rec| rec.span_start("index_build", 0, Stamp::ZERO));
     let tree = RTree::bulk_load(
-        ds.dim(),
+        kernel.dim(),
         boxes.iter().enumerate().map(|(g, b)| (Aabb::point(&b.max), g)).collect(),
     );
     if let Some(rec) = ctx.obs() {

@@ -3,8 +3,8 @@
 
 use super::nested_loop::split_two;
 use super::{
-    apply_verdict, build_order, collect_result, interrupted, kernel_boxes, AlgoOptions, PairDeltas,
-    PairDists, Pruning, SkylineResult, Status,
+    apply_verdict, build_order, collect_result, interrupted, AlgoOptions, PairDeltas, PairDists,
+    Pruning, SkylineResult, Status,
 };
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::Result;
@@ -31,10 +31,9 @@ pub(super) fn transitive_on(
     cache: Option<&mut PairCache>,
     dists: &mut PairDists,
 ) -> Outcome {
-    let ds = kernel.dataset();
     let mut owned_boxes = None;
-    let boxes = opts.bbox_prune.then(|| kernel_boxes(kernel, &mut owned_boxes));
-    let order: Vec<GroupId> = ds.group_ids().collect();
+    let boxes = opts.bbox_prune.then(|| kernel.boxes(&mut owned_boxes));
+    let order: Vec<GroupId> = (0..kernel.n_groups()).collect();
     run_pairwise(kernel, opts, &order, boxes, ctx, cache, dists)
 }
 
@@ -55,10 +54,9 @@ pub(super) fn sorted_on(
     cache: Option<&mut PairCache>,
     dists: &mut PairDists,
 ) -> Outcome {
-    let ds = kernel.dataset();
     let mut owned_boxes = None;
-    let boxes = kernel_boxes(kernel, &mut owned_boxes);
-    let order = build_order(ds, boxes, opts.sort);
+    let boxes = kernel.boxes(&mut owned_boxes);
+    let order = build_order(kernel, boxes, opts.sort);
     let boxes_opt = opts.bbox_prune.then_some(boxes);
     run_pairwise(kernel, opts, &order, boxes_opt, ctx, cache, dists)
 }
@@ -75,8 +73,7 @@ pub(super) fn run_pairwise(
     mut cache: Option<&mut PairCache>,
     dists: &mut PairDists,
 ) -> Outcome {
-    let ds = kernel.dataset();
-    let n = ds.n_groups();
+    let n = kernel.n_groups();
     let mut statuses = vec![Status::Live; n];
     let mut stats = Stats::default();
     // Exact pruning never acts on strong marks, so it uses the cheaper

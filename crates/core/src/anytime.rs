@@ -38,7 +38,7 @@
 //! converges to the same partition and the same `Stats` as one unlimited
 //! run.
 
-use crate::algorithms::{end_prepare_span, kernel_boxes, PairDeltas, PairDists};
+use crate::algorithms::{end_prepare_span, PairDeltas, PairDists};
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
@@ -239,7 +239,7 @@ pub(crate) fn anytime_resume_on(
     let Some(cp) = &prev.checkpoint else {
         return Ok(engine(kernel, gamma, ctx, None));
     };
-    let n = kernel.dataset().n_groups();
+    let n = kernel.n_groups();
     cp.validate(n)?;
     if let Some(&g) = prev.confirmed_out.iter().find(|&&g| g >= n) {
         return Err(Error::CorruptCheckpoint(format!(
@@ -265,13 +265,14 @@ struct Order {
 }
 
 impl Order {
-    fn new(ds: &GroupedDataset, boxes: &[Mbb]) -> Order {
+    fn new(kernel: &Kernel<'_>, boxes: &[Mbb]) -> Order {
         let sums: Vec<f64> = boxes.iter().map(|b| b.min.iter().sum()).collect();
         let sum = |g: GroupId| sums.get(g).copied().unwrap_or(0.0);
-        let mut groups: Vec<GroupId> = ds.group_ids().collect();
+        let mut groups: Vec<GroupId> = (0..kernel.n_groups()).collect();
         groups.sort_unstable_by(|&a, &b| {
-            ds.group_len(a)
-                .cmp(&ds.group_len(b))
+            kernel
+                .group_len(a)
+                .cmp(&kernel.group_len(b))
                 .then_with(|| sum(b).total_cmp(&sum(a)))
                 .then(a.cmp(&b))
         });
@@ -286,7 +287,7 @@ impl Order {
             .filter_map(|&g| boxes.get(g))
             .flat_map(|b| b.max.iter().copied())
             .collect();
-        Order { dim: ds.dim(), groups, pos, maxs }
+        Order { dim: kernel.dim(), groups, pos, maxs }
     }
 
     fn len(&self) -> usize {
@@ -386,16 +387,15 @@ fn engine(
     ctx: &RunContext,
     resume: Option<AnytimeResult>,
 ) -> AnytimeResult {
-    let ds = kernel.dataset();
-    let n = ds.n_groups();
+    let n = kernel.n_groups();
     let engine_span = ctx.obs().map_or(0, |rec| rec.span_start("anytime", 0, Stamp::ZERO));
     let prep_span = ctx.obs().map_or(0, |rec| rec.span_start("prepare", 0, Stamp::ZERO));
     end_prepare_span(prep_span, kernel, ctx);
     let mut owned_boxes = None;
-    let boxes = kernel_boxes(kernel, &mut owned_boxes);
+    let boxes = kernel.boxes(&mut owned_boxes);
     let mut stats = Stats::default();
     let mut dists = PairDists::new(ctx);
-    let order = Order::new(ds, boxes);
+    let order = Order::new(kernel, boxes);
 
     let mut out = vec![false; n];
     let mut cursors: Vec<Cursor<'_>> = boxes
@@ -425,7 +425,7 @@ fn engine(
         }
     }
 
-    let len = |g: GroupId| ds.group_len(g);
+    let len = |g: GroupId| kernel.group_len(g);
     let cost = |g: GroupId, s: usize| {
         crate::num::pair_product(len(g), order.groups.get(s).map_or(0, |&s| len(s)))
     };
@@ -457,8 +457,8 @@ fn engine(
             break;
         }
         let before = PairDeltas::before(&stats);
-        let mut verdict =
-            kernel.compare(s, g, gamma, boxes.get(s).zip(boxes.get(g)), pair_opts, &mut stats);
+        let pair = boxes.get(s).zip(boxes.get(g));
+        let mut verdict = kernel.compare(s, g, gamma, pair, pair_opts, &mut stats);
         ctx.corrupt_verdict(&mut verdict, stats.record_pairs);
         dists.observe(&before, &stats);
         if verdict.forward.dominates() {
@@ -616,7 +616,7 @@ mod tests {
         b.push_group("small", &[vec![0.0, 50.0]]).unwrap();
         b.push_group("tie", &[vec![0.0, 1.0], vec![0.0, 1.0]]).unwrap();
         let ds = b.build().unwrap();
-        let order = Order::new(&ds, &Mbb::of_all_groups(&ds));
+        let order = Order::new(&Kernel::exhaustive(&ds), &Mbb::of_all_groups(&ds));
         // Smaller groups first; equal sums fall back to id order.
         assert_eq!(order.groups, vec![2, 1, 3, 0]);
         assert_eq!(order.pos, vec![3, 1, 0, 2]);

@@ -12,20 +12,25 @@
 //! `j` of the block) and combines them with the coordinate-sum lane:
 //!
 //! * backward (`B`'s records dominating `r₁`):
-//!   `AND_d (lane_d ≥ r₁[d])  &  (sum_lane > Σr₁)`
+//!   `AND_d (lane_d ≥ r₁[d])  &  (sum_lane ≥ Σr₁)  &  ¬same`
 //! * forward (`r₁` dominating `B`'s records):
-//!   `AND_d (lane_d ≤ r₁[d])  &  (sum_lane < Σr₁)`
+//!   `AND_d (lane_d ≤ r₁[d])  &  (sum_lane ≤ Σr₁)  &  ¬same`
 //!
-//! The sum term replaces the "∃ strict" clause of Definition 1: a record
-//! that is coordinate-wise `≥` another with a strictly larger sum must be
-//! strictly larger somewhere, and dominance always implies a strictly
-//! larger sum. The sum masks also decide which pairs are tested at all: a
-//! probe can only be dominated by records of strictly larger sum and only
-//! dominate records of strictly smaller sum, so each probe is charged the
-//! popcounts of its sum masks in `records_compared` / `record_pairs` (a
-//! charge `tests/columnar_differential.rs` pins against a count taken from
-//! the block views alone), and the dominance popcounts add to
-//! `n12`/`n21`.
+//! where `same` marks the records whose every key equals the probe's. The
+//! two terms replace the "∃ strict" clause of Definition 1. A record that
+//! is coordinate-wise `≥` another with a strictly larger sum must be
+//! strictly larger somewhere, because equal records have equal sums; with
+//! an equal sum it is strictly larger somewhere unless it is the same
+//! record. Dominance implies a sum at least as large, not a strictly
+//! larger one: f64 rounding can absorb the strict coordinate (`1e16 + 1 ==
+//! 1e16`), so equal-sum records are candidates in both directions. The sum
+//! masks also decide which pairs are tested at all: a probe can only be
+//! dominated by records of sum `≥` its own and only dominate records of sum
+//! `≤` its own, so each probe is charged the popcount of the union of its
+//! sum masks in `records_compared` / `record_pairs` (an equal-sum record
+//! once, for both directions; a charge `tests/columnar_differential.rs`
+//! pins against a count taken from the block views alone), and the
+//! dominance popcounts add to `n12`/`n21`.
 //!
 //! All comparisons run in the integer key space of
 //! [`crate::dominance::sort_key`], where they agree exactly with the
@@ -119,26 +124,44 @@ fn straddle_impl(
     let mut tests = 0u64;
     // Both sum lanes are sorted descending (the prepared layout sorts each
     // group by descending coordinate sum, and the pad sentinel `i64::MIN`
-    // sits at the tail), so the "sum strictly greater" candidates form a
-    // prefix of `b` that only grows as the probe sum shrinks, and the
-    // "strictly smaller" candidates a suffix that only grows. Two monotone
-    // cursors deliver both masks in amortized O(1) per probe, where a
-    // binary search per probe would pay O(log k).
-    let mut p = 0usize; // b-records with sum >  s1
-    let mut q = 0usize; // b-records with sum >= s1
+    // sits at the tail), so the records of larger sum than the probe form
+    // a prefix `0..p` of `b` whose end only moves forward as the probe sum
+    // shrinks: one monotone cursor, amortized O(1) per probe where a binary
+    // search would pay O(log k). The equal-sum run `p..q` after it is
+    // usually empty, which one compare shows.
+    let mut p = 0usize; // b-records with sum > s1
     for i in 0..a.len {
         let s1 = a_sum[i];
         debug_assert!(i == 0 || a_sum[i - 1] >= s1, "probe sums must be descending");
-        if bwd {
-            while p < width && b_sum[p] > s1 {
-                p += 1;
+        while p < width && b_sum[p] > s1 {
+            p += 1;
+        }
+        let mut q = p; // b-records with sum >= s1
+        while q < width && b_sum[q] == s1 {
+            q += 1;
+        }
+        // An equal-sum record is a candidate in both directions, one test
+        // either way (`dup`: charged backward already), and dominates (or
+        // is dominated by) the probe unless every key is equal: only `same`
+        // lacks the strict clause.
+        let (mut same, mut dup) = (0, 0);
+        if q > p {
+            let tie = low_bits(q) & !low_bits(p) & valid;
+            same = tie;
+            for d in 0..dim {
+                same &= lane_mask(b.lane(d), a.lane(d)[i], |v, k| v == k);
             }
-            let sum_gt = low_bits(p) & valid;
-            tests += u64::from(sum_gt.count_ones());
+            if bwd {
+                dup = tie;
+            }
+        }
+        if bwd {
+            let sum_ge = low_bits(q) & valid;
+            tests += u64::from(sum_ge.count_ones());
             // With no sum-qualified candidate the coordinate lanes are
             // skipped outright.
-            if sum_gt != 0 {
-                let mut all_ge = sum_gt;
+            if sum_ge != 0 {
+                let mut all_ge = sum_ge & !same;
                 for d in 0..dim {
                     all_ge &= lane_mask(b.lane(d), a.lane(d)[i], |v, k| v >= k);
                 }
@@ -146,13 +169,10 @@ fn straddle_impl(
             }
         }
         if fwd {
-            while q < width && b_sum[q] >= s1 {
-                q += 1;
-            }
-            let sum_lt = !low_bits(q) & valid;
-            tests += u64::from(sum_lt.count_ones());
-            if sum_lt != 0 {
-                let mut all_le = sum_lt;
+            let sum_le = !low_bits(p) & valid;
+            tests += u64::from((sum_le & !dup).count_ones());
+            if sum_le != 0 {
+                let mut all_le = sum_le & !same;
                 for d in 0..dim {
                     all_le &= lane_mask(b.lane(d), a.lane(d)[i], |v, k| v <= k);
                 }

@@ -46,6 +46,34 @@ pub struct GroupedDataset {
 }
 
 impl GroupedDataset {
+    /// The dataset of the `(label, rows)` groups, each non-empty with
+    /// finite MAX-preference `dim`-dimensional row-major records — checked
+    /// by the caller, which is why this cannot fail. On a repeated label,
+    /// lookups resolve to its first group.
+    pub(crate) fn from_groups<'a>(
+        dim: usize,
+        groups: impl Iterator<Item = (&'a str, &'a [f64])>,
+    ) -> GroupedDataset {
+        let mut values = Vec::new();
+        let mut offsets = vec![0];
+        let mut labels = Vec::new();
+        let mut label_ids = HashMap::new();
+        for (label, rows) in groups {
+            values.extend_from_slice(rows);
+            offsets.push(values.len() / dim);
+            label_ids.entry(label.to_string()).or_insert(labels.len());
+            labels.push(label.to_string());
+        }
+        GroupedDataset {
+            dim,
+            values,
+            offsets,
+            labels,
+            label_ids,
+            directions: vec![Direction::Max; dim],
+        }
+    }
+
     /// Number of dimensions of every record.
     #[inline]
     pub fn dim(&self) -> usize {

@@ -12,21 +12,34 @@
 //! delta buffer of inserts and deletes not yet folded into the base. Edits
 //! are O(1): they only grow the buffer. The cost is paid when a group's
 //! deltas are *folded*. The fold prepares its insert and its delete buffer
-//! once, then counts each against the kept single-group preparation of
-//! every other non-empty base set through [`count_pairs_across`]. A base
-//! set's preparation is built the first time a fold counts against it and
-//! dropped only when that group itself folds. Folding group `R` therefore
-//! costs `O(|R_Δ| · Σ|S|)` kernel ticks — charged to [`Stats`], pollable
-//! through [`RunContext`], and mirrored to the observability counters —
-//! plus one `O(|R| log |R|)` re-preparation of `R`, paid by the next fold
-//! that counts against it. No per-pair dataset or preparation is built,
-//! and the Property-2 pass below reads each tally with one index
-//! computation. On the end-to-end benchmark's traced `serve-mixed` run
-//! (12 000 records in 120 groups, a 2-vCPU x86-64 host with AVX2) this cut
-//! the median [`DynamicAggregateSkyline::skyline_ctx`] time per write
-//! batch from 22.6 ms, when every pair of a fold built and prepared its
-//! own two-group dataset, to 2.7 ms, with identical flushed and deferred
-//! pair counts; DESIGN.md §17 has the per-layer table.
+//! once, then counts each against the kept [`Segment`] of every other
+//! non-empty base set through [`count_segments`]. A base set's segment is
+//! built the first time a fold counts against it (or shared from the
+//! group's live segment, below) and dropped only when that group itself
+//! folds. Folding group `R` therefore costs `O(|R_Δ| · Σ|S|)` kernel ticks
+//! — charged to [`Stats`], pollable through [`RunContext`], and mirrored to
+//! the observability counters — plus one `O(|R| log |R|)` re-preparation
+//! of `R`, paid by the next fold that counts against it. No per-pair
+//! dataset or preparation is built, and the Property-2 pass below reads
+//! each tally with one index computation. On the end-to-end benchmark's
+//! traced `serve-mixed` run (12 000 records in 120 groups, a 2-vCPU x86-64
+//! host with AVX2) this cut the median
+//! [`DynamicAggregateSkyline::skyline_ctx`] time per write batch from
+//! 22.6 ms, when every pair of a fold built and prepared its own two-group
+//! dataset, to 2.7 ms, with identical flushed and deferred pair counts;
+//! DESIGN.md §17 has the per-layer table.
+//!
+//! # Shared segments and tallies
+//!
+//! The engine prepares a group's live records as one [`Segment`] once and
+//! keeps the `Arc` until the group's next edit; a fold leaves it, because
+//! folding moves pending edits into the base without changing the live
+//! records or their order. A group with no pending edits
+//! has one segment for both roles, so the serving layer's epochs and the
+//! fold's base sets share it by reference count. The tally table is held
+//! the same way: an epoch keeps an `Arc` of it, and the next fold that
+//! revises a tally copies it first (copy on write), so a publish copies
+//! nothing when nothing folded.
 //!
 //! # The Property-2 defer-recompute rule
 //!
@@ -60,13 +73,15 @@
 use crate::dataset::{GroupId, GroupedDataset, GroupedDatasetBuilder, MAX_GROUP_LEN};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
-use crate::kernel::{count_pairs_across, KernelConfig};
+use crate::kernel::{count_segments, KernelConfig};
 use crate::paircache::{CachedTally, PairCache};
-use crate::prepared::{PreparedDataset, MAX_LANE_BLOCK};
+use crate::prepared::{PreparedDataset, Segment, MAX_LANE_BLOCK};
 use crate::runctx::{InterruptReason, RunContext};
 use crate::stats::Stats;
 use aggsky_obs::{Counter as ObsCounter, Stamp};
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Outcome of one [`DynamicAggregateSkyline::skyline_ctx`] query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,41 +125,85 @@ enum Counted {
 /// `(|a ≻ b|, |b ≻ a|)`. Adding group `b` appends its row of `b` zero
 /// slots, so every pair of existing groups has one. Invariant: every slot
 /// is exact over the current base sets, hence zero whenever either base
-/// set is empty.
+/// set is empty. The cells sit behind an `Arc` that published epochs share;
+/// a write copies them first when an epoch still holds them.
 #[derive(Debug, Default)]
 struct TallyTable {
-    cells: Vec<(u64, u64)>,
+    cells: Arc<Vec<(u64, u64)>>,
 }
 
 impl TallyTable {
     /// Appends the row of group `b`: one zero slot per group `a < b`.
     fn push_row(&mut self, b: GroupId) {
-        self.cells.resize(self.cells.len() + b, (0, 0));
+        let cells = Arc::make_mut(&mut self.cells);
+        cells.resize(cells.len() + b, (0, 0));
     }
 
     /// `(|a ≻ b|, |b ≻ a|)`; zero for `a == b`.
     fn get(&self, a: GroupId, b: GroupId) -> (u64, u64) {
-        match a.cmp(&b) {
-            Ordering::Less => self.cells[Self::slot(a, b)],
-            Ordering::Greater => {
-                let (n_ba, n_ab) = self.cells[Self::slot(b, a)];
-                (n_ab, n_ba)
-            }
-            Ordering::Equal => (0, 0),
-        }
+        cell(&self.cells, a, b)
     }
 
     /// Stores `n_ab = |a ≻ b|` and `n_ba = |b ≻ a|` for `a != b`.
     fn set(&mut self, a: GroupId, b: GroupId, n_ab: u64, n_ba: u64) {
         match a.cmp(&b) {
-            Ordering::Less => self.cells[Self::slot(a, b)] = (n_ab, n_ba),
-            Ordering::Greater => self.cells[Self::slot(b, a)] = (n_ba, n_ab),
+            Ordering::Less => Arc::make_mut(&mut self.cells)[slot(a, b)] = (n_ab, n_ba),
+            Ordering::Greater => Arc::make_mut(&mut self.cells)[slot(b, a)] = (n_ba, n_ab),
             Ordering::Equal => {}
         }
     }
+}
 
-    fn slot(lo: GroupId, hi: GroupId) -> usize {
-        hi * (hi - 1) / 2 + lo
+/// The slot of the unordered pair `{lo, hi}`, `lo < hi`, in a tally table.
+fn slot(lo: GroupId, hi: GroupId) -> usize {
+    hi * (hi - 1) / 2 + lo
+}
+
+/// `(|a ≻ b|, |b ≻ a|)` read from a tally table's cells; zero for `a == b`.
+fn cell(cells: &[(u64, u64)], a: GroupId, b: GroupId) -> (u64, u64) {
+    match a.cmp(&b) {
+        Ordering::Less => cells[slot(a, b)],
+        Ordering::Greater => {
+            let (n_ba, n_ab) = cells[slot(b, a)];
+            (n_ab, n_ba)
+        }
+        Ordering::Equal => (0, 0),
+    }
+}
+
+/// The writer's exact tallies as one published epoch reads them: the
+/// shared tally table, and which of the epoch's groups had no pending
+/// edits. A pair of two such groups has a tally exact over their live
+/// records; a read serves it without counting ([`PairCache::seeded`]).
+/// Groups are addressed by the epoch's *snapshot* ids (its non-empty
+/// groups in engine order).
+#[derive(Debug)]
+pub(crate) struct TallySeed {
+    cells: Arc<Vec<(u64, u64)>>,
+    /// `service[si]`: the engine group of snapshot group `si`, ascending.
+    service: Vec<GroupId>,
+    /// Bit `si` set: snapshot group `si` had no pending edits.
+    clean: Vec<u64>,
+    /// Live records of each snapshot group.
+    lens: Vec<usize>,
+}
+
+impl TallySeed {
+    /// The engine group of each snapshot group, ascending.
+    pub(crate) fn service(&self) -> &[GroupId] {
+        &self.service
+    }
+
+    /// The complete tally of snapshot groups `lo < hi`, in canonical
+    /// orientation, when both had no pending edits.
+    pub(crate) fn lookup(&self, lo: GroupId, hi: GroupId) -> Option<CachedTally> {
+        let clean = |g: GroupId| self.clean.get(g / 64).is_some_and(|w| w >> (g % 64) & 1 == 1);
+        if lo >= hi || !clean(lo) || !clean(hi) {
+            return None;
+        }
+        let (n12, n21) = cell(&self.cells, *self.service.get(lo)?, *self.service.get(hi)?);
+        let total = crate::num::pair_product(*self.lens.get(lo)?, *self.lens.get(hi)?);
+        Some(CachedTally { n12, n21, checked: total, total, cursor: 0 })
     }
 }
 
@@ -184,7 +243,11 @@ pub struct DynamicAggregateSkyline {
     /// Kernel strategy for delta recounts (never `Exhaustive`: counting
     /// across kept preparations needs a prepared kernel).
     kernel: KernelConfig,
-    labels: Vec<String>,
+    /// Group labels by id, shared with published epochs (copied on the
+    /// next [`DynamicAggregateSkyline::add_group`] while one holds them).
+    labels: Arc<Vec<Arc<str>>>,
+    /// Label → id; the first id on duplicate labels.
+    index: HashMap<Arc<str>, GroupId>,
     /// Folded per-group record storage (row-major); the sets the memoized
     /// tallies are exact over.
     base: Vec<Vec<f64>>,
@@ -194,10 +257,13 @@ pub struct DynamicAggregateSkyline {
     pending_del: Vec<Vec<usize>>,
     /// Exact complete tallies over base×base.
     tallies: TallyTable,
-    /// Single-group preparation of each base set at the kernel's block
-    /// size: built the first time a fold counts against the group, dropped
-    /// when the group itself folds.
-    preps: Vec<Option<PreparedDataset>>,
+    /// Segment of each base set at the kernel's block size: built (or
+    /// shared from `live_segs`) the first time a fold counts against the
+    /// group, dropped when the group itself folds.
+    base_segs: Vec<Option<Arc<Segment>>>,
+    /// Segment of each group's live records: built on request, dropped by
+    /// the group's next edit, kept through folds (see the module docs).
+    live_segs: Vec<Option<Arc<Segment>>>,
     /// Cumulative kernel work across all maintenance counting.
     stats: Stats,
 }
@@ -211,12 +277,14 @@ impl DynamicAggregateSkyline {
         DynamicAggregateSkyline {
             dim,
             kernel: KernelConfig::Columnar { block_size: PreparedDataset::DEFAULT_BLOCK_SIZE },
-            labels: Vec::new(),
+            labels: Arc::default(),
+            index: HashMap::new(),
             base: Vec::new(),
             pending_ins: Vec::new(),
             pending_del: Vec::new(),
             tallies: TallyTable::default(),
-            preps: Vec::new(),
+            base_segs: Vec::new(),
+            live_segs: Vec::new(),
             stats: Stats::default(),
         }
     }
@@ -278,11 +346,15 @@ impl DynamicAggregateSkyline {
         entries: &[((GroupId, GroupId), CachedTally)],
     ) -> Result<Self> {
         let mut out = DynamicAggregateSkyline::new(ds.dim());
+        let prep = PreparedDataset::build(ds, PreparedDataset::DEFAULT_BLOCK_SIZE)?;
         for g in ds.group_ids() {
             out.add_group(ds.label(g));
             out.base[g].extend_from_slice(ds.group_rows(g));
+            // The base rows are the group's rows in order, so its segment
+            // serves both roles.
+            out.base_segs[g] = Some(Arc::clone(prep.segment(g)));
+            out.live_segs[g] = Some(Arc::clone(prep.segment(g)));
         }
-        let prep = PreparedDataset::build(ds, PreparedDataset::DEFAULT_BLOCK_SIZE)?;
         // Validated in a memo table first: it tells a missing pair apart
         // from a zero tally, which the dense table cannot.
         let mut ingested = PairCache::new();
@@ -301,6 +373,11 @@ impl DynamicAggregateSkyline {
             }
         }
         Ok(out)
+    }
+
+    /// Number of dimensions of every record.
+    pub fn dim(&self) -> usize {
+        self.dim
     }
 
     /// Number of groups (including empty ones).
@@ -324,6 +401,17 @@ impl DynamicAggregateSkyline {
         &self.labels[g]
     }
 
+    /// The group labelled `label` (the first one when labels repeat).
+    pub fn group_id(&self, label: &str) -> Option<GroupId> {
+        self.index.get(label).copied()
+    }
+
+    /// Every group's label by id, shared: epochs hold this list instead of
+    /// copying it.
+    pub(crate) fn labels(&self) -> &Arc<Vec<Arc<str>>> {
+        &self.labels
+    }
+
     /// Pending (inserts, deletes) of group `g` awaiting a fold.
     pub fn pending_edits(&self, g: GroupId) -> (usize, usize) {
         (self.pending_ins[g].len() / self.dim, self.pending_del[g].len())
@@ -343,11 +431,14 @@ impl DynamicAggregateSkyline {
     /// excluded from skylines until they receive a record.
     pub fn add_group(&mut self, label: impl Into<String>) -> GroupId {
         let g = self.labels.len();
-        self.labels.push(label.into());
+        let label: Arc<str> = Arc::from(label.into());
+        self.index.entry(Arc::clone(&label)).or_insert(g);
+        Arc::make_mut(&mut self.labels).push(label);
         self.base.push(Vec::new());
         self.pending_ins.push(Vec::new());
         self.pending_del.push(Vec::new());
-        self.preps.push(None);
+        self.base_segs.push(None);
+        self.live_segs.push(None);
         self.tallies.push_row(g);
         g
     }
@@ -370,11 +461,12 @@ impl DynamicAggregateSkyline {
         }
         if self.group_len(g) >= MAX_GROUP_LEN {
             return Err(Error::GroupTooLarge {
-                group: self.labels[g].clone(),
+                group: self.labels[g].to_string(),
                 len: self.group_len(g) + 1,
             });
         }
         self.pending_ins[g].extend_from_slice(record);
+        self.live_segs[g] = None;
         ctx.recorder().add(ObsCounter::DynInserts, 1);
         Ok(())
     }
@@ -388,11 +480,12 @@ impl DynamicAggregateSkyline {
         let len = self.group_len(g);
         if idx >= len {
             return Err(Error::RecordIndexOutOfRange {
-                group: self.labels[g].clone(),
+                group: self.labels[g].to_string(),
                 index: idx,
                 len,
             });
         }
+        self.live_segs[g] = None;
         let live_base = self.base_len(g) - self.pending_del[g].len();
         if idx < live_base {
             // The idx-th base row not already pending deletion.
@@ -536,10 +629,52 @@ impl DynamicAggregateSkyline {
                 continue;
             }
             let rows: Vec<&[f64]> = self.live_rows(g).collect();
-            b.push_group(self.labels[g].clone(), &rows)?;
+            b.push_group(&*self.labels[g], &rows)?;
             mapping.push(g);
         }
         Ok((b.build()?, mapping))
+    }
+
+    /// The [`Segment`] of group `g`'s live records at the kernel's block
+    /// size, built on first request and kept until the group's next edit;
+    /// a group with no pending edits shares it with its base set. The
+    /// segment sorts the records as [`PreparedDataset::build`] sorts them
+    /// from the live records in [`DynamicAggregateSkyline::snapshot`]
+    /// order, so a preparation assembled from these segments equals one
+    /// built from that snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidArgument`] for a group id out of range.
+    pub(crate) fn live_segment(&mut self, g: GroupId) -> Result<Arc<Segment>> {
+        let Some(slot) = self.live_segs.get(g) else {
+            return Err(Error::InvalidArgument(format!("no group {g}")));
+        };
+        if let Some(seg) = slot {
+            return Ok(Arc::clone(seg));
+        }
+        let seg = if self.pending_edits(g) == (0, 0) {
+            self.base_segment(g)?
+        } else {
+            let rows: Vec<f64> = self.live_rows(g).flatten().copied().collect();
+            Arc::new(Segment::build(self.dim, self.block_size(), &rows)?)
+        };
+        self.live_segs[g] = Some(Arc::clone(&seg));
+        Ok(seg)
+    }
+
+    /// The tally seed of an epoch whose snapshot groups are `service`
+    /// (engine ids, ascending): the shared tally table, the snapshot groups
+    /// with no pending edits, and every snapshot group's live length.
+    pub(crate) fn tally_seed(&self, service: Vec<GroupId>) -> TallySeed {
+        let mut clean = vec![0u64; service.len().div_ceil(64)];
+        for (si, &g) in service.iter().enumerate() {
+            if self.pending_edits(g) == (0, 0) {
+                clean[si / 64] |= 1 << (si % 64);
+            }
+        }
+        let lens = service.iter().map(|&g| self.group_len(g)).collect();
+        TallySeed { cells: Arc::clone(&self.tallies.cells), service, clean, lens }
     }
 
     /// Exported base tallies for checkpointing: one complete entry per
@@ -602,6 +737,27 @@ impl DynamicAggregateSkyline {
 
     fn base_len(&self, g: GroupId) -> usize {
         self.base[g].len() / self.dim
+    }
+
+    /// Records per block of the kernel's segments. A prepared kernel's
+    /// block size; `Exhaustive` never gets here, as the constructors
+    /// reject it.
+    pub(crate) fn block_size(&self) -> usize {
+        self.kernel.block_size().unwrap_or(PreparedDataset::DEFAULT_BLOCK_SIZE)
+    }
+
+    /// The kept segment of group `g`'s base set, built (or shared from the
+    /// live segment when nothing is pending) on first use.
+    fn base_segment(&mut self, g: GroupId) -> Result<Arc<Segment>> {
+        if let Some(seg) = &self.base_segs[g] {
+            return Ok(Arc::clone(seg));
+        }
+        let seg = match &self.live_segs[g] {
+            Some(live) if self.pending_edits(g) == (0, 0) => Arc::clone(live),
+            _ => Arc::new(Segment::build(self.dim, self.block_size(), &self.base[g])?),
+        };
+        self.base_segs[g] = Some(Arc::clone(&seg));
+        Ok(seg)
     }
 
     fn sizes(&self, g: GroupId) -> Sizes {
@@ -746,18 +902,16 @@ impl DynamicAggregateSkyline {
     /// base sets did not change.
     fn fold_group(&mut self, g: GroupId, ctx: &RunContext) -> Result<FlushReport> {
         let (ins_cnt, del_cnt) = self.pending_edits(g);
-        // A prepared kernel's block size; `Exhaustive` never gets here, as
-        // the constructors reject it.
-        let block_size = self.kernel.block_size().unwrap_or(PreparedDataset::DEFAULT_BLOCK_SIZE);
+        let block_size = self.block_size();
         let del_rows: Vec<f64> = self.pending_del[g]
             .iter()
             .flat_map(|&r| self.base[g][r * self.dim..(r + 1) * self.dim].iter().copied())
             .collect();
-        let ins_prep = (ins_cnt > 0)
-            .then(|| prepare_rows(self.dim, block_size, &self.pending_ins[g]))
+        let ins_seg = (ins_cnt > 0)
+            .then(|| Segment::build(self.dim, block_size, &self.pending_ins[g]))
             .transpose()?;
-        let del_prep =
-            (del_cnt > 0).then(|| prepare_rows(self.dim, block_size, &del_rows)).transpose()?;
+        let del_seg =
+            (del_cnt > 0).then(|| Segment::build(self.dim, block_size, &del_rows)).transpose()?;
         let new_b = self.base_len(g) - del_cnt + ins_cnt;
         // Stage every revision before committing anything: a panic or an
         // interrupt mid-count must not leave half-revised tallies.
@@ -768,12 +922,9 @@ impl DynamicAggregateSkyline {
                 continue;
             }
             let (mut n_gs, mut n_sg) = self.tallies.get(g, s);
-            let base: &PreparedDataset = match &mut self.preps[s] {
-                Some(prep) => prep,
-                slot => slot.insert(prepare_rows(self.dim, block_size, &self.base[s])?),
-            };
-            if let Some(ins) = &ins_prep {
-                match count_delta(self.kernel, ins, base, &mut self.stats, ctx)? {
+            let base = self.base_segment(s)?;
+            if let Some(ins) = &ins_seg {
+                match count_delta(self.kernel, ins, &base, &mut self.stats, ctx)? {
                     Counted::Done(w, l) => {
                         n_gs = n_gs.saturating_add(w);
                         n_sg = n_sg.saturating_add(l);
@@ -783,8 +934,8 @@ impl DynamicAggregateSkyline {
                     }
                 }
             }
-            if let Some(del) = &del_prep {
-                match count_delta(self.kernel, del, base, &mut self.stats, ctx)? {
+            if let Some(del) = &del_seg {
+                match count_delta(self.kernel, del, &base, &mut self.stats, ctx)? {
                     Counted::Done(w, l) => {
                         // Deleted pairs were part of the base tally, so the
                         // subtraction cannot underflow.
@@ -808,8 +959,9 @@ impl DynamicAggregateSkyline {
             }
         }
 
-        // Commit: rebuild the base row store, clear the buffers, drop the
-        // group's stale preparation, install the staged tallies (all zero
+        // Commit: rebuild the base row store, clear the buffers, replace the
+        // group's stale base segment by its live one (the new base is the
+        // live records, in order), install the staged tallies (all zero
         // when the base set emptied).
         let ins_rows = std::mem::take(&mut self.pending_ins[g]);
         for &r in self.pending_del[g].iter().rev() {
@@ -818,7 +970,7 @@ impl DynamicAggregateSkyline {
         self.pending_del[g].clear();
         self.base[g].extend_from_slice(&ins_rows);
         debug_assert_eq!(self.base_len(g), new_b);
-        self.preps[g] = None;
+        self.base_segs[g] = self.live_segs[g].clone();
         for &(s, n_gs, n_sg, _) in &staged {
             self.tallies.set(g, s, n_gs, n_sg);
         }
@@ -828,29 +980,19 @@ impl DynamicAggregateSkyline {
     }
 }
 
-/// One-group preparation of the row-major `rows` at `block_size`: the same
-/// sorted blocks and key lanes the group gets inside any joint
-/// preparation, so counting against it is bit-identical.
-fn prepare_rows(dim: usize, block_size: usize, rows: &[f64]) -> Result<PreparedDataset> {
-    let records: Vec<&[f64]> = rows.chunks_exact(dim).collect();
-    let mut b = GroupedDatasetBuilder::new(dim).trusted_labels();
-    b.push_group("rows", &records)?;
-    PreparedDataset::build(&b.build()?, block_size)
-}
-
 /// Counts `(|Δ ≻ S_base|, |S_base ≻ Δ|)` for a prepared delta buffer
-/// against the kept preparation of a base set through
-/// [`count_pairs_across`]. Work is charged to `stats`, mirrored to the
-/// context's recorder, and polled against the context's budget.
+/// against the kept segment of a base set through [`count_segments`].
+/// Work is charged to `stats`, mirrored to the context's recorder, and
+/// polled against the context's budget.
 fn count_delta(
     kernel: KernelConfig,
-    delta: &PreparedDataset,
-    base: &PreparedDataset,
+    delta: &Segment,
+    base: &Segment,
     stats: &mut Stats,
     ctx: &RunContext,
 ) -> Result<Counted> {
     let mut work = Stats::default();
-    let (n12, n21) = count_pairs_across(kernel, delta, 0, base, 0, &mut work)?;
+    let (n12, n21) = count_segments(kernel, delta, base, &mut work)?;
     stats.merge(&work);
     if let Some(rec) = ctx.obs() {
         work.record_to(rec);
@@ -1064,6 +1206,7 @@ mod tests {
             t.push_row(g);
         }
         assert_eq!(t.cells.len(), 6);
+        let held = Arc::clone(&t.cells);
         t.set(3, 1, 7, 2);
         t.set(0, 2, 5, 0);
         assert_eq!(t.get(3, 1), (7, 2));
@@ -1073,6 +1216,7 @@ mod tests {
         t.push_row(4);
         assert_eq!(t.get(1, 3), (2, 7), "a new row leaves earlier slots in place");
         assert_eq!(t.get(4, 0), (0, 0));
+        assert_eq!(*held, vec![(0, 0); 6], "a held copy never sees later writes");
     }
 
     /// A fold interrupted after it prepared a group keeps that preparation
@@ -1097,7 +1241,7 @@ mod tests {
         // Each fold prepared the groups folded before it; the last one folded
         // has no preparation yet.
         assert_eq!(
-            d.preps.iter().map(Option::is_some).collect::<Vec<_>>(),
+            d.base_segs.iter().map(Option::is_some).collect::<Vec<_>>(),
             [true, true, true, false]
         );
         let before = d.export_tallies();
@@ -1107,12 +1251,12 @@ mod tests {
         d.insert(0, &[5.0, 5.0]).unwrap();
         let report = d.flush_ctx(&RunContext::with_budget(1)).unwrap();
         assert_eq!(report.interrupted, Some(InterruptReason::BudgetExhausted));
-        assert!(d.preps[3].is_some(), "the preparation built before the interrupt stays");
+        assert!(d.base_segs[3].is_some(), "the preparation built before the interrupt stays");
         assert_eq!(d.pending_edits(0), (1, 0), "an interrupted fold commits nothing");
         assert_eq!(d.export_tallies(), before);
         let report = d.flush_ctx(&RunContext::unlimited()).unwrap();
         assert_eq!((report.flushed_pairs, report.interrupted), (3, None));
-        assert!(d.preps[0].is_none(), "the folded group's preparation is stale");
+        assert!(d.base_segs[0].is_none(), "the folded group's preparation is stale");
         let (snap, mapping) = d.snapshot().unwrap();
         assert_eq!(mapping, [0, 1, 2, 3], "every group is live");
         for ((lo, hi), t) in d.export_tallies() {

@@ -5,10 +5,11 @@
 //! remaining slice-index sites on the argument that the surrounding code
 //! proves the bounds. This module turns that argument into executable
 //! checks: with `--features invariants`, debug and release builds alike
-//! validate the structures those proofs rest on — [`PreparedDataset`]
-//! block layout, [`Mbb`] containment, and pair-count conservation — every
-//! time they are built or consumed. Without the feature every function
-//! here compiles to nothing, so the hot paths pay no cost.
+//! validate the structures those proofs rest on — the [`Segment`] block
+//! layout of every preparation, [`Mbb`] containment, and pair-count
+//! conservation — every time they are built or consumed. Without the
+//! feature every function here compiles to nothing, so the hot paths pay
+//! no cost.
 //!
 //! ```text
 //! cargo test --features invariants             # contracts active
@@ -20,96 +21,98 @@
 
 use crate::dataset::GroupedDataset;
 use crate::mbb::Mbb;
-use crate::prepared::PreparedDataset;
+use crate::prepared::{PreparedDataset, Segment};
 
-/// Validates the full block structure of a freshly built
-/// [`PreparedDataset`] against its source dataset:
-///
-/// * per group, coordinate sums are descending and equal the row sums;
-/// * per block, the corner vectors bound every record of the block;
-/// * blocks partition each group (`Σ block lengths = group length`) and
-///   the block count is `⌈len / block_size⌉`;
-/// * each group's [`Mbb`] covers all of its records;
-/// * record totals are conserved (`Σ group lengths = |dataset|`).
+/// Validates a [`PreparedDataset`] against its source dataset: the same
+/// dimensionality, one segment per group of the group's length, and
+/// record totals conserved (`Σ group lengths = |dataset|`). Each
+/// segment's own structure is checked when it is built
+/// ([`check_segment`]).
 #[inline]
 pub fn check_prepared(ds: &GroupedDataset, prep: &PreparedDataset) {
     #[cfg(feature = "invariants")]
     {
-        let dim = prep.dim();
-        assert_eq!(dim, ds.dim(), "prepared dim must match source");
+        assert_eq!(prep.dim(), ds.dim(), "prepared dim must match source");
         assert_eq!(prep.n_groups(), ds.n_groups());
-        let mut total = 0usize;
         for g in 0..prep.n_groups() {
-            let len = prep.group_len(g);
-            assert_eq!(len, ds.group_len(g), "group {g} length changed");
-            total += len;
-            let sums = prep.group_sums(g);
-            assert!(
-                sums.windows(2).all(|w| crate::ord::ge(w[0], w[1])),
-                "group {g}: sums not descending"
-            );
-            for (i, &s) in sums.iter().enumerate() {
-                let expect: f64 = prep.record(g, i).iter().sum();
-                assert!(
-                    crate::ord::eq(s, expect),
-                    "group {g} record {i}: cached sum {s} != recomputed {expect}"
-                );
-            }
-            assert_eq!(
-                prep.n_blocks(g),
-                len.div_ceil(prep.block_size()),
-                "group {g}: block count inconsistent with block size"
-            );
-            let mbb = prep.mbb(g);
-            let mut covered = 0usize;
-            for b in 0..prep.n_blocks(g) {
-                let view = prep.block(g, b);
-                assert!(!view.is_empty(), "group {g} block {b} empty");
-                assert!(view.len() <= prep.block_size());
-                covered += view.len();
-                for row in view.rows.chunks_exact(dim) {
-                    for (d, &v) in row.iter().enumerate() {
-                        assert!(
-                            crate::ord::le(view.min[d], v) && crate::ord::le(v, view.max[d]),
-                            "group {g} block {b}: corner does not bound dim {d}"
-                        );
-                    }
-                    check_mbb_contains(mbb, row);
+            assert_eq!(prep.group_len(g), ds.group_len(g), "group {g} length changed");
+        }
+        assert_eq!(prep.n_records(), ds.n_records());
+    }
+}
+
+/// Validates the full block structure of a freshly built [`Segment`]:
+///
+/// * coordinate sums are descending and equal the row sums;
+/// * per block, the corner vectors bound every record of the block;
+/// * blocks partition the records (`Σ block lengths = len`) and the block
+///   count is `⌈len / block_size⌉`;
+/// * the segment's [`Mbb`] covers all of its records;
+/// * the key lanes hold the records' sort keys, sentinel-padded.
+#[inline]
+pub fn check_segment(seg: &Segment) {
+    #[cfg(feature = "invariants")]
+    {
+        let dim = seg.dim();
+        let len = seg.len();
+        let sums = seg.sums();
+        assert!(sums.windows(2).all(|w| crate::ord::ge(w[0], w[1])), "sums not descending");
+        for (i, &s) in sums.iter().enumerate() {
+            let expect: f64 = seg.record(i).iter().sum();
+            assert!(crate::ord::eq(s, expect), "record {i}: cached sum {s} != recomputed {expect}");
+        }
+        assert_eq!(
+            seg.n_blocks(),
+            len.div_ceil(seg.block_size()),
+            "block count inconsistent with block size"
+        );
+        let mbb = seg.mbb();
+        let mut covered = 0usize;
+        for b in 0..seg.n_blocks() {
+            let view = seg.block(b);
+            assert!(!view.is_empty(), "block {b} empty");
+            assert!(view.len() <= seg.block_size());
+            covered += view.len();
+            for row in view.rows.chunks_exact(dim) {
+                for (d, &v) in row.iter().enumerate() {
+                    assert!(
+                        crate::ord::le(view.min[d], v) && crate::ord::le(v, view.max[d]),
+                        "block {b}: corner does not bound dim {d}"
+                    );
                 }
-                // Lane keys are the sort keys of the block's records in
-                // column-major order, sentinel-padded to the block size.
-                let lanes = prep.lane_block(g, b);
-                assert_eq!(lanes.len, view.len(), "group {g} block {b}: lane length");
-                for (j, row) in view.rows.chunks_exact(dim).enumerate() {
-                    for (d, &v) in row.iter().enumerate() {
-                        assert_eq!(
-                            lanes.lane(d)[j],
-                            crate::dominance::sort_key(v),
-                            "group {g} block {b} record {j}: lane {d} key mismatch"
-                        );
-                    }
+                check_mbb_contains(&mbb, row);
+            }
+            // Lane keys are the sort keys of the block's records in
+            // column-major order, sentinel-padded to the block size.
+            let lanes = seg.lane_block(b);
+            assert_eq!(lanes.len, view.len(), "block {b}: lane length");
+            for (j, row) in view.rows.chunks_exact(dim).enumerate() {
+                for (d, &v) in row.iter().enumerate() {
                     assert_eq!(
-                        lanes.lane(dim)[j],
-                        crate::dominance::sort_key(view.sums[j]),
-                        "group {g} block {b} record {j}: sum-lane key mismatch"
+                        lanes.lane(d)[j],
+                        crate::dominance::sort_key(v),
+                        "block {b} record {j}: lane {d} key mismatch"
                     );
                 }
                 assert_eq!(
-                    lanes.width % crate::prepared::LANE_VECTOR,
-                    0,
-                    "lane stride not padded to the vector width"
+                    lanes.lane(dim)[j],
+                    crate::dominance::sort_key(view.sums[j]),
+                    "block {b} record {j}: sum-lane key mismatch"
                 );
-                for j in view.len()..lanes.width {
-                    assert_eq!(lanes.lane(0)[j], i64::MAX, "pad lane 0 sentinel");
-                    for d in 1..=dim {
-                        assert_eq!(lanes.lane(d)[j], i64::MIN, "pad lane {d} sentinel");
-                    }
+            }
+            assert_eq!(
+                lanes.width % crate::prepared::LANE_VECTOR,
+                0,
+                "lane stride not padded to the vector width"
+            );
+            for j in view.len()..lanes.width {
+                assert_eq!(lanes.lane(0)[j], i64::MAX, "pad lane 0 sentinel");
+                for d in 1..=dim {
+                    assert_eq!(lanes.lane(d)[j], i64::MIN, "pad lane {d} sentinel");
                 }
             }
-            assert_eq!(covered, len, "group {g}: blocks do not partition");
         }
-        assert_eq!(total, prep.n_records());
-        assert_eq!(total, ds.n_records());
+        assert_eq!(covered, len, "blocks do not partition the records");
     }
 }
 
@@ -175,6 +178,9 @@ mod tests {
         for block_size in [1, 3, 8] {
             let prep = PreparedDataset::build(&ds, block_size).unwrap();
             check_prepared(&ds, &prep);
+            for g in 0..prep.n_groups() {
+                check_segment(prep.segment(g));
+            }
         }
         check_pair_conservation(12, 3, 4);
     }

@@ -34,7 +34,7 @@ use crate::gamma::Gamma;
 use crate::mbb::Mbb;
 use crate::paircache::{CachedTally, PairCache};
 use crate::paircount::{compare_groups, Counter, DomLevel, PairOptions, PairVerdict};
-use crate::prepared::PreparedDataset;
+use crate::prepared::{PreparedDataset, Segment};
 use crate::stats::Stats;
 
 /// Selects the record-counting strategy used inside every group-vs-group
@@ -111,10 +111,14 @@ impl StraddleMode {
     }
 }
 
-enum Prep<'a> {
-    None,
-    Owned(Box<PreparedDataset>),
-    Borrowed(&'a PreparedDataset),
+/// What a kernel counts from.
+enum Source<'a> {
+    /// The dataset's records, pairwise.
+    Rows(&'a GroupedDataset),
+    /// A preparation built for this kernel.
+    Owned(&'a GroupedDataset, Box<PreparedDataset>),
+    /// A preparation built elsewhere, with its dataset when there is one.
+    Borrowed(Option<&'a GroupedDataset>, &'a PreparedDataset),
 }
 
 /// A dataset bound to a counting strategy: the single entry point the
@@ -123,11 +127,13 @@ enum Prep<'a> {
 /// Construction performs the (one-time) preprocessing when the config asks
 /// for a prepared kernel; [`Kernel::with_prepared`] reuses a
 /// [`PreparedDataset`] built elsewhere, e.g. one shared by several
-/// algorithm runs or worker threads. The kernel is plain data, so a shared
-/// reference can be used from many threads concurrently.
+/// algorithm runs or worker threads; a served epoch's reads count from a
+/// preparation alone. The algorithms read the group count, group lengths
+/// and dimensionality from the kernel, so they run the same over either.
+/// The kernel is plain data, so a shared reference can be used from many
+/// threads concurrently.
 pub struct Kernel<'a> {
-    ds: &'a GroupedDataset,
-    prep: Prep<'a>,
+    source: Source<'a>,
     straddle: StraddleMode,
 }
 
@@ -146,14 +152,14 @@ impl<'a> Kernel<'a> {
             KernelConfig::ColumnarScalar { block_size } => (block_size, StraddleMode::Scalar),
         };
         let prep = PreparedDataset::build(ds, block_size)?;
-        Ok(Kernel { ds, prep: Prep::Owned(Box::new(prep)), straddle })
+        Ok(Kernel { source: Source::Owned(ds, Box::new(prep)), straddle })
     }
 
     /// Binds `ds` to the exhaustive (no preprocessing) strategy. Infallible
     /// — this is what [`crate::Algorithm::run`] uses, keeping the paper
     /// configuration free of error plumbing.
     pub fn exhaustive(ds: &'a GroupedDataset) -> Kernel<'a> {
-        Kernel { ds, prep: Prep::None, straddle: StraddleMode::Scalar }
+        Kernel { source: Source::Rows(ds), straddle: StraddleMode::Scalar }
     }
 
     /// Binds `ds` to an existing preparation, counting straddles with the
@@ -163,22 +169,64 @@ impl<'a> Kernel<'a> {
     /// The preparation must have been built from `ds`.
     pub fn with_prepared(ds: &'a GroupedDataset, prep: &'a PreparedDataset) -> Kernel<'a> {
         debug_assert_eq!(ds.n_records(), prep.n_records());
-        Kernel { ds, prep: Prep::Borrowed(prep), straddle: StraddleMode::auto() }
+        Kernel { source: Source::Borrowed(Some(ds), prep), straddle: StraddleMode::auto() }
     }
 
-    /// The underlying dataset.
-    #[inline]
-    pub fn dataset(&self) -> &'a GroupedDataset {
-        self.ds
+    /// Binds a preparation with no dataset behind it, such as a served
+    /// epoch's, whose dataset is only built on demand. Counts like
+    /// [`Kernel::with_prepared`]; [`crate::Algorithm::Naive`] counts every
+    /// pair through it instead of record by record.
+    pub(crate) fn over_prepared(prep: &'a PreparedDataset) -> Kernel<'a> {
+        Kernel { source: Source::Borrowed(None, prep), straddle: StraddleMode::auto() }
     }
 
     /// The preparation, when a prepared kernel is active.
     #[inline]
     pub fn prepared(&self) -> Option<&PreparedDataset> {
-        match &self.prep {
-            Prep::None => None,
-            Prep::Owned(p) => Some(p),
-            Prep::Borrowed(p) => Some(p),
+        match &self.source {
+            Source::Rows(_) => None,
+            Source::Owned(_, p) => Some(p),
+            Source::Borrowed(_, p) => Some(p),
+        }
+    }
+
+    /// Number of groups.
+    #[inline]
+    pub(crate) fn n_groups(&self) -> usize {
+        match &self.source {
+            Source::Rows(ds) => ds.n_groups(),
+            Source::Owned(_, p) => p.n_groups(),
+            Source::Borrowed(_, p) => p.n_groups(),
+        }
+    }
+
+    /// Number of records in group `g`.
+    #[inline]
+    pub(crate) fn group_len(&self, g: GroupId) -> usize {
+        match &self.source {
+            Source::Rows(ds) => ds.group_len(g),
+            Source::Owned(_, p) => p.group_len(g),
+            Source::Borrowed(_, p) => p.group_len(g),
+        }
+    }
+
+    /// Total number of records.
+    #[inline]
+    pub(crate) fn n_records(&self) -> usize {
+        match &self.source {
+            Source::Rows(ds) => ds.n_records(),
+            Source::Owned(_, p) => p.n_records(),
+            Source::Borrowed(_, p) => p.n_records(),
+        }
+    }
+
+    /// Number of dimensions of every record.
+    #[inline]
+    pub(crate) fn dim(&self) -> usize {
+        match &self.source {
+            Source::Rows(ds) => ds.dim(),
+            Source::Owned(_, p) => p.dim(),
+            Source::Borrowed(_, p) => p.dim(),
         }
     }
 
@@ -188,12 +236,28 @@ impl<'a> Kernel<'a> {
         self.straddle == StraddleMode::Simd
     }
 
-    /// Group bounding boxes precomputed during preparation (`None` in
-    /// exhaustive mode); lets algorithms skip a redundant
-    /// [`Mbb::of_all_groups`] pass.
-    #[inline]
-    pub fn group_mbbs(&self) -> Option<&[Mbb]> {
-        self.prepared().map(|p| p.mbbs())
+    /// `|S ≻ R|`, counted exactly with no early stop: record by record from
+    /// the dataset when the kernel has one (the oracle's
+    /// [`crate::gamma::domination_count`]), else over the preparation's
+    /// blocks ([`count_pairs`]).
+    pub(crate) fn domination_count(&self, s: GroupId, r: GroupId) -> u64 {
+        match &self.source {
+            Source::Rows(ds) | Source::Owned(ds, _) | Source::Borrowed(Some(ds), _) => {
+                crate::gamma::domination_count(ds, s, r)
+            }
+            Source::Borrowed(None, prep) => count_pairs(prep, s, r, &mut Stats::default()).0,
+        }
+    }
+
+    /// Group bounding boxes for an algorithm run, by group id: the
+    /// preparation's, or a fresh [`Mbb::of_all_groups`] pass in exhaustive
+    /// mode (stored in `owned`).
+    pub(crate) fn boxes<'k>(&'k self, owned: &'k mut Option<Vec<Mbb>>) -> &'k [Mbb] {
+        match &self.source {
+            Source::Rows(ds) => owned.insert(Mbb::of_all_groups(ds)),
+            Source::Owned(_, p) => p.mbbs(),
+            Source::Borrowed(_, p) => p.mbbs(),
+        }
     }
 
     /// Compares groups `g1` and `g2` with this kernel's strategy; drop-in
@@ -207,8 +271,10 @@ impl<'a> Kernel<'a> {
         opts: PairOptions,
         stats: &mut Stats,
     ) -> PairVerdict {
-        let Some(prep) = self.prepared() else {
-            return compare_groups(self.ds, g1, g2, gamma, boxes, opts, stats);
+        let prep = match &self.source {
+            Source::Rows(ds) => return compare_groups(ds, g1, g2, gamma, boxes, opts, stats),
+            Source::Owned(_, p) => p.as_ref(),
+            Source::Borrowed(_, p) => p,
         };
         stats.group_pairs += 1;
         let total = crate::num::pair_product(prep.group_len(g1), prep.group_len(g2));
@@ -217,10 +283,8 @@ impl<'a> Kernel<'a> {
             return v;
         }
         let (early, _) = run_blocks_from(
-            prep,
-            g1,
-            prep,
-            g2,
+            prep.segment(g1),
+            prep.segment(g2),
             &mut counter,
             opts,
             stats,
@@ -369,10 +433,8 @@ impl<'a> Kernel<'a> {
             stats.cache_resumes += 1;
         }
         let (early, cursor) = run_blocks_from(
-            prep,
-            lo,
-            prep,
-            hi,
+            prep.segment(lo),
+            prep.segment(hi),
             &mut counter,
             opts,
             stats,
@@ -452,31 +514,29 @@ pub fn count_pairs(
     g2: GroupId,
     stats: &mut Stats,
 ) -> (u64, u64) {
-    full_count(prep, g1, prep, g2, StraddleMode::auto(), stats)
+    full_count(prep.segment(g1), prep.segment(g2), StraddleMode::auto(), stats)
 }
 
-/// Exact pair counts `(n12, n21)` of group `g1` of `p1` against group `g2`
-/// of `p2`, two groups that need not share a preparation, with the
-/// straddle loop `config` selects and no early termination.
+/// Exact pair counts `(n12, n21)` of segment `s1` against segment `s2`,
+/// two groups that need not share a preparation, with the straddle loop
+/// `config` selects and no early termination.
 ///
 /// Charges `stats` exactly as a fresh unbounded [`Kernel::compare_bounded`]
 /// full count of the same two groups inside one preparation does, with
-/// `g1` as the lower group id: one `group_pairs`, then the block and record
-/// counters of the walk. Callers that keep one preparation per group (the
+/// `s1` as the lower group id: one `group_pairs`, then the block and record
+/// counters of the walk. Callers that keep one segment per group (the
 /// incremental engine of [`crate::dynamic`]) therefore account exactly
-/// like callers that build a joint one.
+/// like callers that build a joint preparation.
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidArgument`] for [`KernelConfig::Exhaustive`]
-/// (there is no block walk to run), or when either preparation's block
-/// size or dimensionality differs from `config`'s and the other's.
-pub fn count_pairs_across(
+/// (there is no block walk to run), or when either segment's block size
+/// or dimensionality differs from `config`'s and the other's.
+pub fn count_segments(
     config: KernelConfig,
-    p1: &PreparedDataset,
-    g1: GroupId,
-    p2: &PreparedDataset,
-    g2: GroupId,
+    s1: &Segment,
+    s2: &Segment,
     stats: &mut Stats,
 ) -> Result<(u64, u64)> {
     let mode = match config {
@@ -489,37 +549,30 @@ pub fn count_pairs_across(
         KernelConfig::ColumnarScalar { .. } => StraddleMode::Scalar,
     };
     let block_size = config.block_size();
-    if block_size != Some(p1.block_size())
-        || block_size != Some(p2.block_size())
-        || p1.dim() != p2.dim()
+    if block_size != Some(s1.block_size())
+        || block_size != Some(s2.block_size())
+        || s1.dim() != s2.dim()
     {
         return Err(Error::InvalidArgument(format!(
             "preparations of block sizes {}/{} and dims {}/{} do not match {config:?}",
-            p1.block_size(),
-            p2.block_size(),
-            p1.dim(),
-            p2.dim()
+            s1.block_size(),
+            s2.block_size(),
+            s1.dim(),
+            s2.dim()
         )));
     }
     stats.group_pairs += 1;
-    Ok(full_count(p1, g1, p2, g2, mode, stats))
+    Ok(full_count(s1, s2, mode, stats))
 }
 
-/// The full block walk behind [`count_pairs`] and [`count_pairs_across`].
-fn full_count(
-    p1: &PreparedDataset,
-    g1: GroupId,
-    p2: &PreparedDataset,
-    g2: GroupId,
-    mode: StraddleMode,
-    stats: &mut Stats,
-) -> (u64, u64) {
-    let total = crate::num::pair_product(p1.group_len(g1), p2.group_len(g2));
+/// The full block walk behind [`count_pairs`] and [`count_segments`].
+fn full_count(s1: &Segment, s2: &Segment, mode: StraddleMode, stats: &mut Stats) -> (u64, u64) {
+    let total = crate::num::pair_product(s1.len(), s2.len());
     let opts = PairOptions { stop_rule: false, need_bar: false };
     let mut counter = Counter::new(total, Gamma::DEFAULT, opts);
-    let (early, _) = run_blocks_from(p1, g1, p2, g2, &mut counter, opts, stats, mode, 0, u64::MAX);
+    let (early, _) = run_blocks_from(s1, s2, &mut counter, opts, stats, mode, 0, u64::MAX);
     debug_assert!(early.is_none(), "stop rule is disabled");
-    crate::invariants::check_pair_conservation(counter.checked, p1.group_len(g1), p2.group_len(g2));
+    crate::invariants::check_pair_conservation(counter.checked, s1.len(), s2.len());
     debug_assert_eq!(counter.checked, counter.total);
     (counter.n12, counter.n21)
 }
@@ -538,17 +591,13 @@ fn full_count(
 /// accounted for (`counter.checked == counter.total`), and a resume point
 /// for the next batch otherwise.
 ///
-/// Group `g1` is read from `p1` and `g2` from `p2`. Every comparison path
-/// passes one preparation twice; [`count_pairs_across`] passes two. The
-/// walk depends only on each group's own blocks, so counting two groups
+/// The walk reads only the two groups' segments, so counting two groups
 /// from separate preparations built at the same block size is
 /// bit-identical to counting them inside one.
 #[allow(clippy::too_many_arguments)]
 fn run_blocks_from(
-    p1: &PreparedDataset,
-    g1: GroupId,
-    p2: &PreparedDataset,
-    g2: GroupId,
+    s1: &Segment,
+    s2: &Segment,
     counter: &mut Counter,
     opts: PairOptions,
     stats: &mut Stats,
@@ -556,10 +605,10 @@ fn run_blocks_from(
     start: u64,
     limit: u64,
 ) -> (Option<PairVerdict>, u64) {
-    let dim = p1.dim();
-    debug_assert_eq!(dim, p2.dim(), "preparations of different dimensionality");
-    let nb1 = p1.n_blocks(g1);
-    let nb2 = p2.n_blocks(g2);
+    let dim = s1.dim();
+    debug_assert_eq!(dim, s2.dim(), "preparations of different dimensionality");
+    let nb1 = s1.n_blocks();
+    let nb2 = s2.n_blocks();
     let total_pairs = crate::num::wide(nb1).saturating_mul(crate::num::wide(nb2));
     let mut cursor = start.min(total_pairs);
     let stop_at = cursor.saturating_add(limit);
@@ -569,12 +618,12 @@ fn run_blocks_from(
     let a0 = crate::num::narrow(cursor / crate::num::wide(nb2)).unwrap_or(nb1);
     let mut b_next = crate::num::narrow(cursor % crate::num::wide(nb2)).unwrap_or(nb2);
     for a in a0..nb1 {
-        let ba = p1.block(g1, a);
+        let ba = s1.block(a);
         let b_start = b_next;
         b_next = 0;
         for b in b_start..nb2 {
             cursor += 1;
-            let bb = p2.block(g2, b);
+            let bb = s2.block(b);
             let pairs = crate::num::pair_product(ba.len(), bb.len());
             if dominates(ba.min, bb.max) {
                 // Every record of `ba` is ≥ its block minimum, which already
@@ -589,15 +638,16 @@ fn run_blocks_from(
             } else {
                 // A direction is possible only if the best corner dominates
                 // the other block's worst corner *and* the sum ranges allow
-                // a strictly larger sum (dominance implies one).
-                let fwd = dominates(ba.max, bb.min) && ba.sums[0] > bb.sums[bb.len() - 1];
-                let bwd = dominates(bb.max, ba.min) && bb.sums[0] > ba.sums[ba.len() - 1];
+                // a sum at least as large (dominance implies one; rounding
+                // can make it equal, so an equal sum keeps the direction).
+                let fwd = dominates(ba.max, bb.min) && ba.sums[0] >= bb.sums[bb.len() - 1];
+                let bwd = dominates(bb.max, ba.min) && bb.sums[0] >= ba.sums[ba.len() - 1];
                 if !fwd && !bwd {
                     counter.checked += pairs;
                     stats.blocks_skipped += 1;
                 } else {
-                    let la = p1.lane_block(g1, a);
-                    let lb = p2.lane_block(g2, b);
+                    let la = s1.lane_block(a);
+                    let lb = s2.lane_block(b);
                     match mode {
                         StraddleMode::Simd => crate::simd::straddle_lanes_simd(
                             dim, &la, &lb, fwd, bwd, counter, stats,
@@ -713,6 +763,51 @@ mod tests {
         }
     }
 
+    /// `1e16 + 1 == 1e16`: records on one rounded coordinate sum dominate
+    /// each other by their small coordinates. Both straddle loops count
+    /// them exactly, with equal work, at every block size.
+    #[test]
+    fn equal_rounded_sums_count_exactly() {
+        let mut next = crate::testdata::lcg(0x1E16);
+        for dim in [2, 3, 5] {
+            let mut b = crate::dataset::GroupedDatasetBuilder::new(dim);
+            for (g, len) in [7, 16, 17, 1, 33].into_iter().enumerate() {
+                let rows: Vec<Vec<f64>> = (0..len)
+                    .map(|_| {
+                        let mut r: Vec<f64> = (0..dim).map(|_| (next() * 3.0).floor()).collect();
+                        r[0] = 1e16;
+                        r
+                    })
+                    .collect();
+                b.push_group(format!("g{g}"), &rows).unwrap();
+            }
+            let ds = b.build().unwrap();
+            for block_size in [1, 5, 16, MAX_LANE_BLOCK] {
+                let prep = PreparedDataset::build(&ds, block_size).unwrap();
+                let scalar = KernelConfig::ColumnarScalar { block_size };
+                for g1 in ds.group_ids() {
+                    for g2 in ds.group_ids().filter(|&g2| g2 != g1) {
+                        let tag = format!("d={dim} bs={block_size} {g1} vs {g2}");
+                        let mut auto = Stats { group_pairs: 1, ..Stats::default() };
+                        let counts = count_pairs(&prep, g1, g2, &mut auto);
+                        let want = (
+                            ones(&DominationMatrix::build(&ds, g1, g2)),
+                            ones(&DominationMatrix::build(&ds, g2, g1)),
+                        );
+                        assert_eq!(counts, want, "{tag}");
+                        let mut s = Stats::default();
+                        let (s1, s2) = (prep.segment(g1), prep.segment(g2));
+                        assert_eq!(count_segments(scalar, s1, s2, &mut s).unwrap(), want, "{tag}");
+                        assert_eq!(s, auto, "{tag}");
+                        let pairs =
+                            crate::num::pair_product(prep.group_len(g1), prep.group_len(g2));
+                        assert!(s.record_pairs <= pairs, "{tag}: a pair is charged once");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn full_blocks_are_detected_on_stacked_groups() {
         let mut b = crate::dataset::GroupedDatasetBuilder::new(2);
@@ -773,7 +868,9 @@ mod tests {
         let prep = PreparedDataset::build(&ds, 8).unwrap();
         let kernel = Kernel::with_prepared(&ds, &prep);
         assert!(std::ptr::eq(kernel.prepared().unwrap(), &prep));
-        assert_eq!(kernel.group_mbbs().unwrap(), &Mbb::of_all_groups(&ds)[..]);
+        let mut owned = None;
+        assert_eq!(kernel.boxes(&mut owned), &Mbb::of_all_groups(&ds)[..]);
+        assert!(owned.is_none(), "a prepared kernel reuses the preparation's boxes");
         assert_eq!(kernel.is_simd(), crate::cpu::simd_active());
     }
 

@@ -125,7 +125,7 @@ pub use explain::{
     explain_membership, pair_contribution, stars_of, Membership, PairContribution, Threat,
 };
 pub use gamma::{domination_count, domination_probability, gamma_dominates, Gamma};
-pub use kernel::{count_pairs, count_pairs_across, BoundedCompare, Kernel, KernelConfig};
+pub use kernel::{count_pairs, count_segments, BoundedCompare, Kernel, KernelConfig};
 pub use matrix::DominationMatrix;
 pub use mbb::Mbb;
 pub use paircache::{CachedTally, PairCache};

@@ -30,9 +30,11 @@
 //! hits), so resumed work is ticked exactly once across a sweep.
 
 use crate::dataset::GroupId;
+use crate::dynamic::TallySeed;
 use crate::error::{Error, Result};
 use crate::prepared::PreparedDataset;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Memoized counting state of one group pair, in canonical orientation
 /// (`n12` counts records of the *smaller* group id dominating the larger).
@@ -72,15 +74,27 @@ impl CachedTally {
 /// Valid only against one fixed dataset/preparation; callers own that
 /// association (the sweep driver builds the preparation and the cache side
 /// by side, the parallel scheduler keeps one shard per worker).
+///
+/// A served epoch's reads start from a *seeded* cache: it answers pairs it
+/// has memoized nothing for from the writer's exact tallies, shared by
+/// every read of the epoch, and memoizes its own counts on top. The seed
+/// is not an entry: [`PairCache::len`] and [`PairCache::export`] cover
+/// what the cache memoized.
 #[derive(Debug, Clone, Default)]
 pub struct PairCache {
     map: HashMap<(GroupId, GroupId), CachedTally>,
+    seed: Option<Arc<TallySeed>>,
 }
 
 impl PairCache {
     /// An empty cache.
     pub fn new() -> PairCache {
         PairCache::default()
+    }
+
+    /// An empty cache over `seed`'s exact tallies.
+    pub(crate) fn seeded(seed: Arc<TallySeed>) -> PairCache {
+        PairCache { map: HashMap::new(), seed: Some(seed) }
     }
 
     /// Number of memoized pairs.
@@ -95,10 +109,12 @@ impl PairCache {
         self.map.is_empty()
     }
 
-    /// The memoized tally for the unordered pair `{g1, g2}`, if any.
+    /// The memoized tally for the unordered pair `{g1, g2}`, else the
+    /// seed's, if any.
     #[inline]
     pub fn lookup(&self, g1: GroupId, g2: GroupId) -> Option<CachedTally> {
-        self.map.get(&Self::key(g1, g2)).copied()
+        let (lo, hi) = Self::key(g1, g2);
+        self.map.get(&(lo, hi)).copied().or_else(|| self.seed.as_ref()?.lookup(lo, hi))
     }
 
     /// Stores (or overwrites) the tally for the unordered pair `{g1, g2}`.
@@ -109,9 +125,10 @@ impl PairCache {
         self.map.insert(Self::key(g1, g2), tally);
     }
 
-    /// Drops every entry (e.g. when switching datasets).
+    /// Drops every entry and the seed (e.g. when switching datasets).
     pub fn clear(&mut self) {
         self.map.clear();
+        self.seed = None;
     }
 
     /// Every memoized entry in canonical orientation, sorted ascending by

@@ -1,17 +1,27 @@
 //! One-time preprocessing of a dataset for the block-at-a-time counting
 //! kernel.
 //!
-//! [`PreparedDataset`] rewrites every group into *coordinate-sum descending*
-//! order and cuts it into fixed-size blocks with precomputed bounding
-//! corners. The invariant that makes both steps useful is that record
-//! dominance implies a strictly larger coordinate sum:
+//! A [`Segment`] is one group's preparation: its records rewritten into
+//! *coordinate-sum descending* order, cut into fixed-size blocks with
+//! precomputed bounding corners and columnar key lanes. A
+//! [`PreparedDataset`] is a vector of `Arc`'d segments, one per group, so
+//! two preparations that differ in a few groups share every other group's
+//! segment by reference count ([`PreparedDataset::rebuild_dirty`], the
+//! serving layer's epochs, and the incremental engine's kept base sets).
 //!
-//! > if `r` dominates `s` then `Σ r[d] > Σ s[d]`
+//! The order is useful because record dominance is monotone in the
+//! coordinate sum:
 //!
-//! (all coordinates are `≥` with at least one `>`, and the dataset is
-//! normalized to MAX preference). Sorting by descending sum therefore puts
-//! every record *before* all records it can possibly dominate, and two
-//! records with equal sums can never dominate each other.
+//! > if `r` dominates `s` then `Σ r[d] ≥ Σ s[d]`
+//!
+//! (all coordinates are `≥` with at least one `>`, the dataset is
+//! normalized to MAX preference, and f64 addition rounds monotonically).
+//! The inequality is not strict: rounding can absorb the strict coordinate,
+//! as in `1e16 + 1 == 1e16`, so `[1e16, 1]` dominates `[1e16, 0]` at an
+//! equal sum. Sorting by descending sum therefore puts every record before
+//! all records of strictly smaller sum it may dominate, and records of
+//! equal sum may dominate each other in either direction; the kernel gives
+//! those pairs the full test (≥ in every coordinate, > in one).
 //!
 //! The preparation is independent of γ and of any [`crate::PairOptions`]
 //! tuning, so one `PreparedDataset` can be built once and shared by every
@@ -21,6 +31,7 @@
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::error::{Error, Result};
 use crate::mbb::Mbb;
+use std::sync::Arc;
 
 /// Largest block size a preparation accepts: one columnar key lane fits in
 /// a `u64` bitmask, so the lane kernel can express "which records of this
@@ -34,46 +45,58 @@ pub const MAX_LANE_BLOCK: usize = 64;
 /// masked off by [`LaneBlock::valid_mask`] either way.
 pub const LANE_VECTOR: usize = 4;
 
-/// A [`GroupedDataset`] preprocessed for block-at-a-time pair counting: per-group
-/// records sorted by descending coordinate sum and partitioned into blocks
-/// of at most [`block_size`](PreparedDataset::block_size) records, each with
-/// its bounding corners.
+/// One group prepared for block-at-a-time pair counting: its records
+/// sorted by descending coordinate sum (ties keep their input order), their
+/// sums, the blocks of at most [`block_size`](Segment::block_size) records
+/// with their bounding corners, the columnar key lanes and the group's
+/// bounding box.
 ///
-/// Building is `O(n log n)` per group and touches every value once; the
-/// result is plain data (no interior mutability), so a shared reference can
-/// be used concurrently from many threads.
-#[derive(Debug, Clone)]
-pub struct PreparedDataset {
+/// A segment depends only on its own group's records, so counting two
+/// groups from two segments is bit-identical whichever preparations hold
+/// them. It is plain data, shared behind an `Arc` by every preparation
+/// that contains the group.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Segment {
     dim: usize,
     block_size: usize,
-    /// Row-major record values, each group's rows sorted by descending sum.
-    values: Vec<f64>,
-    /// Coordinate sum of each (sorted) record, parallel to the rows.
-    sums: Vec<f64>,
-    /// `offsets[g]..offsets[g+1]` is the row range of group `g`.
-    offsets: Vec<usize>,
-    /// `block_offsets[g]..block_offsets[g+1]` is the global block-index
-    /// range of group `g`.
-    block_offsets: Vec<usize>,
-    /// Per-dimension minima of each block, `dim` values per block.
-    block_min: Vec<f64>,
-    /// Per-dimension maxima of each block, `dim` values per block.
-    block_max: Vec<f64>,
-    /// Group bounding boxes (identical to [`Mbb::of_all_groups`]), computed
-    /// for free while scanning the blocks.
-    mbbs: Vec<Mbb>,
-    /// Columnar structure-of-arrays mirror of `values`, in the integer key
-    /// space of [`crate::dominance::sort_key`]: per block, `dim + 1`
-    /// contiguous lanes of `block_size` keys each (`dim` coordinate lanes
-    /// followed by one coordinate-sum lane), padded to the block size with
-    /// sentinels that can neither dominate nor be dominated.
-    keys: Vec<i64>,
     /// Lane stride of `keys`: `block_size` rounded up to a multiple of
     /// [`LANE_VECTOR`] so the SIMD kernel loads whole vectors only.
     lane_width: usize,
+    len: usize,
+    n_blocks: usize,
+    /// `len · dim` sorted row-major values, then their `len` coordinate
+    /// sums, then `n_blocks · dim` block minima, then as many block maxima,
+    /// then the group's `dim` minima and `dim` maxima (its bounding box).
+    floats: Vec<f64>,
+    /// Columnar structure-of-arrays mirror of the rows, in the integer key
+    /// space of [`crate::dominance::sort_key`]: per block, `dim + 1`
+    /// contiguous lanes of `lane_width` keys each (`dim` coordinate lanes
+    /// followed by one coordinate-sum lane), padded with sentinels that can
+    /// neither dominate nor be dominated.
+    keys: Vec<i64>,
 }
 
-/// Borrowed view of one record block of a [`PreparedDataset`].
+/// A [`GroupedDataset`] preprocessed for block-at-a-time pair counting: one
+/// shared [`Segment`] per group.
+///
+/// Building is `O(n log n)` per group and touches every value once; the
+/// result is plain data (no interior mutability), so a shared reference can
+/// be used concurrently from many threads. Cloning copies one `Arc`, one
+/// length and one bounding box per group.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedDataset {
+    dim: usize,
+    block_size: usize,
+    n_records: usize,
+    segments: Vec<Arc<Segment>>,
+    /// Each segment's length and bounding box, contiguous: the algorithms'
+    /// visiting orders, cost keys and window tests read every group's, and
+    /// a segment lies in its own allocation.
+    lens: Vec<usize>,
+    mbbs: Vec<Mbb>,
+}
+
+/// Borrowed view of one record block of a [`Segment`].
 ///
 /// Blocks are never empty; `sums` is sorted descending and parallel to the
 /// rows of `rows`.
@@ -145,6 +168,202 @@ impl<'a> LaneBlock<'a> {
     }
 }
 
+/// Rejects segments of another dimensionality or block size than the
+/// preparation's.
+fn check_segments(dim: usize, block_size: usize, segments: &[Arc<Segment>]) -> Result<()> {
+    match segments.iter().enumerate().find(|(_, s)| s.dim != dim || s.block_size != block_size) {
+        Some((g, s)) => Err(Error::InvalidArgument(format!(
+            "segment {g} has dim {} and block size {}, the preparation {dim} and {block_size}",
+            s.dim, s.block_size
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Rejects block sizes the lane kernel cannot run.
+fn check_block_size(block_size: usize) -> Result<()> {
+    if block_size == 0 {
+        return Err(Error::InvalidArgument("block_size must be positive (got 0)".to_string()));
+    }
+    if block_size > MAX_LANE_BLOCK {
+        return Err(Error::InvalidArgument(format!(
+            "block_size {block_size} exceeds MAX_LANE_BLOCK ({MAX_LANE_BLOCK}); one lane must \
+             fit a u64 bitmask"
+        )));
+    }
+    Ok(())
+}
+
+impl Segment {
+    /// Prepares one group from its row-major records `rows` (`dim` values
+    /// each): sorts them by descending coordinate sum, ties in input order,
+    /// and materializes the block corners and key lanes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ZeroDimensions`] for `dim == 0`,
+    /// [`Error::InvalidArgument`] when `rows` is not a whole number of
+    /// records, and the block-size errors of [`PreparedDataset::build`].
+    pub(crate) fn build(dim: usize, block_size: usize, rows: &[f64]) -> Result<Segment> {
+        if dim == 0 {
+            return Err(Error::ZeroDimensions);
+        }
+        check_block_size(block_size)?;
+        if !rows.len().is_multiple_of(dim) {
+            return Err(Error::InvalidArgument(format!(
+                "{} values are not a whole number of {dim}-dimensional records",
+                rows.len()
+            )));
+        }
+        Ok(Segment::build_with(dim, block_size, rows, &mut Vec::new()))
+    }
+
+    /// [`Segment::build`] for validated arguments, reusing `order` as the
+    /// sort's scratch.
+    fn build_with(
+        dim: usize,
+        block_size: usize,
+        rows: &[f64],
+        order: &mut Vec<(f64, usize)>,
+    ) -> Segment {
+        order.clear();
+        order.extend(rows.chunks_exact(dim).enumerate().map(|(i, r)| (r.iter().sum::<f64>(), i)));
+        // Descending sum; ties broken by input index so the layout is
+        // deterministic regardless of the sort implementation.
+        order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let len = order.len();
+        let n_blocks = len.div_ceil(block_size);
+        let corners_at = len * (dim + 1);
+        let box_at = corners_at + 2 * n_blocks * dim;
+        let mut floats = Vec::with_capacity(box_at + 2 * dim);
+        for &(_, i) in order.iter() {
+            floats.extend_from_slice(&rows[i * dim..(i + 1) * dim]);
+        }
+        floats.extend(order.iter().map(|&(s, _)| s));
+        floats.resize(corners_at + n_blocks * dim, f64::INFINITY);
+        floats.resize(box_at, f64::NEG_INFINITY);
+        floats.resize(box_at + dim, f64::INFINITY);
+        floats.resize(box_at + 2 * dim, f64::NEG_INFINITY);
+        let (sorted, corners) = floats.split_at_mut(corners_at);
+        let (mins, rest) = corners.split_at_mut(n_blocks * dim);
+        let (maxs, group_box) = rest.split_at_mut(n_blocks * dim);
+        let (g_min, g_max) = group_box.split_at_mut(dim);
+        let sorted_rows = &sorted[..len * dim];
+        for (b, (bmin, bmax)) in
+            mins.chunks_exact_mut(dim).zip(maxs.chunks_exact_mut(dim)).enumerate()
+        {
+            let (start, end) = (b * block_size, ((b + 1) * block_size).min(len));
+            for r in sorted_rows[start * dim..end * dim].chunks_exact(dim) {
+                for d in 0..dim {
+                    bmin[d] = bmin[d].min(r[d]);
+                    bmax[d] = bmax[d].max(r[d]);
+                }
+            }
+            for d in 0..dim {
+                g_min[d] = g_min[d].min(bmin[d]);
+                g_max[d] = g_max[d].max(bmax[d]);
+            }
+        }
+        // Rounding the lane stride (not the block size) up to the vector
+        // width keeps MAX_LANE_BLOCK intact: 64 is already a multiple of 4.
+        let lane_width = block_size.next_multiple_of(LANE_VECTOR);
+        let keys = lane_keys(dim, block_size, lane_width, sorted_rows, &sorted[len * dim..]);
+        let seg = Segment { dim, block_size, lane_width, len, n_blocks, floats, keys };
+        crate::invariants::check_segment(&seg);
+        seg
+    }
+
+    /// Number of dimensions of every record.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Maximum number of records per block.
+    #[inline]
+    pub fn block_size(&self) -> usize {
+        self.block_size
+    }
+
+    /// Number of records.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the segment holds no record.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of blocks (`ceil(len / block_size)`).
+    #[inline]
+    pub fn n_blocks(&self) -> usize {
+        self.n_blocks
+    }
+
+    /// The group's bounding box (a copy: the segment keeps its corners
+    /// with its records).
+    pub fn mbb(&self) -> Mbb {
+        let at = self.floats.len() - 2 * self.dim;
+        Mbb {
+            min: self.floats[at..at + self.dim].to_vec(),
+            max: self.floats[at + self.dim..].to_vec(),
+        }
+    }
+
+    /// The records in sorted order, row-major.
+    #[inline]
+    pub fn rows(&self) -> &[f64] {
+        &self.floats[..self.len * self.dim]
+    }
+
+    /// Record `i` **in sorted order**.
+    #[inline]
+    pub fn record(&self, i: usize) -> &[f64] {
+        debug_assert!(i < self.len);
+        &self.floats[i * self.dim..(i + 1) * self.dim]
+    }
+
+    /// Coordinate sums of the records, descending.
+    #[inline]
+    pub fn sums(&self) -> &[f64] {
+        let at = self.len * self.dim;
+        &self.floats[at..at + self.len]
+    }
+
+    /// Block `b` (0-based).
+    #[inline]
+    pub fn block(&self, b: usize) -> BlockView<'_> {
+        debug_assert!(b < self.n_blocks);
+        let (dim, len) = (self.dim, self.len);
+        let start = b * self.block_size;
+        let end = (start + self.block_size).min(len);
+        let min_at = len * (dim + 1) + b * dim;
+        let max_at = min_at + self.n_blocks * dim;
+        BlockView {
+            min: &self.floats[min_at..min_at + dim],
+            max: &self.floats[max_at..max_at + dim],
+            rows: &self.floats[start * dim..end * dim],
+            sums: &self.floats[len * dim + start..len * dim + end],
+        }
+    }
+
+    /// Columnar key lanes of block `b` (0-based).
+    #[inline]
+    pub fn lane_block(&self, b: usize) -> LaneBlock<'_> {
+        debug_assert!(b < self.n_blocks);
+        let start = b * self.block_size;
+        let stride = (self.dim + 1) * self.lane_width;
+        LaneBlock {
+            keys: &self.keys[b * stride..(b + 1) * stride],
+            width: self.lane_width,
+            len: (start + self.block_size).min(self.len) - start,
+        }
+    }
+}
+
 impl PreparedDataset {
     /// Default number of records per block. The size trades two costs:
     /// smaller blocks have tighter corners, so the O(1) full / skip
@@ -157,83 +376,60 @@ impl PreparedDataset {
     /// sweep).
     pub const DEFAULT_BLOCK_SIZE: usize = 16;
 
-    /// Preprocesses `ds`: sorts each group by descending coordinate sum,
-    /// materializes per-block bounding corners and the columnar key lanes
-    /// the bitmask kernel reads.
+    /// Preprocesses `ds`: one [`Segment`] per group.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidArgument`] if `block_size` is zero or above
     /// [`MAX_LANE_BLOCK`] (one lane must fit a `u64` bitmask).
     pub fn build(ds: &GroupedDataset, block_size: usize) -> Result<PreparedDataset> {
-        if block_size == 0 {
-            return Err(Error::InvalidArgument("block_size must be positive (got 0)".to_string()));
-        }
-        if block_size > MAX_LANE_BLOCK {
-            return Err(Error::InvalidArgument(format!(
-                "block_size {block_size} exceeds MAX_LANE_BLOCK ({MAX_LANE_BLOCK}); one lane \
-                 must fit a u64 bitmask"
-            )));
-        }
-        let dim = ds.dim();
-        let n_groups = ds.n_groups();
-        let mut values = Vec::with_capacity(ds.n_records() * dim);
-        let mut sums = Vec::with_capacity(ds.n_records());
-        let mut offsets = Vec::with_capacity(n_groups + 1);
-        offsets.push(0);
-        let mut block_offsets = Vec::with_capacity(n_groups + 1);
-        block_offsets.push(0);
-        let mut block_min = Vec::new();
-        let mut block_max = Vec::new();
-        let mut mbbs = Vec::with_capacity(n_groups);
-        let mut order: Vec<(f64, usize)> = Vec::new();
-        for g in ds.group_ids() {
-            let mbb = append_sorted_group(
-                ds,
-                g,
-                dim,
-                block_size,
-                &mut values,
-                &mut sums,
-                &mut block_min,
-                &mut block_max,
-                &mut order,
-            );
-            offsets.push(values.len() / dim);
-            block_offsets.push(block_min.len() / dim);
-            mbbs.push(mbb);
-        }
-        // Rounding the lane stride (not the block size) up to the vector
-        // width keeps MAX_LANE_BLOCK intact: 64 is already a multiple of 4.
-        let lane_width = block_size.next_multiple_of(LANE_VECTOR);
-        let keys =
-            build_lane_keys(dim, block_size, lane_width, &values, &sums, &offsets, &block_offsets);
-        let prep = PreparedDataset {
-            dim,
-            block_size,
-            values,
-            sums,
-            offsets,
-            block_offsets,
-            block_min,
-            block_max,
-            mbbs,
-            keys,
-            lane_width,
-        };
+        check_block_size(block_size)?;
+        let mut order = Vec::new();
+        let segments = ds
+            .group_ids()
+            .map(|g| {
+                Arc::new(Segment::build_with(ds.dim(), block_size, ds.group_rows(g), &mut order))
+            })
+            .collect();
+        let prep = PreparedDataset::assemble(ds.dim(), block_size, segments);
         crate::invariants::check_prepared(ds, &prep);
         Ok(prep)
     }
 
+    /// Assembles a preparation of `dim`-dimensional records at
+    /// `block_size` from one segment per group, in group order; the
+    /// segments are shared, not copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidArgument`] when a segment's dimensionality
+    /// or block size differs from `dim` and `block_size`.
+    pub(crate) fn from_segments(
+        dim: usize,
+        block_size: usize,
+        segments: Vec<Arc<Segment>>,
+    ) -> Result<PreparedDataset> {
+        check_segments(dim, block_size, &segments)?;
+        Ok(PreparedDataset::assemble(dim, block_size, segments))
+    }
+
+    /// The preparation of `segments`, with their lengths and boxes copied
+    /// into contiguous arrays.
+    fn assemble(dim: usize, block_size: usize, segments: Vec<Arc<Segment>>) -> PreparedDataset {
+        let lens: Vec<usize> = segments.iter().map(|s| s.len).collect();
+        let n_records = lens.iter().sum();
+        let mbbs = segments.iter().map(|s| s.mbb()).collect();
+        PreparedDataset { dim, block_size, n_records, segments, lens, mbbs }
+    }
+
     /// Rebuilds the preparation for `ds`, a dataset in which only the
     /// groups flagged in `dirty` changed since this preparation was built.
-    /// Clean groups' sorted rows, block corners and columnar key lanes are
-    /// copied wholesale; only dirty groups pay the `O(n log n)` sort and
-    /// lane materialization — the epoch writer's fast path
-    /// ([`crate::dynamic`] serving layer).
+    /// Clean groups share this preparation's segments by reference count;
+    /// only dirty groups pay the `O(n log n)` sort and lane
+    /// materialization.
     ///
     /// A flagged-clean group whose length nonetheless differs from the
-    /// preparation's is treated as dirty (defensive; the copy would be
+    /// preparation's is treated as dirty (defensive; sharing it would be
     /// incoherent). Flagged-clean groups with *equal* length but different
     /// content are the caller's contract violation — caught by
     /// [`crate::invariants::check_prepared`] under the `invariants`
@@ -257,81 +453,20 @@ impl PreparedDataset {
                 dirty.len()
             )));
         }
-        let dim = self.dim;
-        let block_size = self.block_size;
-        let mut values = Vec::with_capacity(ds.n_records() * dim);
-        let mut sums = Vec::with_capacity(ds.n_records());
-        let mut offsets = Vec::with_capacity(self.n_groups() + 1);
-        offsets.push(0);
-        let mut block_offsets = Vec::with_capacity(self.n_groups() + 1);
-        block_offsets.push(0);
-        let mut block_min = Vec::new();
-        let mut block_max = Vec::new();
-        let mut mbbs = Vec::with_capacity(self.n_groups());
-        let mut order: Vec<(f64, usize)> = Vec::new();
-        let mut rebuilt: Vec<bool> = Vec::with_capacity(self.n_groups());
-        for g in ds.group_ids() {
-            let clean = !dirty[g] && ds.group_len(g) == self.group_len(g);
-            rebuilt.push(!clean);
-            if clean {
-                let (r0, r1) = (self.offsets[g], self.offsets[g + 1]);
-                values.extend_from_slice(&self.values[r0 * dim..r1 * dim]);
-                sums.extend_from_slice(&self.sums[r0..r1]);
-                let (b0, b1) = (self.block_offsets[g], self.block_offsets[g + 1]);
-                block_min.extend_from_slice(&self.block_min[b0 * dim..b1 * dim]);
-                block_max.extend_from_slice(&self.block_max[b0 * dim..b1 * dim]);
-                mbbs.push(self.mbbs[g].clone());
-            } else {
-                let mbb = append_sorted_group(
-                    ds,
-                    g,
-                    dim,
-                    block_size,
-                    &mut values,
-                    &mut sums,
-                    &mut block_min,
-                    &mut block_max,
-                    &mut order,
-                );
-                mbbs.push(mbb);
-            }
-            offsets.push(values.len() / dim);
-            block_offsets.push(block_min.len() / dim);
-        }
-        let stride = (dim + 1) * self.lane_width;
-        let total_blocks = block_offsets[block_offsets.len() - 1];
-        let mut keys = vec![0i64; total_blocks * stride];
-        for g in ds.group_ids() {
-            let dst = block_offsets[g] * stride..block_offsets[g + 1] * stride;
-            if rebuilt[g] {
-                fill_group_lanes(
-                    &mut keys[dst],
-                    dim,
-                    block_size,
-                    self.lane_width,
-                    &values,
-                    &sums,
-                    offsets[g],
-                    offsets[g + 1],
-                );
-            } else {
-                let src = self.block_offsets[g] * stride..self.block_offsets[g + 1] * stride;
-                keys[dst].copy_from_slice(&self.keys[src]);
-            }
-        }
-        let prep = PreparedDataset {
-            dim,
-            block_size,
-            values,
-            sums,
-            offsets,
-            block_offsets,
-            block_min,
-            block_max,
-            mbbs,
-            keys,
-            lane_width: self.lane_width,
-        };
+        let mut order = Vec::new();
+        let segments = ds
+            .group_ids()
+            .map(|g| {
+                let seg = &self.segments[g];
+                if !dirty[g] && ds.group_len(g) == seg.len {
+                    Arc::clone(seg)
+                } else {
+                    let rows = ds.group_rows(g);
+                    Arc::new(Segment::build_with(self.dim, self.block_size, rows, &mut order))
+                }
+            })
+            .collect();
+        let prep = PreparedDataset::assemble(self.dim, self.block_size, segments);
         crate::invariants::check_prepared(ds, &prep);
         Ok(prep)
     }
@@ -351,28 +486,35 @@ impl PreparedDataset {
     /// Number of groups.
     #[inline]
     pub fn n_groups(&self) -> usize {
-        self.offsets.len() - 1
+        self.segments.len()
     }
 
     /// Total number of records.
     #[inline]
     pub fn n_records(&self) -> usize {
-        self.offsets[self.offsets.len() - 1]
+        self.n_records
+    }
+
+    /// The shared segment of group `g`.
+    #[inline]
+    pub fn segment(&self, g: GroupId) -> &Arc<Segment> {
+        &self.segments[g]
     }
 
     /// Number of records in group `g`.
     #[inline]
     pub fn group_len(&self, g: GroupId) -> usize {
-        self.offsets[g + 1] - self.offsets[g]
+        self.lens[g]
     }
 
     /// Number of blocks of group `g` (`ceil(group_len / block_size)`).
     #[inline]
     pub fn n_blocks(&self, g: GroupId) -> usize {
-        self.block_offsets[g + 1] - self.block_offsets[g]
+        self.lens[g].div_ceil(self.block_size)
     }
 
-    /// Bounding box of group `g`.
+    /// Bounding box of group `g` (identical to [`Mbb::of_group`] on the
+    /// source dataset).
     #[inline]
     pub fn mbb(&self, g: GroupId) -> &Mbb {
         &self.mbbs[g]
@@ -389,170 +531,66 @@ impl PreparedDataset {
     /// dataset's record order).
     #[inline]
     pub fn record(&self, g: GroupId, i: usize) -> &[f64] {
-        let row = self.offsets[g] + i;
-        debug_assert!(row < self.offsets[g + 1]);
-        &self.values[row * self.dim..(row + 1) * self.dim]
+        self.segments[g].record(i)
     }
 
     /// Coordinate sums of group `g`'s records, descending.
     #[inline]
     pub fn group_sums(&self, g: GroupId) -> &[f64] {
-        &self.sums[self.offsets[g]..self.offsets[g + 1]]
+        self.segments[g].sums()
     }
 
     /// Columnar key lanes of block `b` (0-based within the group) of group
     /// `g`.
     #[inline]
     pub fn lane_block(&self, g: GroupId, b: usize) -> LaneBlock<'_> {
-        let gb = self.block_offsets[g] + b;
-        debug_assert!(gb < self.block_offsets[g + 1]);
-        let start = self.offsets[g] + b * self.block_size;
-        let end = (start + self.block_size).min(self.offsets[g + 1]);
-        let stride = (self.dim + 1) * self.lane_width;
-        LaneBlock {
-            keys: &self.keys[gb * stride..(gb + 1) * stride],
-            width: self.lane_width,
-            len: end - start,
-        }
+        self.segments[g].lane_block(b)
     }
 
     /// Block `b` (0-based within the group) of group `g`.
     #[inline]
     pub fn block(&self, g: GroupId, b: usize) -> BlockView<'_> {
-        let gb = self.block_offsets[g] + b;
-        debug_assert!(gb < self.block_offsets[g + 1]);
-        let start = self.offsets[g] + b * self.block_size;
-        let end = (start + self.block_size).min(self.offsets[g + 1]);
-        BlockView {
-            min: &self.block_min[gb * self.dim..(gb + 1) * self.dim],
-            max: &self.block_max[gb * self.dim..(gb + 1) * self.dim],
-            rows: &self.values[start * self.dim..end * self.dim],
-            sums: &self.sums[start..end],
-        }
+        self.segments[g].block(b)
     }
 }
 
-/// Sorts group `g` of `ds` by descending coordinate sum and appends its
-/// rows, sums and per-block bounding corners to the accumulators, returning
-/// the group's bounding box. `order` is scratch reused across calls. Shared
-/// by [`PreparedDataset::build`] (every group) and
-/// [`PreparedDataset::rebuild_dirty`] (dirty groups only).
-#[allow(clippy::too_many_arguments)]
-fn append_sorted_group(
-    ds: &GroupedDataset,
-    g: GroupId,
-    dim: usize,
-    block_size: usize,
-    values: &mut Vec<f64>,
-    sums: &mut Vec<f64>,
-    block_min: &mut Vec<f64>,
-    block_max: &mut Vec<f64>,
-    order: &mut Vec<(f64, usize)>,
-) -> Mbb {
-    order.clear();
-    order.extend(ds.records(g).enumerate().map(|(i, r)| (r.iter().sum::<f64>(), i)));
-    // Descending sum; ties broken by original index so the layout is
-    // deterministic regardless of the sort implementation.
-    order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    let base = values.len();
-    for &(s, i) in order.iter() {
-        sums.push(s);
-        values.extend_from_slice(ds.record(g, i));
-    }
-    let len = order.len();
-    let rows = &values[base..];
-    let mut g_min = vec![f64::INFINITY; dim];
-    let mut g_max = vec![f64::NEG_INFINITY; dim];
-    for start in (0..len).step_by(block_size) {
-        let end = (start + block_size).min(len);
-        let at = block_min.len();
-        block_min.resize(at + dim, f64::INFINITY);
-        block_max.resize(at + dim, f64::NEG_INFINITY);
-        for r in rows[start * dim..end * dim].chunks_exact(dim) {
-            for d in 0..dim {
-                block_min[at + d] = block_min[at + d].min(r[d]);
-                block_max[at + d] = block_max[at + d].max(r[d]);
-            }
-        }
-        for d in 0..dim {
-            g_min[d] = g_min[d].min(block_min[at + d]);
-            g_max[d] = g_max[d].max(block_max[at + d]);
-        }
-    }
-    Mbb { min: g_min, max: g_max }
-}
-
-/// Fills the columnar key lanes: for each block, `dim` coordinate lanes and
-/// one sum lane of `lane_width` keys each (the block size rounded up to
-/// [`LANE_VECTOR`]), live slots holding [`crate::dominance::sort_key`] of
-/// the sorted rows, padded slots holding sentinels (`i64::MAX` in lane 0 so
-/// a pad is never dominated, `i64::MIN` in every other lane — including the
-/// sum lane, which by itself already prevents a pad from dominating,
-/// covering the 1-dimensional case where no coordinate sentinel can do both
-/// jobs at once). The stride-rounding pad past `block_size` carries the
-/// same sentinel pattern as block padding.
-fn build_lane_keys(
+/// The columnar key lanes of one group's sorted rows: for each block,
+/// `dim` coordinate lanes and one sum lane of `lane_width` keys each (the
+/// block size rounded up to [`LANE_VECTOR`]), live slots holding
+/// [`crate::dominance::sort_key`] of the sorted rows, padded slots holding
+/// sentinels (`i64::MAX` in lane 0 so a pad is never dominated, `i64::MIN`
+/// in every other lane — including the sum lane, which by itself already
+/// prevents a pad from dominating, covering the 1-dimensional case where no
+/// coordinate sentinel can do both jobs at once). The stride-rounding pad
+/// past `block_size` carries the same sentinel pattern as block padding.
+fn lane_keys(
     dim: usize,
     block_size: usize,
     lane_width: usize,
-    values: &[f64],
+    rows: &[f64],
     sums: &[f64],
-    offsets: &[usize],
-    block_offsets: &[usize],
 ) -> Vec<i64> {
     debug_assert_eq!(lane_width % LANE_VECTOR, 0);
     debug_assert!(lane_width >= block_size);
     let stride = (dim + 1) * lane_width;
-    let total_blocks = block_offsets[block_offsets.len() - 1];
-    let mut keys = vec![0i64; total_blocks * stride];
-    for g in 0..offsets.len() - 1 {
-        fill_group_lanes(
-            &mut keys[block_offsets[g] * stride..block_offsets[g + 1] * stride],
-            dim,
-            block_size,
-            lane_width,
-            values,
-            sums,
-            offsets[g],
-            offsets[g + 1],
-        );
-    }
-    keys
-}
-
-/// Fills one group's slice of the key-lane buffer (see [`build_lane_keys`]
-/// for the layout). `g_start..g_end` is the group's row range into the
-/// global `values`/`sums`; `keys` is exactly the group's
-/// `n_blocks * (dim + 1) * lane_width` lane slots.
-#[allow(clippy::too_many_arguments)]
-fn fill_group_lanes(
-    keys: &mut [i64],
-    dim: usize,
-    block_size: usize,
-    lane_width: usize,
-    values: &[f64],
-    sums: &[f64],
-    g_start: usize,
-    g_end: usize,
-) {
-    let stride = (dim + 1) * lane_width;
-    debug_assert_eq!(keys.len(), (g_end - g_start).div_ceil(block_size) * stride);
-    for (b, start) in (g_start..g_end).step_by(block_size).enumerate() {
-        let end = (start + block_size).min(g_end);
-        let base = b * stride;
+    let len = sums.len();
+    let mut keys = vec![0i64; len.div_ceil(block_size) * stride];
+    for (b, block) in keys.chunks_exact_mut(stride).enumerate() {
+        let (start, end) = (b * block_size, ((b + 1) * block_size).min(len));
         for (j, row) in (start..end).enumerate() {
             for d in 0..dim {
-                keys[base + d * lane_width + j] = crate::dominance::sort_key(values[row * dim + d]);
+                block[d * lane_width + j] = crate::dominance::sort_key(rows[row * dim + d]);
             }
-            keys[base + dim * lane_width + j] = crate::dominance::sort_key(sums[row]);
+            block[dim * lane_width + j] = crate::dominance::sort_key(sums[row]);
         }
         for j in (end - start)..lane_width {
-            keys[base + j] = i64::MAX;
+            block[j] = i64::MAX;
             for d in 1..=dim {
-                keys[base + d * lane_width + j] = i64::MIN;
+                block[d * lane_width + j] = i64::MIN;
             }
         }
     }
+    keys
 }
 
 #[cfg(test)]
@@ -665,19 +703,18 @@ mod tests {
         }
     }
 
-    /// Asserts two preparations are bit-identical in every field.
+    /// Asserts two preparations are bit-identical segment by segment.
     fn assert_same_prep(a: &PreparedDataset, b: &PreparedDataset) {
-        assert_eq!(a.dim, b.dim);
-        assert_eq!(a.block_size, b.block_size);
-        assert_eq!(a.values, b.values);
-        assert_eq!(a.sums, b.sums);
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.block_offsets, b.block_offsets);
-        assert_eq!(a.block_min, b.block_min);
-        assert_eq!(a.block_max, b.block_max);
-        assert_eq!(a.mbbs, b.mbbs);
-        assert_eq!(a.keys, b.keys);
-        assert_eq!(a.lane_width, b.lane_width);
+        let bits = |p: &PreparedDataset| -> Vec<(Vec<u64>, Vec<i64>)> {
+            (0..p.n_groups())
+                .map(|g| {
+                    let s = p.segment(g);
+                    (s.floats.iter().map(|v| v.to_bits()).collect(), s.keys.clone())
+                })
+                .collect()
+        };
+        assert_eq!(a, b);
+        assert_eq!(bits(a), bits(b));
     }
 
     #[test]
@@ -704,6 +741,10 @@ mod tests {
             let prep = PreparedDataset::build(&before, block_size).unwrap();
             let rebuilt = prep.rebuild_dirty(&after, &dirty).unwrap();
             assert_same_prep(&rebuilt, &PreparedDataset::build(&after, block_size).unwrap());
+            for g in after.group_ids() {
+                let shared = Arc::ptr_eq(rebuilt.segment(g), prep.segment(g));
+                assert_eq!(shared, !dirty[g], "group {g}: clean groups share, dirty ones rebuild");
+            }
         }
     }
 
@@ -764,5 +805,50 @@ mod tests {
             other => panic!("expected InvalidArgument, got {other:?}"),
         }
         assert!(PreparedDataset::build(&ds, MAX_LANE_BLOCK).is_ok());
+    }
+
+    #[test]
+    fn segments_build_from_flat_rows_and_reject_bad_shapes() {
+        let ds = random_dataset(3, 7, 3, 31);
+        let prep = PreparedDataset::build(&ds, 4).unwrap();
+        for g in ds.group_ids() {
+            let seg = Segment::build(3, 4, ds.group_rows(g)).unwrap();
+            assert_eq!(&seg, prep.segment(g).as_ref());
+            assert_eq!(seg.mbb(), Mbb::of_group(&ds, g));
+        }
+        assert!(matches!(Segment::build(0, 4, &[]), Err(crate::error::Error::ZeroDimensions)));
+        assert!(Segment::build(3, 4, &[1.0, 2.0]).is_err(), "not a whole record");
+        assert!(Segment::build(3, 0, &[1.0, 2.0, 3.0]).is_err());
+        let empty = Segment::build(2, 4, &[]).unwrap();
+        assert!(empty.is_empty() && empty.n_blocks() == 0);
+    }
+
+    #[test]
+    fn preparations_assemble_from_shared_segments() {
+        let ds = random_dataset(4, 6, 2, 8);
+        let prep = PreparedDataset::build(&ds, 4).unwrap();
+        let segments: Vec<Arc<Segment>> = (0..4).map(|g| Arc::clone(prep.segment(g))).collect();
+        let again = PreparedDataset::from_segments(2, 4, segments.clone()).unwrap();
+        assert_same_prep(&again, &prep);
+        assert!(Arc::ptr_eq(again.segment(2), prep.segment(2)));
+        let mut moved = segments;
+        moved[1] = Arc::new(Segment::build(2, 4, &[99.0, 99.0]).unwrap());
+        let other = PreparedDataset::from_segments(2, 4, moved).unwrap();
+        assert_eq!(other.mbb(1), &Mbb { min: vec![99.0, 99.0], max: vec![99.0, 99.0] });
+        assert_eq!(other.group_len(1), 1);
+        assert_eq!(other.n_records(), prep.n_records() - prep.group_len(1) + 1);
+        let other = Arc::new(Segment::build(2, 8, ds.group_rows(0)).unwrap());
+        assert!(PreparedDataset::from_segments(2, 4, vec![other]).is_err(), "block size mismatch");
+        assert!(PreparedDataset::from_segments(3, 4, vec![Arc::clone(prep.segment(0))]).is_err());
+    }
+
+    /// Rounding can make a dominating record's sum equal the dominated
+    /// one's: `1e16 + 1 == 1e16`. Equal sums keep their input order.
+    #[test]
+    fn equal_sums_keep_input_order() {
+        let seg = Segment::build(2, 4, &[1e16, 0.0, 1e16, 1.0, 5.0, 5.0]).unwrap();
+        assert_eq!(seg.sums(), &[1e16, 1e16, 10.0]);
+        assert_eq!(seg.record(0), &[1e16, 0.0]);
+        assert_eq!(seg.record(1), &[1e16, 1.0]);
     }
 }

@@ -38,25 +38,32 @@ pub fn bnl(rows: &[f64], dim: usize) -> Vec<usize> {
 }
 
 /// Computes the skyline with sort-filter-skyline: records are pre-sorted by
-/// descending coordinate sum (a monotone scoring function), which guarantees
-/// a record can only be dominated by records *earlier* in the order, so the
-/// window never needs eviction.
+/// descending coordinate sum (a monotone scoring function), equal sums by
+/// descending coordinates in lexicographic order, which guarantees a record
+/// can only be dominated by records *earlier* in the order, so the window
+/// never needs eviction. The tie-break matters: f64 rounding can give a
+/// dominating record the same sum as the record it dominates (`1e16 + 1 ==
+/// 1e16`), and a dominator is lexicographically larger.
 ///
 /// Returns indices into the original `rows` order, sorted ascending.
 pub fn sfs(rows: &[f64], dim: usize) -> Vec<usize> {
     assert!(dim > 0, "dimension must be positive");
     assert_eq!(rows.len() % dim, 0, "buffer length must be a multiple of dim");
     let n = rows.len() / dim;
+    let row = |i: usize| &rows[i * dim..(i + 1) * dim];
+    let sums: Vec<f64> = (0..n).map(|i| row(i).iter().sum()).collect();
     let mut order: Vec<usize> = (0..n).collect();
-    let sum = |i: usize| -> f64 { rows[i * dim..(i + 1) * dim].iter().sum() };
-    order.sort_by(|&a, &b| crate::ord::cmp_desc(sum(a), sum(b)));
+    order.sort_by(|&a, &b| {
+        crate::ord::cmp_desc(sums[a], sums[b]).then_with(|| crate::ord::cmp_slices(row(b), row(a)))
+    });
     let mut skyline: Vec<usize> = Vec::new();
     'outer: for &i in &order {
-        let cand = &rows[i * dim..(i + 1) * dim];
+        let cand = row(i);
         for &s in &skyline {
-            let w = &rows[s * dim..(s + 1) * dim];
+            let w = row(s);
             // A later record can never dominate an earlier one (its sum is
-            // not larger), so only the DominatedBy outcome matters.
+            // not larger, and at an equal sum it is not lexicographically
+            // larger), so only the DominatedBy outcome matters.
             if compare(cand, w) == DomRelation::DominatedBy {
                 continue 'outer;
             }
@@ -129,6 +136,18 @@ mod tests {
     fn empty_input() {
         assert_eq!(bnl(&[], 2), Vec::<usize>::new());
         assert_eq!(sfs(&[], 2), Vec::<usize>::new());
+    }
+
+    /// `1e16 + 1 == 1e16`: the dominating record's sum rounds to the
+    /// dominated one's, and sfs must still drop the dominated record.
+    #[test]
+    fn sfs_handles_dominance_at_equal_rounded_sums() {
+        let rows = [1e16, 0.0, 1e16, 1.0];
+        assert_eq!(bnl(&rows, 2), vec![1]);
+        assert_eq!(sfs(&rows, 2), vec![1]);
+        let three = [1e16, 1.0, 0.0, 1e16, 0.0, 0.0, 0.0, 5.0, 0.0, 1e16, 1.0, 1.0];
+        assert_eq!(sfs(&three, 3), bnl(&three, 3));
+        assert_eq!(sfs(&three, 3), vec![2, 3]);
     }
 
     #[test]

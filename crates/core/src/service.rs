@@ -4,17 +4,29 @@
 //! epoch-snapshot reader protocol:
 //!
 //! * **Readers** grab the current [`Epoch`] — an immutable, atomically
-//!   published bundle of the live dataset, its [`PreparedDataset`], the
-//!   service-γ skyline, and a [`PairCache`] pre-seeded with the writer's
-//!   exact tallies — and answer γ-queries or γ-sweeps against it with no
-//!   locks held and no coordination with the writer. Grabbing the epoch
-//!   takes the epoch `RwLock` just long enough to clone the `Arc`, so a
-//!   reader waits only for a publish's pointer swap, never for a fold.
+//!   published bundle of the live records as a [`PreparedDataset`], the
+//!   service-γ skyline, and the writer's exact tallies — and answer
+//!   γ-queries or γ-sweeps against it with no locks held and no
+//!   coordination with the writer. Grabbing the epoch takes the epoch
+//!   `RwLock` just long enough to clone the `Arc`, so a reader waits only
+//!   for a publish's pointer swap, never for a fold.
 //! * **A single writer** absorbs a [`WriteBatch`], maintains the tallies
 //!   incrementally (Property-2 deferral included, see [`crate::dynamic`]),
-//!   rebuilds only the *dirty* groups' lane blocks through
-//!   [`PreparedDataset::rebuild_dirty`], and publishes the next epoch with
-//!   one pointer swap.
+//!   and publishes the next epoch with one pointer swap.
+//!
+//! An epoch is built by **structural sharing**. Its preparation is one
+//! `Arc`'d [`crate::prepared::Segment`] per non-empty group, kept by the
+//! engine until the group's next edit: only a group edited since its
+//! segment was built is prepared again, from the writer's live rows, and
+//! every other group's segment is shared with the previous epochs and with
+//! the engine's fold. The exact tallies are the engine's
+//! dense tally table behind an `Arc`, copied on write by the next fold that
+//! changes it, plus a bitset of the groups with no pending edits; a read
+//! overlays its own counts on them ([`PairCache`]). The group labels are
+//! the engine's shared list. So a publish costs `O(groups + dirty
+//! records)`, and a kept epoch owns only the segments no later epoch
+//! shares. The epoch's [`GroupedDataset`] is built on the first call to
+//! [`Epoch::dataset`]; reads count from the segments alone.
 //!
 //! Publication is the **last** step of [`SkylineService::apply_ctx`], so a
 //! writer that panics mid-batch (chaos-tested with
@@ -28,19 +40,20 @@
 //! id in the seed slot) plus every exact tally, and
 //! [`SkylineService::restore`] warm-starts from such a frame without any
 //! kernel recounting — falling back to a cold rebuild when the frame is
-//! missing, torn, or belongs to different data.
+//! missing, torn, or belongs to different data. The fingerprint hashes
+//! each group's records in one canonical order, so a frame matches the
+//! same records in whatever order the caller lists them.
 
 use crate::algorithms::{AlgoOptions, Algorithm};
 use crate::dataset::{GroupId, GroupedDataset};
-use crate::dynamic::DynamicAggregateSkyline;
+use crate::dynamic::{DynamicAggregateSkyline, TallySeed};
 use crate::error::{Error, Result};
 use crate::gamma::Gamma;
 use crate::paircache::{CachedTally, PairCache};
 use crate::persist::{CheckpointStore, Fingerprint, PairEntry, SaveReceipt, Snapshot};
 use crate::prepared::PreparedDataset;
 use crate::runctx::{InterruptReason, RunContext};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// One write operation of a [`WriteBatch`]. Groups are addressed by label:
 /// inserting into an unknown label creates the group, deleting from one is
@@ -142,20 +155,22 @@ pub enum ServeRecovery {
 ///
 /// Readers hold an `Arc<Epoch>` and answer any number of γ-queries and
 /// γ-sweeps against it concurrently; a later publish never invalidates an
-/// epoch already handed out.
+/// epoch already handed out. Groups are addressed by *snapshot* ids, the
+/// non-empty groups in service-id order; translate with
+/// [`Epoch::service_id`].
 #[derive(Debug)]
 pub struct Epoch {
     id: u64,
-    snapshot: GroupedDataset,
-    /// `mapping[snapshot_id] = service_id`, strictly ascending (the
-    /// snapshot skips empty groups).
-    mapping: Vec<GroupId>,
+    /// One shared segment per snapshot group.
     prep: Arc<PreparedDataset>,
+    /// The writer's labels by service id, shared.
+    labels: Arc<Vec<Arc<str>>>,
+    /// The writer's exact tallies, and the snapshot → service id map.
+    seed: Arc<TallySeed>,
     /// The service-γ skyline, in service group ids, ascending.
     skyline: Vec<GroupId>,
-    /// Tallies exact at publish time, keyed by snapshot ids; queries clone
-    /// this, so fully folded pairs are never recounted by readers.
-    cache: PairCache,
+    /// Built from `prep` and `labels` on the first [`Epoch::dataset`].
+    dataset: OnceLock<GroupedDataset>,
 }
 
 impl Epoch {
@@ -165,9 +180,13 @@ impl Epoch {
     }
 
     /// The live records at publish time (empty groups omitted), addressed
-    /// by *snapshot* ids; translate with [`Epoch::service_id`].
+    /// by *snapshot* ids; translate with [`Epoch::service_id`]. Built from
+    /// the epoch's segments on the first call, so each group's records come
+    /// back **sorted by descending coordinate sum** (ties in insertion
+    /// order), not in insertion order. [`PreparedDataset::build`] of it
+    /// equals [`Epoch::prepared`].
     pub fn dataset(&self) -> &GroupedDataset {
-        &self.snapshot
+        self.dataset.get_or_init(|| dataset_of(&self.prep, &self.labels, self.seed.service()))
     }
 
     /// The epoch's shared preparation (sorted blocks + key lanes).
@@ -177,7 +196,7 @@ impl Epoch {
 
     /// Service group id of snapshot group `si`.
     pub fn service_id(&self, si: GroupId) -> GroupId {
-        self.mapping[si]
+        self.seed.service()[si]
     }
 
     /// The skyline at the service γ, in service group ids, ascending.
@@ -187,24 +206,23 @@ impl Epoch {
 
     /// Labels of the service-γ skyline, sorted.
     pub fn skyline_labels(&self) -> Vec<&str> {
-        let snapshot_ids: Vec<GroupId> =
-            self.skyline.iter().filter_map(|g| self.mapping.binary_search(g).ok()).collect();
-        self.snapshot.sorted_labels(&snapshot_ids)
+        let mut out: Vec<&str> = self.skyline.iter().map(|&g| &*self.labels[g]).collect();
+        out.sort_unstable();
+        out
     }
 
     /// The aggregate skyline of this epoch at an arbitrary `gamma`, in
     /// service group ids, ascending. Pairs already folded by the writer are
-    /// served from the seeded tally cache; only pairs that were still
-    /// deferred at publish time cost kernel work.
+    /// served from its exact tallies; only pairs that were still deferred
+    /// at publish time cost kernel work.
     pub fn query(&self, gamma: Gamma) -> Vec<GroupId> {
-        let mut cache = self.cache.clone();
-        self.query_with(gamma, &mut cache)
+        self.query_with(gamma, &mut PairCache::seeded(Arc::clone(&self.seed)))
     }
 
     /// Runs [`Algorithm::Indexed`] at every threshold in `gammas`, sharing
     /// this epoch's preparation and one tally cache across the whole sweep.
     pub fn sweep(&self, gammas: &[Gamma]) -> Vec<(Gamma, Vec<GroupId>)> {
-        let mut cache = self.cache.clone();
+        let mut cache = PairCache::seeded(Arc::clone(&self.seed));
         gammas.iter().map(|&gamma| (gamma, self.query_with(gamma, &mut cache))).collect()
     }
 
@@ -213,41 +231,37 @@ impl Epoch {
         // oracle excludes, and a read must return the writer's skyline.
         let opts = AlgoOptions::exact(gamma);
         let result = Algorithm::Indexed
-            .run_cached_ctx(&self.snapshot, &self.prep, opts, cache, &RunContext::unlimited())
+            .run_cached_over(&self.prep, opts, cache, &RunContext::unlimited())
             .unwrap_or_partial();
-        result.skyline.iter().map(|&si| self.mapping[si]).collect()
+        result.skyline.iter().map(|&si| self.service_id(si)).collect()
     }
+}
+
+/// The dataset of a preparation's groups, labelled through the snapshot →
+/// service id map: each group's records in segment (sorted) order.
+fn dataset_of(prep: &PreparedDataset, labels: &[Arc<str>], service: &[GroupId]) -> GroupedDataset {
+    GroupedDataset::from_groups(
+        prep.dim(),
+        service.iter().enumerate().map(|(si, &g)| (&*labels[g], prep.segment(si).rows())),
+    )
 }
 
 /// Writer-side state, serialized behind the service's writer lock.
 #[derive(Debug)]
 struct WriterState {
+    /// Owns the labels (a group whose records are all deleted keeps its
+    /// id and simply drops out of the epochs) and the live segments, which
+    /// track what changed since the last publish.
     engine: DynamicAggregateSkyline,
-    /// Label → service group id (labels are never forgotten; a group whose
-    /// records are all deleted keeps its id and simply drops out of the
-    /// snapshots).
-    index: HashMap<String, GroupId>,
     next_epoch: u64,
-    /// Groups whose records changed since the last **published** epoch.
-    /// Accumulated across applies and cleared only after a successful
-    /// publish: a failed or interrupted apply leaves its edits pending in
-    /// the writer (possibly already folded into a group's base), and the
-    /// next successful publish must still rebuild those groups' prepared
-    /// segments — their net length may be unchanged, which would otherwise
-    /// slip past [`PreparedDataset::rebuild_dirty`]'s length guard and
-    /// publish stale sorted rows. Indices past the end are treated as
-    /// dirty by [`build_epoch`].
-    dirty: Vec<bool>,
 }
 
 impl WriterState {
     fn group_for(&mut self, label: &str) -> GroupId {
-        if let Some(&g) = self.index.get(label) {
-            return g;
+        match self.engine.group_id(label) {
+            Some(g) => g,
+            None => self.engine.add_group(label),
         }
-        let g = self.engine.add_group(label);
-        self.index.insert(label.to_string(), g);
-        g
     }
 }
 
@@ -302,18 +316,21 @@ impl SkylineService {
     /// otherwise — no frame, torn frames, foreign data, or invalid
     /// tallies — the service starts cold from `ds` alone. The outcome is
     /// reported in the returned [`ServeRecovery`].
+    ///
+    /// The match ignores the order of the records within each group (the
+    /// groups' order and labels must match) and compares the records as
+    /// normalized to MAX, as the epochs keep them. A frame fingerprinted
+    /// over `ds` as given, as older versions wrote them, matches too.
     pub fn restore(
         ds: &GroupedDataset,
         gamma: Gamma,
         store: &CheckpointStore,
     ) -> Result<(SkylineService, ServeRecovery)> {
-        let expected = Fingerprint::of(ds, gamma);
         let recovery = store.load()?;
         if let Some((_seq, frame)) = recovery.snapshot {
-            let mut found = frame.fingerprint;
-            let epoch_id = found.seed;
-            found.seed = expected.seed;
-            if found == expected {
+            let epoch_id = frame.fingerprint.seed;
+            let found = frame.fingerprint.with_seed(0);
+            if found == canonical_fingerprint(ds, gamma) || found == Fingerprint::of(ds, gamma) {
                 let entries: Vec<((GroupId, GroupId), CachedTally)> =
                     frame.pairs.iter().map(|p| ((p.lo, p.hi), p.tally)).collect();
                 if let Ok(engine) = DynamicAggregateSkyline::from_dataset_with_tallies(ds, &entries)
@@ -334,10 +351,9 @@ impl SkylineService {
         gamma: Gamma,
         first_epoch: u64,
     ) -> Result<SkylineService> {
-        let index = (0..engine.n_groups()).map(|g| (engine.label(g).to_string(), g)).collect();
-        let dirty = vec![false; engine.n_groups()];
-        let mut w = WriterState { engine, index, next_epoch: first_epoch, dirty };
-        let (epoch, _outcome) = build_epoch(&mut w, gamma, None, &[], &RunContext::unlimited())?;
+        let mut w = WriterState { engine, next_epoch: first_epoch };
+        let outcome = w.engine.skyline_ctx(gamma, &RunContext::unlimited())?;
+        let epoch = build_epoch(&mut w, outcome.groups)?;
         w.next_epoch += 1;
         Ok(SkylineService { gamma, writer: Mutex::new(w), current: RwLock::new(Arc::new(epoch)) })
     }
@@ -364,11 +380,11 @@ impl SkylineService {
     ///
     /// The writer applies every operation to the incremental engine (O(1)
     /// each), certifies the new skyline at the service γ — folding only the
-    /// groups whose Property-2 drift interval crossed γ — rebuilds only the
-    /// touched groups' segments of the preparation, and publishes the new
-    /// epoch as the very last step. Concurrent readers keep answering from
-    /// the previous epoch throughout; an interrupt (or a chaos panic inside
-    /// the fold) publishes nothing.
+    /// groups whose Property-2 drift interval crossed γ — prepares only the
+    /// segments of groups edited since they were last prepared, and
+    /// publishes the new epoch as the very last step. Concurrent readers
+    /// keep answering from the previous epoch throughout; an interrupt (or
+    /// a chaos panic inside the fold) publishes nothing.
     ///
     /// # Errors
     ///
@@ -376,54 +392,46 @@ impl SkylineService {
     /// non-finite values) and [`Error::InvalidArgument`] for a delete
     /// addressing an unknown group or record. A failed batch publishes no
     /// epoch; operations applied before the failure stay pending in the
-    /// writer (their groups stay flagged dirty) and ride along with the
-    /// next successful batch.
+    /// writer (their groups' segments are prepared again at the next
+    /// publish) and ride along with the next successful batch.
     pub fn apply_ctx(&self, batch: &WriteBatch, ctx: &RunContext) -> Result<EpochReceipt> {
         let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         let mut batch_rows = 0u64;
         for op in &batch.ops {
-            let g = match op {
+            match op {
                 WriteOp::Insert { group, record } => {
                     let g = w.group_for(group);
                     w.engine.insert_ctx(g, record, ctx)?;
-                    g
                 }
                 WriteOp::Delete { group, record } => {
-                    let g = w.index.get(group.as_str()).copied().ok_or_else(|| {
+                    let g = w.engine.group_id(group).ok_or_else(|| {
                         Error::InvalidArgument(format!("delete from unknown group {group:?}"))
                     })?;
                     let idx = w.engine.find_record(g, record).ok_or_else(|| {
                         Error::InvalidArgument(format!("no record {record:?} in group {group:?}"))
                     })?;
                     w.engine.remove(g, idx)?;
-                    g
                 }
-            };
-            if g >= w.dirty.len() {
-                w.dirty.resize(g + 1, false);
             }
-            w.dirty[g] = true;
             batch_rows += 1;
         }
-        let prev = self.current();
-        let dirty = w.dirty.clone();
-        let (epoch, outcome) = build_epoch(&mut w, self.gamma, Some(&prev), &dirty, ctx)?;
+        let outcome = w.engine.skyline_ctx(self.gamma, ctx)?;
         if let Some(reason) = outcome.interrupted {
             return Ok(EpochReceipt {
-                epoch: prev.id,
+                epoch: self.current().id,
                 batch_rows,
                 deferred_pairs: outcome.deferred_pairs,
                 flushed_pairs: outcome.flushed_pairs,
                 interrupted: Some(reason),
             });
         }
+        let epoch = build_epoch(&mut w, outcome.groups)?;
         let id = epoch.id;
         // The single point of publication: everything above worked on
         // writer-private state, so a panic or error anywhere before this
-        // line leaves `prev` serving unchanged.
+        // line leaves the previous epoch serving unchanged.
         *self.current.write().unwrap_or_else(|p| p.into_inner()) = Arc::new(epoch);
         w.next_epoch += 1;
-        w.dirty.iter_mut().for_each(|d| *d = false);
         Ok(EpochReceipt {
             epoch: id,
             batch_rows,
@@ -435,86 +443,83 @@ impl SkylineService {
 
     /// Checkpoints the current state through `store`'s atomic frame
     /// protocol: folds any deferred deltas to make every tally exact, then
-    /// persists the live dataset's fingerprint (current epoch id in the
-    /// seed slot) and all pair tallies. Readers are unaffected; the live
-    /// records do not change.
+    /// persists the fingerprint of the live records in canonical order
+    /// (current epoch id in the seed slot) and all pair tallies. Readers
+    /// are unaffected; the live records do not change.
     pub fn persist(&self, store: &CheckpointStore) -> Result<SaveReceipt> {
         let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         w.engine.flush_ctx(&RunContext::unlimited())?;
-        let (snap, mapping) = w.engine.snapshot()?;
-        let pairs = snapshot_pairs(&w.engine, &mapping)
+        let (prep, mapping) = live_preparation(&mut w.engine)?;
+        let snap = dataset_of(&prep, w.engine.labels(), &mapping);
+        // Every group is folded, so every tally is exact; `mapping` is
+        // ascending, so the canonical `lo < hi` orientation survives the
+        // translation to snapshot ids.
+        let mut rev: Vec<Option<GroupId>> = vec![None; w.engine.n_groups()];
+        for (si, &g) in mapping.iter().enumerate() {
+            rev[g] = Some(si);
+        }
+        let pairs = w
+            .engine
+            .export_tallies()
             .into_iter()
-            .map(|((lo, hi), tally)| PairEntry { lo, hi, tally })
+            .filter_map(|((lo, hi), tally)| Some(PairEntry { lo: rev[lo]?, hi: rev[hi]?, tally }))
             .collect();
         let epoch_id = self.current().id;
-        let fingerprint = Fingerprint::of(&snap, self.gamma).with_seed(epoch_id);
+        let fingerprint = canonical_fingerprint(&snap, self.gamma).with_seed(epoch_id);
         store.save(&Snapshot { fingerprint, partition: None, pairs })
     }
 }
 
-/// Translates the engine's exact tallies (service ids) into snapshot-id
-/// space, keeping only pairs whose both groups are fully folded and live.
-/// `mapping` is ascending, so the canonical `lo < hi` orientation survives
-/// the translation.
-fn snapshot_pairs(
-    engine: &DynamicAggregateSkyline,
-    mapping: &[GroupId],
-) -> Vec<((GroupId, GroupId), CachedTally)> {
-    let mut rev: Vec<Option<GroupId>> = vec![None; engine.n_groups()];
-    for (si, &g) in mapping.iter().enumerate() {
-        rev[g] = Some(si);
-    }
-    let mut entries = Vec::new();
-    for ((lo, hi), t) in engine.export_tallies() {
-        if !t.complete() || engine.pending_edits(lo) != (0, 0) || engine.pending_edits(hi) != (0, 0)
-        {
-            continue;
-        }
-        if let (Some(sl), Some(sh)) = (rev[lo], rev[hi]) {
-            entries.push(((sl, sh), t));
-        }
-    }
-    entries.sort_unstable_by_key(|&(key, _)| key);
-    entries
+/// The fingerprint of `ds`'s normalized records, all directions MAX, with
+/// each group's records sorted by their bit patterns, so it does not
+/// depend on the order the records are kept in: records that tie are
+/// bit-identical (a numeric order would tie `0.0` with `-0.0` and leave
+/// their order to the input).
+fn canonical_fingerprint(ds: &GroupedDataset, gamma: Gamma) -> Fingerprint {
+    let groups: Vec<Vec<f64>> = ds
+        .group_ids()
+        .map(|g| {
+            let mut records: Vec<&[f64]> = ds.records(g).collect();
+            records.sort_unstable_by(|a, b| {
+                a.iter().map(|v| v.to_bits()).cmp(b.iter().map(|v| v.to_bits()))
+            });
+            records.concat()
+        })
+        .collect();
+    let sorted = GroupedDataset::from_groups(
+        ds.dim(),
+        groups.iter().enumerate().map(|(g, rows)| (ds.label(g), rows.as_slice())),
+    );
+    Fingerprint::of(&sorted, gamma)
 }
 
-/// Builds the next epoch from the writer state: certifies the skyline at
-/// `gamma` (Property-2 deferral deciding what folds), snapshots the live
-/// records, and prepares them — reusing `prev`'s clean per-group segments
-/// via [`PreparedDataset::rebuild_dirty`] whenever the group layout is
-/// unchanged. `dirty` flags every group (in service ids) whose records
-/// changed since `prev` was published — across however many failed or
-/// interrupted applies; indices past its end are conservatively treated
-/// as dirty. Pure with respect to the served epoch: nothing is published
-/// here.
-fn build_epoch(
-    w: &mut WriterState,
-    gamma: Gamma,
-    prev: Option<&Epoch>,
-    dirty: &[bool],
-    ctx: &RunContext,
-) -> Result<(Epoch, crate::dynamic::DynSkyline)> {
-    let outcome = w.engine.skyline_ctx(gamma, ctx)?;
-    let (snap, mapping) = w.engine.snapshot()?;
-    let prep = match prev {
-        Some(p) if p.mapping == mapping && p.snapshot.dim() == snap.dim() => {
-            let dirty: Vec<bool> =
-                mapping.iter().map(|&g| dirty.get(g).copied().unwrap_or(true)).collect();
-            p.prep.rebuild_dirty(&snap, &dirty)?
-        }
-        _ => PreparedDataset::build(&snap, PreparedDataset::DEFAULT_BLOCK_SIZE)?,
-    };
-    let mut cache = PairCache::new();
-    cache.ingest(&prep, &snapshot_pairs(&w.engine, &mapping))?;
-    let epoch = Epoch {
+/// The engine's live records as a preparation of one shared segment per
+/// non-empty group, with the service id of each (ascending).
+fn live_preparation(
+    engine: &mut DynamicAggregateSkyline,
+) -> Result<(PreparedDataset, Vec<GroupId>)> {
+    let mapping: Vec<GroupId> =
+        (0..engine.n_groups()).filter(|&g| engine.group_len(g) > 0).collect();
+    let segments = mapping.iter().map(|&g| engine.live_segment(g)).collect::<Result<Vec<_>>>()?;
+    let prep = PreparedDataset::from_segments(engine.dim(), engine.block_size(), segments)?;
+    Ok((prep, mapping))
+}
+
+/// Builds the next epoch from the writer state, whose skyline at the
+/// service γ was just certified as `skyline`: shares every segment and the
+/// tally table the engine holds, preparing only groups edited since their
+/// segment was built. Pure with respect to the served epoch: nothing is
+/// published here.
+fn build_epoch(w: &mut WriterState, skyline: Vec<GroupId>) -> Result<Epoch> {
+    let (prep, mapping) = live_preparation(&mut w.engine)?;
+    Ok(Epoch {
         id: w.next_epoch,
-        snapshot: snap,
-        mapping,
         prep: Arc::new(prep),
-        skyline: outcome.groups.clone(),
-        cache,
-    };
-    Ok((epoch, outcome))
+        labels: Arc::clone(w.engine.labels()),
+        seed: Arc::new(w.engine.tally_seed(mapping)),
+        skyline,
+        dataset: OnceLock::new(),
+    })
 }
 
 #[cfg(test)]
@@ -622,6 +627,78 @@ mod tests {
             want.sort_by_key(bits);
             got.sort_by_key(bits);
             assert_eq!(got, want, "prep and snapshot disagree in group {g}");
+        }
+    }
+
+    /// Consecutive epochs share every segment but the edited group's
+    /// (`Arc::ptr_eq`), every published preparation equals a fresh build of
+    /// the epoch's dataset, the dataset holds exactly the live records, and
+    /// reads answer as the oracle does.
+    #[test]
+    fn epochs_share_clean_segments_and_match_a_fresh_build() {
+        let ds = crate::testdata::random_dataset(8, 20, 3, 0x5EED);
+        let svc = SkylineService::from_dataset(&ds, Gamma::DEFAULT).unwrap();
+        let mut model: Vec<Vec<Vec<f64>>> =
+            ds.group_ids().map(|g| ds.records(g).map(<[f64]>::to_vec).collect()).collect();
+        let mut next = lcg(3);
+        let mut prev = svc.current();
+        for round in 0..40 {
+            let g = (next() * 8.0) as usize % 8;
+            let batch = if round % 3 == 2 {
+                let rec = model[g].swap_remove(0);
+                WriteBatch::new().delete(ds.label(g), &rec)
+            } else {
+                let rec = vec![next() * 9.0, next() * 9.0, next() * 9.0];
+                model[g].push(rec.clone());
+                WriteBatch::new().insert(ds.label(g), &rec)
+            };
+            assert_eq!(svc.apply(&batch).unwrap().interrupted, None);
+            let epoch = svc.current();
+            let prep = epoch.prepared();
+            let fresh =
+                PreparedDataset::build(epoch.dataset(), PreparedDataset::DEFAULT_BLOCK_SIZE)
+                    .unwrap();
+            assert_eq!(**prep, fresh, "round {round}");
+            for si in 0..prep.n_groups() {
+                let service = epoch.service_id(si);
+                let mut got: Vec<Vec<f64>> =
+                    epoch.dataset().records(si).map(<[f64]>::to_vec).collect();
+                let mut want = model[service].clone();
+                got.sort_by(|a, b| crate::ord::cmp_slices(a, b));
+                want.sort_by(|a, b| crate::ord::cmp_slices(a, b));
+                assert_eq!(got, want, "round {round} group {service}");
+                let before =
+                    (0..prev.prepared().n_groups()).find(|&p| prev.service_id(p) == service);
+                let shared = before
+                    .is_some_and(|p| Arc::ptr_eq(prev.prepared().segment(p), prep.segment(si)));
+                assert_eq!(shared, service != g, "round {round} group {service}");
+            }
+            for gamma in [0.5, 0.75, 0.9] {
+                let gamma = Gamma::new(gamma).unwrap();
+                assert_eq!(epoch.query(gamma), oracle(&epoch, gamma), "round {round} {gamma:?}");
+            }
+            prev = epoch;
+        }
+    }
+
+    /// `1e16 + 1 == 1e16`: a read must still see that `a`'s record
+    /// dominates two of `b`'s three at an equal rounded sum.
+    #[test]
+    fn reads_see_dominance_at_equal_rounded_sums() {
+        let batch = WriteBatch::new()
+            .insert("a", &[1e16, 1.0])
+            .insert("b", &[1e16, 0.0])
+            .insert("b", &[1e16, 0.0])
+            .insert("b", &[0.0, 5.0]);
+        let svc = SkylineService::new(2, Gamma::DEFAULT).unwrap();
+        svc.apply(&batch).unwrap();
+        let epoch = svc.current();
+        assert_eq!(epoch.skyline_labels(), vec!["a"]);
+        // p(a ≻ b) = 2/3: b is out up to γ 2/3 and back in above it.
+        for (gamma, want) in [(0.5, vec![0]), (0.6, vec![0]), (0.75, vec![0, 1])] {
+            let gamma = Gamma::new(gamma).unwrap();
+            assert_eq!(epoch.query(gamma), oracle(&epoch, gamma), "{gamma:?}");
+            assert_eq!(epoch.query(gamma), want, "{gamma:?}");
         }
     }
 
@@ -768,6 +845,79 @@ mod tests {
         let epoch = restored.current();
         assert_eq!(epoch.skyline(), oracle(&epoch, Gamma::DEFAULT));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A frame matches the same records whatever order they come in: the
+    /// dataset the service started from, the same groups with every
+    /// group's records reversed or given through a MIN column, and, after
+    /// a write, the records in insertion order all restore warm.
+    #[test]
+    fn restore_is_warm_whatever_order_the_records_come_in() {
+        let dir = tempdir("svc_persist_order");
+        let store = CheckpointStore::open(&dir).unwrap();
+        let ds = crate::testdata::random_dataset(6, 20, 3, 0x0DE5);
+        let n_pairs = ds.n_groups() * (ds.n_groups() - 1) / 2;
+        // `ds`, each group's records reversed when `reverse`, `extra`
+        // appended to group 0.
+        let relist = |reverse: bool, extra: Option<&[f64]>| {
+            let mut b = crate::dataset::GroupedDatasetBuilder::new(ds.dim());
+            for g in ds.group_ids() {
+                let mut rows: Vec<&[f64]> = ds.records(g).collect();
+                if reverse {
+                    rows.reverse();
+                }
+                rows.extend(extra.filter(|_| g == 0));
+                b.push_group(ds.label(g), &rows).unwrap();
+            }
+            b.build().unwrap()
+        };
+        // The same normalized records, given with the first column as MIN:
+        // the fingerprint hashes normalized values, as the epochs keep them.
+        let mut b = crate::dataset::GroupedDatasetBuilder::with_directions(vec![
+            crate::dominance::Direction::Min,
+            crate::dominance::Direction::Max,
+            crate::dominance::Direction::Max,
+        ]);
+        for g in ds.group_ids() {
+            let rows: Vec<Vec<f64>> = ds.records(g).map(|r| vec![-r[0], r[1], r[2]]).collect();
+            b.push_group(ds.label(g), &rows).unwrap();
+        }
+        let with_min = b.build().unwrap();
+        let svc = SkylineService::from_dataset(&ds, Gamma::DEFAULT).unwrap();
+        svc.persist(&store).unwrap();
+        let givens = [
+            ("as given", relist(false, None)),
+            ("reversed", relist(true, None)),
+            ("a MIN column", with_min),
+        ];
+        for (name, given) in givens {
+            let (restored, how) = SkylineService::restore(&given, Gamma::DEFAULT, &store).unwrap();
+            assert_eq!(how, ServeRecovery::Warm { epoch: 0, pairs: n_pairs }, "{name}");
+            assert_eq!(restored.current().skyline(), svc.current().skyline(), "{name}");
+        }
+        let extra = [0.5, 0.25, 0.75];
+        svc.apply(&WriteBatch::new().insert(ds.label(0), &extra)).unwrap();
+        svc.persist(&store).unwrap();
+        let given = relist(false, Some(&extra));
+        let (restored, how) = SkylineService::restore(&given, Gamma::DEFAULT, &store).unwrap();
+        assert_eq!(how, ServeRecovery::Warm { epoch: 1, pairs: n_pairs });
+        assert_eq!(restored.current().skyline(), svc.current().skyline());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two records that differ only in the sign of a zero hash the same
+    /// in either order, and not as two copies of one of them.
+    #[test]
+    fn canonical_fingerprint_tells_signed_zeros_apart_in_any_order() {
+        let one_group = |rows: &[&[f64]]| {
+            let mut b = crate::dataset::GroupedDatasetBuilder::new(2);
+            b.push_group("g", rows).unwrap();
+            b.build().unwrap()
+        };
+        let (pos, neg): (&[f64], &[f64]) = (&[0.0, 1.0], &[-0.0, 1.0]);
+        let both = canonical_fingerprint(&one_group(&[pos, neg]), Gamma::DEFAULT);
+        assert_eq!(both, canonical_fingerprint(&one_group(&[neg, pos]), Gamma::DEFAULT));
+        assert_ne!(both, canonical_fingerprint(&one_group(&[pos, pos]), Gamma::DEFAULT));
     }
 
     #[test]

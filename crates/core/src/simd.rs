@@ -17,20 +17,25 @@
 //! mask word corresponds to record `j`, and each `_mm256_movemask_pd` of a
 //! compare result contributes four mask bits at offset `4·v`. Per probe:
 //!
-//! * the **sum masks** come from the two monotone cursors of the scalar
-//!   kernel. Both sum lanes are sorted descending, so the block records
-//!   with a strictly larger sum than the probe are a prefix `0..p` and
-//!   those with a strictly smaller sum a suffix `q..len`, and both cursors
-//!   only advance as the probe sum shrinks. The masks are the scalar
-//!   kernel's bit for bit, which is why the `records_compared` /
-//!   `record_pairs` popcount charges match;
+//! * the **sum masks** come from the scalar kernel's monotone cursor.
+//!   Both sum lanes are sorted descending, so the block records with a
+//!   larger sum than the probe are a prefix `0..p` whose end only advances
+//!   as the probe sum shrinks, and those with an equal sum the run `p..q`
+//!   after it, usually empty. Backward candidates are `0..q` (sum `≥`),
+//!   forward ones `p..len` (sum `≤`), and a probe is charged the popcount
+//!   of their union. The masks are the scalar kernel's bit for bit, which
+//!   is why the `records_compared` / `record_pairs` popcount charges
+//!   match;
 //! * the **coordinate lanes** are loaded only for the chunks those masks
-//!   touch: chunks `0..⌈p/4⌉` backward and `⌊q/4⌋..⌈len/4⌉` forward. Per
+//!   touch: chunks `0..⌈q/4⌉` backward and `⌊p/4⌋..⌈len/4⌉` forward. Per
 //!   chunk, one compare per dimension finds the records that *violate*
 //!   dominance (backward: the probe key is greater, `cmpgt(k, v)`, since
 //!   `v ≥ k ⟺ ¬(k > v)`; forward: the record key is greater), the compares
 //!   are OR-folded, and one movemask per chunk extracts the violation
-//!   bits. The dominating pairs are the sum mask minus the violations.
+//!   bits. The dominating pairs are the sum mask minus the violations and
+//!   minus the records equal to the probe in every key, which only the
+//!   equal-sum run can hold (`cmpeq` AND-folded over chunks
+//!   `⌊p/4⌋..⌈q/4⌉`, loaded only when the run is not empty).
 //!
 //! Block pairs whose sum ranges rule a direction out need no shortcut
 //! here: the caller (`kernel::run_blocks_from`) already drops such a
@@ -61,9 +66,9 @@
 //!   asserts that `b`'s `width` is a multiple of 4
 //!   ([`crate::prepared::LANE_VECTOR`]) with `b.len ≤ width`. Both cursors
 //!   stay at most `width` and the forward range ends at `⌈len/4⌉`, so every
-//!   loaded chunk `v` satisfies `v < width / 4`, and the 32-byte load at
-//!   `d · width + 4·v` with `d < dim` reads entirely inside one coordinate
-//!   lane. Probe reads at `d · a.width + i` have `d < dim` and
+//!   loaded chunk `v` (the equal-sum run's too) satisfies `v < width / 4`,
+//!   and the 32-byte load at `d · width + 4·v` with `d < dim` reads
+//!   entirely inside one coordinate lane. Probe reads at `d · a.width + i` have `d < dim` and
 //!   `i < a.width`, because the probe loop runs over `a`'s sum lane.
 //! * **Alignment & validity** — `_mm256_loadu_si256` is the unaligned load;
 //!   `i64` has no invalid bit patterns, and the pad slots are initialized
@@ -165,8 +170,9 @@ unsafe fn straddle_avx2<const D: usize>(
     use crate::num::movemask4;
     use crate::prepared::LANE_VECTOR;
     use std::arch::x86_64::{
-        __m256i, _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
-        _mm256_or_si256, _mm256_set1_epi64x, _mm256_setzero_si256,
+        __m256i, _mm256_and_si256, _mm256_castsi256_pd, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64,
+        _mm256_loadu_si256, _mm256_movemask_pd, _mm256_or_si256, _mm256_set1_epi64x,
+        _mm256_setzero_si256,
     };
 
     debug_assert!(D == RUNTIME_DIM || D == dim, "instantiation {D} run at d={dim}");
@@ -193,20 +199,44 @@ unsafe fn straddle_avx2<const D: usize>(
     let mut n12 = 0u64;
     let mut n21 = 0u64;
     let mut tests = 0u64;
-    let mut p = 0usize; // b-records with sum >  s1 (the scalar kernel's `p`)
-    let mut q = 0usize; // b-records with sum >= s1 (the scalar kernel's `q`)
+    let mut p = 0usize; // b-records with sum > s1 (the scalar kernel's `p`)
     for (i, &s1) in a_sum.iter().enumerate().take(a.len) {
         debug_assert!(i == 0 || a_sum[i - 1] >= s1, "probe sums must be descending");
-        if bwd {
-            while p < width && b_sum[p] > s1 {
-                p += 1;
+        while p < width && b_sum[p] > s1 {
+            p += 1;
+        }
+        let mut q = p; // b-records with sum >= s1
+        while q < width && b_sum[q] == s1 {
+            q += 1;
+        }
+        // The equal-sum run p..q, as in the scalar kernel: one test per
+        // record (`dup`), and no dominance for a record equal to the probe
+        // in every key (`cmpeq` AND-folded over the run's chunks).
+        let (mut same, mut dup) = (0u64, 0u64);
+        if q > p {
+            let tie = low_bits(q) & !low_bits(p) & valid;
+            for v in p / LANE_VECTOR..q.div_ceil(LANE_VECTOR) {
+                let at = v * LANE_VECTOR;
+                let mut eq = _mm256_set1_epi64x(-1);
+                for d in 0..dim {
+                    let key = _mm256_set1_epi64x(*a_keys.add(d * a_width + i));
+                    let lane = _mm256_loadu_si256(b_keys.add(d * width + at) as *const __m256i);
+                    eq = _mm256_and_si256(eq, _mm256_cmpeq_epi64(key, lane));
+                }
+                same |= movemask4(_mm256_movemask_pd(_mm256_castsi256_pd(eq))) << at;
             }
-            let sum_gt = low_bits(p) & valid;
-            tests += u64::from(sum_gt.count_ones());
-            // Candidates sit in chunks 0..⌈p/4⌉; a record is out once some
+            same &= tie;
+            if bwd {
+                dup = tie;
+            }
+        }
+        if bwd {
+            let sum_ge = low_bits(q) & valid;
+            tests += u64::from(sum_ge.count_ones());
+            // Candidates sit in chunks 0..⌈q/4⌉; a record is out once some
             // probe key exceeds its key.
-            let mut viol = 0u64;
-            for v in 0..p.div_ceil(LANE_VECTOR) {
+            let mut viol = same;
+            for v in 0..q.div_ceil(LANE_VECTOR) {
                 let at = v * LANE_VECTOR;
                 let mut gt = _mm256_setzero_si256();
                 for d in 0..dim {
@@ -216,18 +246,15 @@ unsafe fn straddle_avx2<const D: usize>(
                 }
                 viol |= movemask4(_mm256_movemask_pd(_mm256_castsi256_pd(gt))) << at;
             }
-            n21 += u64::from((sum_gt & !viol).count_ones());
+            n21 += u64::from((sum_ge & !viol).count_ones());
         }
         if fwd {
-            while q < width && b_sum[q] >= s1 {
-                q += 1;
-            }
-            let sum_lt = !low_bits(q) & valid;
-            tests += u64::from(sum_lt.count_ones());
-            // Candidates sit in chunks ⌊q/4⌋..⌈len/4⌉; a record is out once
+            let sum_le = !low_bits(p) & valid;
+            tests += u64::from((sum_le & !dup).count_ones());
+            // Candidates sit in chunks ⌊p/4⌋..⌈len/4⌉; a record is out once
             // one of its keys exceeds the probe's.
-            let mut viol = 0u64;
-            for v in q / LANE_VECTOR..live_chunks {
+            let mut viol = same;
+            for v in p / LANE_VECTOR..live_chunks {
                 let at = v * LANE_VECTOR;
                 let mut gt = _mm256_setzero_si256();
                 for d in 0..dim {
@@ -237,7 +264,7 @@ unsafe fn straddle_avx2<const D: usize>(
                 }
                 viol |= movemask4(_mm256_movemask_pd(_mm256_castsi256_pd(gt))) << at;
             }
-            n12 += u64::from((sum_lt & !viol).count_ones());
+            n12 += u64::from((sum_le & !viol).count_ones());
         }
     }
     counter.n12 += n12;

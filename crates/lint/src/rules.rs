@@ -150,7 +150,7 @@ const COMPARE_FREE: &[&str] = &[
     "compare_groups",
     "compare_groups_exhaustive",
     "count_pairs",
-    "count_pairs_across",
+    "count_segments",
 ];
 
 /// Compare primitives that may also appear as method calls (`Kernel::…`,

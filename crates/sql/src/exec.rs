@@ -196,8 +196,24 @@ pub(crate) fn execute_select_with(
         }
     }
     let having_expr = stmt.having.as_ref().map(|e| compiler.compile(e)).transpose()?;
-    let order_exprs: Vec<(RExpr, SortDir)> =
-        stmt.order_by.iter().map(|(e, d)| Ok((compiler.compile(e)?, *d))).collect::<Result<_>>()?;
+    let order_exprs: Vec<(RExpr, SortDir)> = stmt
+        .order_by
+        .iter()
+        .map(|(e, d)| match e {
+            // An integer names the k-th output column (1-based), as in SQLite.
+            Expr::Literal(Value::Int(k)) => usize::try_from(*k)
+                .ok()
+                .and_then(|k| proj_exprs.get(k.checked_sub(1)?))
+                .map(|p| (p.clone(), *d))
+                .ok_or_else(|| {
+                    SqlError::UnknownColumn(format!(
+                        "ORDER BY {k}: the result has {} columns",
+                        proj_exprs.len()
+                    ))
+                }),
+            e => Ok((compiler.compile(e)?, *d)),
+        })
+        .collect::<Result<_>>()?;
     let sky_exprs: Vec<(RExpr, SkyDir)> = match &stmt.skyline {
         Some(clause) => clause
             .items

@@ -7,14 +7,16 @@
 //! The grammar covers CREATE and DROP; INSERT with mixed types (integers
 //! into FLOAT and TEXT columns, strings into INT columns, NULLs, `i64`
 //! extremes, quotes); SELECT with WHERE, GROUP BY, HAVING, SKYLINE OF,
-//! DISTINCT, IN subqueries and lists, joins, ORDER BY and LIMIT; DELETE and
-//! UPDATE. For every statement:
+//! DISTINCT, IN subqueries and lists, joins, ORDER BY (by expression and by
+//! output column number, in range or not) and LIMIT; DELETE and UPDATE.
+//! For every statement:
 //!
 //! * it ends in `Ok` or a typed `SqlError`, never a panic;
 //! * when it fails, every table is left as it was;
 //! * both databases return the same result, or the same error;
 //! * a complete `GROUP BY g SKYLINE OF …` result equals the naive oracle's
-//!   skyline over the rows read back from the table.
+//!   skyline over the rows read back from the table, and with `ORDER BY 1`
+//!   its rows come in the order `ORDER BY g` gives them.
 
 use aggsky_core::{naive_skyline, Direction, Gamma, GroupedDatasetBuilder};
 use aggsky_sql::{Database, QueryResult, SqlError, Value};
@@ -157,8 +159,10 @@ fn skyline_select(rng: &mut Rng) -> (String, Option<SkyQuery>) {
         dir_sql(dirs[0]),
         dir_sql(dirs[1])
     ));
-    if rng.chance(2) {
-        sql.push_str(" ORDER BY g");
+    match rng.below(4) {
+        0 => sql.push_str(" ORDER BY g"),
+        1 => sql.push_str(rng.pick(&[" ORDER BY 1", " ORDER BY 1 DESC"])),
+        _ => {}
     }
     if rng.chance(6) {
         sql.push_str(&format!(" LIMIT {}", rng.below(4)));
@@ -171,7 +175,7 @@ fn other_select(rng: &mut Rng) -> String {
     let filter = filter_sql(random_filter(rng));
     let k = rng.below(10) as i64 - 2;
     let limit = if rng.chance(3) { format!(" LIMIT {}", rng.below(5)) } else { String::new() };
-    match rng.below(10) {
+    match rng.below(11) {
         0 => format!("SELECT g, count(*), sum(a), avg(b), min(c), max(g) FROM t{filter} GROUP BY g HAVING count(*) > {} ORDER BY g{limit}", rng.below(3)),
         1 => format!("SELECT {}g, a + c, -c, c * 2, a - b FROM t{filter} ORDER BY a DESC, g{limit}", if rng.chance(2) { "DISTINCT " } else { "" }),
         2 => format!("SELECT t.g, u.w, a * w FROM t, u WHERE t.g = u.g AND w > {k} ORDER BY t.g, u.w{limit}"),
@@ -181,6 +185,7 @@ fn other_select(rng: &mut Rng) -> String {
         6 => format!("SELECT DISTINCT {} FROM t ORDER BY 1{limit}", rng.pick(&["c", "a", "g", "g, c"])),
         7 => format!("SELECT g, c FROM t WHERE c {}IN (1, 2, 3.0, 'x', NULL) ORDER BY g, c", if rng.chance(2) { "NOT " } else { "" }),
         8 => format!("SELECT g FROM t WHERE c IN (SELECT w FROM u) AND a BETWEEN 2 AND {}", rng.below(20)),
+        9 => format!("SELECT g, a, c FROM t{filter} ORDER BY {} DESC, {}{limit}", rng.below(5), rng.below(4)),
         _ => format!("SELECT g, c + {} FROM t WHERE g LIKE 'g%' ORDER BY c{limit}", rng.pick(&["1", "9223372036854775807", "-9223372036854775807", "c"])),
     }
 }
@@ -402,6 +407,15 @@ fn run_seed(seed: u64) -> Checked {
             (Ok(r), Some(q)) if r.interrupted.is_none() => {
                 assert_eq!(result_labels(&r), oracle(&typed, q), "{at}: {sql}");
                 checked.oracles += 1;
+                if sql.contains(" ORDER BY 1") {
+                    // Column 1 of every skyline projection is `g`.
+                    let named = sql.replace(" ORDER BY 1", " ORDER BY g");
+                    let by_name = run(&mut typed, &named, &at).map(|n| n.rows);
+                    assert_eq!(
+                        format!("{:?}", by_name),
+                        format!("{:?}", Ok::<_, SqlError>(r.rows))
+                    );
+                }
             }
             (Err(_), _) => checked.failed += 1,
             _ => {}

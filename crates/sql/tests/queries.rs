@@ -681,3 +681,79 @@ fn division_semantics_in_queries() {
     assert_eq!(r.rows[0][0], Value::Null, "division by zero is NULL");
     assert_eq!(r.rows[1][0], Value::Float(3.5), "integer division is exact");
 }
+
+/// `ORDER BY k` sorts by the k-th output column (1-based), as in SQLite,
+/// and a k outside the output columns is a typed error.
+#[test]
+fn order_by_integer_names_an_output_column() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+    db.execute("INSERT INTO t VALUES (2, 'x'), (1, 'y'), (3, 'z')").unwrap();
+    let firsts = |db: &mut Database, sql: &str| -> Vec<Value> {
+        db.execute(sql).unwrap().rows.into_iter().map(|r| r[0].clone()).collect()
+    };
+    let ints = |v: &[i64]| v.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+    assert_eq!(firsts(&mut db, "SELECT a, b FROM t ORDER BY 1"), ints(&[1, 2, 3]));
+    assert_eq!(firsts(&mut db, "SELECT a, b FROM t ORDER BY 2 DESC"), ints(&[3, 1, 2]));
+    assert_eq!(firsts(&mut db, "SELECT b, a FROM t ORDER BY 2 DESC"), {
+        ["z", "x", "y"].iter().map(|s| Value::Str(s.to_string())).collect::<Vec<_>>()
+    });
+    assert_eq!(firsts(&mut db, "SELECT * FROM t ORDER BY 1 DESC"), ints(&[3, 2, 1]));
+    // An aliased or computed column sorts by its value.
+    assert_eq!(firsts(&mut db, "SELECT -a AS n FROM t ORDER BY 1"), ints(&[-3, -2, -1]));
+    for bad in ["SELECT a, b FROM t ORDER BY 3", "SELECT a FROM t ORDER BY 0"] {
+        match db.execute(bad) {
+            Err(SqlError::UnknownColumn(m)) => assert!(m.contains("ORDER BY"), "{bad}: {m}"),
+            other => panic!("{bad}: expected UnknownColumn, got {other:?}"),
+        }
+    }
+}
+
+/// Positional ORDER BY on grouped and `SKYLINE OF` statements: the k-th
+/// output column may be an aggregate.
+#[test]
+fn order_by_integer_on_grouped_and_skyline_statements() {
+    let mut db = movie_db();
+    let r = db
+        .execute("SELECT director, count(*) FROM movie GROUP BY director ORDER BY 2 DESC, 1")
+        .unwrap();
+    let got: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+    assert_eq!(got, ["Cameron", "Coppola", "Tarantino", "Jackson", "Kershner", "Nolan", "Wiseau"]);
+    let r = db
+        .execute(
+            "SELECT director, max(pop) FROM movie GROUP BY director \
+             SKYLINE OF pop MAX, qual MAX ORDER BY 2 DESC",
+        )
+        .unwrap();
+    let got: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+    assert_eq!(got, ["Tarantino", "Coppola", "Jackson", "Kershner"]);
+    let r = db
+        .execute(
+            "SELECT director FROM movie GROUP BY director SKYLINE OF pop MAX, qual MAX \
+             ORDER BY 1 DESC",
+        )
+        .unwrap();
+    let got: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+    assert_eq!(got, ["Tarantino", "Kershner", "Jackson", "Coppola"]);
+    assert!(matches!(
+        db.execute("SELECT director FROM movie GROUP BY director ORDER BY 2"),
+        Err(SqlError::UnknownColumn(_))
+    ));
+}
+
+/// `1e16 + 1 == 1e16`: A's record dominates two of B's three at an equal
+/// rounded sum, so p(A ≻ B) = 2/3 and B is out at γ 0.5, as the naive
+/// oracle says.
+#[test]
+fn aggregate_skyline_sees_dominance_at_equal_rounded_sums() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (g TEXT, x FLOAT, y FLOAT)").unwrap();
+    db.execute(
+        "INSERT INTO t VALUES ('A', 10000000000000000.0, 1.0), \
+         ('B', 10000000000000000.0, 0.0), ('B', 10000000000000000.0, 0.0), ('B', 0.0, 5.0)",
+    )
+    .unwrap();
+    let got =
+        column_strings(&mut db, "SELECT g FROM t GROUP BY g SKYLINE OF x MAX, y MAX GAMMA 0.5");
+    assert_eq!(got, vec!["A"]);
+}

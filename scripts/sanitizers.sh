@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Sanitizer gates for the unsafe/concurrent core (DESIGN.md §14).
 #
-# 1. ThreadSanitizer over the scheduler chaos + pair-granular retry suites:
-#    the work-stealing scheduler and its atomics are the riskiest
-#    concurrency surface in the workspace. The L8 allowlist documents the
-#    *intended* happens-before edges; TSan checks the actual ones under
-#    seeded fault injection.
+# 1. ThreadSanitizer over the scheduler chaos + pair-granular retry suites
+#    and the concurrent-reader serving suite: the work-stealing scheduler
+#    and its atomics are the riskiest concurrency surface in the workspace,
+#    and served epochs share segments and tally tables across threads by
+#    reference count. The L8 allowlist documents the *intended*
+#    happens-before edges; TSan checks the actual ones under seeded fault
+#    injection.
 # 2. Miri over the columnar differential suite with AGGSKY_FORCE_SCALAR=1:
 #    the scalar columnar kernel is the oracle the unsafe AVX2 module is
 #    pinned bit-identical against, so its memory model must be spotless.
@@ -20,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 status=0
 
-echo "== sanitizers: ThreadSanitizer (scheduler chaos + retry suites) =="
+echo "== sanitizers: ThreadSanitizer (scheduler chaos + retry + serving suites) =="
 if ! cargo +nightly --version >/dev/null 2>&1; then
     echo "SKIP(tsan): no nightly toolchain (rustup toolchain install nightly)"
 else
@@ -37,18 +39,23 @@ else
         # -Cunsafe-allow-abi-mismatch lets the instrumented workspace link
         # against it, and tsan-suppressions.txt mutes the two known
         # libtest-harness reports that the uninstrumented std produces.
+        # AGGSKY_SERVE_LOCKSTEP makes serve_concurrency hand epochs over
+        # through atomics TSan sees, instead of racing reads against
+        # publishes on the epoch lock, whose slow path it does not see.
         export RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer"
         export TSAN_OPTIONS="suppressions=$PWD/tsan-suppressions.txt"
+        export AGGSKY_SERVE_LOCKSTEP=1
         if CARGO_TARGET_DIR=target/tsan cargo +nightly test -q --offline --target "$target" \
             -p aggsky-core --features chaos,invariants --lib &&
             CARGO_TARGET_DIR=target/tsan cargo +nightly test -q --offline --target "$target" \
-                --features chaos,invariants --test chaos --test execution_control --test crash_recovery; then
+                --features chaos,invariants --test chaos --test execution_control --test crash_recovery \
+                --test serve_concurrency; then
             echo "PASS(tsan)"
         else
             echo "FAIL(tsan): data race or test failure under ThreadSanitizer"
             status=1
         fi
-        unset RUSTFLAGS TSAN_OPTIONS
+        unset RUSTFLAGS TSAN_OPTIONS AGGSKY_SERVE_LOCKSTEP
     fi
 fi
 

@@ -7,7 +7,7 @@
 //! fixed-arity kernels, 1 and 9 the dynamic fallback), with ragged group
 //! sizes so edge blocks exercise the sentinel padding.
 
-use aggsky::core::kernel::{count_pairs, count_pairs_across, Kernel, KernelConfig};
+use aggsky::core::kernel::{count_pairs, count_segments, Kernel, KernelConfig};
 use aggsky::core::ord;
 use aggsky::core::paircount::{compare_groups, PairOptions};
 use aggsky::core::prepared::{PreparedDataset, MAX_LANE_BLOCK};
@@ -130,10 +130,12 @@ fn columnar_agrees_with_exhaustive_and_scalar() {
 /// derived from the block views alone: a block pair whose minimum corner
 /// dominates the other's maximum corner is full; otherwise a direction is
 /// possible when the best corner dominates the other's worst corner and the
-/// sum ranges allow a strictly larger sum, and a pair with neither is
-/// skipped; a straddling pair tests, for each probe record of `g1`'s block,
-/// the records of strictly larger sum (backward) and of strictly smaller
-/// sum (forward) in `g2`'s block.
+/// sum ranges allow a sum at least as large (f64 rounding can make a
+/// dominator's sum equal), and a pair with neither is skipped; a
+/// straddling pair tests, for each probe record of `g1`'s block, the
+/// records of `g2`'s block of larger or equal sum when backward is
+/// possible, and of smaller or equal sum when forward is: an equal-sum
+/// record once, for both directions.
 fn independent_block_count(prep: &PreparedDataset, g1: GroupId, g2: GroupId) -> Stats {
     let mut stats = Stats::default();
     for a in 0..prep.n_blocks(g1) {
@@ -144,16 +146,15 @@ fn independent_block_count(prep: &PreparedDataset, g1: GroupId, g2: GroupId) -> 
                 stats.blocks_full += 1;
                 continue;
             }
-            let fwd = dominates(ba.max, bb.min) && ord::gt(ba.sums[0], bb.sums[bb.len() - 1]);
-            let bwd = dominates(bb.max, ba.min) && ord::gt(bb.sums[0], ba.sums[ba.len() - 1]);
+            let fwd = dominates(ba.max, bb.min) && ord::ge(ba.sums[0], bb.sums[bb.len() - 1]);
+            let bwd = dominates(bb.max, ba.min) && ord::ge(bb.sums[0], ba.sums[ba.len() - 1]);
             if !fwd && !bwd {
                 stats.blocks_skipped += 1;
                 continue;
             }
             for &s1 in ba.sums {
-                let larger = bb.sums.iter().filter(|&&s| ord::gt(s, s1)).count() as u64;
-                let smaller = bb.sums.iter().filter(|&&s| ord::lt(s, s1)).count() as u64;
-                stats.records_compared += u64::from(bwd) * larger + u64::from(fwd) * smaller;
+                let tested = |&&s: &&f64| (bwd && ord::ge(s, s1)) || (fwd && ord::le(s, s1));
+                stats.records_compared += bb.sums.iter().filter(tested).count() as u64;
             }
         }
     }
@@ -163,7 +164,7 @@ fn independent_block_count(prep: &PreparedDataset, g1: GroupId, g2: GroupId) -> 
 
 /// The tick charge is pinned by a count independent of the straddle
 /// kernels: an unbounded `count_pairs` (auto mode) and a scalar
-/// `count_pairs_across` charge exactly [`independent_block_count`], for
+/// `count_segments` charge exactly [`independent_block_count`], for
 /// every dimension, block size and edge-group dataset.
 #[test]
 fn columnar_ticks_match_an_independent_block_count() {
@@ -184,7 +185,8 @@ fn columnar_ticks_match_an_independent_block_count() {
                         count_pairs(&prep, g1, g2, &mut auto);
                         assert_eq!(auto, expect, "auto: {tag}");
                         let mut across = Stats::default();
-                        count_pairs_across(scalar, &prep, g1, &prep, g2, &mut across).unwrap();
+                        count_segments(scalar, prep.segment(g1), prep.segment(g2), &mut across)
+                            .unwrap();
                         assert_eq!(across, Stats { group_pairs: 1, ..expect }, "scalar: {tag}");
                     }
                 }
@@ -195,7 +197,7 @@ fn columnar_ticks_match_an_independent_block_count() {
 
 /// Exact tallies: the columnar `count_pairs` equals the domination-matrix
 /// ones-count in both directions, at every dimension and block size. And
-/// `count_pairs_across`, fed each group from its own single-group
+/// `count_segments`, fed each group from its own single-group
 /// preparation, gives the same tallies and every `Stats` field of
 /// `count_pairs` inside one preparation (plus the one group pair a fresh
 /// `compare_bounded` charges) in scalar and auto (AVX2 when available)
@@ -224,9 +226,13 @@ fn columnar_counts_match_domination_matrix() {
                             KernelConfig::Columnar { block_size },
                         ] {
                             let mut across = Stats::default();
-                            let counts =
-                                count_pairs_across(config, &own[g1], 0, &own[g2], 0, &mut across)
-                                    .unwrap();
+                            let counts = count_segments(
+                                config,
+                                own[g1].segment(0),
+                                own[g2].segment(0),
+                                &mut across,
+                            )
+                            .unwrap();
                             assert_eq!(counts, (n12, n21), "{config:?} tallies: {tag}");
                             assert_eq!(across, joint, "{config:?} stats: {tag}");
                         }
@@ -253,7 +259,8 @@ fn cross_preparation_counting_rejects_mismatched_inputs() {
         (KernelConfig::ColumnarScalar { block_size: 4 }, &p5),
         (KernelConfig::Columnar { block_size: 4 }, &other_dim),
     ] {
-        assert!(count_pairs_across(config, &p4, 0, p2, 0, &mut stats).is_err(), "{config:?}");
+        let refused = count_segments(config, p4.segment(0), p2.segment(0), &mut stats);
+        assert!(refused.is_err(), "{config:?}");
     }
     assert_eq!(stats, Stats::default(), "a refused count charges nothing");
 }

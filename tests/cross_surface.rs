@@ -5,15 +5,17 @@
 //! `SET CHECKPOINT`, repeated until complete with `SET TIMEOUT` of 1, 37
 //! and a third of the statement's own ticks; `run_durable`; the CLI's
 //! `--exact`; its `--checkpoint-dir --budget` chain, re-run with
-//! `--resume` until complete; and its `--threads 2`. The datasets cover
-//! d 1–4, independent, correlated and anticorrelated data with uniform and
-//! Zipf group sizes, equal-size ties, 1-record groups, duplicate records,
-//! groups on both sides of a 16-record block, MIN columns, and a grid of
-//! 3–10 groups of 1–8 records on a 4-value integer grid, at γ 0.5, 0.6,
-//! 0.75, 0.9 and 1.0.
+//! `--resume` until complete; its `--threads 2`; and a served epoch's
+//! `query`. The datasets cover d 1–4, independent, correlated and
+//! anticorrelated data with uniform and Zipf group sizes, equal-size ties,
+//! 1-record groups, duplicate records, groups on both sides of a 16-record
+//! block, MIN columns, records whose dominance f64 rounding hides in an
+//! equal coordinate sum, and a grid of 3–10 groups of 1–8 records on a
+//! 4-value integer grid, at γ 0.5, 0.6, 0.75, 0.9 and 1.0.
 
 use aggsky::cli::run_command;
 use aggsky::core::persist::{run_durable, CheckpointStore};
+use aggsky::core::SkylineService;
 use aggsky::sql::{ColumnType, Value};
 use aggsky::{naive_skyline, Database, Direction, Gamma, GroupedDataset, GroupedDatasetBuilder};
 use aggsky_datagen::{Distribution, GroupSizes, SyntheticConfig};
@@ -169,6 +171,26 @@ fn cases() -> Vec<Case> {
     // Groups on both sides of a 16-record block.
     cases.push(drawn("block edges", 2, &[15, 16, 17, 31, 32, 33], 12, 11));
     cases.push(drawn("block edges", 3, &[16, 17, 15, 1, 32], 8, 12));
+    // `1e16 + 1 == 1e16`: a dominating record can have the dominated
+    // one's coordinate sum. First the smallest case, then every record at
+    // one rounded sum, across block edges.
+    cases.push(Case {
+        name: "rounded sums".into(),
+        groups: vec![
+            ("A".into(), vec![vec![1e16, 1.0]]),
+            ("B".into(), vec![vec![1e16, 0.0], vec![1e16, 0.0], vec![0.0, 5.0]]),
+        ],
+        mins: vec![false, false],
+    });
+    for (dim, seed) in [(2, 13), (3, 14)] {
+        let mut case = drawn("rounded sums", dim, &[17, 1, 20, 9, 33], 2, seed);
+        for (_, rows) in &mut case.groups {
+            for row in rows.iter_mut() {
+                row[0] = 1e16;
+            }
+        }
+        cases.push(case);
+    }
     // The grid: 3–10 groups of 1–8 records on a 4-value integer grid.
     let mut state = 4242;
     for seed in 0..24 {
@@ -253,6 +275,7 @@ fn every_exact_surface_returns_the_oracle_labels() {
         let ds = case.dataset();
         let mut db = case.database();
         std::fs::write(&csv, case.csv()).unwrap();
+        let served = SkylineService::from_dataset(&ds, Gamma::DEFAULT).unwrap().current();
         for gamma in GAMMAS {
             let at = format!("case {i} ({}), gamma {gamma}", case.name);
             let g = Gamma::new(gamma).unwrap();
@@ -300,6 +323,14 @@ fn every_exact_surface_returns_the_oracle_labels() {
 
             let par = cli(&csv, case, gamma, &["--threads", "2"]);
             assert_eq!(cli_labels(&par).as_ref(), Some(&oracle), "CLI --threads 2, {at}\n{par}");
+
+            // Every group is non-empty, so service ids are the dataset's.
+            let got = ds.sorted_labels(&served.query(g));
+            assert_eq!(
+                sorted(got.into_iter().map(str::to_string).collect()),
+                oracle,
+                "served, {at}"
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

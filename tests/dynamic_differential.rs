@@ -8,7 +8,7 @@
 //! scalar-pinned and the auto (AVX2 when available) columnar counting
 //! kernels — across d ∈ {1, 2, 4, 8}. A drifting stream whose inserts come
 //! from a second-seed dataset flushes over a thousand pairs through the
-//! fold's `count_pairs_across`, checked the same way at every step.
+//! fold's `count_segments`, checked the same way at every step.
 //!
 //! The chaos half (build with `--features chaos`) injects a panic into the
 //! writer's forced recount mid-epoch and asserts the previously published
@@ -271,7 +271,7 @@ const DRIFT_OPS: usize = 12;
 /// from the same group of a second dataset drawn with another seed (as in
 /// the `serve-mixed` benchmark workload), one delete per four operations.
 /// The groups drift, so drift intervals cross γ and pairs flush through the
-/// fold's `count_pairs_across`. After every step the scalar-pinned and the
+/// fold's `count_segments`. After every step the scalar-pinned and the
 /// auto engine must return the oracle's skyline, then fold to tallies equal
 /// to the exhaustive counts, with identical `Stats`.
 #[test]

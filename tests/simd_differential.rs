@@ -15,7 +15,7 @@
 //! is nothing to differentiate).
 
 use aggsky::core::cpu;
-use aggsky::core::kernel::{count_pairs, count_pairs_across, Kernel, KernelConfig};
+use aggsky::core::kernel::{count_pairs, count_segments, Kernel, KernelConfig};
 use aggsky::core::paircount::PairOptions;
 use aggsky::core::prepared::{PreparedDataset, MAX_LANE_BLOCK};
 use aggsky::core::{DominationMatrix, GroupId, Mbb, Stats};
@@ -146,7 +146,7 @@ fn avx2_is_bit_identical_to_scalar_columnar() {
 }
 
 /// Each group counted from its own single-group preparation by
-/// `count_pairs_across` gives the tallies and every `Stats` field of the
+/// `count_segments` gives the tallies and every `Stats` field of the
 /// AVX2 `count_pairs` inside one preparation (plus the one group pair a
 /// fresh `compare_bounded` charges), in scalar-columnar and AVX2 modes,
 /// including left groups of 1, block−1 and block+1 rows.
@@ -168,7 +168,8 @@ fn assert_cross_preparation_counts_bit_identical(dim: usize, seed: u64, block_si
                 let tag = format!("d={dim} seed={seed} bs={block_size} {g1} vs {g2} {config:?}");
                 let mut across = Stats::default();
                 let got =
-                    count_pairs_across(config, &own[g1], 0, &own[g2], 0, &mut across).unwrap();
+                    count_segments(config, own[g1].segment(0), own[g2].segment(0), &mut across)
+                        .unwrap();
                 assert_eq!(got, counts, "cross-preparation tallies: {tag}");
                 assert_eq!(across, joint, "cross-preparation stats: {tag}");
             }

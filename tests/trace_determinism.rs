@@ -230,7 +230,7 @@ fn every_distribution_exports_pinned_text() {
 const GOLDEN_PROMETHEUS: &str = r#"# TYPE aggsky_group_pairs_total counter
 aggsky_group_pairs_total 264
 # TYPE aggsky_record_pairs_total counter
-aggsky_record_pairs_total 75688
+aggsky_record_pairs_total 76465
 # TYPE aggsky_bbox_resolved_total counter
 aggsky_bbox_resolved_total 0
 # TYPE aggsky_bbox_skipped_pairs_total counter
@@ -246,7 +246,7 @@ aggsky_blocks_full_total 0
 # TYPE aggsky_blocks_skipped_total counter
 aggsky_blocks_skipped_total 0
 # TYPE aggsky_records_compared_total counter
-aggsky_records_compared_total 75688
+aggsky_records_compared_total 76465
 # TYPE aggsky_worker_retries_total counter
 aggsky_worker_retries_total 0
 # TYPE aggsky_workers_quarantined_total counter
@@ -280,16 +280,16 @@ aggsky_record_pairs_per_group_pair_bucket{le="0"} 66
 aggsky_record_pairs_per_group_pair_bucket{le="1"} 66
 aggsky_record_pairs_per_group_pair_bucket{le="3"} 66
 aggsky_record_pairs_per_group_pair_bucket{le="7"} 66
-aggsky_record_pairs_per_group_pair_bucket{le="15"} 78
-aggsky_record_pairs_per_group_pair_bucket{le="31"} 93
+aggsky_record_pairs_per_group_pair_bucket{le="15"} 72
+aggsky_record_pairs_per_group_pair_bucket{le="31"} 90
 aggsky_record_pairs_per_group_pair_bucket{le="63"} 99
 aggsky_record_pairs_per_group_pair_bucket{le="127"} 99
-aggsky_record_pairs_per_group_pair_bucket{le="255"} 138
-aggsky_record_pairs_per_group_pair_bucket{le="511"} 213
-aggsky_record_pairs_per_group_pair_bucket{le="1023"} 263
+aggsky_record_pairs_per_group_pair_bucket{le="255"} 132
+aggsky_record_pairs_per_group_pair_bucket{le="511"} 192
+aggsky_record_pairs_per_group_pair_bucket{le="1023"} 262
 aggsky_record_pairs_per_group_pair_bucket{le="2047"} 264
 aggsky_record_pairs_per_group_pair_bucket{le="+Inf"} 264
-aggsky_record_pairs_per_group_pair_sum 75688
+aggsky_record_pairs_per_group_pair_sum 76465
 aggsky_record_pairs_per_group_pair_count 264
 # TYPE aggsky_batch_block_pairs histogram
 aggsky_batch_block_pairs_bucket{le="0"} 0
@@ -304,16 +304,16 @@ aggsky_straddle_fanout_pairs_bucket{le="0"} 0
 aggsky_straddle_fanout_pairs_bucket{le="1"} 0
 aggsky_straddle_fanout_pairs_bucket{le="3"} 0
 aggsky_straddle_fanout_pairs_bucket{le="7"} 0
-aggsky_straddle_fanout_pairs_bucket{le="15"} 12
-aggsky_straddle_fanout_pairs_bucket{le="31"} 27
+aggsky_straddle_fanout_pairs_bucket{le="15"} 6
+aggsky_straddle_fanout_pairs_bucket{le="31"} 24
 aggsky_straddle_fanout_pairs_bucket{le="63"} 33
 aggsky_straddle_fanout_pairs_bucket{le="127"} 33
-aggsky_straddle_fanout_pairs_bucket{le="255"} 72
-aggsky_straddle_fanout_pairs_bucket{le="511"} 147
-aggsky_straddle_fanout_pairs_bucket{le="1023"} 197
+aggsky_straddle_fanout_pairs_bucket{le="255"} 66
+aggsky_straddle_fanout_pairs_bucket{le="511"} 126
+aggsky_straddle_fanout_pairs_bucket{le="1023"} 196
 aggsky_straddle_fanout_pairs_bucket{le="2047"} 198
 aggsky_straddle_fanout_pairs_bucket{le="+Inf"} 198
-aggsky_straddle_fanout_pairs_sum 75688
+aggsky_straddle_fanout_pairs_sum 76465
 aggsky_straddle_fanout_pairs_count 198
 # TYPE aggsky_window_candidates histogram
 aggsky_window_candidates_bucket{le="0"} 0
@@ -353,30 +353,30 @@ aggsky_batch_block_pairs_quantiles{quantile="1"} 4
 aggsky_batch_block_pairs_quantiles_sum 132
 aggsky_batch_block_pairs_quantiles_count 66
 # TYPE aggsky_straddle_fanout_quantiles summary
-aggsky_straddle_fanout_quantiles{quantile="0.5"} 376
+aggsky_straddle_fanout_quantiles{quantile="0.5"} 392
 aggsky_straddle_fanout_quantiles{quantile="0.95"} 816
-aggsky_straddle_fanout_quantiles{quantile="0.99"} 1008
-aggsky_straddle_fanout_quantiles{quantile="1"} 1064
-aggsky_straddle_fanout_quantiles_sum 75688
+aggsky_straddle_fanout_quantiles{quantile="0.99"} 1056
+aggsky_straddle_fanout_quantiles{quantile="1"} 1072
+aggsky_straddle_fanout_quantiles_sum 76465
 aggsky_straddle_fanout_quantiles_count 198
 "#;
 
 const GOLDEN_SUMMARY_SECTIONS: &str = r#"histograms:
-  aggsky_record_pairs_per_group_pair count=264 sum=75688 p50≤255 p99≤1023
+  aggsky_record_pairs_per_group_pair count=264 sum=76465 p50≤255 p99≤1023
   aggsky_batch_block_pairs count=66 sum=132 p50≤3 p99≤7
-  aggsky_straddle_fanout_pairs count=198 sum=75688 p50≤511 p99≤1023
+  aggsky_straddle_fanout_pairs count=198 sum=76465 p50≤511 p99≤2047
   aggsky_window_candidates count=12 sum=144 p50≤15 p99≤15
   aggsky_checkpoint_frame_bytes count=7 sum=43904 p50≤63 p99≤65535
 sketches:
   aggsky_batch_block_pairs_quantiles count=66 p50=2 p95=4 p99=4 max=4
-  aggsky_straddle_fanout_quantiles count=198 p50=376 p95=816 p99=1008 max=1064
+  aggsky_straddle_fanout_quantiles count=198 p50=392 p95=816 p99=1056 max=1072
 "#;
 
-const GOLDEN_PROFILE_ENTRIES: &str = r#"hist aggsky_record_pairs_per_group_pair count=264 sum=75688
+const GOLDEN_PROFILE_ENTRIES: &str = r#"hist aggsky_record_pairs_per_group_pair count=264 sum=76465
 hist aggsky_batch_block_pairs count=66 sum=132
-hist aggsky_straddle_fanout_pairs count=198 sum=75688
+hist aggsky_straddle_fanout_pairs count=198 sum=76465
 hist aggsky_window_candidates count=12 sum=144
 hist aggsky_checkpoint_frame_bytes count=7 sum=43904
 sketch aggsky_batch_block_pairs_quantiles count=66 p50=2 p95=4 p99=4 max=4
-sketch aggsky_straddle_fanout_quantiles count=198 p50=376 p95=816 p99=1008 max=1064
+sketch aggsky_straddle_fanout_quantiles count=198 p50=392 p95=816 p99=1056 max=1072
 "#;
